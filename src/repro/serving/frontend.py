@@ -35,19 +35,29 @@ to fill, so the largest batch whose fill time fits the predicted headroom
 is ``b = floor((sla − p99(path, λ)) · λ)``, clamped to ``[1, max_batch]``
 (and to 1 whenever the path has no predicted headroom).
 
-The decision loop is vectorized the way PR 3 vectorized simulation: path
-candidates for all windows come from one
-:meth:`~repro.serving.router.PathTable.best_path_batch` call, batch sizes
-from array arithmetic, and per-query bookkeeping from contiguous slice
-fills over arrival-sorted arrays — only the inherently sequential
-hysteresis/backlog state machine remains a scalar loop over *windows*, so
-scheduling cost is amortized over every query in the window.
+Scheduling does per-window work per window.  Path candidates for all
+windows come from one :meth:`~repro.serving.router.PathTable.best_path_batch`
+call and batch sizes from array arithmetic.  Each window's arrival count is
+one ``np.searchsorted`` of the window edges over the arrival-sorted stream,
+with every edge snapped to where ``np.floor_divide`` changes window, so
+non-integer widths bin exactly as ``floor_divide`` would.  Admission is a
+scalar recursion over windows on integer counters.  The FIFO backlog is a
+single count, because deferred queries always form a contiguous suffix of
+all deferrals so far.  :class:`FrontendSchedule` therefore stores window
+counters only; per-query outcomes are read-only views it derives from them
+on first access, and :meth:`StreamingFrontend.serve` touches only the
+deferred-then-served queries, whose waits join the latency pool.
+
+:meth:`QueryStream.from_trace` draws each step's uniforms straight into that
+step's slice of one preallocated array and sorts per step.  PCG64 emits
+doubles in sequence and step blocks do not overlap, so this equals one
+global draw followed by a global sort, without the ``N``-sized temporaries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +108,7 @@ class QueryStream:
         arrivals = np.asarray(self.arrival_seconds, dtype=np.float64)
         if arrivals.ndim != 1:
             raise ValueError("arrival_seconds must be one-dimensional")
-        if arrivals.size and (np.any(np.diff(arrivals) < 0) or arrivals[0] < 0):
+        if arrivals.size and (np.any(arrivals[1:] < arrivals[:-1]) or arrivals[0] < 0):
             raise ValueError("arrivals must be non-negative and non-decreasing")
         if self.duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
@@ -134,12 +144,24 @@ class QueryStream:
             The realized stream, sorted by arrival time.
         """
         expected = trace.queries_per_step()
-        starts = np.arange(trace.num_steps) * trace.step_seconds
+        edges = np.arange(trace.num_steps + 1) * trace.step_seconds
+        starts = edges[:-1]
         if process == "poisson":
             rng = np.random.default_rng(seed)
             counts = rng.poisson(expected)
-            times = np.repeat(starts, counts)
-            times = np.sort(times + trace.step_seconds * rng.random(times.size))
+            stops = np.cumsum(counts)
+            times = np.empty(int(stops[-1]))
+            for lo, hi, start, end in zip(
+                (stops - counts).tolist(), stops.tolist(), starts.tolist(), edges[1:].tolist()
+            ):
+                block = times[lo:hi]
+                rng.random(out=block)
+                block *= trace.step_seconds
+                block += start
+                block.sort()
+                # ``start + step * u`` can round up onto the step's end (u
+                # just below 1): pull it back to the last double inside.
+                block[block.searchsorted(end) :] = np.nextafter(end, -np.inf)
         elif process == "paced":
             cumulative = np.floor(np.cumsum(expected) + 1e-9).astype(np.int64)
             counts = np.diff(np.concatenate(([0], cumulative)))
@@ -159,10 +181,16 @@ class QueryStream:
 class FrontendSchedule:
     """Everything the frontend decided for one stream — no simulation yet.
 
-    Produced by :meth:`StreamingFrontend.schedule` (the serving-time hot
-    path the throughput benchmark measures); consumed by
+    Produced by :meth:`StreamingFrontend.schedule`; consumed by
     :meth:`StreamingFrontend.serve` to score the schedule on the analytic
     engine.
+
+    Only window counters are stored.  They determine every query's outcome:
+    queries are arrival-sorted, each window admits the first of its fresh
+    arrivals, defers the next block and sheds the rest, and the backlog
+    serves deferrals in arrival order.  :attr:`query_state`,
+    :attr:`query_path` and :attr:`query_serve_window` are read-only arrays
+    derived from the counters on first access.
 
     Attributes
     ----------
@@ -194,14 +222,6 @@ class FrontendSchedule:
         ``"queue-full"`` when the defer queue had no room).  Always
         populated — batching on or off — so ``route_steps.*`` artifacts
         stay schema-identical across modes.
-    query_state : np.ndarray
-        Admission outcome per query (``QUERY_SHED`` / ``QUERY_ADMITTED``
-        / ``QUERY_DEFERRED``; deferred queries dropped at stream end are
-        reclassified as shed).
-    query_path : np.ndarray
-        Path index that served each query (``-1``: shed).
-    query_serve_window : np.ndarray
-        Window that served each query (``-1``: shed).
     max_queue_depth : int
         Deepest the defer queue ever grew, in queries.
     """
@@ -218,9 +238,6 @@ class FrontendSchedule:
     window_deferred: np.ndarray
     window_shed: np.ndarray
     window_shed_reason: np.ndarray
-    query_state: np.ndarray
-    query_path: np.ndarray
-    query_serve_window: np.ndarray
     max_queue_depth: int
 
     @property
@@ -231,7 +248,7 @@ class FrontendSchedule:
     @property
     def offered_queries(self) -> int:
         """Total queries the stream offered."""
-        return int(self.query_state.size)
+        return int(self.window_arrivals.sum())
 
     @property
     def served_queries(self) -> int:
@@ -241,12 +258,17 @@ class FrontendSchedule:
     @property
     def deferred_served_queries(self) -> int:
         """Queries that waited in the defer queue and were later served."""
-        return int(np.sum(self.query_state == QUERY_DEFERRED))
+        return int(self.window_from_queue.sum())
+
+    @property
+    def final_backlog(self) -> int:
+        """Deferred queries still queued when the stream ended (counted as shed)."""
+        return int(self.window_deferred.sum()) - self.deferred_served_queries
 
     @property
     def shed_queries(self) -> int:
-        """Queries rejected by admission control (never served)."""
-        return int(np.sum(self.query_state == QUERY_SHED))
+        """Queries rejected by admission control or stranded in the final backlog."""
+        return int(self.window_shed.sum()) + self.final_backlog
 
     @property
     def shed_rate(self) -> float:
@@ -271,6 +293,66 @@ class FrontendSchedule:
         """Path switches committed across the schedule."""
         return int(np.sum(self.window_switches[1:]))
 
+    def deferrals(self) -> np.ndarray:
+        """Arrival indices of every deferred query, in the order they queued.
+
+        Window ``w`` defers the block of arrivals right after its prompt
+        admits, and blocks queue in window order, so queue order is arrival
+        order.  The backlog is FIFO: the first :attr:`deferred_served_queries`
+        entries were served, the rest were still queued when the stream ended.
+        """
+        fresh = self.window_admitted - self.window_from_queue
+        first = np.cumsum(self.window_arrivals) - self.window_arrivals + fresh
+        queued = np.cumsum(self.window_deferred)
+        offsets = np.repeat(first - (queued - self.window_deferred), self.window_deferred)
+        return offsets + np.arange(offsets.size)
+
+    def deferred_serve_windows(self) -> np.ndarray:
+        """The window serving each deferred-then-served query, in queue order."""
+        return np.repeat(np.arange(self.num_windows), self.window_from_queue)
+
+    def _segments(self, prompt, deferred, shed) -> np.ndarray:
+        """Label each query by its block: prompt admits, deferrals, sheds of a window."""
+        labels = np.stack(
+            [np.broadcast_to(label, self.num_windows) for label in (prompt, deferred, shed)],
+            axis=1,
+        )
+        fresh = self.window_admitted - self.window_from_queue
+        lengths = np.stack([fresh, self.window_deferred, self.window_shed], axis=1)
+        return np.repeat(labels.ravel(), lengths.ravel())
+
+    @cached_property
+    def query_state(self) -> np.ndarray:
+        """Admission outcome per query (read-only, derived on first access).
+
+        ``QUERY_SHED`` / ``QUERY_ADMITTED`` / ``QUERY_DEFERRED``; deferred
+        queries still queued at stream end are reclassified as shed.
+        """
+        state = self._segments(
+            np.int8(QUERY_ADMITTED), np.int8(QUERY_DEFERRED), np.int8(QUERY_SHED)
+        )
+        state[self.deferrals()[self.deferred_served_queries :]] = QUERY_SHED
+        state.setflags(write=False)
+        return state
+
+    @cached_property
+    def query_serve_window(self) -> np.ndarray:
+        """Window that served each query (``-1``: shed; read-only)."""
+        serve = self._segments(np.arange(self.num_windows), -1, -1)
+        serve[self.deferrals()[: self.deferred_served_queries]] = self.deferred_serve_windows()
+        serve.setflags(write=False)
+        return serve
+
+    @cached_property
+    def query_path(self) -> np.ndarray:
+        """Path index that served each query (``-1``: shed; read-only)."""
+        serve = self.query_serve_window
+        path = np.full(serve.size, -1, dtype=np.int32)
+        served = serve >= 0
+        path[served] = self.window_paths[serve[served]]
+        path.setflags(write=False)
+        return path
+
 
 @dataclass(frozen=True, eq=False)
 class FrontendResult:
@@ -290,6 +372,26 @@ class FrontendResult:
 
     routing: RoutingResult
     schedule: FrontendSchedule
+
+
+def _window_edges(num_windows: int, window: float) -> np.ndarray:
+    """The earliest time ``np.floor_divide(t, window)`` puts in windows ``1..num_windows``.
+
+    ``w * window`` can land an ulp either side of the point where
+    ``floor_divide`` steps from ``w - 1`` to ``w``; each product is nudged
+    onto that step, so ``searchsorted`` over sorted arrivals counts exactly
+    the arrivals ``floor_divide`` would bin below each edge.
+    """
+    index = np.arange(1, num_windows + 1)
+    edges = index * window
+    while np.any(late := np.floor_divide(edges, window) < index):
+        edges[late] = np.nextafter(edges[late], np.inf)
+    while True:
+        lower = np.nextafter(edges, -np.inf)
+        early = np.floor_divide(lower, window) >= index
+        if not early.any():
+            return edges
+        edges[early] = lower[early]
 
 
 @dataclass
@@ -414,10 +516,10 @@ class StreamingFrontend:
         """Route a whole query stream: the serving-time hot path.
 
         No engine work happens here — only the compiled table, the
-        estimator and integer bookkeeping — so this is what the routed
-        queries/s benchmark measures.  Per-query outcomes are written with
-        contiguous slice fills over the arrival-sorted query arrays; the
-        scalar loop runs once per *window*.
+        estimator and integer bookkeeping.  Window arrival counts come from
+        one ``searchsorted`` over the arrival-sorted stream and admission
+        is a scalar recursion over *windows*, so the cost does not grow
+        with the number of queries.
 
         Parameters
         ----------
@@ -430,7 +532,7 @@ class StreamingFrontend:
         Returns
         -------
         FrontendSchedule
-            Per-window and per-query decisions.
+            Per-window decisions (per-query outcomes derive from them).
         """
         window = self._window_width(trace)
         if stream is None:
@@ -441,11 +543,10 @@ class StreamingFrontend:
         paths_array = np.asarray(paths, dtype=np.intp)
         batch = self._batch_sizes(estimates, paths_array)
 
-        window_of = np.floor_divide(stream.arrival_seconds, window).astype(np.int64)
-        if stream.num_queries and window_of[-1] >= num_windows:
+        window_ends = np.searchsorted(stream.arrival_seconds, _window_edges(num_windows, window))
+        if window_ends[-1] < stream.num_queries:
             raise ValueError("stream extends past the trace duration")
-        arrivals = np.bincount(window_of, minlength=num_windows)
-        window_ends = np.cumsum(arrivals)
+        arrivals = np.diff(window_ends, prepend=0)
 
         max_feasible = np.asarray(
             [self.table.max_feasible_qps(i) for i in range(len(self.table.paths))]
@@ -453,83 +554,57 @@ class StreamingFrontend:
         caps = np.floor(max_feasible[paths_array] * window).astype(np.int64)
         queue_limits = np.floor(self.defer_windows * caps).astype(np.int64)
 
-        query_state = np.zeros(stream.num_queries, dtype=np.int8)
-        query_path = np.full(stream.num_queries, -1, dtype=np.int32)
-        query_serve_window = np.full(stream.num_queries, -1, dtype=np.int64)
-        admitted = np.zeros(num_windows, dtype=np.int64)
-        from_queue = np.zeros(num_windows, dtype=np.int64)
-        deferred = np.zeros(num_windows, dtype=np.int64)
-        shed = np.zeros(num_windows, dtype=np.int64)
+        admitted, from_queue, deferred, shed = [], [], [], []
         shed_reason = np.full(num_windows, "none", dtype="<U11")
-
-        backlog: deque[tuple[int, int]] = deque()
-        backlog_size = 0
+        # Deferred queries always form a contiguous suffix of all deferrals
+        # so far, so the FIFO backlog is fully described by its length.
+        backlog = 0
         max_queue_depth = 0
-        for w in range(num_windows):
-            path = int(paths_array[w])
-            cap = int(caps[w])
-            remaining = cap
-            # Drain the FIFO backlog ahead of this window's fresh arrivals.
-            while backlog and remaining > 0:
-                lo, hi = backlog[0]
-                take = min(hi - lo, remaining)
-                query_path[lo : lo + take] = path
-                query_serve_window[lo : lo + take] = w
-                remaining -= take
-                backlog_size -= take
-                from_queue[w] += take
-                if take == hi - lo:
-                    backlog.popleft()
-                else:
-                    backlog[0] = (lo + take, hi)
-            start = int(window_ends[w - 1]) if w else 0
-            end = int(window_ends[w])
-            take = min(end - start, remaining)
-            if take:
-                query_state[start : start + take] = QUERY_ADMITTED
-                query_path[start : start + take] = path
-                query_serve_window[start : start + take] = w
-            admitted[w] = cap - (remaining - take)
-            overflow_lo = start + take
-            space = int(queue_limits[w]) - backlog_size
-            defer = min(end - overflow_lo, max(space, 0))
-            if defer:
-                query_state[overflow_lo : overflow_lo + defer] = QUERY_DEFERRED
-                backlog.append((overflow_lo, overflow_lo + defer))
-                backlog_size += defer
-            deferred[w] = defer
-            shed[w] = end - overflow_lo - defer
-            if shed[w]:
+        for w, (cap, limit, count) in enumerate(
+            zip(caps.tolist(), queue_limits.tolist(), arrivals.tolist())
+        ):
+            # Drain the backlog ahead of this window's fresh arrivals, admit
+            # fresh arrivals into the rest of the cap, queue what the backlog
+            # has room for and shed the remainder.
+            drained = min(backlog, cap)
+            prompt = min(count, cap - drained)
+            backlog -= drained
+            defer = min(count - prompt, max(limit - backlog, 0))
+            backlog += defer
+            dropped = count - prompt - defer
+            admitted.append(drained + prompt)
+            from_queue.append(drained)
+            deferred.append(defer)
+            shed.append(dropped)
+            if dropped:
                 shed_reason[w] = "no-capacity" if cap == 0 else "queue-full"
-            max_queue_depth = max(max_queue_depth, backlog_size)
+            max_queue_depth = max(max_queue_depth, backlog)
             # Only eventful windows are logged (shed, deferred or switched):
             # quiet windows dominate healthy streams and would swamp the log.
-            if log is not None and (shed[w] or deferred[w] or switches[w]):
+            if log is not None and (dropped or defer or switches[w]):
                 log.emit(
                     "admission_window",
                     window=w,
-                    path_name=self.table.paths[path].name,
-                    arrivals=int(arrivals[w]),
-                    admitted=int(admitted[w]),
-                    deferred=int(deferred[w]),
-                    shed=int(shed[w]),
+                    path_name=self.table.paths[int(paths_array[w])].name,
+                    arrivals=count,
+                    admitted=drained + prompt,
+                    deferred=defer,
+                    shed=dropped,
                     shed_reason=str(shed_reason[w]),
-                    queue_depth=backlog_size,
+                    queue_depth=backlog,
                     switch=bool(switches[w]),
                 )
-        # Queries still queued when the stream ends were never served.
-        for lo, hi in backlog:
-            query_state[lo:hi] = QUERY_SHED
         if log is not None:
+            # Queries still queued when the stream ends were never served.
             log.emit(
                 "stream_summary",
                 trace=trace.name,
                 num_windows=int(num_windows),
                 offered=int(stream.num_queries),
-                admitted=int(admitted.sum()),
-                deferred=int(deferred.sum()),
-                shed=int(shed.sum()) + backlog_size,
-                max_queue_depth=int(max_queue_depth),
+                admitted=sum(admitted),
+                deferred=sum(deferred),
+                shed=sum(shed) + backlog,
+                max_queue_depth=max_queue_depth,
             )
 
         return FrontendSchedule(
@@ -540,14 +615,11 @@ class StreamingFrontend:
             window_switches=np.asarray(switches, dtype=bool),
             window_batch=batch,
             window_arrivals=arrivals,
-            window_admitted=admitted,
-            window_from_queue=from_queue,
-            window_deferred=deferred,
-            window_shed=shed,
+            window_admitted=np.asarray(admitted, dtype=np.int64),
+            window_from_queue=np.asarray(from_queue, dtype=np.int64),
+            window_deferred=np.asarray(deferred, dtype=np.int64),
+            window_shed=np.asarray(shed, dtype=np.int64),
             window_shed_reason=shed_reason,
-            query_state=query_state,
-            query_path=query_path,
-            query_serve_window=query_serve_window,
             max_queue_depth=max_queue_depth,
         )
 
@@ -620,11 +692,13 @@ class StreamingFrontend:
             pooled_values.append(observed)
             pooled_weights.append(np.full(observed.size, prompt / observed.size))
         # Deferred queries: their queueing delay is their latency story.
-        deferred_mask = plan.query_state == QUERY_DEFERRED
-        if np.any(deferred_mask):
+        # They are the only queries whose identity matters here, pooled in
+        # arrival order.
+        if plan.deferred_served_queries:
+            queued = plan.deferrals()[: plan.deferred_served_queries]
             waits = (
-                plan.query_serve_window[deferred_mask] * plan.window_seconds
-                - stream.arrival_seconds[deferred_mask]
+                plan.deferred_serve_windows() * plan.window_seconds
+                - stream.arrival_seconds[queued]
             )
             pooled_values.append(np.maximum(waits, 0.0))
             pooled_weights.append(np.ones(waits.size))

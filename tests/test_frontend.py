@@ -1,22 +1,29 @@
 """Tests for the per-query streaming frontend (``repro.serving.frontend``).
 
-Three pillars, mirroring the frontend's contract:
+Five pillars, mirroring the frontend's contract:
 
 * **equivalence** — with batching disabled and the decision window equal
   to the trace's dwell step, the frontend's per-window path choices
   reproduce :meth:`MultiPathRouter.decide` bit-for-bit on every scenario
   trace and estimator (the frontend shares the router's estimator and
   state machine, so this is structural, not statistical);
+* **reference equivalence** (hypothesis) — the window-counter schedule,
+  its derived per-query views, ``serve()`` and the block-drawn stream
+  reproduce the per-query reference implementations in
+  ``tests/frontend_reference.py`` exactly;
 * **admission properties** (hypothesis) — the shed rate is monotone
   non-decreasing in offered load, the admitted rate never exceeds the
   chosen path's feasible frontier, decisions are strictly causal, and
   everything is deterministic under a fixed seed;
-* **throughput** — routing whole query streams must be at least 5x
-  faster per query than the step router is per decision (the blocking CI
-  smoke; the full-size number lands in ``BENCH_router.json``).
+* **memory** — ``serve()``'s peak allocation does not grow with the
+  number of queries in the stream;
+* **throughput** — drawing and serving whole query streams must be at
+  least 5x faster per query than the step router is per decision (the
+  blocking CI smoke; the full-size number lands in ``BENCH_router.json``).
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +42,54 @@ from repro.serving.frontend import (
 from repro.serving.router import MultiPathRouter, route_oracle, route_static
 from repro.serving.trace import LoadTrace, diurnal_trace, spike_trace
 from tests.conftest import GRID, flat_trace, make_table
+from tests.frontend_reference import reference_schedule, reference_serve, reference_stream
 
 FRONTEND_ESTIMATORS = ("windowed", "ewma", "holt", "auto")
+
+#: Decisions the frontend must reproduce from the per-query reference exactly.
+SCHEDULE_FIELDS = (
+    "window_paths",
+    "window_switches",
+    "window_arrivals",
+    "window_admitted",
+    "window_from_queue",
+    "window_deferred",
+    "window_shed",
+    "window_shed_reason",
+    "query_state",
+    "query_path",
+    "query_serve_window",
+)
+SUMMARY_FIELDS = (
+    "max_queue_depth",
+    "offered_queries",
+    "served_queries",
+    "deferred_served_queries",
+    "shed_queries",
+    "num_switches",
+)
+
+_default_rng = np.random.default_rng
+
+
+class TopUniformGenerator:
+    """A generator stub: real Poisson counts, every uniform ``1 - 2**-53``.
+
+    The largest double ``Generator.random()`` can return; ``start + step * u``
+    rounds it up onto the step's end for many step widths.
+    """
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        out.fill(np.nextafter(1.0, 0.0))
+        return out
 
 
 def paced_frontend(table, defer_windows: float = 1.0, **kwargs) -> StreamingFrontend:
@@ -86,6 +139,19 @@ class TestQueryStream:
             assert np.all(np.diff(arrivals) >= 0)
             assert arrivals[0] >= 0.0
             assert arrivals[-1] < trace.duration_seconds
+
+    def test_an_arrival_drawn_at_the_top_of_its_step_stays_inside_it(self, monkeypatch):
+        # 7140 + 60 * (1 - 2**-53) rounds to exactly 7200.0, the duration.
+        monkeypatch.setattr(np.random, "default_rng", TopUniformGenerator)
+        trace = LoadTrace("edge", 60.0, np.full(120, 5.0))
+        stream = QueryStream.from_trace(trace, seed=3)
+        assert stream.arrival_seconds[-1] < trace.duration_seconds
+        counts = _default_rng(3).poisson(trace.queries_per_step())
+        step_of = np.repeat(np.arange(trace.num_steps), counts)
+        assert np.all(stream.arrival_seconds < (step_of + 1) * trace.step_seconds)
+        # Every arrival is binned into its own step's window, the last included.
+        plan = StreamingFrontend(MultiPathRouter(make_table(), window=1)).schedule(trace, stream)
+        np.testing.assert_array_equal(plan.window_arrivals, np.bincount(step_of, minlength=120))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -152,6 +218,75 @@ class TestStepRouterEquivalence:
                 profile = table.p99_profile(index, loads)
                 scalar = np.array([table.p99_at(index, float(q)) for q in loads])
                 np.testing.assert_array_equal(profile, scalar)
+
+
+#: Decision-window widths the reference suite covers, per trace step width.
+WINDOW_WIDTHS = {
+    "step": lambda step: None,
+    "step/3": lambda step: step / 3,
+    "1.7*step": lambda step: 1.7 * step,
+    "0.1s": lambda step: 0.1,
+}
+
+
+class TestReferenceEquivalence:
+    """Window counters reproduce the per-query reference implementations exactly.
+
+    The synthetic table's paths stop being feasible at 3k and 5k QPS, so
+    loads up to 9k QPS cover under- and over-loaded windows alike.
+    """
+
+    TABLE = make_table()
+
+    @pytest.mark.parametrize("process", ARRIVAL_PROCESSES)
+    @pytest.mark.parametrize("window", sorted(WINDOW_WIDTHS))
+    @given(
+        defer_windows=st.sampled_from([0.0, 0.5, 1.0]),
+        step_seconds=st.sampled_from([0.3, 1.0, 2.5]),
+        loads=st.lists(st.floats(min_value=100.0, max_value=9_000.0), min_size=1, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_schedule_and_serve_match_the_reference(
+        self, process, window, defer_windows, step_seconds, loads, seed
+    ):
+        trace = LoadTrace("equiv", step_seconds, np.asarray(loads))
+        frontend = StreamingFrontend(
+            MultiPathRouter(self.TABLE, window=2),
+            window_seconds=WINDOW_WIDTHS[window](step_seconds),
+            defer_windows=defer_windows,
+        )
+        stream = QueryStream.from_trace(trace, seed=seed, process=process)
+        plan = frontend.schedule(trace, stream)
+        reference = reference_schedule(frontend, trace, stream)
+        for name in SCHEDULE_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(plan, name), getattr(reference, name), err_msg=name
+            )
+        for name in SUMMARY_FIELDS:
+            assert getattr(plan, name) == getattr(reference, name), name
+        if stream.num_queries:
+            served = frontend.serve(trace, stream)
+            assert served.routing == reference_serve(frontend, trace, stream)
+
+    @given(
+        loads=st.lists(st.floats(min_value=1.0, max_value=2_000.0), min_size=1, max_size=30),
+        step_seconds=st.sampled_from([1e-3, 0.01, 0.1, 1.0, 3.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_block_drawn_stream_matches_one_global_draw(self, loads, step_seconds, seed):
+        trace = LoadTrace("equiv", step_seconds, np.asarray(loads))
+        np.testing.assert_array_equal(
+            QueryStream.from_trace(trace, seed=seed).arrival_seconds,
+            reference_stream(trace, seed),
+        )
+
+    def test_per_query_views_are_read_only(self):
+        plan = paced_frontend(self.TABLE).schedule(flat_trace(8000.0, num_steps=6))
+        for view in (plan.query_state, plan.query_path, plan.query_serve_window):
+            with pytest.raises(ValueError):
+                view[0] = 0
 
 
 class TestAdmissionProperties:
@@ -435,16 +570,40 @@ class TestServe:
         assert sum(served.routing.occupancy.values()) == pytest.approx(served_fraction)
 
 
+class TestServeMemory:
+    """``serve()`` allocates nothing per query on a stream with no deferrals."""
+
+    @staticmethod
+    def serve_peak(qps: float) -> tuple[int, int]:
+        """``serve()``'s traced peak allocation and the stream's size, in bytes."""
+        trace = flat_trace(qps, num_steps=400, step_seconds=2.0)
+        stream = QueryStream.from_trace(trace, process="paced")
+        frontend = paced_frontend(make_table())
+        tracemalloc.start()
+        try:
+            served = frontend.serve(trace, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert served.schedule.shed_queries == 0  # both loads are feasible
+        return peak, stream.arrival_seconds.nbytes
+
+    def test_serve_peak_does_not_grow_with_the_stream(self):
+        self.serve_peak(500.0)  # settle lazily initialised state first
+        small_peak, small_bytes = self.serve_peak(500.0)
+        large_peak, large_bytes = self.serve_peak(2000.0)
+        assert large_bytes - small_bytes > 9_000_000
+        assert large_peak - small_peak < 0.25 * (large_bytes - small_bytes)
+
+
 class TestThroughputSmoke:
-    """The blocking CI smoke: per-query routing >= 5x per-step decisions."""
+    """The blocking CI smoke: per-query serving >= 5x per-step decisions."""
 
     def test_frontend_routes_queries_5x_faster_than_step_decisions(self):
         table = make_table()
         trace = diurnal_trace(
             num_steps=600, step_seconds=1.0, base_qps=500.0, peak_qps=2500.0, noise=0.05, seed=0
         )
-        stream = QueryStream.from_trace(trace, seed=0)
-        assert stream.num_queries > 500_000
 
         router = MultiPathRouter(table, window=3)
         best_decide = float("inf")
@@ -454,15 +613,19 @@ class TestThroughputSmoke:
             best_decide = min(best_decide, time.perf_counter() - start)
         decisions_per_second = len(steps) / best_decide
 
+        # Scheduling alone is per-window work; the per-query work a caller
+        # waits for is drawing the stream and serving it.
         frontend = StreamingFrontend(MultiPathRouter(table, window=3))
-        best_schedule = float("inf")
+        best_serve = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            plan = frontend.schedule(trace, stream)
-            best_schedule = min(best_schedule, time.perf_counter() - start)
-        routed_per_second = stream.num_queries / best_schedule
+            stream = QueryStream.from_trace(trace, seed=0)
+            served = frontend.serve(trace, stream)
+            best_serve = min(best_serve, time.perf_counter() - start)
+        routed_per_second = stream.num_queries / best_serve
 
-        assert plan.offered_queries == stream.num_queries
+        assert stream.num_queries > 500_000
+        assert served.schedule.offered_queries == stream.num_queries
         print(
             f"\nfrontend {routed_per_second:,.0f} routed queries/s vs "
             f"step router {decisions_per_second:,.0f} decisions/s "
