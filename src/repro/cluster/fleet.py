@@ -283,7 +283,10 @@ def build_cluster_table(
     capacity; the cluster's p99 grid cell at load ``q`` is the
     max-over-nodes of each node's frontier p99 at its share plus its
     gather latency (the replica whose tail lands last defines the fleet's
-    tail), with ``inf`` propagating when any share saturates.  The
+    tail), with ``inf`` propagating when any share saturates.  Each
+    (path, node) pair is looked up once over the whole grid through
+    :meth:`~repro.serving.router.PathTable.p99_profile`, which equals
+    :meth:`~repro.serving.router.PathTable.p99_at` elementwise.  The
     cluster's per-path capacity is the sum of node capacities, surfaced
     through a synthetic one-stage aggregate plan so
     :attr:`~repro.serving.router.ServingPath.capacity_qps` and the
@@ -349,6 +352,7 @@ def build_cluster_table(
             gather_us=[float(g) * 1e6 for g in gather],
         )
     grid = tuple(float(q) for q in qps_grid)
+    grid_qps = np.array(grid, dtype=np.float64)
     paths: list[ServingPath] = []
     p99_rows = np.empty((num_paths, len(grid)))
     for k in range(num_paths):
@@ -372,11 +376,13 @@ def build_cluster_table(
                 quality=reference.paths[k].quality,
             )
         )
-        for column, q in enumerate(grid):
-            p99_rows[k, column] = max(
-                table.p99_at(k, q * weights[k, i]) + gather[i]
+        p99_rows[k] = np.max(
+            [
+                table.p99_profile(k, grid_qps * weights[k, i]) + gather[i]
                 for i, table in enumerate(node_tables)
-            )
+            ],
+            axis=0,
+        )
     return ClusterTable(
         paths=paths,
         qps_grid=grid,

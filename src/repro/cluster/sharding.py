@@ -18,12 +18,17 @@ canonical placements:
 
 Both return a :class:`ShardingPlan` whose constructor enforces the
 invariants the property suite checks: every table row is assigned exactly
-once, and no node exceeds its memory budget.
+once, and no node exceeds its memory budget.  The same single pass over
+the shards also accumulates per-node aggregates (rows, bytes, lookup share
+and remote gather payload), so pricing a plan from any home node —
+:meth:`ShardingPlan.remote_bytes_per_query`, :meth:`ShardingPlan.remote_rows`
+and friends — is an O(nodes) read rather than another walk over every
+shard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -192,7 +197,10 @@ class ShardingPlan:
     Construction validates the two placement invariants — every row of
     every table is assigned exactly once (no gaps, no overlaps) and every
     node's assigned bytes fit its budget — raising :class:`ShardingError`
-    otherwise, so any plan that exists is feasible by construction.
+    otherwise, so any plan that exists is feasible by construction.  The
+    validating pass also accumulates the per-node aggregates every query
+    method reads, adding shards in assignment order exactly as a per-node
+    loop over the shards would.
 
     Parameters
     ----------
@@ -213,6 +221,11 @@ class ShardingPlan:
     node_budgets: tuple[int, ...]
     strategy: str
     assignments: tuple[ShardAssignment, ...]
+    # Per-node aggregates, filled by the validating pass in __post_init__.
+    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _bytes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _lookups: np.ndarray = field(init=False, repr=False, compare=False)
+    _payload: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Enforce exactly-once row coverage and per-node memory budgets."""
@@ -223,12 +236,26 @@ class ShardingPlan:
                 f"need one budget per node: {len(self.node_budgets)} != {self.num_nodes}"
             )
         per_table: dict[int, list[ShardAssignment]] = {}
+        rows = [0] * self.num_nodes
+        held = [0] * self.num_nodes
+        lookups = [0.0] * self.num_nodes
+        payload = [0.0] * self.num_nodes
         for shard in self.assignments:
             if not 0 <= shard.table_index < len(self.tables):
                 raise ValueError(f"assignment references unknown table {shard.table_index}")
             if not 0 <= shard.node < self.num_nodes:
                 raise ValueError(f"assignment references unknown node {shard.node}")
             per_table.setdefault(shard.table_index, []).append(shard)
+            table = self.tables[shard.table_index]
+            share = shard.num_rows / table.num_rows
+            rows[shard.node] += shard.num_rows
+            held[shard.node] += shard.num_rows * table.row_bytes
+            lookups[shard.node] += table.lookups_per_query * share
+            payload[shard.node] += table.lookups_per_query * share * table.row_bytes
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_bytes", tuple(held))
+        object.__setattr__(self, "_lookups", np.array(lookups, dtype=np.float64))
+        object.__setattr__(self, "_payload", np.array(payload, dtype=np.float64))
         for index, table in enumerate(self.tables):
             shards = sorted(per_table.get(index, []), key=lambda s: s.row_start)
             cursor = 0
@@ -254,10 +281,7 @@ class ShardingPlan:
 
     def node_bytes(self) -> np.ndarray:
         """Bytes of embedding rows held by each node, shape ``(num_nodes,)``."""
-        held = np.zeros(self.num_nodes, dtype=np.float64)
-        for shard in self.assignments:
-            held[shard.node] += shard.num_rows * self.tables[shard.table_index].row_bytes
-        return held
+        return np.array(self._bytes, dtype=np.float64)
 
     def total_bytes(self) -> float:
         """Total bytes of all sharded tables."""
@@ -271,12 +295,8 @@ class ShardingPlan:
         lookup share is its row share; a table-wise placement concentrates
         the whole table's lookups on its home node.
         """
-        lookups = np.zeros(self.num_nodes, dtype=np.float64)
-        for shard in self.assignments:
-            table = self.tables[shard.table_index]
-            lookups[shard.node] += table.lookups_per_query * (shard.num_rows / table.num_rows)
-        total = lookups.sum()
-        return lookups / total if total > 0 else lookups
+        total = self._lookups.sum()
+        return self._lookups / total if total > 0 else self._lookups.copy()
 
     def remote_bytes_per_query(self, home: int) -> np.ndarray:
         """Expected bytes a ``home``-node query gathers from each other node.
@@ -294,24 +314,24 @@ class ShardingPlan:
         np.ndarray
             Per-source-node gather payload in bytes, shape ``(num_nodes,)``.
         """
-        if not 0 <= home < self.num_nodes:
-            raise ValueError(f"home must be a node index, got {home}")
-        payload = np.zeros(self.num_nodes, dtype=np.float64)
-        for shard in self.assignments:
-            if shard.node == home:
-                continue
-            table = self.tables[shard.table_index]
-            share = shard.num_rows / table.num_rows
-            payload[shard.node] += table.lookups_per_query * share * table.row_bytes
+        self._check_home(home)
+        payload = self._payload.copy()
+        payload[home] = 0.0
         return payload
 
     def remote_rows(self, home: int) -> float:
         """Total embedding rows held by nodes other than ``home``."""
+        self._check_home(home)
+        return float(sum(self._rows) - self._rows[home])
+
+    def remote_bytes(self, home: int) -> float:
+        """Total bytes of embedding rows held by nodes other than ``home``."""
+        self._check_home(home)
+        return float(sum(self._bytes) - self._bytes[home])
+
+    def _check_home(self, home: int) -> None:
         if not 0 <= home < self.num_nodes:
             raise ValueError(f"home must be a node index, got {home}")
-        return float(
-            sum(shard.num_rows for shard in self.assignments if shard.node != home)
-        )
 
 
 def shard_row_wise(

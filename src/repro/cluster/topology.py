@@ -131,14 +131,7 @@ def remote_cache_hit_rate(plan: ShardingPlan, home: int, cache: EmbeddingCacheCo
     rows_remote = plan.remote_rows(home)
     if rows_remote <= 0:
         return 1.0
-    remote_bytes = float(
-        sum(
-            shard.num_rows * plan.tables[shard.table_index].row_bytes
-            for shard in plan.assignments
-            if shard.node != home
-        )
-    )
-    row_bytes = remote_bytes / rows_remote
+    row_bytes = plan.remote_bytes(home) / rows_remote
     cached_rows = cache.static_bytes / row_bytes
     return approx_zipf_hit_rate(int(rows_remote), cached_rows, cache.zipf_alpha)
 
@@ -154,6 +147,8 @@ def gather_seconds_per_node(
     on node ``i`` under ``plan`` — zero for nodes that hold everything
     they read (single-node plans, or table-wise placements whose queries
     happen to stay local are still charged their expected remote share).
+    Each home node reads the plan's per-node aggregates, so pricing a plan
+    costs O(nodes²) arithmetic however many shards it holds.
 
     Parameters
     ----------

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.datasets import CTRBatch, Dataset, RankingQuery, train_test_split
+from repro.data.datasets import (
+    CTRBatch,
+    Dataset,
+    RankingQuery,
+    calibrate_bias,
+    train_test_split,
+)
 from repro.data.distributions import zipf_sample
 
 
@@ -67,7 +73,6 @@ class CriteoSynthetic:
         self._dense_weights = rng.standard_normal(cfg.num_dense) / np.sqrt(cfg.num_dense)
         self._interaction = rng.standard_normal((cfg.latent_dim, cfg.latent_dim)) * 0.5
         self._dense_cross = rng.standard_normal((cfg.num_dense, cfg.latent_dim)) * 0.3
-        self._bias = 0.0
         self._bias = self._calibrate_bias(rng)
 
     # ------------------------------------------------------------------ #
@@ -80,12 +85,17 @@ class CriteoSynthetic:
         the summed categorical latents, and a dense-categorical cross term --
         enough non-linearity that small models underfit and large ones do not.
         """
+        return _combine(self._bias, self._logit_terms(dense, sparse))
+
+    def _logit_terms(
+        self, dense: np.ndarray, sparse: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bias-free logit terms: linear, ``0.5·tanh(bilinear)``, ``0.5·tanh(cross)``."""
         latent_sum = self._sum_latents(sparse)
         linear = dense @ self._dense_weights
         bilinear = np.einsum("bi,ij,bj->b", latent_sum, self._interaction, latent_sum)
         cross = np.einsum("bd,dk,bk->b", dense, self._dense_cross, latent_sum)
-        logits = self._bias + linear + 0.5 * np.tanh(bilinear) + 0.5 * np.tanh(cross)
-        return _sigmoid(logits)
+        return linear, 0.5 * np.tanh(bilinear), 0.5 * np.tanh(cross)
 
     def _sum_latents(self, sparse: np.ndarray) -> np.ndarray:
         total = np.zeros((sparse.shape[0], self.config.latent_dim))
@@ -94,19 +104,20 @@ class CriteoSynthetic:
         return total / np.sqrt(self.config.num_tables)
 
     def _calibrate_bias(self, rng: np.random.Generator) -> float:
-        """Choose the logit bias so the marginal positive rate matches config."""
+        """Choose the logit bias so the marginal positive rate matches config.
+
+        The bias-free logit terms of a 4096-row calibration sample are
+        computed once; each bisection step of
+        :func:`~repro.data.datasets.calibrate_bias` only adds the candidate
+        bias and applies the sigmoid, in the same order :meth:`true_ctr`
+        does, so the result equals a bisection over full :meth:`true_ctr`
+        evaluations bit for bit.
+        """
         dense, sparse = self._sample_features(rng, 4096)
-        target = self.config.positive_rate
-        lo, hi = -8.0, 8.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            self._bias = mid
-            rate = float(self.true_ctr(dense, sparse).mean())
-            if rate < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        terms = self._logit_terms(dense, sparse)
+        return calibrate_bias(
+            lambda bias: float(_combine(bias, terms).mean()), self.config.positive_rate
+        )
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -194,6 +205,12 @@ def _grade_relevance(ctr: np.ndarray) -> np.ndarray:
     relevance[ctr >= qs[2]] = 3.0
     relevance[ctr >= qs[3]] = 4.0
     return relevance
+
+
+def _combine(bias: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Click probability from a bias and :meth:`CriteoSynthetic._logit_terms`."""
+    linear, bilinear, cross = terms
+    return _sigmoid(bias + linear + bilinear + cross)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -114,3 +115,24 @@ def train_test_split(
     if train_idx.size == 0:
         raise ValueError("split produced an empty training set; use a smaller test_fraction")
     return batch.take(train_idx), batch.take(test_idx)
+
+
+def calibrate_bias(positive_rate: Callable[[float], float], target: float) -> float:
+    """Bisect the logit bias whose marginal positive rate matches ``target``.
+
+    ``positive_rate(bias)`` is the mean ground-truth probability of a fixed
+    calibration sample under ``bias``; it must be non-decreasing in
+    ``bias``.  The bracket ``[-8, 8]`` is halved 40 times.  The generators
+    precompute every bias-free logit term of the sample once and pass a
+    closure that only adds the bias and applies the sigmoid, so each step
+    costs one pass over the sample instead of a full ground-truth
+    evaluation.
+    """
+    lo, hi = -8.0, 8.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if positive_rate(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -70,13 +70,16 @@ def approx_zipf_hit_rate(
     to materialize a probability vector for.  The generalized harmonic number
     ``H(n, alpha)`` is approximated by its integral, which is accurate to a
     few percent for the table sizes and cache fractions the accelerator
-    models use.
+    models use.  The approximation goes negative below one row, so a cache
+    holding less than one whole row hits nothing (as in
+    :func:`hit_rate_for_cache`); the result lies in [0, 1] and is
+    non-decreasing in ``cached_items``.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if num_items <= 0:
         raise ValueError(f"num_items must be positive, got {num_items}")
-    if cached_items <= 0:
+    if cached_items < 1:
         return 0.0
     if cached_items >= num_items:
         return 1.0

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.datasets import CTRBatch, Dataset, RankingQuery, train_test_split
+from repro.data.datasets import (
+    CTRBatch,
+    Dataset,
+    RankingQuery,
+    calibrate_bias,
+    train_test_split,
+)
 from repro.data.distributions import zipf_sample
 
 
@@ -56,7 +62,6 @@ class MovieLensSynthetic:
         self._item_latents = rng.standard_normal((cfg.num_items, cfg.latent_dim))
         self._user_bias = rng.standard_normal(cfg.num_users) * 0.2
         self._item_bias = rng.standard_normal(cfg.num_items) * 0.2
-        self._bias = 0.0
         self._bias = self._calibrate_bias(rng)
 
     # ------------------------------------------------------------------ #
@@ -64,28 +69,35 @@ class MovieLensSynthetic:
     # ------------------------------------------------------------------ #
     def true_preference(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Ground-truth probability a user positively rates an item."""
+        return _combine(self._bias, self._logit_terms(users, items))
+
+    def _logit_terms(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bias-free logit terms: latent dot product, user bias, item bias."""
         dot = np.einsum(
             "bk,bk->b",
             self._user_latents[users],
             self._item_latents[items],
         ) / np.sqrt(self.config.latent_dim)
-        logits = self._bias + dot + self._user_bias[users] + self._item_bias[items]
-        return _sigmoid(logits)
+        return dot, self._user_bias[users], self._item_bias[items]
 
     def _calibrate_bias(self, rng: np.random.Generator) -> float:
+        """Choose the logit bias so the marginal positive rate matches config.
+
+        The bias-free logit terms of a 4096-pair calibration sample are
+        computed once; each bisection step of
+        :func:`~repro.data.datasets.calibrate_bias` only adds the candidate
+        bias and applies the sigmoid, in the same order
+        :meth:`true_preference` does, so the result is bit-equal to a
+        bisection over full :meth:`true_preference` evaluations.
+        """
         users = rng.integers(0, self.config.num_users, size=4096)
         items = rng.integers(0, self.config.num_items, size=4096)
-        target = self.config.positive_rate
-        lo, hi = -8.0, 8.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            self._bias = mid
-            rate = float(self.true_preference(users, items).mean())
-            if rate < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        terms = self._logit_terms(users, items)
+        return calibrate_bias(
+            lambda bias: float(_combine(bias, terms).mean()), self.config.positive_rate
+        )
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -174,6 +186,12 @@ def _grade_relevance(prefs: np.ndarray) -> np.ndarray:
     relevance[prefs >= qs[2]] = 3.0
     relevance[prefs >= qs[3]] = 4.0
     return relevance
+
+
+def _combine(bias: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Preference probability from a bias and :meth:`MovieLensSynthetic._logit_terms`."""
+    dot, user_bias, item_bias = terms
+    return _sigmoid(bias + dot + user_bias + item_bias)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -300,6 +300,10 @@ def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentRe
 
     result = ExperimentResult(name="capacity")
     clusters: dict[str, ClusterTable] = {}
+    # A placement depends only on the tables and the budget vector, and every
+    # node gets the same budget: shard once per distinct vector (one per fleet
+    # size) and reuse the plan, or the infeasibility, for every mix.
+    plans: dict[tuple[int, ...], ShardingPlan | ShardingError] = {}
     for size in range(1, config.max_nodes + 1):
         for mix in combinations_with_replacement(config.platforms, size):
             nodes = tuple(
@@ -316,9 +320,14 @@ def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentRe
                 "table_gb": round(sum(t.total_bytes for t in tables) / 2**30, 2),
                 "memory_ok": True,
             }
-            try:
-                plan = _shard(config, tables, tuple(n.memory_budget_bytes for n in nodes))
-            except ShardingError:
+            budgets = tuple(n.memory_budget_bytes for n in nodes)
+            if budgets not in plans:
+                try:
+                    plans[budgets] = _shard(config, tables, budgets)
+                except ShardingError as error:
+                    plans[budgets] = error
+            plan = plans[budgets]
+            if isinstance(plan, ShardingError):
                 row.update(
                     memory_ok=False, capacity_qps=0.0, sla_qps=0.0, gather_max_us=float("nan"),
                     probe_p99_ms=float("nan"), serves_peak=False,

@@ -1,0 +1,64 @@
+"""Reference bias calibration the synthetic generators are checked against.
+
+The generators' original calibration, kept verbatim in logic: a 40-step
+bisection that stores every candidate bias on the generator and re-runs the
+whole ground-truth function (Criteo's ``true_ctr`` formula, MovieLens's
+``true_preference`` formula, written out in one expression each) at every
+step.  The generators now compute the bias-free logit terms once and only
+combine them per step; ``tests/test_data.py`` patches these references in
+as ``_calibrate_bias`` and requires the calibrated bias to be bit-equal.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.data.criteo import _sigmoid as criteo_sigmoid
+from repro.data.movielens import _sigmoid as movielens_sigmoid
+
+
+def reference_true_ctr(dataset, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
+    """Criteo ground truth in the original single-expression form."""
+    latent_sum = dataset._sum_latents(sparse)
+    linear = dense @ dataset._dense_weights
+    bilinear = np.einsum("bi,ij,bj->b", latent_sum, dataset._interaction, latent_sum)
+    cross = np.einsum("bd,dk,bk->b", dense, dataset._dense_cross, latent_sum)
+    logits = dataset._bias + linear + 0.5 * np.tanh(bilinear) + 0.5 * np.tanh(cross)
+    return criteo_sigmoid(logits)
+
+
+def reference_true_preference(dataset, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """MovieLens ground truth in the original single-expression form."""
+    dot = np.einsum(
+        "bk,bk->b",
+        dataset._user_latents[users],
+        dataset._item_latents[items],
+    ) / np.sqrt(dataset.config.latent_dim)
+    logits = dataset._bias + dot + dataset._user_bias[users] + dataset._item_bias[items]
+    return movielens_sigmoid(logits)
+
+
+def _bisect(dataset, rate) -> float:
+    target = dataset.config.positive_rate
+    lo, hi = -8.0, 8.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        dataset._bias = mid
+        if rate() < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_criteo_calibrate_bias(dataset, rng: np.random.Generator) -> float:
+    """Criteo calibration: full ground-truth evaluation at every step."""
+    dense, sparse = dataset._sample_features(rng, 4096)
+    return _bisect(dataset, lambda: float(reference_true_ctr(dataset, dense, sparse).mean()))
+
+
+def reference_movielens_calibrate_bias(dataset, rng: np.random.Generator) -> float:
+    """MovieLens calibration: full ground-truth evaluation at every step."""
+    users = rng.integers(0, dataset.config.num_users, size=4096)
+    items = rng.integers(0, dataset.config.num_items, size=4096)
+    return _bisect(dataset, lambda: float(reference_true_preference(dataset, users, items).mean()))

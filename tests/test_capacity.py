@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.experiments import artifacts
+from repro.experiments import artifacts, capacity_planning
 from repro.experiments.capacity_planning import (
     CapacityConfig,
     build_trace,
@@ -108,6 +108,47 @@ class TestRunCapacity:
         assert all(row["strategy"] == "rowwise" for row in result.rows)
         double = next(row for row in result.rows if row["num_nodes"] == 2)
         assert double["gather_max_us"] > 0.0
+
+    @pytest.fixture()
+    def shard_calls(self, monkeypatch):
+        """Record every budget vector the planner hands to the sharder."""
+        calls = []
+        original = capacity_planning.shard_table_wise
+
+        def counting(tables, budgets):
+            calls.append(tuple(budgets))
+            return original(tables, budgets)
+
+        monkeypatch.setattr(capacity_planning, "shard_table_wise", counting)
+        return calls
+
+    def test_one_placement_per_budget_vector(self, shard_calls):
+        config = CapacityConfig(
+            platforms=("cpu", "rpaccel"),
+            max_nodes=3,
+            users=50_000,
+            steps=8,
+            step_seconds=60.0,
+            num_queries=150,
+        )
+        result, _ = run_capacity(config)
+        assert len(result.rows) == 9
+        assert [len(budgets) for budgets in shard_calls] == [1, 2, 3]
+
+    def test_infeasible_placement_shared_across_mixes(self, shard_calls):
+        config = CapacityConfig(
+            platforms=("cpu", "rpaccel"),
+            max_nodes=1,
+            users=50_000,
+            steps=8,
+            step_seconds=60.0,
+            num_queries=150,
+            budget_gb=0.5,
+        )
+        result, _ = run_capacity(config)
+        assert len(shard_calls) == 1
+        assert {row["mix"] for row in result.rows} == {"1xcpu", "1xrpaccel"}
+        assert not any(row["memory_ok"] for row in result.rows)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="strategy"):

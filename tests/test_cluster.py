@@ -1,11 +1,15 @@
 """Tests for the fleet layer (repro.cluster): sharding, topology, composition.
 
-Three suites:
+Four suites:
 
 * **sharding invariants** (hypothesis) — every table row is assigned
   exactly once by both strategies, per-node memory budgets are respected
   or the placement raises :class:`ShardingError`, and the row-wise gather
   critical path is monotone in shard count;
+* **reference equivalence** (hypothesis) — the plan's per-node aggregates,
+  the gather pricing built on them and the grid-wide fleet p99 equal the
+  per-shard and per-grid-point loops kept in ``tests/cluster_reference.py``
+  exactly;
 * **topology units** — the link/gather arithmetic on hand-checkable
   numbers;
 * **cluster composition** — a two-replica :class:`ClusterTable` over the
@@ -34,11 +38,24 @@ from repro.cluster import (
     shard_table_wise,
     tables_from_cost,
 )
+from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.cluster.fleet import HOST_BASE_COST_USD, _mixture_counts, mix_label
-from repro.models.zoo import RM_LARGE
-from repro.serving.router import route_oracle, route_static
+from repro.cluster.topology import remote_cache_hit_rate
+from repro.models.zoo import RM_LARGE, RM_SMALL
+from repro.serving.router import PathTable, route_oracle, route_static
 from repro.serving.service_times import CachedServiceConfig
-from tests.conftest import flat_trace, make_table
+from repro.serving.simulator import SimulationConfig
+from tests.cluster_reference import (
+    reference_gather_seconds_per_node,
+    reference_node_bytes,
+    reference_node_lookup_fraction,
+    reference_p99_grid,
+    reference_remote_bytes,
+    reference_remote_bytes_per_query,
+    reference_remote_cache_hit_rate,
+    reference_remote_rows,
+)
+from tests.conftest import flat_trace, make_path, make_table
 
 # --------------------------------------------------------------------------- #
 # Hypothesis strategies
@@ -68,6 +85,86 @@ table_sets = st.lists(
         for i, t in enumerate(tables)
     ]
 )
+
+
+@st.composite
+def placements(draw) -> ShardingPlan:
+    """A feasible plan over 1-9 nodes with uneven budgets.
+
+    Row-wise and table-wise placements come from the two sharders; a
+    ``scattered`` placement cuts every table into random contiguous shards
+    on random nodes and shuffles the assignment order, so per-node
+    accumulation order is exercised beyond what either sharder emits.
+    """
+    tables = draw(table_sets)
+    num_nodes = draw(st.integers(min_value=1, max_value=9))
+    total = sum(t.total_bytes for t in tables)
+    extra = st.integers(min_value=0, max_value=2 * total)
+    budgets = [total + draw(extra) for _ in range(num_nodes)]
+    kind = draw(st.sampled_from(["rowwise", "tablewise", "scattered"]))
+    if kind == "rowwise":
+        return shard_row_wise(tables, budgets)
+    if kind == "tablewise":
+        return shard_table_wise(tables, budgets)
+    assignments = []
+    for index, table in enumerate(tables):
+        cuts = draw(st.sets(st.integers(min_value=0, max_value=table.num_rows), max_size=4))
+        bounds = sorted({0, table.num_rows} | cuts)
+        for start, end in zip(bounds, bounds[1:]):
+            node = draw(st.integers(min_value=0, max_value=num_nodes - 1))
+            assignments.append(ShardAssignment(index, node, start, end))
+    order = draw(st.permutations(range(len(assignments))))
+    return ShardingPlan(
+        tables=tuple(tables),
+        num_nodes=num_nodes,
+        node_budgets=tuple(budgets),
+        strategy="rowwise",
+        assignments=tuple(assignments[i] for i in order),
+    )
+
+
+#: No cache, or a per-node cache from under one row to every remote row.
+caches = st.one_of(
+    st.none(),
+    st.builds(
+        EmbeddingCacheConfig,
+        total_bytes=st.integers(min_value=1, max_value=60_000),
+        lookahead_bytes=st.just(0),
+        zipf_alpha=st.sampled_from([0.8, 1.0, 1.05, 1.3]),
+    ),
+)
+
+
+@st.composite
+def platform_tables(draw) -> dict[str, PathTable]:
+    """1-3 synthetic two-path platform tables with random p99 grids.
+
+    Capacities differ per platform (uneven load weights), and each path's
+    row may saturate part-way through its grid.
+    """
+    tables = {}
+    count = draw(st.integers(min_value=1, max_value=3))
+    for platform in ("cpu", "gpu", "rpaccel")[:count]:
+        grid = sorted(
+            draw(st.sets(st.floats(10.0, 20_000.0, allow_nan=False), min_size=2, max_size=6))
+        )
+        rows = []
+        for _ in range(2):
+            row = draw(st.lists(st.floats(1e-4, 0.05), min_size=len(grid), max_size=len(grid)))
+            saturate = draw(st.integers(min_value=0, max_value=len(grid)))
+            rows.append([p99 if j < saturate else float("inf") for j, p99 in enumerate(row)])
+        paths = [
+            make_path(platform, model, draw(st.floats(0.5, 20.0)), draw(st.integers(1, 64)), 95.0)
+            for model in (RM_LARGE, RM_SMALL)
+        ]
+        tables[platform] = PathTable(
+            paths=paths,
+            qps_grid=tuple(grid),
+            p99_grid=np.array(rows),
+            sla_seconds=0.025,
+            simulation=SimulationConfig(num_queries=200, warmup_queries=20),
+        )
+    return tables
 
 
 def assert_rows_covered_exactly_once(plan: ShardingPlan) -> None:
@@ -133,6 +230,60 @@ class TestShardingProperties:
             worst = float(gather_seconds_per_node(plan, link).max())
             assert worst >= previous - 1e-15
             previous = worst
+
+
+class TestReferenceEquivalence:
+    """Per-node aggregates and grid-wide composition equal the kept loops exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(plan=placements())
+    def test_plan_aggregates_match_per_shard_loops(self, plan):
+        assert np.array_equal(plan.node_bytes(), reference_node_bytes(plan))
+        assert np.array_equal(plan.node_lookup_fraction(), reference_node_lookup_fraction(plan))
+        for home in range(plan.num_nodes):
+            assert np.array_equal(
+                plan.remote_bytes_per_query(home), reference_remote_bytes_per_query(plan, home)
+            )
+            assert plan.remote_rows(home) == reference_remote_rows(plan, home)
+            assert plan.remote_bytes(home) == reference_remote_bytes(plan, home)
+
+    @settings(max_examples=120, deadline=None)
+    @given(plan=placements(), cache=caches)
+    def test_gather_pricing_matches_per_shard_loops(self, plan, cache):
+        link = InterconnectLink()
+        if cache is not None:
+            for home in range(plan.num_nodes):
+                rate = remote_cache_hit_rate(plan, home, cache)
+                assert rate == reference_remote_cache_hit_rate(plan, home, cache)
+                assert 0.0 <= rate <= 1.0
+        assert np.array_equal(
+            gather_seconds_per_node(plan, link, cache),
+            reference_gather_seconds_per_node(plan, link, cache),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), plan=placements(), tables=platform_tables(), cache=caches)
+    def test_fleet_p99_grid_matches_scalar_compose(self, data, plan, tables, cache):
+        platforms = sorted(tables)
+        nodes = tuple(
+            NodeSpec(f"n{i}", data.draw(st.sampled_from(platforms)), budget)
+            for i, budget in enumerate(plan.node_budgets)
+        )
+        qps_grid = sorted(
+            data.draw(st.sets(st.floats(1.0, 50_000.0, allow_nan=False), min_size=2, max_size=8))
+        )
+        link = InterconnectLink()
+        cluster = build_cluster_table(nodes, tables, qps_grid, plan, link, cache)
+        gather = reference_gather_seconds_per_node(plan, link, cache)
+        assert np.array_equal(cluster.node_gather, gather)
+        node_tables = [tables[node.platform] for node in nodes]
+        assert np.array_equal(cluster.p99_grid, reference_p99_grid(node_tables, qps_grid, gather))
+
+    def test_remote_queries_reject_unknown_home(self):
+        plan = shard_row_wise([EmbeddingTableSpec("t0", 10, 4, 1.0)], [10_000] * 2)
+        for query in (plan.remote_bytes_per_query, plan.remote_rows, plan.remote_bytes):
+            with pytest.raises(ValueError, match="home"):
+                query(2)
 
 
 class TestShardingPlanValidation:

@@ -19,6 +19,12 @@ from repro.data.distributions import (
     zipf_probabilities,
     zipf_sample,
 )
+from tests.data_reference import (
+    reference_criteo_calibrate_bias,
+    reference_movielens_calibrate_bias,
+    reference_true_ctr,
+    reference_true_preference,
+)
 
 
 class TestDistributions:
@@ -47,17 +53,81 @@ class TestDistributions:
         assert approx == pytest.approx(exact, abs=0.08)
 
     @given(
-        cached=st.integers(min_value=1, max_value=10**6),
+        cached=st.lists(st.floats(min_value=0.0, max_value=2e8), min_size=2, max_size=2),
         total=st.integers(min_value=1, max_value=10**8),
+        alpha=st.floats(min_value=0.05, max_value=3.0),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_approx_hit_rate_bounded(self, cached, total):
-        rate = approx_zipf_hit_rate(total, cached)
-        assert 0.0 <= rate <= 1.0
+    @settings(max_examples=200, deadline=None)
+    def test_approx_hit_rate_bounded(self, cached, total, alpha):
+        """Rates lie in [0, 1] and never fall as the cache grows."""
+        small, large = sorted(cached)
+        low = approx_zipf_hit_rate(total, small, alpha)
+        high = approx_zipf_hit_rate(total, large, alpha)
+        assert 0.0 <= low <= high <= 1.0
+
+    def test_approx_hit_rate_zero_below_one_cached_row(self):
+        # The integral approximation of H(n, alpha) is negative for n < 1;
+        # a cache smaller than one row must hit nothing, not go negative.
+        assert approx_zipf_hit_rate(100, 0.5, 1.0) == 0.0
+        assert approx_zipf_hit_rate(1000, 0.2, 0.5) == 0.0
+        assert approx_zipf_hit_rate(100, 1.0, 1.0) > 0.0
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             zipf_probabilities(10, alpha=0.0)
+
+
+class TestBiasCalibration:
+    """The one-pass calibration equals the 40x ground-truth bisection bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CriteoConfig(),
+            CriteoConfig(seed=5),
+            CriteoConfig(positive_rate=0.1),
+            CriteoConfig(table_sizes_override=(50,) * 26),
+        ],
+        ids=["default", "seed", "positive-rate", "table-sizes"],
+    )
+    def test_criteo_bias_matches_reference(self, config, monkeypatch):
+        fast = CriteoSynthetic(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(CriteoSynthetic, "_calibrate_bias", reference_criteo_calibrate_bias)
+            reference = CriteoSynthetic(config)
+        assert fast._bias == reference._bias
+        batch = fast.sample_ctr_batch(256, seed=3)
+        np.testing.assert_array_equal(
+            fast.true_ctr(batch.dense, batch.sparse),
+            reference_true_ctr(fast, batch.dense, batch.sparse),
+        )
+
+    @pytest.mark.parametrize(
+        "config", [MovieLensConfig.ml_1m(), MovieLensConfig.ml_20m()], ids=["ml_1m", "ml_20m"]
+    )
+    def test_movielens_bias_matches_reference(self, config, monkeypatch):
+        fast = MovieLensSynthetic(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(MovieLensSynthetic, "_calibrate_bias", reference_movielens_calibrate_bias)
+            reference = MovieLensSynthetic(config)
+        assert fast._bias == reference._bias
+        users, items = np.arange(50), np.arange(50)[::-1]
+        np.testing.assert_array_equal(
+            fast.true_preference(users, items),
+            reference_true_preference(fast, users, items),
+        )
+
+    def test_calibration_sums_latents_once(self, monkeypatch):
+        calls = []
+        original = CriteoSynthetic._sum_latents
+
+        def counting(self, sparse):
+            calls.append(sparse.shape[0])
+            return original(self, sparse)
+
+        monkeypatch.setattr(CriteoSynthetic, "_sum_latents", counting)
+        CriteoSynthetic()
+        assert calls == [4096]
 
 
 class TestCTRBatch:
