@@ -29,9 +29,9 @@ from _bench_io import ROUTER_BENCH, record_bench
 from conftest import report
 
 from repro.core.events import EventLog, active_log, capture
-from repro.experiments import frontend_online, router_online
+from repro.experiments.registry import default_registry
+from repro.scenarios import packaged_scenario, runner
 from repro.serving.frontend import QueryStream, StreamingFrontend
-from repro.serving.router import MultiPathRouter
 from repro.serving.trace import diurnal_trace
 
 #: The frontend must route at least this many queries per second.
@@ -40,16 +40,40 @@ MIN_ROUTED_QUERIES_PER_SECOND = 1_000_000.0
 #: Event logging on the serving hot paths may cost at most this much.
 MAX_EVENT_LOGGING_OVERHEAD = 1.05
 
+#: The packaged ``router`` and ``frontend`` scenarios (one cell each).
+ROUTER = packaged_scenario("router").expand()[0].params
+FRONTEND = packaged_scenario("frontend").expand()[0].params
+
+#: The reactive baseline the predictive estimators are measured against.
+BASELINE_ESTIMATOR = "windowed"
+
+#: Relative quality slack the online router may give up versus the oracle.
+QUALITY_SLACK = 1e-3
+
+
+def build_table():
+    """The ``router`` scenario's compiled table (14 paths x 7 loads)."""
+    return runner.compiled_table(ROUTER, seed=0)
+
+
+def build_router(table, estimator: str = BASELINE_ESTIMATOR):
+    """The ``router`` scenario's online policy for one estimator."""
+    return runner.build_router(table, ROUTER, estimator)
+
+
+def run_entry(exp_id: str):
+    return default_registry().get(exp_id).execute(seed=0)
+
 
 def test_router_experiment_claims(benchmark):
-    result = benchmark.pedantic(router_online.run, rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(run_entry, args=("router",), rounds=1, iterations=1)
     report(result)
 
     by_key = {(row["trace"], row["policy"], row["estimator"]): row for row in result.rows}
     traces = {row["trace"] for row in result.rows}
     assert traces == {"diurnal", "spike", "ramp"}
     estimators = {row["estimator"] for row in result.rows if row["policy"] == "online"}
-    assert estimators == set(router_online.ONLINE_ESTIMATORS)
+    assert estimators == set(ROUTER["estimator"])
     # Every row ranks policies by quality delivered within SLA too.
     for row in result.rows:
         assert "effective_quality" in row
@@ -67,42 +91,33 @@ def test_router_experiment_claims(benchmark):
     # The headline MP-Rec-style claim on the flash-crowd trace: the best
     # predictive estimator matches or beats the reactive baseline at equal
     # or fewer switches, within 0.1% of the oracle's quality.
-    baseline = by_key[("spike", "online", router_online.BASELINE_ESTIMATOR)]
+    baseline = by_key[("spike", "online", BASELINE_ESTIMATOR)]
     spike_static = by_key[("spike", "static", "-")]
     spike_oracle = by_key[("spike", "oracle", "-")]
     predictive = [
-        by_key[("spike", "online", name)]
-        for name in router_online.ONLINE_ESTIMATORS
-        if name != router_online.BASELINE_ESTIMATOR
+        by_key[("spike", "online", name)] for name in estimators if name != BASELINE_ESTIMATOR
     ]
     best = min(predictive, key=lambda row: (row["sla_violation_rate"], row["num_switches"]))
     assert baseline["sla_violation_rate"] < spike_static["sla_violation_rate"]
     assert best["sla_violation_rate"] <= baseline["sla_violation_rate"]
     assert best["num_switches"] <= baseline["num_switches"]
-    assert best["quality_ndcg"] >= spike_oracle["quality_ndcg"] * (
-        1.0 - router_online.QUALITY_SLACK
-    )
+    assert best["quality_ndcg"] >= spike_oracle["quality_ndcg"] * (1.0 - QUALITY_SLACK)
     # Discounting SLA violators must rank the routers above static on spike.
     assert best["effective_quality"] > spike_static["effective_quality"]
 
 
 def test_routing_decision_overhead():
     compile_start = time.perf_counter()
-    table = router_online.build_table(seed=0)
+    runner._compiled_table.cache_clear()  # time a cold compile
+    table = build_table()
     compile_seconds = time.perf_counter() - compile_start
 
     trace = diurnal_trace(
         num_steps=5000, step_seconds=1.0, base_qps=150.0, peak_qps=5500.0, noise=0.05, seed=0
     )
     per_estimator = {}
-    for name in router_online.ONLINE_ESTIMATORS:
-        router = MultiPathRouter(
-            table,
-            window=router_online.WINDOW,
-            hysteresis_steps=router_online.HYSTERESIS_STEPS,
-            estimator=router_online.build_estimator(name),
-            switch_cost_seconds=router_online.SWITCH_COST_SECONDS,
-        )
+    for name in ROUTER["estimator"]:
+        router = build_router(table, name)
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
@@ -118,7 +133,7 @@ def test_routing_decision_overhead():
         # A routing decision must be invisible next to a ~10 ms serving SLA.
         assert best / trace.num_steps < 1e-3
 
-    baseline = per_estimator[router_online.BASELINE_ESTIMATOR]
+    baseline = per_estimator[BASELINE_ESTIMATOR]
     payload = {
         "num_paths": len(table.paths),
         "qps_grid_points": len(table.qps_grid),
@@ -154,7 +169,7 @@ def test_event_logging_overhead():
     to even emit to, so the default-off overhead is structurally zero.
     """
     assert active_log() is None  # default-off: no hook installed
-    table = router_online.build_table(seed=0)
+    table = build_table()
     trace = diurnal_trace(
         num_steps=3000, step_seconds=1.0, base_qps=150.0, peak_qps=5500.0, noise=0.05, seed=0
     )
@@ -167,7 +182,7 @@ def test_event_logging_overhead():
     def run_router():
         # One decide is only a few ms; a batch of five keeps the timed
         # region large enough that timer noise cannot fake a 5% overhead.
-        routers = [router_online.build_router(table) for _ in range(5)]
+        routers = [build_router(table) for _ in range(5)]
         outcome = None
         start = time.perf_counter()
         for router in routers:  # fresh estimator state each
@@ -177,7 +192,7 @@ def test_event_logging_overhead():
     def run_frontend():
         # One schedule is ~1 ms of per-window work; batching ten, like the
         # router half, keeps timer noise from faking a 5% overhead.
-        frontends = [StreamingFrontend(router_online.build_router(table)) for _ in range(10)]
+        frontends = [StreamingFrontend(build_router(table)) for _ in range(10)]
         plan = None
         start = time.perf_counter()
         for frontend in frontends:
@@ -250,14 +265,14 @@ def test_event_logging_overhead():
 
 
 def test_frontend_experiment_claims(benchmark):
-    result = benchmark.pedantic(frontend_online.run, rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(run_entry, args=("frontend",), rounds=1, iterations=1)
     report(result)
 
     by_key = {(row["trace"], row["policy"], row["estimator"]): row for row in result.rows}
     traces = {row["trace"] for row in result.rows}
     assert traces == {"diurnal", "spike", "ramp"}
     estimators = {row["estimator"] for row in result.rows if row["policy"] == "frontend"}
-    assert estimators == set(frontend_online.FRONTEND_ESTIMATORS)
+    assert estimators == set(FRONTEND["estimator"])
     for trace in traces:
         static = by_key[(trace, "static", "-")]
         oracle = by_key[(trace, "oracle", "-")]
@@ -270,19 +285,19 @@ def test_frontend_experiment_claims(benchmark):
             assert oracle["sla_violation_rate"] <= frontend["sla_violation_rate"]
             assert frontend["sla_violation_rate"] <= static["sla_violation_rate"]
             assert 0.0 <= frontend["shed_rate"] <= frontend["sla_violation_rate"] + 1e-12
-            assert 1.0 <= frontend["mean_batch_size"] <= frontend_online.MAX_BATCH
+            assert 1.0 <= frontend["mean_batch_size"] <= FRONTEND["max_batch"]
 
 
 def test_frontend_routed_query_throughput():
     """The per-query hot path: >= 1M queries/s drawn, admitted and served."""
-    table = router_online.build_table(seed=0)
+    table = build_table()
     trace = diurnal_trace(
         num_steps=2000, step_seconds=1.0, base_qps=800.0, peak_qps=3000.0, noise=0.05, seed=0
     )
 
     # Scheduling alone is per-window work; the per-query work a caller
     # waits for is drawing the stream and serving it.
-    frontend = StreamingFrontend(router_online.build_router(table))
+    frontend = StreamingFrontend(build_router(table))
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()

@@ -12,14 +12,16 @@ Subcommands::
     recpipe report --output-dir D     # re-render the tables of a previous run
     recpipe compare RUN_A RUN_B       # markdown diff of two --output-dir runs
 
-``run`` executes registered experiment harnesses (process-parallel with
+``run`` executes registered experiments (process-parallel with
 ``--jobs``); ``sweep`` exposes the :mod:`repro.core.sweep` design-space
 exploration with user-supplied loads and latency targets instead of the
-paper's presets; ``route`` compiles a :class:`~repro.serving.router.PathTable`
-and replays time-varying load traces under static / oracle / online path
-selection (:mod:`repro.serving.router`) — or, with ``--mode per-query``,
-under the streaming frontend's per-query admission control and dynamic
-batching (:mod:`repro.serving.frontend`); ``capacity`` sweeps every
+paper's presets; ``route`` translates its flags into a one-cell scenario
+(:mod:`repro.scenarios`), the same runner behind the registry's serving
+entries: it compiles a :class:`~repro.serving.router.PathTable` and replays
+time-varying load traces under static / oracle / online path selection
+(:mod:`repro.serving.router`) — or, with ``--mode per-query``, under the
+streaming frontend's per-query admission control and dynamic batching
+(:mod:`repro.serving.frontend`); ``capacity`` sweeps every
 (node count × platform mix) fleet of the cluster layer
 (:mod:`repro.cluster`) and emits the cost/QPS frontier of the mixes that
 serve a diurnal trace within the p99 SLA.  With ``--output-dir`` all of them
@@ -687,7 +689,7 @@ def cmd_run(args: argparse.Namespace, registry: ExperimentRegistry) -> int:
         cell_axes = {
             spec.id: dict(spec.metadata["axes"])
             for spec in registry
-            if spec.id in executed and "axes" in spec.metadata
+            if spec.id in executed and spec.metadata.get("axes")
         }
         resolved = {"experiments": sorted(executed)}
         if scenario_config is not None:
@@ -710,23 +712,11 @@ def cmd_run(args: argparse.Namespace, registry: ExperimentRegistry) -> int:
 # --------------------------------------------------------------------------- #
 # recpipe sweep
 # --------------------------------------------------------------------------- #
-def _sweep_workload(dataset: str, pool: int | None):
-    """(evaluator, model specs, embedding tables, pool) for the sweep workload."""
-    # Imported lazily: the evaluators build synthetic datasets on first use.
-    from repro.experiments.common import (
-        criteo_quality_evaluator,
-        movielens_quality_evaluator,
-    )
-    from repro.models.zoo import criteo_model_specs, movielens_model_specs
-
-    if dataset == "criteo":
-        pool = pool if pool is not None else 4096
-        return criteo_quality_evaluator(pool), criteo_model_specs(), 26, pool
-    # MovieLens catalogues are smaller than Criteo's 4096 default pool.
-    pool = pool if pool is not None else 1024
-    preset = dataset.split("-", 1)[1]
-    # NeuMF funnels use two embedding tables (user, item).
-    return movielens_quality_evaluator(preset, pool), movielens_model_specs(), 2, pool
+def _default_pool(args: argparse.Namespace, criteo_pool: int) -> int:
+    """``--pool``, or the dataset default (MovieLens catalogues are smaller)."""
+    if args.pool is not None:
+        return args.pool
+    return criteo_pool if args.dataset == "criteo" else 1024
 
 
 def _parse_platforms(text: str) -> tuple[str, ...]:
@@ -743,8 +733,10 @@ def _parse_platforms(text: str) -> tuple[str, ...]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.sweep import SweepConfig, run_sweep
+    from repro.scenarios.runner import workload
 
-    evaluator, specs, num_tables, pool = _sweep_workload(args.dataset, args.pool)
+    pool = _default_pool(args, criteo_pool=4096)
+    evaluator, specs, num_tables = workload(args.dataset, pool)
     config = SweepConfig(
         platforms=_parse_platforms(args.platform),
         qps=_parse_floats(args.qps, "--qps"),
@@ -836,45 +828,51 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # recpipe route
 # --------------------------------------------------------------------------- #
-def _route_traces(args: argparse.Namespace) -> list:
-    """Build the requested load traces from the CLI's shared shape flags."""
-    from repro.serving.trace import TRACES, diurnal_trace, ramp_trace, spike_trace
+#: Cell parameters ``route`` records verbatim in its manifest config.
+_ROUTE_CONFIG_KEYS = (
+    "steps",
+    "step_seconds",
+    "base_qps",
+    "peak_qps",
+    "noise",
+    "estimator",
+    "window",
+    "ewma_alpha",
+    "hysteresis",
+    "switch_penalty_ms",
+    "switch_cost_ms",
+    "planning_qps",
+    "num_queries",
+    "pool",
+    "service_model",
+    "mode",
+    "window_seconds",
+    "max_batch",
+    "batching",
+    "defer_windows",
+    "arrival_process",
+)
 
-    names = _parse_csv(args.trace)
+
+def _route_trace_names(text: str) -> tuple[str, ...]:
+    """``--trace`` as a list of trace names (``all`` expands to every trace)."""
+    from repro.serving.trace import TRACES
+
+    names = _parse_csv(text)
     if not names:
         raise ValueError("--trace needs at least one trace name (or 'all')")
     if len(names) == 1 and names[0].lower() == "all":
-        names = list(TRACES)
+        return tuple(TRACES)
     unknown = [name for name in names if name not in TRACES]
     if unknown:
         raise ValueError(f"unknown traces {unknown}; expected a subset of {sorted(TRACES)}")
-    shape = dict(
-        num_steps=args.steps, step_seconds=args.step_seconds, noise=args.noise, seed=args.seed
-    )
-    builders = {
-        "diurnal": lambda: diurnal_trace(base_qps=args.base_qps, peak_qps=args.peak_qps, **shape),
-        "spike": lambda: spike_trace(base_qps=args.base_qps, spike_qps=args.peak_qps, **shape),
-        "ramp": lambda: ramp_trace(start_qps=args.base_qps, end_qps=args.peak_qps, **shape),
-    }
-    return [builders[name]() for name in names]
-
-
-def _route_estimator(args: argparse.Namespace):
-    """Build the requested load estimator from the CLI knobs."""
-    from repro.serving.estimators import estimator_from_knobs
-
-    return estimator_from_knobs(args.estimator, window=args.window, ewma_alpha=args.ewma_alpha)
+    return tuple(names)
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import enumerate_pipelines
-    from repro.core.scheduler import RecPipeScheduler
-    from repro.experiments.frontend_online import bound_row, frontend_row
-    from repro.experiments.router_online import compare_policies, result_row, violation_note
+    from repro.scenarios import ScenarioConfig, run_cell
     from repro.serving.frontend import StreamingFrontend
-    from repro.serving.router import MultiPathRouter, PathTable, route_oracle, route_static
     from repro.serving.service_times import SERVICE_MODELS
-    from repro.serving.simulator import SimulationConfig
 
     # Validate the cheap-to-check knobs before the expensive table compile
     # so a typo fails in milliseconds, not minutes.
@@ -893,116 +891,58 @@ def cmd_route(args: argparse.Namespace) -> int:
     if args.max_batch is not None and args.max_batch < 1:
         raise ValueError(f"--max-batch must be >= 1, got {args.max_batch}")
     max_batch = StreamingFrontend.max_batch if args.max_batch is None else args.max_batch
-    service = SERVICE_MODELS[args.service_model]
-
     # A smaller default pool than sweep's: routing tables pair it with the
     # default 512-item first stage, like the `router` registry experiment.
-    pool = args.pool if args.pool is not None else (512 if args.dataset == "criteo" else 1024)
-    evaluator, specs, num_tables, pool = _sweep_workload(args.dataset, pool)
-    pipelines = enumerate_pipelines(
-        specs,
-        first_stage_items=_parse_ints(args.first_stage_items, "--first-stage-items"),
-        later_stage_items=_parse_ints(args.later_stage_items, "--later-stage-items"),
-        max_stages=args.max_stages,
-        serve_k=args.serve_k,
-    )
-    if not pipelines:
-        raise ValueError(
-            "the item ladders admit no pipeline; widen --first-stage-items / "
-            "--later-stage-items or lower --serve-k"
-        )
-    scheduler = RecPipeScheduler(
-        evaluator,
-        simulation=SimulationConfig.with_budget(args.num_queries, seed=args.seed, service=service),
-        num_tables=num_tables,
-    )
-    start = time.perf_counter()
-    table = PathTable.compile(
-        scheduler,
-        pipelines,
-        _parse_platforms(args.platform),
-        _parse_floats(args.qps_grid, "--qps-grid"),
-        sla_ms=args.sla_ms,
-        quality_target=args.quality_target,
-        seed=args.seed,
-    )
-    router = MultiPathRouter(
-        table,
-        window=args.window,
-        hysteresis_steps=args.hysteresis,
-        switch_penalty_seconds=args.switch_penalty_ms / 1e3,
-        estimator=_route_estimator(args),
-        switch_cost_seconds=args.switch_cost_ms / 1e3,
-    )
+    pool = _default_pool(args, criteo_pool=512)
+    platforms = _parse_platforms(args.platform)
+    qps_grid = _parse_floats(args.qps_grid, "--qps-grid")
+    traces = _route_trace_names(args.trace)
 
-    traces = _route_traces(args)
-    result = ExperimentResult(name=f"route_{args.dataset}")
+    # The flags become one scenario cell; the runner is the same one the
+    # registry's serving entries go through.
+    config = ScenarioConfig(
+        name="route",
+        base={
+            "dataset": args.dataset,
+            "platforms": "+".join(platforms),
+            "qps_grid": qps_grid,
+            "sla_ms": args.sla_ms,
+            "quality_target": args.quality_target,
+            "first_stage_items": _parse_ints(args.first_stage_items, "--first-stage-items"),
+            "later_stage_items": _parse_ints(args.later_stage_items, "--later-stage-items"),
+            "max_stages": args.max_stages,
+            "serve_k": args.serve_k,
+            "num_queries": args.num_queries,
+            "pool": pool,
+            "trace": traces,
+            "steps": args.steps,
+            "step_seconds": args.step_seconds,
+            "base_qps": args.base_qps,
+            "peak_qps": args.peak_qps,
+            "noise": args.noise,
+            "estimator": args.estimator,
+            "window": args.window,
+            "ewma_alpha": args.ewma_alpha,
+            "hysteresis": args.hysteresis,
+            "switch_penalty_ms": args.switch_penalty_ms,
+            "switch_cost_ms": args.switch_cost_ms,
+            "planning_qps": args.planning_qps,
+            "service_model": args.service_model,
+            "mode": args.mode,
+            "window_seconds": args.window_seconds,
+            "max_batch": max_batch,
+            "batching": not args.no_batching,
+            "defer_windows": args.defer_windows,
+            "arrival_process": args.arrival_process,
+            "seed": args.seed,
+        },
+    )
+    (cell,) = config.expand()
     steps_result = ExperimentResult(name=f"route_{args.dataset}_steps")
+    start = time.perf_counter()
     with _maybe_capture(args.events) as event_log:
-        if args.mode == "per-query":
-            frontend = StreamingFrontend(
-                router,
-                window_seconds=args.window_seconds,
-                max_batch=max_batch,
-                batching=not args.no_batching,
-                defer_windows=args.defer_windows,
-                arrival_process=args.arrival_process,
-                arrival_seed=args.seed,
-            )
-            for trace in traces:
-                static = route_static(table, trace, planning_qps=args.planning_qps)
-                oracle = route_oracle(table, trace)
-                served = frontend.serve(trace)
-                result.add(**bound_row(trace, static))
-                result.add(**bound_row(trace, oracle))
-                result.add(**frontend_row(trace, served, args.estimator))
-                schedule = served.schedule
-                for w in range(schedule.num_windows):
-                    path = table.paths[int(schedule.window_paths[w])]
-                    steps_result.add(
-                        trace=trace.name,
-                        window=w,
-                        estimated_qps=float(schedule.estimates[w]),
-                        path=path.name,
-                        switch=bool(schedule.window_switches[w]),
-                        arrivals=int(schedule.window_arrivals[w]),
-                        admitted=int(schedule.window_admitted[w]),
-                        deferred=int(schedule.window_deferred[w]),
-                        shed=int(schedule.window_shed[w]),
-                        shed_reason=str(schedule.window_shed_reason[w]),
-                        batch_size=int(schedule.window_batch[w]),
-                    )
-                result.note(
-                    f"{trace.name}: SLA-violation rate static {static.violation_rate:.3f} "
-                    f"-> frontend {served.routing.violation_rate:.3f} "
-                    f"(shed {schedule.shed_rate:.3f}, defer {schedule.defer_rate:.3f}, "
-                    f"mean batch {schedule.mean_batch_size:.1f})"
-                )
-        else:
-            for trace in traces:
-                routings = compare_policies(
-                    table, trace, router=router, planning_qps=args.planning_qps
-                )
-                for policy, routing in routings.items():
-                    estimator = args.estimator if policy == "online" else "-"
-                    result.add(**result_row(trace, routing, estimator=estimator))
-                online = routings["online"]
-                estimates = router.estimate_series(trace)
-                for step, (path_index, switched) in enumerate(
-                    zip(online.path_steps, online.switch_steps)
-                ):
-                    path = table.paths[path_index]
-                    steps_result.add(
-                        trace=trace.name,
-                        step=step,
-                        qps=float(trace.qps[step]),
-                        estimated_qps=float(estimates[step]),
-                        platform=path.platform,
-                        pipeline=path.pipeline.name,
-                        path=path.name,
-                        switch=bool(switched),
-                    )
-                result.note(violation_note(trace, routings))
+        result = run_cell(cell, log=steps_result)
+    result.name = f"route_{args.dataset}"
     elapsed = time.perf_counter() - start
 
     if not args.quiet:
@@ -1017,32 +957,12 @@ def cmd_route(args: argparse.Namespace) -> int:
         }
         cli_config = {
             "dataset": args.dataset,
-            "platforms": list(_parse_platforms(args.platform)),
-            "qps_grid": list(_parse_floats(args.qps_grid, "--qps-grid")),
+            "platforms": list(platforms),
+            "qps_grid": list(qps_grid),
             "sla_ms": args.sla_ms,
             "quality_target": args.quality_target,
-            "traces": [trace.name for trace in traces],
-            "steps": args.steps,
-            "step_seconds": args.step_seconds,
-            "base_qps": args.base_qps,
-            "peak_qps": args.peak_qps,
-            "noise": args.noise,
-            "estimator": args.estimator,
-            "window": args.window,
-            "ewma_alpha": args.ewma_alpha,
-            "hysteresis": args.hysteresis,
-            "switch_penalty_ms": args.switch_penalty_ms,
-            "switch_cost_ms": args.switch_cost_ms,
-            "planning_qps": args.planning_qps,
-            "num_queries": args.num_queries,
-            "pool": pool,
-            "service_model": args.service_model,
-            "mode": args.mode,
-            "window_seconds": args.window_seconds,
-            "max_batch": max_batch,
-            "batching": not args.no_batching,
-            "defer_windows": args.defer_windows,
-            "arrival_process": args.arrival_process,
+            "traces": list(traces),
+            **{key: cell.params[key] for key in _ROUTE_CONFIG_KEYS},
         }
         entries = [
             artifacts.write_experiment_artifacts(
@@ -1069,7 +989,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             "estimator": args.estimator,
             "service_model": args.service_model,
             "cluster": "single-node",
-            "platforms": list(_parse_platforms(args.platform)),
+            "platforms": list(platforms),
             "mode": args.mode,
         }
         manifest = artifacts.write_manifest(

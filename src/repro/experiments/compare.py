@@ -12,8 +12,10 @@ estimator was swapped, a scenario axis moved.  This module reads the two
 * experiments/artifacts present in only one run.
 
 Wall-clock fields are ignored throughout — they differ on every run and
-carry no information.  When nothing else differs the report says exactly
-``No differences.`` so scripts (and the CI smoke) can assert on it.
+carry no information — and so is ``jobs``: outputs must not depend on how
+many processes produced them, so a serial run and a ``--jobs`` run of the
+same command compare equal.  When nothing else differs the report says
+exactly ``No differences.`` so scripts (and the CI smoke) can assert on it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from repro.experiments import artifacts
 #: Exact sentence emitted when the two runs differ only in timing.
 NO_DIFFERENCES = "No differences."
 
-#: Keys whose values are measured time, not configuration or results.
-_TIMING_KEYS = {"wall_clock_seconds"}
+#: Keys whose values are measured time or process count, not configuration
+#: or results.
+_TIMING_KEYS = {"wall_clock_seconds", "jobs"}
 
 
 def _fmt(value) -> str:

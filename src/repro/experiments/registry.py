@@ -1,13 +1,13 @@
-"""Declarative registry of every experiment harness (the CLI's backbone).
+"""Declarative registry of every experiment (the CLI's backbone).
 
 Each harness module exposes ``TITLE`` / ``PAPER_REF`` / ``TAGS`` constants and
 a ``run()`` callable; this module assembles them into
 :class:`ExperimentSpec` records and a queryable :class:`ExperimentRegistry`.
-The registry replaces the hand-maintained dict that used to live in
-:mod:`repro.experiments.runner`: adding a new scenario is now a single
-:func:`ExperimentRegistry.register` call (or module + one line in
-:func:`default_registry`), and the ``recpipe`` CLI, the runner, and the
-benchmark suite all read from the same source of truth.
+The serving experiments are packaged scenario files instead
+(:mod:`repro.scenarios`), registered cell by cell.  Adding an experiment is
+a single :func:`ExperimentRegistry.register` call (or a module or scenario
+file plus one line in :func:`default_registry`), and the ``recpipe`` CLI and
+the benchmark suite both read from the same source of truth.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.experiments import (
-    bench_simulator,
     capacity_planning,
-    coldcache,
     fig01_motivation,
     fig03_quality,
     fig05_ablation,
@@ -30,9 +28,6 @@ from repro.experiments import (
     fig12_rpaccel_scale,
     fig13_future,
     fig14_summary,
-    flashcrowd,
-    frontend_online,
-    router_online,
     sweep_multiplatform,
     tab01_pareto_models,
 )
@@ -217,8 +212,15 @@ def _spec_from_module(exp_id: str, module, depends_on: tuple[str, ...] = ()) -> 
 
 
 def _build_default_registry() -> ExperimentRegistry:
+    # Imported here, not at module top: the scenario runner imports
+    # ExperimentSpec from this module (lazily), so the package edge must
+    # resolve after the class definitions above exist.
+    from repro.scenarios.runner import packaged_scenario, register_scenario
+
     registry = ExperimentRegistry()
-    for exp_id, module in (
+    # A (id, module) pair is a harness module; a bare name is a packaged
+    # scenario file (repro/scenarios/<name>.json) registered cell by cell.
+    for entry in (
         ("fig01", fig01_motivation),
         ("tab01", tab01_pareto_models),
         ("fig03", fig03_quality),
@@ -231,20 +233,17 @@ def _build_default_registry() -> ExperimentRegistry:
         ("fig13", fig13_future),
         ("fig14", fig14_summary),
         ("sweepmp", sweep_multiplatform),
-        ("router", router_online),
-        ("frontend", frontend_online),
-        ("flashcrowd", flashcrowd),
-        ("coldcache", coldcache),
-        ("bench-sim", bench_simulator),
+        "router",
+        "frontend",
+        "flashcrowd",
+        "coldcache",
         ("capacity", capacity_planning),
+        "builtin",
     ):
-        registry.register(_spec_from_module(exp_id, module))
-    # Imported here, not at module top: the scenario runner imports
-    # ExperimentSpec from this module (lazily), so the package edge must
-    # resolve after the class definitions above exist.
-    from repro.scenarios.runner import builtin_scenario, register_scenario
-
-    register_scenario(registry, builtin_scenario())
+        if isinstance(entry, str):
+            register_scenario(registry, packaged_scenario(entry))
+        else:
+            registry.register(_spec_from_module(*entry))
     return registry
 
 
@@ -254,7 +253,7 @@ REGISTRY = _build_default_registry()
 
 def default_registry() -> ExperimentRegistry:
     """The process-wide registry: the paper's eleven experiments, the
-    cross-platform sweep, the online serving router, the per-query
-    frontend, the cache-state scenarios (flashcrowd, coldcache), the
-    simulator engine benchmark, and the fleet capacity planner."""
+    cross-platform sweep, the serving scenarios (online router, per-query
+    frontend, the flashcrowd and coldcache cache-state scenarios, the
+    routergrid cells), and the fleet capacity planner."""
     return REGISTRY

@@ -9,8 +9,10 @@ product into tagged
 :class:`~repro.experiments.registry.ExperimentSpec` entries
 (:func:`~repro.scenarios.runner.register_scenario`), so ``recpipe
 list/run`` operate on scenario cells exactly like hand-written
-experiments.  The packaged ``builtin.json`` scenario ships in the default
-registry; user files load via ``recpipe run --scenario FILE``.
+experiments.  The packaged scenarios — the ``router``, ``frontend``,
+``flashcrowd`` and ``coldcache`` serving entries and the ``routergrid``
+grid — ship in the default registry, and ``recpipe route`` runs its flags
+as a one-cell scenario; user files load via ``recpipe run --scenario FILE``.
 """
 
 from repro.scenarios.config import (
@@ -22,7 +24,7 @@ from repro.scenarios.config import (
     load_scenario,
     scenario_from_mapping,
 )
-from repro.scenarios.runner import builtin_scenario, register_scenario, run_cell, scenario_specs
+from repro.scenarios.runner import packaged_scenario, register_scenario, run_cell, scenario_specs
 
 __all__ = [
     "AXES",
@@ -30,8 +32,8 @@ __all__ = [
     "ScenarioCell",
     "ScenarioConfig",
     "ScenarioError",
-    "builtin_scenario",
     "load_scenario",
+    "packaged_scenario",
     "register_scenario",
     "run_cell",
     "scenario_from_mapping",

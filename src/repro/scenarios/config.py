@@ -15,7 +15,18 @@ experiment: :meth:`ScenarioConfig.expand` resolves each axis assignment
 over the base parameters and derives a stable cell id
 (``<name>-<axis-value>-...``, axes in canonical order), which
 :mod:`repro.scenarios.runner` registers as a tagged
-:class:`~repro.experiments.registry.ExperimentSpec`.
+:class:`~repro.experiments.registry.ExperimentSpec`.  A scenario without
+``axes`` is a single cell whose id is the scenario name.
+
+``trace`` and ``estimator`` may also be lists: every listed value runs
+inside the same cell.  A ``trace`` item may be a table such as
+``{"name": "diurnal", "steps": 96, "peak_qps": 5000.0}``, whose keys
+(:data:`TRACE_SHAPE`) override the cell's shared trace shape for that trace
+alone.  ``service_schedule`` (``null`` or ``{start, shift_items,
+rewarm_steps}``) switches the cached service model's cache state from step
+``start`` on: the Zipf head rotates by ``shift_items`` rows and, when
+``rewarm_steps`` is positive, the cache restarts cold and re-warms linearly
+over that many steps.
 
 TOML files need :mod:`tomllib` (Python 3.11+); JSON always works, which
 is why the packaged builtin scenario and the CI smoke config are JSON.
@@ -37,7 +48,9 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.core.sweep import PLATFORMS
-from repro.serving.estimators import ESTIMATORS
+from repro.serving.estimators import ESTIMATORS, EWMA
+from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend
+from repro.serving.router import MultiPathRouter
 from repro.serving.service_times import SERVICE_MODELS
 from repro.serving.trace import TRACES
 
@@ -56,9 +69,21 @@ AXES = ("trace", "estimator", "service_model", "platforms", "nodes")
 #: Datasets a scenario may target (mirrors ``recpipe sweep --dataset``).
 DATASETS = ("criteo", "movielens-1m", "movielens-20m")
 
+#: Serving modes: one decision per trace step (the step router) or the
+#: per-query streaming frontend.
+MODES = ("per-step", "per-query")
+
+#: Trace-shape parameters a ``trace`` item may override for its own trace.
+TRACE_SHAPE = ("steps", "step_seconds", "base_qps", "peak_qps", "noise")
+
+#: Keys of a ``service_schedule`` table.
+SCHEDULE_KEYS = ("start", "shift_items", "rewarm_steps")
+
 #: Fully-resolved defaults every cell starts from.  Deliberately
 #: smoke-sized (small pool, short trace) so a scenario is cheap unless it
 #: asks for more; the keys double as the set of legal ``base`` overrides.
+#: Policy knobs mirror the ``recpipe route`` flags of the same name and
+#: default to the router, frontend and estimator dataclasses.
 BASE_DEFAULTS: Mapping[str, Any] = MappingProxyType(
     {
         "dataset": "criteo",
@@ -79,7 +104,20 @@ BASE_DEFAULTS: Mapping[str, Any] = MappingProxyType(
         "peak_qps": 5500.0,
         "noise": 0.03,
         "estimator": "windowed",
+        "window": MultiPathRouter.window,
+        "ewma_alpha": EWMA.alpha,
+        "hysteresis": MultiPathRouter.hysteresis_steps,
+        "switch_penalty_ms": MultiPathRouter.switch_penalty_seconds * 1e3,
+        "switch_cost_ms": MultiPathRouter.switch_cost_seconds * 1e3,
+        "planning_qps": None,
         "service_model": "deterministic",
+        "service_schedule": None,
+        "mode": "per-step",
+        "window_seconds": StreamingFrontend.window_seconds,
+        "max_batch": StreamingFrontend.max_batch,
+        "batching": StreamingFrontend.batching,
+        "defer_windows": StreamingFrontend.defer_windows,
+        "arrival_process": StreamingFrontend.arrival_process,
         "nodes": "1",
         "budget_gb": 32.0,
         "num_tables": 26,
@@ -146,6 +184,11 @@ def parse_mix(value: str) -> tuple[str, ...]:
     return tuple(nodes)
 
 
+def listed(value: Any) -> tuple:
+    """A scalar-or-list parameter (``trace``, ``estimator``) as a tuple."""
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
+
 def _validate_axis(axis: str, value: Any) -> Any:
     """Check one axis value against its vocabulary and normalize it.
 
@@ -154,7 +197,8 @@ def _validate_axis(axis: str, value: Any) -> Any:
     axis : str
         One of :data:`AXES`.
     value : Any
-        The declared value.
+        The declared value (a ``trace`` value may be a table of
+        :data:`TRACE_SHAPE` overrides with a ``name``).
 
     Returns
     -------
@@ -167,8 +211,17 @@ def _validate_axis(axis: str, value: Any) -> Any:
         When the value is outside the axis vocabulary.
     """
     if axis == "trace":
-        if value not in TRACES:
-            raise ScenarioError(f"unknown trace {value!r}; expected one of {sorted(TRACES)}")
+        item = value if isinstance(value, Mapping) else {"name": value}
+        if not isinstance(item.get("name"), str) or item["name"] not in TRACES:
+            raise ScenarioError(
+                f"unknown trace {item.get('name')!r}; expected one of {sorted(TRACES)}"
+            )
+        unknown = sorted(set(item) - {"name", *TRACE_SHAPE})
+        if unknown:
+            raise ScenarioError(
+                f"unknown trace override keys {unknown} in {dict(item)}; "
+                f"expected a subset of {list(TRACE_SHAPE)}"
+            )
     elif axis == "estimator":
         if value not in ESTIMATORS:
             raise ScenarioError(
@@ -191,6 +244,36 @@ def _validate_axis(axis: str, value: Any) -> Any:
             parse_mix(str(value))
         value = str(value)
     return value
+
+
+def _validate_schedule(params: Mapping[str, Any]) -> None:
+    """Reject a ``service_schedule`` the runner cannot honour for these params.
+
+    Parameters
+    ----------
+    params : Mapping
+        One cell's resolved parameters.
+
+    Raises
+    ------
+    ScenarioError
+        When the schedule is malformed, or set on a cell that is not a
+        single-node, per-step cell under the cached service model.
+    """
+    schedule = params["service_schedule"]
+    if schedule is None:
+        return
+    if not isinstance(schedule, Mapping) or set(schedule) != set(SCHEDULE_KEYS):
+        raise ScenarioError(
+            f"service_schedule must be null or a table with keys {list(SCHEDULE_KEYS)}, "
+            f"got {schedule!r}"
+        )
+    if params["service_model"] != "cached":
+        raise ScenarioError("service_schedule shifts the cache; it needs service_model cached")
+    if params["mode"] != "per-step":
+        raise ScenarioError("service_schedule needs mode per-step; the frontend takes no schedule")
+    if params["nodes"] != "1":
+        raise ScenarioError("service_schedule needs nodes '1'; cluster tables take no schedule")
 
 
 @dataclass(frozen=True)
@@ -246,7 +329,8 @@ class ScenarioConfig:
     base : Mapping[str, Any]
         Overrides applied to :data:`BASE_DEFAULTS`.
     axes : Mapping[str, tuple]
-        Swept dimensions, each a non-empty value list.
+        Swept dimensions, each a non-empty value list; none at all makes
+        the scenario one cell.
     """
 
     name: str
@@ -275,8 +359,6 @@ class ScenarioConfig:
         bad_axes = sorted(set(self.axes) - set(AXES))
         if bad_axes:
             raise ScenarioError(f"unknown axes {bad_axes}; supported axes: {list(AXES)}")
-        if not self.axes:
-            raise ScenarioError(f"scenario {self.name!r} declares no axes; nothing to expand")
         for axis, values in self.axes.items():
             if not values:
                 raise ScenarioError(f"axis {axis!r} has no values")
@@ -284,9 +366,19 @@ class ScenarioConfig:
                 raise ScenarioError(f"axis {axis!r} repeats a value: {list(values)}")
             for value in values:
                 _validate_axis(axis, value)
-        for axis in ("trace", "estimator", "service_model", "platforms", "nodes"):
+        for axis in ("trace", "estimator"):
+            for value in listed(self.base.get(axis, ())):
+                _validate_axis(axis, value)
+        for axis in ("service_model", "platforms", "nodes"):
             if axis in self.base:
                 _validate_axis(axis, self.base[axis])
+        for key, vocabulary in (("mode", MODES), ("arrival_process", ARRIVAL_PROCESSES)):
+            if self.base.get(key, BASE_DEFAULTS[key]) not in vocabulary:
+                raise ScenarioError(
+                    f"unknown {key} {self.base[key]!r}; expected one of {list(vocabulary)}"
+                )
+        for cell in self.expand():
+            _validate_schedule(cell.params)
 
     def expand(self) -> list[ScenarioCell]:
         """The cartesian product of the axes as resolved cells.
@@ -295,7 +387,8 @@ class ScenarioConfig:
         -------
         list of ScenarioCell
             One cell per grid point, in axis declaration order
-            (:data:`AXES` order, last axis fastest).
+            (:data:`AXES` order, last axis fastest); a scenario without
+            axes yields one cell.
         """
         ordered = [axis for axis in AXES if axis in self.axes]
         cells = []

@@ -1,24 +1,34 @@
-"""Run scenario cells and register them as experiment specs.
+"""Run scenario cells: the one code path behind every serving experiment.
 
-One cell = one static/oracle/online policy comparison over the cell's
-trace, served from a routing table compiled for the cell's workload,
-platform set, service model and cluster mix.  Table compilation dominates
-the cost of a cell, and trace/estimator axes do not affect the table, so
-compiled tables are memoized per table-shaping parameter tuple
-(:func:`_compiled_table`): a ``trace x estimator`` grid compiles exactly
-one table no matter how many cells it expands into.
+One cell replays each of its traces under the static and oracle bounds
+plus one online policy per listed estimator, served from a routing table
+compiled for the cell's workload, platform set, service model and cluster
+mix.  ``mode`` selects the online policy: ``per-step`` runs the
+:class:`~repro.serving.router.MultiPathRouter` (one decision per trace
+step), ``per-query`` the :class:`~repro.serving.frontend.StreamingFrontend`
+(admission control and dynamic batching over individually arriving
+queries).  The registry's serving entries (``router``, ``frontend``,
+``flashcrowd``, ``coldcache`` and the ``routergrid`` cells) and
+``recpipe route`` all run through :func:`run_cell`.
+
+Table compilation dominates the cost of a cell, and trace/estimator/policy
+parameters do not affect the table, so compiled tables are memoized per
+table-shaping parameter tuple (:func:`_compiled_table`): a
+``trace x estimator`` grid compiles exactly one table no matter how many
+cells it expands into, and entries that serve the same workload share it.
 
 :func:`scenario_specs` turns expanded cells into
 :class:`~repro.experiments.registry.ExperimentSpec` records — tagged
 ``scenario`` and ``scenario:<name>`` plus the scenario's own tags — and
 :func:`register_scenario` installs them in a registry, which is all
-``recpipe list/run --scenario`` needs.  The packaged ``builtin.json``
-scenario (:func:`builtin_scenario`) ships in the default registry.
+``recpipe list/run --scenario`` needs.  The packaged scenarios
+(:func:`packaged_scenario`) ship in the default registry.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
@@ -30,17 +40,25 @@ from repro.experiments.common import (
     make_scheduler,
     movielens_quality_evaluator,
 )
-from repro.experiments.router_online import compare_policies, result_row, violation_note
 from repro.scenarios.config import (
+    TRACE_SHAPE,
     ScenarioCell,
     ScenarioConfig,
+    listed,
     parse_mix,
     scenario_from_mapping,
 )
 from repro.serving.estimators import estimator_from_knobs
-from repro.serving.router import MultiPathRouter, PathTable
+from repro.serving.frontend import FrontendResult, FrontendSchedule, QueryStream, StreamingFrontend
+from repro.serving.router import (
+    MultiPathRouter,
+    PathTable,
+    RoutingResult,
+    route_oracle,
+    route_static,
+)
 from repro.serving.service_times import SERVICE_MODELS
-from repro.serving.trace import diurnal_trace, ramp_trace, spike_trace
+from repro.serving.trace import LoadTrace, diurnal_trace, ramp_trace, spike_trace
 
 if TYPE_CHECKING:  # the registry imports this module; keep the edge type-only
     from repro.experiments.registry import ExperimentRegistry, ExperimentSpec
@@ -67,7 +85,7 @@ TABLE_PARAMS = (
 )
 
 
-def _workload(dataset: str, pool: int):
+def workload(dataset: str, pool: int):
     """(evaluator, model specs, embedding-table count) for one dataset.
 
     Parameters
@@ -87,6 +105,7 @@ def _workload(dataset: str, pool: int):
     if dataset == "criteo":
         return criteo_quality_evaluator(pool), criteo_model_specs(), 26
     preset = dataset.split("-", 1)[1]
+    # NeuMF funnels use two embedding tables (user, item).
     return movielens_quality_evaluator(preset, pool), movielens_model_specs(), 2
 
 
@@ -109,7 +128,7 @@ def _compiled_table(key: tuple, seed: int):
         single-node tables (sharded embeddings, priced gathers).
     """
     params = dict(zip(TABLE_PARAMS, key))
-    evaluator, specs, num_tables = _workload(params["dataset"], params["pool"])
+    evaluator, specs, num_tables = workload(params["dataset"], params["pool"])
     scheduler = make_scheduler(
         evaluator,
         num_queries=params["num_queries"],
@@ -125,7 +144,11 @@ def _compiled_table(key: tuple, seed: int):
         serve_k=params["serve_k"],
     )
     if not pipelines:
-        raise ValueError("the scenario's item ladders admit no pipeline")
+        raise ValueError(
+            "the item ladders admit no pipeline; widen first_stage_items / "
+            "later_stage_items (--first-stage-items / --later-stage-items) "
+            "or lower serve_k (--serve-k)"
+        )
     platforms = tuple(str(params["platforms"]).split("+"))
     if params["nodes"] == "1":
         return PathTable.compile(
@@ -138,6 +161,24 @@ def _compiled_table(key: tuple, seed: int):
             seed=seed,
         )
     return _compile_fleet(scheduler, pipelines, params, seed)
+
+
+def compiled_table(params: Mapping, seed: int):
+    """The memoized routing table a cell with these parameters serves from.
+
+    Parameters
+    ----------
+    params : Mapping
+        The cell's resolved parameters (only :data:`TABLE_PARAMS` matter).
+    seed : int
+        Compile seed.
+
+    Returns
+    -------
+    PathTable or ClusterTable
+        The compiled table, shared by every cell with equal table params.
+    """
+    return _compiled_table(tuple(params[name] for name in TABLE_PARAMS), seed)
 
 
 def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
@@ -197,13 +238,17 @@ def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
     )
 
 
-def _build_trace(params: Mapping, seed: int):
-    """The cell's load trace from its shared shape parameters.
+def build_trace(params: Mapping, item, seed: int) -> LoadTrace:
+    """One of a cell's load traces.
 
     Parameters
     ----------
     params : Mapping
-        The cell's resolved parameters (``trace``, ``steps``, ...).
+        The cell's resolved parameters; their :data:`TRACE_SHAPE` keys are
+        the shape every trace shares.
+    item : str or Mapping
+        A trace name, or a table with a ``name`` whose other keys override
+        the shared shape for this trace alone.
     seed : int
         Trace noise seed.
 
@@ -212,57 +257,299 @@ def _build_trace(params: Mapping, seed: int):
     LoadTrace
         The generated trace.
     """
-    shape = dict(
-        num_steps=params["steps"],
-        step_seconds=params["step_seconds"],
-        noise=params["noise"],
+    item = dict(item) if isinstance(item, Mapping) else {"name": item}
+    shape = {**{key: params[key] for key in TRACE_SHAPE}, **item}
+    common = dict(
+        num_steps=shape["steps"],
+        step_seconds=shape["step_seconds"],
+        noise=shape["noise"],
         seed=seed,
     )
-    builders = {
-        "diurnal": lambda: diurnal_trace(
-            base_qps=params["base_qps"], peak_qps=params["peak_qps"], **shape
+    base, peak = shape["base_qps"], shape["peak_qps"]
+    if shape["name"] == "diurnal":
+        return diurnal_trace(base_qps=base, peak_qps=peak, **common)
+    if shape["name"] == "spike":
+        return spike_trace(base_qps=base, spike_qps=peak, **common)
+    return ramp_trace(start_qps=base, end_qps=peak, **common)
+
+
+def build_router(table, params: Mapping, estimator: str) -> MultiPathRouter:
+    """The online policy a cell runs for one of its listed estimators.
+
+    Parameters
+    ----------
+    table : PathTable or ClusterTable
+        The cell's compiled table.
+    params : Mapping
+        The cell's resolved parameters (router and estimator knobs).
+    estimator : str
+        The load estimator's name.
+
+    Returns
+    -------
+    MultiPathRouter
+        A router in its initial state.
+    """
+    return MultiPathRouter(
+        table,
+        window=params["window"],
+        hysteresis_steps=params["hysteresis"],
+        switch_penalty_seconds=params["switch_penalty_ms"] / 1e3,
+        estimator=estimator_from_knobs(
+            estimator, window=params["window"], ewma_alpha=params["ewma_alpha"]
         ),
-        "spike": lambda: spike_trace(
-            base_qps=params["base_qps"], spike_qps=params["peak_qps"], **shape
-        ),
-        "ramp": lambda: ramp_trace(
-            start_qps=params["base_qps"], end_qps=params["peak_qps"], **shape
-        ),
+        switch_cost_seconds=params["switch_cost_ms"] / 1e3,
+    )
+
+
+def service_steps(params: Mapping, num_steps: int) -> list | None:
+    """Per-step cache states of a cell's ``service_schedule``.
+
+    Steps before the schedule's ``start`` serve the cell's (warm) cached
+    model.  From ``start`` on the Zipf head is rotated by ``shift_items``
+    rows and, when ``rewarm_steps`` is positive, the cache restarts cold
+    and re-warms linearly: ``warm_fraction = min(1, (t - start) /
+    rewarm_steps)``.  A popularity shift persists past the spike that
+    brought it, and a reset cache ends fully warm again.
+
+    Parameters
+    ----------
+    params : Mapping
+        The cell's resolved parameters.
+    num_steps : int
+        Length of the served trace.
+
+    Returns
+    -------
+    list of CachedServiceConfig or None
+        One service model per step, or ``None`` without a schedule.
+    """
+    schedule = params["service_schedule"]
+    if schedule is None:
+        return None
+    base = SERVICE_MODELS[params["service_model"]]
+    start, rewarm = schedule["start"], schedule["rewarm_steps"]
+    steps = []
+    for t in range(num_steps):
+        if t < start:
+            steps.append(base)
+        else:
+            warm = min(1.0, (t - start) / rewarm) if rewarm else 1.0
+            steps.append(replace(base, shift_items=schedule["shift_items"], warm_fraction=warm))
+    return steps
+
+
+def result_row(trace: LoadTrace, routing: RoutingResult, estimator: str = "-") -> dict:
+    """One JSON/CSV-ready row per (trace, policy, estimator) evaluation."""
+    leader = max(routing.occupancy.items(), key=lambda item: item[1])
+    return {
+        "trace": trace.name,
+        "policy": routing.policy,
+        "estimator": estimator,
+        "quality_ndcg": routing.quality,
+        "effective_quality": routing.effective_quality,
+        "p99_ms": routing.p99_seconds * 1e3,
+        "sla_violation_rate": routing.violation_rate,
+        "num_switches": routing.num_switches,
+        "paths_used": len(routing.occupancy),
+        "dominant_path": leader[0],
+        "dominant_share": leader[1],
+        "total_queries": routing.total_queries,
     }
-    return builders[params["trace"]]()
 
 
-def run_cell(cell: ScenarioCell, seed: int | None = None) -> ExperimentResult:
-    """Execute one scenario cell: static vs oracle vs online on its trace.
+def frontend_row(trace: LoadTrace, result: FrontendResult, estimator: str) -> dict:
+    """One row per (trace, estimator) frontend evaluation, admission included."""
+    schedule = result.schedule
+    row = result_row(trace, result.routing, estimator=estimator)
+    row.update(
+        shed_rate=schedule.shed_rate,
+        defer_rate=schedule.defer_rate,
+        mean_batch_size=schedule.mean_batch_size,
+        max_queue_depth=schedule.max_queue_depth,
+    )
+    return row
+
+
+def bound_row(trace: LoadTrace, routing: RoutingResult) -> dict:
+    """A bounds row padded with the frontend-only columns (no admission)."""
+    row = result_row(trace, routing)
+    row.update(shed_rate=0.0, defer_rate=0.0, mean_batch_size="-", max_queue_depth=0)
+    return row
+
+
+def violation_note(label: str, static: RoutingResult, online: RoutingResult, detail: str) -> str:
+    """The one-line static-vs-online summary of one online run."""
+    return (
+        f"{label}: SLA-violation rate static {static.violation_rate:.3f} "
+        f"-> {online.policy} {online.violation_rate:.3f} ({detail})"
+    )
+
+
+def hit_rate_notes(table: PathTable, sampled: set) -> list[str]:
+    """Report the measured and closed-form hit rate of each sampled cache state.
+
+    The measured rate counts simulated cache hits
+    (:attr:`~repro.serving.service_times.ServiceTimeSampler.measured_hit_rate`),
+    the analytic rate is the Zipf closed form; reporting both keeps any
+    drift between the model and the formula visible.  Tallies of paths
+    sharing a cache state are pooled into one line per state.  Only the
+    ``(path index, service model)`` pairs in ``sampled`` count: a memoized
+    table also holds the samplers of every cell that ran on it before, and
+    a cell's notes must not depend on run order.
+    """
+    wanted = {(table.paths[index].name, service) for index, service in sampled}
+    pooled: dict[tuple[int, float], tuple[int, int, float]] = {}
+    for row in table.service_stats():
+        config = row["service"]
+        if (row["path"], config) not in wanted:
+            continue
+        key = (config.shift_items, config.warm_fraction)
+        accesses, hits, _ = pooled.get(key, (0, 0, 0.0))
+        pooled[key] = (accesses + row["accesses"], hits + row["hits"], row["analytic_hit_rate"])
+    lines = []
+    for (shift, warm), (accesses, hits, analytic) in sorted(pooled.items()):
+        measured = hits / accesses if accesses else 0.0
+        lines.append(
+            f"hit rate [shift={shift}, warm={warm:.2f}]: measured {measured:.4f} "
+            f"over {accesses} simulated lookups vs Zipf closed form {analytic:.4f}"
+        )
+    return lines
+
+
+def _step_log(table, trace: LoadTrace, router: MultiPathRouter, online: RoutingResult) -> list:
+    """The online router's per-step decision log (``route_steps``)."""
+    estimates = router.estimate_series(trace)
+    rows = []
+    for step, (index, switched) in enumerate(zip(online.path_steps, online.switch_steps)):
+        path = table.paths[index]
+        rows.append(
+            {
+                "trace": trace.name,
+                "step": step,
+                "qps": float(trace.qps[step]),
+                "estimated_qps": float(estimates[step]),
+                "platform": path.platform,
+                "pipeline": path.pipeline.name,
+                "path": path.name,
+                "switch": bool(switched),
+            }
+        )
+    return rows
+
+
+def _window_log(table, trace: LoadTrace, schedule: FrontendSchedule) -> list:
+    """The frontend's per-window admission log (``route_steps``)."""
+    return [
+        {
+            "trace": trace.name,
+            "window": w,
+            "estimated_qps": float(schedule.estimates[w]),
+            "path": table.paths[int(schedule.window_paths[w])].name,
+            "switch": bool(schedule.window_switches[w]),
+            "arrivals": int(schedule.window_arrivals[w]),
+            "admitted": int(schedule.window_admitted[w]),
+            "deferred": int(schedule.window_deferred[w]),
+            "shed": int(schedule.window_shed[w]),
+            "shed_reason": str(schedule.window_shed_reason[w]),
+            "batch_size": int(schedule.window_batch[w]),
+        }
+        for w in range(schedule.num_windows)
+    ]
+
+
+def run_cell(
+    cell: ScenarioCell, seed: int | None = None, log: ExperimentResult | None = None
+) -> ExperimentResult:
+    """Execute one scenario cell: static vs oracle vs online on every trace.
 
     Parameters
     ----------
     cell : ScenarioCell
         The expanded grid point.
     seed : int, optional
-        Overrides the cell's ``seed`` parameter (trace noise + table
-        compile; ``recpipe run --seed`` forwards it here).
+        Overrides the cell's ``seed`` parameter (trace noise, table
+        compile and query arrivals; ``recpipe run --seed`` forwards it).
+    log : ExperimentResult, optional
+        When given, receives the decision log of every online run, in run
+        order: one row per trace step (``per-step``) or decision window
+        (``per-query``).
 
     Returns
     -------
     ExperimentResult
-        One row per (policy, estimator) evaluation plus the cell's axis
-        assignment on every row, and the static-vs-online violation note.
+        Per trace: the static and oracle rows, then one online row per
+        estimator (prefixed with the scenario name and axis assignment
+        when the cell is a grid point), and one violation note per online
+        run.  Cells with a ``service_schedule`` add measured-vs-closed-form
+        hit-rate notes.
     """
     params = cell.params
     seed = params["seed"] if seed is None else seed
-    table = _compiled_table(tuple(params[name] for name in TABLE_PARAMS), seed)
-    trace = _build_trace(params, seed)
-    router = MultiPathRouter(table, estimator=estimator_from_knobs(params["estimator"]))
-    routings = compare_policies(table, trace, router=router)
+    table = compiled_table(params, seed)
+    estimators = listed(params["estimator"])
+    per_query = params["mode"] == "per-query"
+    prefix = {"scenario": cell.scenario, **cell.axes} if cell.axes else {}
     result = ExperimentResult(name=cell.id)
-    for policy, routing in routings.items():
-        estimator = params["estimator"] if policy == "online" else "-"
-        row = {"scenario": cell.scenario, **cell.axes}
-        row.update(result_row(trace, routing, estimator=estimator))
-        result.add(**row)
-    result.note(f"cell {cell.id}: {cell.label or 'base'}")
-    result.note(violation_note(trace, routings))
+    if cell.axes:
+        result.note(f"cell {cell.id}: {cell.label}")
+    sampled: set = set()
+    for item in listed(params["trace"]):
+        trace = build_trace(params, item, seed)
+        steps = service_steps(params, trace.num_steps)
+        static = route_static(
+            table, trace, planning_qps=params["planning_qps"], service_steps=steps
+        )
+        oracle = route_oracle(table, trace, service_steps=steps)
+        for bound in (static, oracle):
+            row = bound_row(trace, bound) if per_query else result_row(trace, bound)
+            result.add(**{**prefix, **row})
+        routings = [static, oracle]
+        # One draw per trace, shared by every estimator; only one trace's
+        # queries are alive at a time.
+        stream = (
+            QueryStream.from_trace(trace, seed=seed, process=params["arrival_process"])
+            if per_query
+            else None
+        )
+        for estimator in estimators:
+            router = build_router(table, params, estimator)
+            if per_query:
+                frontend = StreamingFrontend(
+                    router,
+                    window_seconds=params["window_seconds"],
+                    max_batch=params["max_batch"],
+                    batching=params["batching"],
+                    defer_windows=params["defer_windows"],
+                )
+                served = frontend.serve(trace, stream)
+                online, schedule = served.routing, served.schedule
+                row = frontend_row(trace, served, estimator)
+                detail = (
+                    f"shed {schedule.shed_rate:.3f}, defer {schedule.defer_rate:.3f}, "
+                    f"mean batch {schedule.mean_batch_size:.1f}"
+                )
+            else:
+                online = router.route(trace, service_steps=steps)
+                row = result_row(trace, online, estimator=estimator)
+                detail = f"{online.num_switches} switches"
+            result.add(**{**prefix, **row})
+            label = trace.name if len(estimators) == 1 else f"{trace.name} [{estimator}]"
+            result.note(violation_note(label, static, online, detail))
+            routings.append(online)
+            if log is not None:
+                log.rows.extend(
+                    _window_log(table, trace, schedule)
+                    if per_query
+                    else _step_log(table, trace, router, online)
+                )
+        del stream
+        if steps is not None:
+            for routing in routings:
+                sampled.update(zip(routing.path_steps, steps))
+    if params["service_schedule"] is not None:
+        for line in hit_rate_notes(table, sampled):
+            result.note(line)
     return result
 
 
@@ -282,7 +569,7 @@ def scenario_specs(config: ScenarioConfig) -> list["ExperimentSpec"]:
         run manifests can resolve what each cell varied.
     """
     # Imported here, not at module top: the default registry's own module
-    # imports this one to register the builtin scenario.
+    # imports this one to register the packaged scenarios.
     from repro.experiments.registry import ExperimentSpec
 
     specs = []
@@ -330,15 +617,21 @@ def register_scenario(
     return specs
 
 
-def builtin_scenario() -> ScenarioConfig:
-    """The packaged builtin scenario (``builtin.json``).
+def packaged_scenario(name: str) -> ScenarioConfig:
+    """A scenario shipped with the package (``repro/scenarios/<name>.json``).
+
+    Parameters
+    ----------
+    name : str
+        The file stem: ``router``, ``frontend``, ``flashcrowd``,
+        ``coldcache`` (the serving entries of the default registry) or
+        ``builtin`` (the ``routergrid`` ``trace x estimator`` grid).
 
     Returns
     -------
     ScenarioConfig
-        A small ``trace x estimator`` routing grid that ships in the
-        default registry, so ``recpipe list`` always shows
-        scenario-expanded entries and the docs table stays exercised.
+        The validated scenario.
     """
-    text = resources.files("repro.scenarios").joinpath("builtin.json").read_text(encoding="utf-8")
-    return scenario_from_mapping(json.loads(text), source="repro/scenarios/builtin.json")
+    path = f"{name}.json"
+    text = resources.files("repro.scenarios").joinpath(path).read_text(encoding="utf-8")
+    return scenario_from_mapping(json.loads(text), source=f"repro/scenarios/{path}")

@@ -11,8 +11,7 @@ tail latency and sustained throughput.  This package provides
 * :class:`~repro.serving.simulator.ServingSimulator` -- the engine-selecting
   simulator facade (closed-form ``analytic`` default, discrete-event
   ``event`` reference),
-* :mod:`repro.serving.engine` -- the closed-form kernel,
-  :class:`~repro.serving.engine.AnalyticSimulator` and the batched
+* :mod:`repro.serving.engine` -- the closed-form kernel and the batched
   :func:`~repro.serving.engine.simulate_grid` entry point,
 * :class:`~repro.serving.metrics.LatencyReport` and helpers for percentiles
   and sustained-throughput search,
@@ -30,7 +29,6 @@ tail latency and sustained throughput.  This package provides
 
 from repro.serving.engine import (
     ENGINES,
-    AnalyticSimulator,
     SimulationConfig,
     analytic_latencies,
     event_latencies,
@@ -72,7 +70,6 @@ __all__ = [
     "percentile",
     "makespan_seconds",
     "ServingSimulator",
-    "AnalyticSimulator",
     "SimulationConfig",
     "ENGINES",
     "analytic_latencies",

@@ -58,7 +58,7 @@ or not a service model is active.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -370,45 +370,3 @@ def simulate_grid(
     return [
         build_report(plan, cfg, qps, arrivals[i], latencies[i]) for i, qps in enumerate(qps_list)
     ]
-
-
-@dataclass
-class AnalyticSimulator:
-    """Closed-form counterpart of :class:`~repro.serving.simulator.ServingSimulator`.
-
-    ``run`` matches the event engine query for query (same seed, same
-    arrivals, latencies equal to floating-point noise); ``run_grid`` amortizes
-    one arrival draw over a whole QPS column.
-
-    Parameters
-    ----------
-    plan : PipelinePlan
-        The scheduled pipeline to simulate.
-    config : SimulationConfig
-        Query budget, warmup window, seed and saturation threshold.
-    """
-
-    plan: PipelinePlan
-    config: SimulationConfig = field(default_factory=SimulationConfig)
-
-    def latencies(self, qps: float, seed=None) -> tuple[np.ndarray, np.ndarray]:
-        """(arrivals, end-to-end latencies) at ``qps``, warmup included."""
-        effective_seed = self.config.seed if seed is None else seed
-        unit = draw_unit_arrivals(self.config.num_queries, effective_seed)
-        arrivals = arrivals_at_qps(unit, qps)
-        service = None
-        if self.config.service is not None:
-            service = sampled_service(
-                self.plan, self.config.service, self.config.num_queries,
-                service_seed(effective_seed),
-            )
-        return arrivals, analytic_latencies(self.plan, arrivals, service=service)
-
-    def run(self, qps: float, seed=None) -> LatencyReport:
-        """Simulate one load point in closed form."""
-        arrivals, latencies = self.latencies(qps, seed=seed)
-        return build_report(self.plan, self.config, qps, arrivals, latencies)
-
-    def run_grid(self, qps_values: Sequence[float], seed=None) -> list[LatencyReport]:
-        """One report per load from a single shared arrival draw."""
-        return simulate_grid(self.plan, qps_values, self.config, seed=seed)

@@ -740,9 +740,10 @@ class PathTable:
         switch_penalty_seconds : float
             Latency added to every query of a switch step.
         service_steps : sequence of CachedServiceConfig or None, optional
-            Per-step service-model overrides (scenario harnesses shift the
-            cache state mid-trace this way).  ``None`` entries — and an
-            omitted argument — fall back to the table's default model.
+            Per-step service-model overrides (a scenario's
+            ``service_schedule`` shifts the cache state mid-trace this
+            way).  ``None`` entries — and an omitted argument — fall back
+            to the table's default model.
 
         Returns
         -------
@@ -813,7 +814,10 @@ class PathTable:
 
 
 def route_static(
-    table: PathTable, trace: LoadTrace, planning_qps: float | None = None
+    table: PathTable,
+    trace: LoadTrace,
+    planning_qps: float | None = None,
+    service_steps: Sequence[CachedServiceConfig | None] | None = None,
 ) -> RoutingResult:
     """Serve the whole trace on the single path provisioned offline.
 
@@ -832,6 +836,9 @@ def route_static(
         The load the static path is provisioned for (default: trace median).
         Must be strictly positive — it is an offered load the table is
         consulted at.
+    service_steps : sequence of CachedServiceConfig or None, optional
+        Per-step service-model overrides, passed to
+        :meth:`PathTable.evaluate_route`.
 
     Returns
     -------
@@ -850,14 +857,22 @@ def route_static(
             )
     index = table.best_path(provisioned)
     steps = [index] * trace.num_steps
-    return table.evaluate_route(trace, steps, [False] * trace.num_steps, policy="static")
+    return table.evaluate_route(
+        trace, steps, [False] * trace.num_steps, policy="static", service_steps=service_steps
+    )
 
 
-def route_oracle(table: PathTable, trace: LoadTrace) -> RoutingResult:
+def route_oracle(
+    table: PathTable,
+    trace: LoadTrace,
+    service_steps: Sequence[CachedServiceConfig | None] | None = None,
+) -> RoutingResult:
     """Serve the trace with clairvoyant per-step path selection.
 
     The oracle sees each step's true offered load before serving it and
     switches instantly and for free — the upper bound online policies chase.
+    It is clairvoyant about load only: its choices come from the table, so
+    ``service_steps`` overrides can cost it too.
 
     Parameters
     ----------
@@ -865,6 +880,9 @@ def route_oracle(table: PathTable, trace: LoadTrace) -> RoutingResult:
         The compiled routing table.
     trace : LoadTrace
         The load trace to serve.
+    service_steps : sequence of CachedServiceConfig or None, optional
+        Per-step service-model overrides, passed to
+        :meth:`PathTable.evaluate_route`.
 
     Returns
     -------
@@ -873,7 +891,9 @@ def route_oracle(table: PathTable, trace: LoadTrace) -> RoutingResult:
     """
     steps = [table.best_path(float(q)) for q in trace.qps]
     switches = [False] + [a != b for a, b in zip(steps, steps[1:])]
-    return table.evaluate_route(trace, steps, switches, policy="oracle")
+    return table.evaluate_route(
+        trace, steps, switches, policy="oracle", service_steps=service_steps
+    )
 
 
 @dataclass
@@ -1133,13 +1153,23 @@ class MultiPathRouter:
         """
         return self.decide_from_estimates(self.estimate_series(trace))
 
-    def route(self, trace: LoadTrace) -> RoutingResult:
+    def route(
+        self,
+        trace: LoadTrace,
+        service_steps: Sequence[CachedServiceConfig | None] | None = None,
+    ) -> RoutingResult:
         """Decide and simulate the whole trace online.
+
+        Decisions are load-driven only; ``service_steps`` changes what the
+        chosen paths pay, never which paths are chosen.
 
         Parameters
         ----------
         trace : LoadTrace
             The load trace to serve.
+        service_steps : sequence of CachedServiceConfig or None, optional
+            Per-step service-model overrides, passed to
+            :meth:`PathTable.evaluate_route`.
 
         Returns
         -------
@@ -1153,4 +1183,5 @@ class MultiPathRouter:
             switches,
             policy="online",
             switch_penalty_seconds=self.switch_penalty_seconds,
+            service_steps=service_steps,
         )

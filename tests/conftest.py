@@ -111,7 +111,9 @@ def compiled_table(criteo_workload) -> PathTable:
 
 @pytest.fixture(scope="session")
 def scenario_traces() -> list[LoadTrace]:
-    """The diurnal / spike / ramp traces the serving experiments replay."""
-    from repro.experiments.router_online import default_traces
+    """The diurnal / spike / ramp traces the packaged serving scenarios replay."""
+    from repro.scenarios import packaged_scenario
+    from repro.scenarios.runner import build_trace
 
-    return default_traces(seed=0)
+    params = packaged_scenario("router").expand()[0].params
+    return [build_trace(params, item, seed=0) for item in params["trace"]]

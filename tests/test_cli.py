@@ -8,6 +8,7 @@ from repro import cli
 from repro.experiments import artifacts
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import default_registry
+from repro.scenarios.runner import workload
 
 
 def _strip_wall_clock(payload: dict) -> dict:
@@ -246,18 +247,19 @@ class TestSweep:
         assert artifacts.load_manifest(tmp_path)["config"]["serve_k"] == 32
 
     def test_sweep_uses_dataset_embedding_tables(self):
-        _, _, criteo_tables, _ = cli._sweep_workload("criteo", 256)
-        _, _, ml_tables, _ = cli._sweep_workload("movielens-1m", 256)
+        _, _, criteo_tables = workload("criteo", 256)
+        _, _, ml_tables = workload("movielens-1m", 256)
         assert criteo_tables == 26
         assert ml_tables == 2
 
     def test_sweep_default_pool_fits_movielens_catalogue(self):
         # MovieLens-1M's catalogue is smaller than Criteo's 4096 default.
-        evaluator, _, _, pool = cli._sweep_workload("movielens-1m", None)
+        parse = cli.build_parser().parse_args
+        pool = cli._default_pool(parse(["sweep", "--dataset", "movielens-1m"]), criteo_pool=4096)
         assert pool == 1024
+        evaluator, _, _ = workload("movielens-1m", pool)
         assert evaluator.queries
-        _, _, _, criteo_pool = cli._sweep_workload("criteo", None)
-        assert criteo_pool == 4096
+        assert cli._default_pool(parse(["sweep"]), criteo_pool=4096) == 4096
 
     def test_saturated_rows_serialize_as_strict_json(self, tmp_path):
         result = ExperimentResult(name="sat")
@@ -410,17 +412,26 @@ class TestRoute:
         assert "tsunami" in capsys.readouterr().err
 
     def test_policy_defaults_come_from_the_router_dataclass(self):
-        # The dataclass is the single source of truth: the CLI defaults and
-        # the registry experiment's pinned knobs must agree with it.
-        from repro.experiments import router_online
+        # The dataclasses are the single source of truth: the CLI defaults
+        # and the scenario defaults every registry entry starts from must
+        # agree with them.
+        from repro.scenarios import BASE_DEFAULTS
+        from repro.serving.estimators import EWMA
+        from repro.serving.frontend import StreamingFrontend
         from repro.serving.router import MultiPathRouter
 
         args = cli.build_parser().parse_args(["route"])
         assert args.window == MultiPathRouter.window
         assert args.hysteresis == MultiPathRouter.hysteresis_steps
         assert args.switch_cost_ms == MultiPathRouter.switch_cost_seconds * 1e3
-        assert router_online.WINDOW == MultiPathRouter.window
-        assert router_online.HYSTERESIS_STEPS == MultiPathRouter.hysteresis_steps
+        assert BASE_DEFAULTS["window"] == MultiPathRouter.window
+        assert BASE_DEFAULTS["hysteresis"] == MultiPathRouter.hysteresis_steps
+        assert BASE_DEFAULTS["switch_penalty_ms"] == MultiPathRouter.switch_penalty_seconds * 1e3
+        assert BASE_DEFAULTS["switch_cost_ms"] == MultiPathRouter.switch_cost_seconds * 1e3
+        assert BASE_DEFAULTS["ewma_alpha"] == args.ewma_alpha == EWMA.alpha
+        for knob in ("window_seconds", "max_batch", "batching", "defer_windows"):
+            assert BASE_DEFAULTS[knob] == getattr(StreamingFrontend, knob)
+        assert BASE_DEFAULTS["arrival_process"] == StreamingFrontend.arrival_process
 
     def test_non_positive_planning_qps_is_a_clear_error(self, capsys):
         for value in ("0", "-250"):

@@ -112,6 +112,17 @@ class TestCompareRuns:
         (b / artifacts.MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
         assert NO_DIFFERENCES in compare_runs(a, b)
 
+    def test_process_count_is_not_a_difference(self, tmp_path):
+        # Outputs must not depend on --jobs, so a serial and a parallel run
+        # of the same command compare equal.
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_run(a)
+        write_run(b)
+        manifest = artifacts.load_manifest(b)
+        manifest["config"]["jobs"] = 2
+        (b / artifacts.MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        assert compare_runs(a, b).endswith(NO_DIFFERENCES + "\n")
+
 
 class TestCompareCli:
     def test_compare_writes_output_file(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
-    AnalyticSimulator,
     PipelinePlan,
     ServingSimulator,
     SimulationConfig,
@@ -151,11 +150,6 @@ class TestGridPath:
         for qps, from_grid in zip(qps_values, grid):
             single = ServingSimulator(plan, config).run(qps)
             assert from_grid == single
-
-    def test_analytic_simulator_matches_facade(self):
-        plan = self.plan()
-        config = SimulationConfig(num_queries=800, seed=3)
-        assert AnalyticSimulator(plan, config).run(500) == ServingSimulator(plan, config).run(500)
 
     def test_event_grid_agrees_with_analytic_grid(self):
         plan = self.plan()

@@ -1,34 +1,6 @@
-"""Tests for the deprecated legacy runner stub and result helpers."""
+"""Tests for the experiment result helpers."""
 
-import pytest
-
-from repro.experiments import runner
 from repro.experiments.common import ExperimentResult
-
-
-class TestDeprecatedRunnerStub:
-    def test_main_warns_and_prints_tables(self, capsys):
-        with pytest.warns(DeprecationWarning, match="recpipe run"):
-            assert runner.main(["--only", "fig11"]) == 0
-        out = capsys.readouterr().out
-        assert "fig11" in out
-        assert "TOTAL rpaccel" in out
-
-    def test_main_writes_output_file(self, tmp_path):
-        path = tmp_path / "report.txt"
-        with pytest.warns(DeprecationWarning):
-            assert runner.main(["--only", "fig11", "--output", str(path)]) == 0
-        assert "area" in path.read_text()
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
-            runner.main(["--only", "fig99"])
-
-    def test_legacy_dict_api_is_gone(self):
-        # The EXPERIMENTS mapping moved to the registry; the stub must not
-        # resurrect it (callers should use default_registry()).
-        assert not hasattr(runner, "EXPERIMENTS")
-        assert not hasattr(runner, "run_all")
 
 
 class TestExperimentResultHelpers:

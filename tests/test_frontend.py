@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.router_online import build_router
+from repro.scenarios import packaged_scenario, runner
 from repro.serving.frontend import (
     ARRIVAL_PROCESSES,
     QUERY_ADMITTED,
@@ -45,6 +45,14 @@ from tests.conftest import GRID, flat_trace, make_table
 from tests.frontend_reference import reference_schedule, reference_serve, reference_stream
 
 FRONTEND_ESTIMATORS = ("windowed", "ewma", "holt", "auto")
+
+#: The packaged ``frontend`` scenario: its router knobs and its table.
+FRONTEND_CELL = packaged_scenario("frontend").expand()[0]
+
+
+def build_router(table, estimator="windowed") -> MultiPathRouter:
+    """The ``frontend`` scenario's online policy, served from ``table``."""
+    return runner.build_router(table, FRONTEND_CELL.params, estimator)
 
 #: Decisions the frontend must reproduce from the per-query reference exactly.
 SCHEDULE_FIELDS = (
@@ -508,9 +516,7 @@ class TestDynamicBatching:
 @pytest.fixture(scope="module")
 def experiment_table():
     """The frontend experiment's own compiled table (saturates on-trace)."""
-    from repro.experiments.router_online import build_table
-
-    return build_table(seed=0)
+    return runner.compiled_table(FRONTEND_CELL.params, seed=0)
 
 
 class TestServe:

@@ -24,11 +24,11 @@ ALL_IDS = [
     "fig13",
     "fig14",
     "sweepmp",
+    # The packaged serving scenarios: one cell each, id = scenario name.
     "router",
     "frontend",
     "flashcrowd",
     "coldcache",
-    "bench-sim",
     "capacity",
     # The builtin "routergrid" scenario expands into one entry per cell.
     "routergrid-spike-windowed",
@@ -60,7 +60,7 @@ class TestDefaultRegistry:
     def test_covers_every_paper_artifact(self):
         registry = default_registry()
         assert registry.ids() == ALL_IDS
-        assert len(registry) == 22
+        assert len(registry) == 21
 
     def test_every_spec_has_metadata(self):
         for spec in default_registry():

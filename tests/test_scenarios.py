@@ -4,20 +4,22 @@ import json
 
 import pytest
 
+from repro.experiments import artifacts
 from repro.experiments.registry import ExperimentRegistry, ExperimentSpec, default_registry
 from repro.scenarios import (
     AXES,
     BASE_DEFAULTS,
     ScenarioConfig,
     ScenarioError,
-    builtin_scenario,
     load_scenario,
+    packaged_scenario,
     register_scenario,
     run_cell,
     scenario_from_mapping,
     scenario_specs,
 )
 from repro.scenarios.config import parse_mix
+from repro.scenarios.runner import _compiled_table, build_trace
 
 CHEAP_BASE = {
     "platforms": "cpu",
@@ -78,7 +80,6 @@ class TestScenarioConfig:
             (lambda d: d.update(axes={"estimator": []}), "no values"),
             (lambda d: d.update(axes={"estimator": ["holt", "holt"]}), "repeats a value"),
             (lambda d: d.update(axes={"estimator": ["psychic"]}), "psychic"),
-            (lambda d: d.update(axes={}), "declares no axes"),
             (lambda d: d.update(extra_section={}), "extra_section"),
             (lambda d: d["scenario"].pop("name"), "name"),
         ],
@@ -97,9 +98,76 @@ class TestScenarioConfig:
         config = scenario_from_mapping(cheap_mapping(axes={"estimator": "holt"}))
         assert [cell.id for cell in config.expand()] == ["t-holt"]
 
-    def test_axes_must_exist(self):
-        with pytest.raises(ScenarioError, match="declares no axes"):
-            ScenarioConfig(name="t", axes={})
+    def test_no_axes_expands_to_one_cell_named_after_the_scenario(self):
+        data = cheap_mapping()
+        data.pop("axes")
+        (cell,) = scenario_from_mapping(data).expand()
+        assert cell.id == "t"
+        assert cell.axes == {} and cell.label == ""
+        assert cell.params["pool"] == 256
+        [spec] = scenario_specs(scenario_from_mapping(data))
+        assert spec.id == "t" and spec.title == "Scenario t"
+
+    def test_trace_list_with_per_item_overrides(self):
+        data = cheap_mapping()
+        data.pop("axes")
+        data["base"]["trace"] = [
+            {"name": "spike", "peak_qps": 3000.0},
+            {"name": "ramp", "steps": 8},
+        ]
+        (cell,) = scenario_from_mapping(data).expand()
+        spike, ramp = (build_trace(cell.params, item, seed=0) for item in cell.params["trace"])
+        assert spike.num_steps == CHEAP_BASE["steps"] and ramp.num_steps == 8
+        assert spike.qps.max() < 3000.0 * 1.2  # the override, not the 5500 default
+        assert ramp.qps[-1] > 4000.0  # the shared peak still applies to ramp
+        rows = run_cell(cell).rows
+        assert [row["trace"] for row in rows] == ["spike"] * 3 + ["ramp"] * 3
+
+    def test_estimator_list_runs_every_estimator_in_one_cell(self):
+        data = cheap_mapping()
+        data.pop("axes")
+        data["base"]["estimator"] = ["windowed", "holt"]
+        (cell,) = scenario_from_mapping(data).expand()
+        result = run_cell(cell)
+        assert [row["policy"] for row in result.rows] == ["static", "oracle", "online", "online"]
+        assert [row["estimator"] for row in result.rows][2:] == ["windowed", "holt"]
+        assert "scenario" not in result.rows[0]  # a one-cell scenario has no axes to record
+        assert any("spike [holt]" in note for note in result.notes)
+
+    @pytest.mark.parametrize(
+        "base, match",
+        [
+            ({"service_schedule": {"start": 4, "shift_items": 10, "rewarm_steps": 0}}, "cached"),
+            (
+                {
+                    "service_model": "cached",
+                    "mode": "per-query",
+                    "service_schedule": {"start": 4, "shift_items": 10, "rewarm_steps": 0},
+                },
+                "per-step",
+            ),
+            (
+                {
+                    "service_model": "cached",
+                    "nodes": "2xcpu",
+                    "service_schedule": {"start": 4, "shift_items": 10, "rewarm_steps": 0},
+                },
+                "nodes",
+            ),
+            ({"service_model": "cached", "service_schedule": {"start": 4}}, "keys"),
+            ({"trace": [{"name": "spike", "spike_start": 3}]}, "spike_start"),
+            ({"mode": "per-batch"}, "per-batch"),
+        ],
+    )
+    def test_rejected_base_exits_2(self, tmp_path, capsys, base, match):
+        from repro.cli import main
+
+        data = cheap_mapping()
+        data["base"].update(base)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--scenario", str(path), "--quiet"]) == 2
+        assert match in capsys.readouterr().err
 
 
 class TestMixParsing:
@@ -204,16 +272,48 @@ class TestScenarioSpecs:
 
 class TestBuiltinScenario:
     def test_builtin_expands_into_the_default_registry(self):
-        config = builtin_scenario()
+        config = packaged_scenario("builtin")
         assert config.name == "routergrid"
         registry = default_registry()
         for cell in config.expand():
             assert cell.id in registry
 
     def test_builtin_axes(self):
-        config = builtin_scenario()
+        config = packaged_scenario("builtin")
         assert set(config.axes) == {"trace", "estimator"}
         assert len(config.expand()) == 4
+
+
+def _policy_rows(exp_id: str) -> dict:
+    rows = default_registry().get(exp_id).execute(seed=0).rows
+    return {row["policy"]: row for row in rows}
+
+
+class TestCacheScenarios:
+    """The packaged flashcrowd and coldcache entries, asserted from rows."""
+
+    @pytest.mark.parametrize("exp_id", ["flashcrowd", "coldcache"])
+    def test_online_beats_static_on_violations(self, exp_id):
+        rows = _policy_rows(exp_id)
+        assert rows["online"]["sla_violation_rate"] < rows["static"]["sla_violation_rate"]
+
+    def test_coldcache_payload_is_independent_of_run_order_and_jobs(self, tmp_path):
+        from repro.cli import main
+
+        def coldcache_payload(name, only, jobs="1", fresh=True):
+            if fresh:
+                _compiled_table.cache_clear()
+            out = tmp_path / name
+            args = ["run", "--only", only, "--jobs", jobs, "--output-dir", str(out), "--quiet"]
+            assert main(args) == 0
+            payload = artifacts.load_result_json(out / "coldcache.json")
+            return {key: payload[key] for key in ("rows", "notes")}
+
+        alone = coldcache_payload("alone", "coldcache")
+        assert any(note.startswith("hit rate [shift=0, warm=0.00]") for note in alone["notes"])
+        assert coldcache_payload("after-flashcrowd", "flashcrowd,coldcache") == alone
+        assert coldcache_payload("jobs", "flashcrowd,coldcache", jobs="2") == alone
+        assert coldcache_payload("warm-memo", "coldcache", fresh=False) == alone
 
 
 class TestScenarioCli:
