@@ -39,6 +39,7 @@ markdown`` emits the registry table embedded in ``docs/experiments.md``
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -881,8 +882,14 @@ def cmd_route(args: argparse.Namespace) -> int:
             f"unknown --service-model {args.service_model!r}; "
             f"expected one of {sorted(SERVICE_MODELS)}"
         )
-    if args.window_seconds is not None and args.window_seconds <= 0:
-        raise ValueError(f"--window-seconds must be positive, got {args.window_seconds}")
+    if args.window_seconds is not None and not (
+        math.isfinite(args.window_seconds) and args.window_seconds > 0
+    ):
+        raise ValueError(
+            f"--window-seconds must be positive and finite, got {args.window_seconds}"
+        )
+    if not 0.0 < args.ewma_alpha <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"--ewma-alpha must lie in (0, 1], got {args.ewma_alpha}")
     if args.no_batching and args.max_batch is not None:
         raise ValueError(
             "--no-batching pins every batch to size 1 and conflicts with "

@@ -10,6 +10,7 @@ and converts configurations into the quality simulator's funnel description.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -65,7 +66,7 @@ class PipelineConfig:
         """Number of stages in the funnel."""
         return len(self.stages)
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Canonical label, e.g. ``RMsmall@4096 -> RMlarge@512``."""
         return " -> ".join(f"{s.model.name}@{s.num_items}" for s in self.stages)

@@ -37,6 +37,7 @@ serializes to plain rows for the CLI's JSON/CSV artifacts.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -116,13 +117,15 @@ class SweepConfig:
         unknown = [p for p in self.platforms if p not in PLATFORMS]
         if unknown:
             raise ValueError(f"unknown platforms {unknown}; expected a subset of {PLATFORMS}")
-        if not self.qps or any(q <= 0 for q in self.qps):
-            raise ValueError(f"qps points must be positive, got {self.qps}")
+        if not self.qps or not all(math.isfinite(q) and q > 0 for q in self.qps):
+            raise ValueError(f"qps points must be positive and finite, got {self.qps}")
         # Dedup like platforms: a repeated load would double-count every
         # pipeline in its (platform, qps) cell when columns are transposed.
         object.__setattr__(self, "qps", tuple(dict.fromkeys(self.qps)))
-        if self.sla_ms <= 0:
-            raise ValueError("sla_ms must be positive")
+        if not (math.isfinite(self.sla_ms) and self.sla_ms > 0):
+            raise ValueError(f"sla_ms must be positive and finite, got {self.sla_ms}")
+        if self.quality_target is not None and not math.isfinite(self.quality_target):
+            raise ValueError(f"quality_target must be finite, got {self.quality_target}")
         if self.max_stages <= 0:
             raise ValueError("max_stages must be positive")
         if self.engine not in ENGINES:

@@ -39,20 +39,23 @@ MANIFEST_SCHEMA_VERSION = 2
 
 def _json_default(value):
     """Coerce numpy scalars/arrays so every row serializes cleanly."""
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _sanitize(value.tolist())
     return str(value)
 
 
 def _sanitize(value):
     """Replace non-finite floats with None so the output is strict RFC 8259
     JSON (json.dump would otherwise emit the bare ``Infinity``/``NaN``
-    literals, which jq/JavaScript and other non-Python consumers reject)."""
-    if isinstance(value, float) and not math.isfinite(value):
+    literals, which jq/JavaScript and other non-Python consumers reject).
+    NumPy floating scalars (``np.float32`` is no ``float``) get the same check."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
@@ -109,16 +112,14 @@ def load_result_json(path: Path) -> dict:
 
 def write_result_csv(path: Path, result: ExperimentResult) -> None:
     """Rows as CSV; the header is the union of row keys in first-seen order."""
-    fieldnames: list[str] = []
-    for row in result.rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = list(dict.fromkeys(key for row in result.rows for key in row))
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+        writer = csv.writer(handle)
+        writer.writerow(fieldnames)
+        writer.writerows(
+            [_csv_cell(row[key]) if key in row else "" for key in fieldnames]
+            for row in result.rows
+        )
 
 
 def read_csv_rows(path: Path) -> list[dict[str, str]]:

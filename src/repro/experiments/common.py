@@ -53,12 +53,13 @@ class ExperimentResult:
         if not self.rows:
             return f"== {self.name} ==\n(no rows)"
         keys = list(self.rows[0].keys())
-        widths = {k: max(len(k), *(len(_fmt(row.get(k))) for row in self.rows)) for k in keys}
-        header = " | ".join(k.ljust(widths[k]) for k in keys)
-        sep = "-+-".join("-" * widths[k] for k in keys)
+        cells = [[_fmt(row.get(k)) for k in keys] for row in self.rows]
+        widths = [max(len(k), *(len(line[i]) for line in cells)) for i, k in enumerate(keys)]
+        header = " | ".join(k.ljust(width) for k, width in zip(keys, widths))
+        sep = "-+-".join("-" * width for width in widths)
         lines = [f"== {self.name} ==", header, sep]
-        for row in self.rows:
-            lines.append(" | ".join(_fmt(row.get(k)).ljust(widths[k]) for k in keys))
+        for line in cells:
+            lines.append(" | ".join(cell.ljust(width) for cell, width in zip(line, widths)))
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.serving.metrics import LatencyReport, makespan_seconds
+from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import CachedServiceConfig, sampled_service
 
@@ -174,22 +174,24 @@ def arrivals_at_qps(unit: np.ndarray, qps: float) -> np.ndarray:
     return np.cumsum(unit * (1.0 / qps))
 
 
-def build_report(
+def build_reports(
     plan: PipelinePlan,
     config: SimulationConfig,
-    qps: float,
+    qps_values: Sequence[float],
     arrivals: np.ndarray,
     latencies: np.ndarray,
-) -> LatencyReport:
-    """Summarize one simulated column after dropping the warmup window."""
-    kept = latencies[config.warmup_queries :]
-    kept_arrivals = arrivals[config.warmup_queries :]
-    saturated = plan.utilization(qps) >= config.saturation_utilization
+) -> list[LatencyReport]:
+    """Summarize simulated ``(loads, queries)`` columns after dropping the warmup window.
+
+    Row ``i`` of ``arrivals`` and ``latencies`` was simulated at
+    ``qps_values[i]``; one :class:`LatencyReport` per row comes back.
+    """
+    warmup = config.warmup_queries
     return LatencyReport.from_latencies(
-        kept,
-        offered_qps=qps,
-        makespan_seconds=makespan_seconds(kept_arrivals, kept),
-        saturated=saturated,
+        latencies[:, warmup:],
+        arrivals[:, warmup:],
+        offered_qps=qps_values,
+        saturated=[plan.utilization(qps) >= config.saturation_utilization for qps in qps_values],
     )
 
 
@@ -367,6 +369,4 @@ def simulate_grid(
     scales = 1.0 / np.asarray(qps_list, dtype=np.float64)
     arrivals = np.cumsum(unit[None, :] * scales[:, None], axis=1)
     latencies = analytic_latencies(plan, arrivals, service=service)
-    return [
-        build_report(plan, cfg, qps, arrivals[i], latencies[i]) for i, qps in enumerate(qps_list)
-    ]
+    return build_reports(plan, cfg, qps_list, arrivals, latencies)

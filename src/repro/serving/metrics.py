@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -89,26 +90,45 @@ class LatencyReport:
     def from_latencies(
         cls,
         latencies: np.ndarray,
-        offered_qps: float,
-        makespan_seconds: float,
-        saturated: bool,
-    ) -> "LatencyReport":
-        """Summarize a latency sample into percentile and throughput fields."""
+        arrivals: np.ndarray,
+        offered_qps: Sequence[float],
+        saturated: Sequence[bool],
+    ) -> list["LatencyReport"]:
+        """One report per load from its kept ``(loads, queries)`` samples.
+
+        Row ``i`` of ``latencies`` and ``arrivals`` is the post-warmup window
+        simulated at ``offered_qps[i]``.  All loads are summarized with one
+        batched percentile call and axis-1 reductions, each value equal to
+        what the same statistic of the row alone would give; the makespan
+        of a row is :func:`makespan_seconds` of that row.
+        """
         latencies = np.asarray(latencies, dtype=np.float64)
-        if latencies.size == 0:
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        if latencies.ndim != 2 or arrivals.shape != latencies.shape:
+            raise ValueError("latencies and arrivals must be aligned (loads, queries) matrices")
+        loads, num_queries = latencies.shape
+        if len(offered_qps) != loads or len(saturated) != loads:
+            raise ValueError("need one offered_qps and one saturated flag per load")
+        if num_queries == 0:
             raise ValueError("cannot build a report from zero completed queries")
-        achieved = latencies.size / makespan_seconds if makespan_seconds > 0 else 0.0
-        return cls(
-            offered_qps=offered_qps,
-            achieved_qps=achieved,
-            num_queries=int(latencies.size),
-            mean_latency=float(latencies.mean()),
-            p50_latency=percentile(latencies, 50),
-            p95_latency=percentile(latencies, 95),
-            p99_latency=percentile(latencies, 99),
-            max_latency=float(latencies.max()),
-            saturated=saturated,
-        )
+        p50, p95, p99 = np.percentile(latencies, (50, 95, 99), axis=1).tolist()
+        spans = (np.max(arrivals + latencies, axis=1) - arrivals[:, 0]).tolist()
+        means = latencies.mean(axis=1).tolist()
+        peaks = latencies.max(axis=1).tolist()
+        return [
+            cls(
+                offered_qps=offered_qps[i],
+                achieved_qps=num_queries / spans[i] if spans[i] > 0 else 0.0,
+                num_queries=num_queries,
+                mean_latency=means[i],
+                p50_latency=p50[i],
+                p95_latency=p95[i],
+                p99_latency=p99[i],
+                max_latency=peaks[i],
+                saturated=saturated[i],
+            )
+            for i in range(loads)
+        ]
 
     def meets_sla(self, sla_seconds: float) -> bool:
         """Whether p99 latency is within the SLA and the system kept up."""

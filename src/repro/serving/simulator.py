@@ -34,7 +34,7 @@ from repro.serving.engine import (
     SimulationConfig,
     analytic_latencies,
     arrivals_at_qps,
-    build_report,
+    build_reports,
     draw_unit_arrivals,
     event_latencies,
     service_seed,
@@ -81,7 +81,7 @@ class ServingSimulator:
         unit = draw_unit_arrivals(cfg.num_queries, effective_seed)
         arrivals = arrivals_at_qps(unit, qps)
         latencies = self._latencies(arrivals, self._service(effective_seed))
-        return build_report(self.plan, cfg, qps, arrivals, latencies)
+        return build_reports(self.plan, cfg, [qps], arrivals[None, :], latencies[None, :])[0]
 
     def run_grid(self, qps_values: Sequence[float], seed=None) -> list[LatencyReport]:
         """One report per load in ``qps_values`` from a single arrival draw.
@@ -93,17 +93,15 @@ class ServingSimulator:
         cfg = self.config
         if cfg.engine == "analytic":
             return simulate_grid(self.plan, qps_values, cfg, seed=seed)
+        qps_list = [float(qps) for qps in qps_values]
+        if not qps_list:
+            return []
         effective_seed = cfg.seed if seed is None else seed
         unit = draw_unit_arrivals(cfg.num_queries, effective_seed)
         service = self._service(effective_seed)
-        reports = []
-        for qps in qps_values:
-            qps = float(qps)
-            arrivals = arrivals_at_qps(unit, qps)
-            reports.append(
-                build_report(self.plan, cfg, qps, arrivals, self._latencies(arrivals, service))
-            )
-        return reports
+        arrivals = np.stack([arrivals_at_qps(unit, qps) for qps in qps_list])
+        latencies = np.stack([self._latencies(row, service) for row in arrivals])
+        return build_reports(self.plan, cfg, qps_list, arrivals, latencies)
 
     def max_sustainable_qps(
         self,
@@ -128,7 +126,8 @@ class ServingSimulator:
         def probe(qps: float) -> LatencyReport:
             """One binary-search probe sharing the outer arrival + service draws."""
             arrivals = arrivals_at_qps(unit, qps)
-            return build_report(self.plan, cfg, qps, arrivals, self._latencies(arrivals, service))
+            latencies = self._latencies(arrivals, service)
+            return build_reports(self.plan, cfg, [qps], arrivals[None, :], latencies[None, :])[0]
 
         capacity = self.plan.throughput_capacity()
         if qps_upper is None:

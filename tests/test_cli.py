@@ -237,6 +237,22 @@ class TestSweep:
         assert cli.main(["sweep", "--qps", "abc"]) == 2
         assert "--qps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--qps", "100,nan"),
+            ("--qps", "inf"),
+            ("--sla-ms", "nan"),
+            ("--sla-ms", "inf"),
+            ("--quality-target", "nan"),
+        ],
+    )
+    def test_sweep_rejects_non_finite_values(self, flags, capsys):
+        # NaN fails every comparison, so a bare `<= 0` check let it through
+        # into the manifest and every row of its column as `null`.
+        assert cli.main(["sweep", *flags]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_sweep_rejects_fractional_item_grid(self, capsys):
         assert cli.main(["sweep", "--first-stage-items", "2048.9,4096"]) == 2
         assert "--first-stage-items" in capsys.readouterr().err
@@ -339,6 +355,23 @@ class TestMergeJsonSection:
         path = tmp_path / "BENCH.json"
         artifacts.merge_json_section(path, "a", {"bad": float("inf"), "ok": 1.5})
         assert json.loads(path.read_text()) == {"a": {"bad": None, "ok": 1.5}}
+
+    def test_numpy_scalars_in_artifact_rows(self, tmp_path):
+        import numpy as np
+
+        # np.bool_ used to be written as the string "True", and a non-finite
+        # np.float32 (no float subclass) made json.dump raise.
+        result = ExperimentResult(name="np")
+        result.add(
+            flag=np.bool_(True),
+            bad=np.float32("inf"),
+            nan=np.float32("nan"),
+            ok=np.float32(0.5),
+            arr=np.array([1.0, np.inf]),
+        )
+        artifacts.write_experiment_artifacts(tmp_path, {"id": "np"}, result)
+        row = json.loads((tmp_path / "np.json").read_text())["rows"][0]
+        assert row == {"flag": True, "bad": None, "nan": None, "ok": 0.5, "arr": [1.0, None]}
 
 
 class TestListMarkdown:
@@ -483,6 +516,13 @@ class TestRoute:
         for value in ("0", "-2.5"):
             assert cli.main(self.ROUTE_ARGS + ["--window-seconds", value]) == 2
             assert "--window-seconds must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--window-seconds", "--ewma-alpha"])
+    def test_non_finite_route_knobs_are_errors(self, flag, capsys):
+        # Rejected whatever the estimator, before the table compile.
+        for value in ("nan", "inf"):
+            assert cli.main(self.ROUTE_ARGS + [flag, value]) == 2
+            assert f"{flag} must" in capsys.readouterr().err
 
     def test_no_batching_conflicts_with_explicit_max_batch(self, capsys):
         args = self.ROUTE_ARGS + ["--no-batching", "--max-batch", "8"]

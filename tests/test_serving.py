@@ -184,9 +184,13 @@ class TestMetrics:
             percentile(np.array([]), 50)
 
     def test_report_from_latencies(self):
-        report = LatencyReport.from_latencies(
-            np.array([1e-3] * 100), offered_qps=10, makespan_seconds=10.0, saturated=False
+        # 100 queries whose last completion lands 10 s after the first arrival.
+        arrivals = np.linspace(0.0, 10.0 - 1e-3, 100)
+        (report,) = LatencyReport.from_latencies(
+            np.full((1, 100), 1e-3), arrivals[None, :], offered_qps=[10], saturated=[False]
         )
+        assert report.offered_qps == 10
+        assert report.num_queries == 100
         assert report.achieved_qps == pytest.approx(10.0)
         assert report.meets_sla(2e-3)
         assert not report.meets_sla(0.5e-3)

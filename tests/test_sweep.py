@@ -1,12 +1,29 @@
-"""Tests for multi-platform design-space sweeps (``repro.core.sweep``)."""
+"""Tests for multi-platform design-space sweeps (``repro.core.sweep``).
 
+The reference-equivalence suite (hypothesis) requires the sweep's
+bookkeeping -- column-batched latency reports, the vectorised Pareto
+frontier and the list-row CSV writer -- to reproduce the per-item forms
+kept in ``tests/sweep_reference.py`` exactly.
+"""
+
+import dataclasses
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import pareto
 from repro.core.pipeline import enumerate_pipelines
 from repro.core.sweep import PLATFORMS, SweepConfig, column_seeds, run_sweep
 from repro.data import CriteoConfig, CriteoSynthetic
+from repro.experiments.artifacts import write_result_csv
+from repro.experiments.common import ExperimentResult
 from repro.models.zoo import criteo_model_specs
 from repro.quality import QualityEvaluator
+from repro.serving.metrics import LatencyReport
+from tests.sweep_reference import reference_csv, reference_pareto_frontier, reference_report
 
 
 class CountingEvaluator(QualityEvaluator):
@@ -281,3 +298,92 @@ class TestParallelSweep:
         outcome = run_sweep(evaluator, criteo_model_specs(), config, jobs=2)
         # Workers receive the memo; only the parent evaluates quality.
         assert evaluator.calls == len(outcome.pipelines)
+
+
+# --------------------------------------------------------------------------- #
+# Reference equivalence
+# --------------------------------------------------------------------------- #
+def _bits(report: LatencyReport) -> str:
+    # repr round-trips floats exactly and tells 10 from 10.0 and -0.0 from 0.0.
+    return repr(dataclasses.astuple(report))
+
+
+@st.composite
+def latency_columns(draw):
+    """Simulated-looking ``(loads, queries)`` latency and arrival matrices."""
+    loads = draw(st.integers(min_value=1, max_value=5))
+    queries = draw(st.integers(min_value=1, max_value=3000))
+    warmup = draw(st.integers(min_value=0, max_value=queries - 1))
+    scale = 10.0 ** draw(st.floats(min_value=-6.0, max_value=2.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    latencies = rng.exponential(scale, (loads, queries))
+    if draw(st.booleans()):  # coarse grid: many tied latencies
+        latencies = np.round(latencies / scale, 1) * scale
+    arrivals = np.cumsum(rng.exponential(1.0 / draw(st.floats(1.0, 1e4)), (loads, queries)), axis=1)
+    return latencies, arrivals, warmup
+
+
+objective_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, -1.0, float("inf"), -float("inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def objective_sets(draw):
+    """Objective tuples with duplicates, ties, ±inf and NaN, plus minimize flags."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    distinct = draw(st.lists(st.tuples(*[objective_values] * width), min_size=1, max_size=12))
+    values = draw(st.lists(st.sampled_from(distinct), max_size=40))  # repeats = duplicates
+    minimize = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return values, minimize
+
+
+csv_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+)
+
+
+class TestReferenceEquivalence:
+    @given(latency_columns(), st.lists(st.booleans(), min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_column_reports_match_per_row_reports(self, columns, saturated):
+        latencies, arrivals, warmup = columns
+        kept, kept_arrivals = latencies[:, warmup:], arrivals[:, warmup:]
+        loads = kept.shape[0]
+        qps = [float(100 * (i + 1)) for i in range(loads)]
+        reports = LatencyReport.from_latencies(kept, kept_arrivals, qps, saturated[:loads])
+        expected = [
+            reference_report(kept[i], kept_arrivals[i], qps[i], saturated[i])
+            for i in range(loads)
+        ]
+        assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+
+    @given(objective_sets(), st.integers(min_value=1, max_value=64))
+    @example(([], [True]), 1)  # empty input
+    @settings(max_examples=200, deadline=None)
+    def test_frontier_matches_pairwise_loop(self, objective_set, block_elements):
+        values, minimize = objective_set
+        items = list(range(len(values)))  # ids make order and identity visible
+        # A small block forces several row blocks over the same input.
+        with mock.patch.object(pareto, "BLOCK_ELEMENTS", block_elements):
+            got = pareto.pareto_frontier(items, values.__getitem__, minimize)
+        assert got == reference_pareto_frontier(items, values.__getitem__, minimize)
+
+    @given(
+        st.lists(
+            st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), csv_values, max_size=4),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_csv_bytes_match_dict_writer(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        write_result_csv(path, ExperimentResult(name="rows", rows=rows))
+        assert path.read_bytes() == reference_csv(rows).encode("utf-8")
