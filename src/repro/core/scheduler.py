@@ -223,26 +223,6 @@ class RecPipeScheduler:
             for qps, sat in zip(qps_list, saturated)
         ]
 
-    def evaluate_many(
-        self,
-        pipelines: Sequence[PipelineConfig],
-        platform: str,
-        qps: float,
-        qualities: dict[str, float] | None = None,
-        **kwargs,
-    ) -> list[EvaluatedConfig]:
-        """Evaluate every pipeline on one platform at one load.
-
-        ``qualities`` maps pipeline names to precomputed quality scores
-        (:meth:`quality_map`); pipelines missing from the map fall back to
-        the evaluator.
-        """
-        qualities = qualities or {}
-        return [
-            self.evaluate(p, platform, qps, quality=qualities.get(p.name), **kwargs)
-            for p in pipelines
-        ]
-
     def quality_map(
         self, pipelines: Sequence[PipelineConfig], sub_batches: int = 1
     ) -> dict[str, float]:

@@ -262,8 +262,49 @@ def write_manifest(
     return path
 
 
+def _manifest_problem(manifest) -> str | None:
+    """The first schema v1/v2 violation of a parsed manifest (None: valid)."""
+    if not isinstance(manifest, dict):
+        return f"a manifest must be a JSON object, got {type(manifest).__name__}"
+    if not isinstance(manifest.get("command"), str):
+        return "'command' must be a string"
+    if not isinstance(manifest.get("config"), dict):
+        return "'config' must be an object"
+    experiments = manifest.get("experiments")
+    if not isinstance(experiments, list):
+        return "'experiments' must be a list"
+    for index, entry in enumerate(experiments):
+        if not isinstance(entry, dict):
+            return f"'experiments[{index}]' must be an object"
+        for key in ("id", "json", "csv"):
+            if not isinstance(entry.get(key), str):
+                return f"'experiments[{index}].{key}' must be a string"
+    seed = manifest.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        return "'seed' must be an integer or null"
+    if not isinstance(manifest.get("resolved", {}), dict):
+        return "'resolved' must be an object"
+    version = manifest.get("schema_version", 1)
+    if isinstance(version, bool) or version not in (1, MANIFEST_SCHEMA_VERSION):
+        return f"'schema_version' must be 1 or {MANIFEST_SCHEMA_VERSION}, got {version!r}"
+    return None
+
+
 def load_manifest(output_dir: Path) -> dict:
-    return _load_json(Path(output_dir) / MANIFEST_NAME)
+    """Read ``manifest.json`` and check it against schema v1/v2.
+
+    Raises ``FileNotFoundError`` when the file is missing and ``ValueError``
+    naming the file (and the field) when it is not JSON or breaks the schema.
+    """
+    path = Path(output_dir) / MANIFEST_NAME
+    try:
+        manifest = _load_json(path)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: invalid JSON: {error}") from None
+    problem = _manifest_problem(manifest)
+    if problem:
+        raise ValueError(f"{path}: {problem}")
+    return manifest
 
 
 def manifest_schema_version(manifest: Mapping) -> int:

@@ -68,6 +68,8 @@ BASE_FRACTION = 0.1
 PLATFORMS = ("cpu", "baseline-accel", "rpaccel")
 #: Largest fleet the planner considers.
 MAX_NODES = 4
+#: Embedding sharding strategies: greedy table-wise bin-packing or row-wise hash.
+STRATEGIES = ("tablewise", "rowwise")
 #: Embedding-tier scale-up over RMlarge's reference storage (fleet tables).
 EMBEDDING_SCALE = 3.0
 #: Logical embedding tables the model shards.
@@ -155,7 +157,7 @@ class CapacityConfig:
             raise ValueError("at least one platform is required")
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.strategy not in ("tablewise", "rowwise"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown sharding strategy {self.strategy!r}")
 
     @property

@@ -62,21 +62,6 @@ class ModelCost:
         """Bytes of embedding data fetched per item at fp32."""
         return self.embedding_lookups_per_item * self.embedding_dim * FP32_BYTES
 
-    @property
-    def mlp_weight_bytes(self) -> int:
-        """Bytes of MLP weights that must be resident to run the model."""
-        return self.mlp_parameters * FP32_BYTES
-
-    @property
-    def instantiated_embedding_bytes(self) -> int:
-        """Embedding storage of the scaled-down model built in this repo."""
-        return self.embedding_rows * self.embedding_dim * FP32_BYTES
-
-    @property
-    def activation_bytes_per_item(self) -> int:
-        """Approximate activation traffic per item (input + interaction)."""
-        return (self.embedding_lookups_per_item + 2) * self.embedding_dim * FP32_BYTES
-
     def scaled(self, embedding_scale: float = 1.0, name: str | None = None) -> "ModelCost":
         """Return a copy with the paper-scale embedding storage scaled.
 

@@ -30,11 +30,10 @@ over that many steps.
 
 TOML files need :mod:`tomllib` (Python 3.11+); JSON always works, which
 is why the packaged builtin scenario and the CI smoke config are JSON.
-Axis values are validated eagerly against the serving vocabularies
-(:data:`~repro.serving.trace.TRACES`,
-:data:`~repro.serving.estimators.ESTIMATORS`,
-:data:`~repro.serving.service_times.SERVICE_MODELS`, the sweepable
-platforms) so a typo fails at load time, not minutes into a run.
+Every ``base`` value, axis value and trace-item override is typed and
+range-checked at load time against its :mod:`repro.scenarios.knobs` record
+(vocabularies included), so a typo fails at load time, not minutes into a
+run.
 """
 
 from __future__ import annotations
@@ -47,17 +46,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from repro.core.sweep import PLATFORMS
-from repro.serving.estimators import ESTIMATORS, EWMA
-from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend
-from repro.serving.router import MultiPathRouter
-from repro.serving.service_times import SERVICE_MODELS
-from repro.serving.trace import TRACES
-
-
-class ScenarioError(ValueError):
-    """Raised when a scenario file or mapping is malformed."""
-
+from repro.scenarios.knobs import (
+    ESTIMATOR_LIST,
+    KNOBS,
+    SCENARIO_KNOBS,
+    TRACE_LIST,
+    ScenarioError,
+    coerce,
+)
 
 #: The swept dimensions a scenario grid may declare, in canonical cell-id
 #: order.  ``trace``/``estimator``/``service_model`` select serving policy
@@ -66,68 +62,15 @@ class ScenarioError(ValueError):
 #: ``+``-joined or ``NxPLATFORM`` node-platform multiset).
 AXES = ("trace", "estimator", "service_model", "platforms", "nodes")
 
-#: Datasets a scenario may target (mirrors ``recpipe sweep --dataset``).
-DATASETS = ("criteo", "movielens-1m", "movielens-20m")
-
-#: Serving modes: one decision per trace step (the step router) or the
-#: per-query streaming frontend.
-MODES = ("per-step", "per-query")
-
-#: Trace-shape parameters a ``trace`` item may override for its own trace.
-TRACE_SHAPE = ("steps", "step_seconds", "base_qps", "peak_qps", "noise")
-
-#: Keys of a ``service_schedule`` table.
-SCHEDULE_KEYS = ("start", "shift_items", "rewarm_steps")
-
-#: Fully-resolved defaults every cell starts from.  Deliberately
-#: smoke-sized (small pool, short trace) so a scenario is cheap unless it
-#: asks for more; the keys double as the set of legal ``base`` overrides.
-#: Policy knobs mirror the ``recpipe route`` flags of the same name and
-#: default to the router, frontend and estimator dataclasses.
+#: Fully-resolved defaults every cell starts from, one per scenario knob.
+#: Deliberately smoke-sized (small pool, short trace) so a scenario is cheap
+#: unless it asks for more; the keys double as the set of legal ``base``
+#: overrides.
 BASE_DEFAULTS: Mapping[str, Any] = MappingProxyType(
-    {
-        "dataset": "criteo",
-        "platforms": "cpu+gpu-cpu",
-        "qps_grid": (100.0, 250.0, 1000.0, 2500.0, 4000.0, 5500.0, 6000.0),
-        "sla_ms": 25.0,
-        "quality_target": None,
-        "first_stage_items": (256,),
-        "later_stage_items": (128,),
-        "max_stages": 2,
-        "serve_k": 64,
-        "num_queries": 300,
-        "pool": 256,
-        "trace": "spike",
-        "steps": 40,
-        "step_seconds": 60.0,
-        "base_qps": 150.0,
-        "peak_qps": 5500.0,
-        "noise": 0.03,
-        "estimator": "windowed",
-        "window": MultiPathRouter.window,
-        "ewma_alpha": EWMA.alpha,
-        "hysteresis": MultiPathRouter.hysteresis_steps,
-        "switch_penalty_ms": MultiPathRouter.switch_penalty_seconds * 1e3,
-        "switch_cost_ms": MultiPathRouter.switch_cost_seconds * 1e3,
-        "planning_qps": None,
-        "service_model": "deterministic",
-        "service_schedule": None,
-        "mode": "per-step",
-        "window_seconds": StreamingFrontend.window_seconds,
-        "max_batch": StreamingFrontend.max_batch,
-        "batching": StreamingFrontend.batching,
-        "defer_windows": StreamingFrontend.defer_windows,
-        "arrival_process": StreamingFrontend.arrival_process,
-        "nodes": "1",
-        "budget_gb": 32.0,
-        "num_tables": 26,
-        "embedding_scale": 3.0,
-        "seed": 0,
-    }
+    {knob.name: knob.default for knob in SCENARIO_KNOBS}
 )
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
-_MIX_TERM_RE = re.compile(r"^(?:(\d+)x)?([a-z][a-z0-9-]*)$")
 
 
 def _slug(value: Any) -> str:
@@ -146,106 +89,6 @@ def _slug(value: Any) -> str:
     return re.sub(r"[^a-z0-9]+", "-", str(value).lower()).strip("-")
 
 
-def parse_mix(value: str) -> tuple[str, ...]:
-    """Expand a node-mix string into one platform name per node.
-
-    Parameters
-    ----------
-    value : str
-        ``+``-joined terms, each ``PLATFORM`` or ``NxPLATFORM``
-        (``"cpu+rpaccel"``, ``"2xcpu"``).
-
-    Returns
-    -------
-    tuple of str
-        One platform per node, in declaration order.
-
-    Raises
-    ------
-    ScenarioError
-        On an unparsable term or an unknown platform.
-    """
-    nodes: list[str] = []
-    for term in str(value).split("+"):
-        match = _MIX_TERM_RE.match(term.strip())
-        if not match:
-            raise ScenarioError(
-                f"bad node-mix term {term!r} in {value!r}; expected PLATFORM or NxPLATFORM"
-            )
-        count, platform = match.groups()
-        if platform not in PLATFORMS:
-            raise ScenarioError(
-                f"unknown platform {platform!r} in node mix {value!r}; "
-                f"expected one of {sorted(PLATFORMS)}"
-            )
-        nodes.extend([platform] * (int(count) if count else 1))
-    if not nodes:
-        raise ScenarioError(f"node mix {value!r} declares no nodes")
-    return tuple(nodes)
-
-
-def listed(value: Any) -> tuple:
-    """A scalar-or-list parameter (``trace``, ``estimator``) as a tuple."""
-    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
-
-
-def _validate_axis(axis: str, value: Any) -> Any:
-    """Check one axis value against its vocabulary and normalize it.
-
-    Parameters
-    ----------
-    axis : str
-        One of :data:`AXES`.
-    value : Any
-        The declared value (a ``trace`` value may be a table of
-        :data:`TRACE_SHAPE` overrides with a ``name``).
-
-    Returns
-    -------
-    Any
-        The normalized value (strings throughout).
-
-    Raises
-    ------
-    ScenarioError
-        When the value is outside the axis vocabulary.
-    """
-    if axis == "trace":
-        item = value if isinstance(value, Mapping) else {"name": value}
-        if not isinstance(item.get("name"), str) or item["name"] not in TRACES:
-            raise ScenarioError(
-                f"unknown trace {item.get('name')!r}; expected one of {sorted(TRACES)}"
-            )
-        unknown = sorted(set(item) - {"name", *TRACE_SHAPE})
-        if unknown:
-            raise ScenarioError(
-                f"unknown trace override keys {unknown} in {dict(item)}; "
-                f"expected a subset of {list(TRACE_SHAPE)}"
-            )
-    elif axis == "estimator":
-        if value not in ESTIMATORS:
-            raise ScenarioError(
-                f"unknown estimator {value!r}; expected one of {sorted(ESTIMATORS)}"
-            )
-    elif axis == "service_model":
-        if value not in SERVICE_MODELS:
-            raise ScenarioError(
-                f"unknown service model {value!r}; expected one of {sorted(SERVICE_MODELS)}"
-            )
-    elif axis == "platforms":
-        for platform in str(value).split("+"):
-            if platform not in PLATFORMS:
-                raise ScenarioError(
-                    f"unknown platform {platform!r} in {value!r}; "
-                    f"expected '+'-joined names from {sorted(PLATFORMS)}"
-                )
-    elif axis == "nodes":
-        if str(value) != "1":
-            parse_mix(str(value))
-        value = str(value)
-    return value
-
-
 def _validate_schedule(params: Mapping[str, Any]) -> None:
     """Reject a ``service_schedule`` the runner cannot honour for these params.
 
@@ -257,17 +100,11 @@ def _validate_schedule(params: Mapping[str, Any]) -> None:
     Raises
     ------
     ScenarioError
-        When the schedule is malformed, or set on a cell that is not a
-        single-node, per-step cell under the cached service model.
+        When the schedule is set on a cell that is not a single-node,
+        per-step cell under the cached service model.
     """
-    schedule = params["service_schedule"]
-    if schedule is None:
+    if params["service_schedule"] is None:
         return
-    if not isinstance(schedule, Mapping) or set(schedule) != set(SCHEDULE_KEYS):
-        raise ScenarioError(
-            f"service_schedule must be null or a table with keys {list(SCHEDULE_KEYS)}, "
-            f"got {schedule!r}"
-        )
     if params["service_model"] != "cached":
         raise ScenarioError("service_schedule shifts the cache; it needs service_model cached")
     if params["mode"] != "per-step":
@@ -352,10 +189,8 @@ class ScenarioConfig:
                 f"unknown base parameters {unknown}; expected a subset of "
                 f"{sorted(BASE_DEFAULTS)}"
             )
-        if self.base.get("dataset", BASE_DEFAULTS["dataset"]) not in DATASETS:
-            raise ScenarioError(
-                f"unknown dataset {self.base['dataset']!r}; expected one of {sorted(DATASETS)}"
-            )
+        for key, value in self.base.items():
+            coerce(KNOBS[key], value)
         bad_axes = sorted(set(self.axes) - set(AXES))
         if bad_axes:
             raise ScenarioError(f"unknown axes {bad_axes}; supported axes: {list(AXES)}")
@@ -364,19 +199,11 @@ class ScenarioConfig:
                 raise ScenarioError(f"axis {axis!r} has no values")
             if len(set(map(str, values))) != len(values):
                 raise ScenarioError(f"axis {axis!r} repeats a value: {list(values)}")
+            # An axis value of a list knob is one item of its list.
+            knob = KNOBS[axis]
+            one_item = knob.type in (TRACE_LIST, ESTIMATOR_LIST)
             for value in values:
-                _validate_axis(axis, value)
-        for axis in ("trace", "estimator"):
-            for value in listed(self.base.get(axis, ())):
-                _validate_axis(axis, value)
-        for axis in ("service_model", "platforms", "nodes"):
-            if axis in self.base:
-                _validate_axis(axis, self.base[axis])
-        for key, vocabulary in (("mode", MODES), ("arrival_process", ARRIVAL_PROCESSES)):
-            if self.base.get(key, BASE_DEFAULTS[key]) not in vocabulary:
-                raise ScenarioError(
-                    f"unknown {key} {self.base[key]!r}; expected one of {list(vocabulary)}"
-                )
+                coerce(knob, (value,) if one_item else value)
         for cell in self.expand():
             _validate_schedule(cell.params)
 

@@ -40,14 +40,8 @@ from repro.experiments.common import (
     make_scheduler,
     movielens_quality_evaluator,
 )
-from repro.scenarios.config import (
-    TRACE_SHAPE,
-    ScenarioCell,
-    ScenarioConfig,
-    listed,
-    parse_mix,
-    scenario_from_mapping,
-)
+from repro.scenarios.config import ScenarioCell, ScenarioConfig, scenario_from_mapping
+from repro.scenarios.knobs import TRACE_SHAPE, listed, parse_mix
 from repro.serving.estimators import estimator_from_knobs
 from repro.serving.frontend import FrontendResult, FrontendSchedule, QueryStream, StreamingFrontend
 from repro.serving.router import (

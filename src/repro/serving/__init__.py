@@ -13,8 +13,8 @@ tail latency and sustained throughput.  This package provides
   ``event`` reference),
 * :mod:`repro.serving.engine` -- the closed-form kernel and the batched
   :func:`~repro.serving.engine.simulate_grid` entry point,
-* :class:`~repro.serving.metrics.LatencyReport` and helpers for percentiles
-  and sustained-throughput search,
+* :class:`~repro.serving.metrics.LatencyReport` -- the latency summary of
+  one simulated load,
 * :mod:`repro.serving.trace` / :mod:`repro.serving.estimators` /
   :mod:`repro.serving.router` -- the online serving layer: time-varying
   load traces (:func:`~repro.serving.trace.diurnal_trace`,
@@ -43,7 +43,7 @@ from repro.serving.estimators import (
     estimator_from_knobs,
     make_estimator,
 )
-from repro.serving.metrics import LatencyReport, makespan_seconds, percentile
+from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan, StageResource
 from repro.serving.router import (
     MultiPathRouter,
@@ -53,7 +53,7 @@ from repro.serving.router import (
     route_oracle,
     route_static,
 )
-from repro.serving.simulator import ServingSimulator, sweep_load
+from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import (
     TRACES,
     LoadTrace,
@@ -67,15 +67,12 @@ __all__ = [
     "StageResource",
     "PipelinePlan",
     "LatencyReport",
-    "percentile",
-    "makespan_seconds",
     "ServingSimulator",
     "SimulationConfig",
     "ENGINES",
     "analytic_latencies",
     "event_latencies",
     "simulate_grid",
-    "sweep_load",
     "LoadEstimator",
     "WindowedMean",
     "EWMA",

@@ -8,33 +8,6 @@ from typing import Sequence
 import numpy as np
 
 
-def makespan_seconds(arrivals: np.ndarray, latencies: np.ndarray) -> float:
-    """Span from the first arrival to the last *completion* of the window.
-
-    The last query to complete is not necessarily the last to arrive (a late
-    arrival can finish on an idle lane while an earlier one still queues), so
-    the span runs to ``max(arrival + latency)``, not to the final arrival's
-    completion.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    latencies = np.asarray(latencies, dtype=np.float64)
-    if arrivals.shape != latencies.shape:
-        raise ValueError("arrivals and latencies must align")
-    if arrivals.size == 0:
-        return 0.0
-    return float(np.max(arrivals + latencies) - arrivals[0])
-
-
-def percentile(latencies: np.ndarray, q: float) -> float:
-    """The ``q``-th percentile (0..100) of a latency sample."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must lie in [0, 100], got {q}")
-    latencies = np.asarray(latencies, dtype=np.float64)
-    if latencies.size == 0:
-        raise ValueError("cannot compute a percentile of an empty sample")
-    return float(np.percentile(latencies, q))
-
-
 def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     """The ``q``-th percentile (0..100) of ``values`` under sample ``weights``.
 
@@ -99,8 +72,10 @@ class LatencyReport:
         Row ``i`` of ``latencies`` and ``arrivals`` is the post-warmup window
         simulated at ``offered_qps[i]``.  All loads are summarized with one
         batched percentile call and axis-1 reductions, each value equal to
-        what the same statistic of the row alone would give; the makespan
-        of a row is :func:`makespan_seconds` of that row.
+        what the same statistic of the row alone would give.  A row's
+        makespan runs from its first arrival to its last *completion*,
+        ``max(arrival + latency)``: a late arrival can finish on an idle lane
+        while an earlier one still queues.
         """
         latencies = np.asarray(latencies, dtype=np.float64)
         arrivals = np.asarray(arrivals, dtype=np.float64)

@@ -44,7 +44,7 @@ from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import sampled_service
 
-__all__ = ["ServingSimulator", "SimulationConfig", "sweep_load"]
+__all__ = ["ServingSimulator", "SimulationConfig"]
 
 
 @dataclass
@@ -102,60 +102,3 @@ class ServingSimulator:
         arrivals = np.stack([arrivals_at_qps(unit, qps) for qps in qps_list])
         latencies = np.stack([self._latencies(row, service) for row in arrivals])
         return build_reports(self.plan, cfg, qps_list, arrivals, latencies)
-
-    def max_sustainable_qps(
-        self,
-        sla_seconds: float,
-        qps_lower: float = 1.0,
-        qps_upper: float | None = None,
-        tolerance: float = 0.02,
-    ) -> float:
-        """Largest QPS at which p99 latency stays within ``sla_seconds``.
-
-        Binary search between ``qps_lower`` and the bottleneck capacity of the
-        plan.  One arrival draw is shared across every probe (scaling a unit
-        draw reproduces the per-probe draw exactly).  Returns 0.0 when even
-        the lowest load misses the SLA.
-        """
-        if sla_seconds <= 0:
-            raise ValueError("sla_seconds must be positive")
-        cfg = self.config
-        unit = draw_unit_arrivals(cfg.num_queries, cfg.seed)
-        service = self._service(cfg.seed)
-
-        def probe(qps: float) -> LatencyReport:
-            """One binary-search probe sharing the outer arrival + service draws."""
-            arrivals = arrivals_at_qps(unit, qps)
-            latencies = self._latencies(arrivals, service)
-            return build_reports(self.plan, cfg, [qps], arrivals[None, :], latencies[None, :])[0]
-
-        capacity = self.plan.throughput_capacity()
-        if qps_upper is None:
-            qps_upper = capacity if capacity != float("inf") else 1e6
-        qps_upper = min(qps_upper, capacity * cfg.saturation_utilization)
-        if qps_upper <= qps_lower:
-            report = probe(max(qps_lower, 1e-6))
-            return qps_lower if report.meets_sla(sla_seconds) else 0.0
-        if not probe(qps_lower).meets_sla(sla_seconds):
-            return 0.0
-        lo, hi = qps_lower, qps_upper
-        while (hi - lo) / max(hi, 1e-9) > tolerance:
-            mid = 0.5 * (lo + hi)
-            if probe(mid).meets_sla(sla_seconds):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def sweep_load(
-    plan: PipelinePlan,
-    qps_values: Sequence[float],
-    config: SimulationConfig | None = None,
-) -> list[LatencyReport]:
-    """Simulate the plan at every offered load in ``qps_values``.
-
-    Routed through the batched grid path: one arrival draw for the whole
-    column, and (on the default analytic engine) one vectorized kernel call.
-    """
-    return ServingSimulator(plan, config or SimulationConfig()).run_grid(qps_values)

@@ -225,9 +225,10 @@ class TestSweep:
 
     def test_sweep_platform_all_expands(self):
         from repro.core.sweep import PLATFORMS
+        from repro.scenarios.knobs import KNOBS, coerce
 
-        assert cli._parse_platforms("all") == PLATFORMS
-        assert cli._parse_platforms("cpu, gpu") == ("cpu", "gpu")
+        assert coerce(KNOBS["platforms"], "all", cli=True) == PLATFORMS
+        assert coerce(KNOBS["platforms"], "cpu, gpu", cli=True) == ("cpu", "gpu")
 
     def test_sweep_rejects_unknown_platform(self, capsys):
         assert cli.main(["sweep", "--platform", "cpu,fpga"]) == 2
@@ -470,7 +471,7 @@ class TestRoute:
         for value in ("0", "-250"):
             assert cli.main(self.ROUTE_ARGS + ["--planning-qps", value]) == 2
             err = capsys.readouterr().err
-            assert "planning_qps must be positive" in err
+            assert "--planning-qps must be positive" in err
 
     def test_estimator_flag_round_trips_into_artifacts(self, tmp_path):
         out_dir = tmp_path / "route"

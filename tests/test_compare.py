@@ -1,7 +1,10 @@
 """Tests for manifest schema v2 and the ``recpipe compare`` report."""
 
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from repro.experiments import artifacts
 from repro.experiments.common import ExperimentResult
@@ -142,3 +145,75 @@ class TestCompareCli:
         (tmp_path / "b").mkdir()
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def _manifest(self, directory: Path, payload) -> Path:
+        directory.mkdir(parents=True, exist_ok=True)
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (directory / artifacts.MANIFEST_NAME).write_text(text, encoding="utf-8")
+        return directory
+
+    def test_report_on_empty_manifest_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run = self._manifest(tmp_path / "a", {})
+        assert main(["report", "--output-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert str(run / artifacts.MANIFEST_NAME) in err and "'command'" in err
+
+    def test_compare_non_object_manifest_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        write_run(tmp_path / "b")
+        run = self._manifest(tmp_path / "a", [1, 2])
+        assert main(["compare", str(run), str(tmp_path / "b")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_compare_of_empty_manifests_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        a, b = (self._manifest(tmp_path / name, {}) for name in "ab")
+        assert main(["compare", str(a), str(b)]) == 2
+        assert "No differences." not in capsys.readouterr().out
+
+    def test_compare_of_int_ids_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        payload = {
+            "command": "run",
+            "config": {},
+            "experiments": [{"id": 1, "json": "x.json", "csv": "x.csv"}],
+        }
+        a, b = (self._manifest(tmp_path / name, payload) for name in "ab")
+        assert main(["compare", str(a), str(b)]) == 2
+        assert "'experiments[0].id' must be a string" in capsys.readouterr().err
+
+    def test_non_json_manifest_names_the_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run = self._manifest(tmp_path / "a", "not json")
+        assert main(["report", "--output-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert str(run / artifacts.MANIFEST_NAME) in err and "invalid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"command": 3}, "'command'"),
+        ({"config": []}, "'config'"),
+        ({"experiments": {}}, "'experiments'"),
+        ({"experiments": [3]}, "'experiments[0]'"),
+        ({"experiments": [{"id": "x", "json": "x.json"}]}, "'experiments[0].csv'"),
+        ({"seed": "zero"}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"resolved": []}, "'resolved'"),
+        ({"schema_version": 3}, "'schema_version'"),
+        ({"schema_version": True}, "'schema_version'"),
+    ],
+)
+def test_load_manifest_names_the_bad_field(tmp_path, change, field):
+    payload = {"command": "run", "seed": None, "config": {}, "experiments": [], **change}
+    (tmp_path / artifacts.MANIFEST_NAME).write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(field)) as error:
+        artifacts.load_manifest(tmp_path)
+    assert artifacts.MANIFEST_NAME in str(error.value)

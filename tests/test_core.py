@@ -192,7 +192,7 @@ class TestScheduler:
             PipelineConfig((Stage(RM_SMALL, 2048), Stage(RM_LARGE, 256))),
             PipelineConfig((Stage(RM_MED, 2048), Stage(RM_LARGE, 256))),
         ]
-        evaluated = scheduler.evaluate_many(configs, "cpu", qps=300)
+        evaluated = [scheduler.evaluate(config, "cpu", qps=300) for config in configs]
         frontier = scheduler.quality_latency_frontier(evaluated)
         assert 1 <= len(frontier) <= len(evaluated)
         best = scheduler.best_at_iso_quality(evaluated, quality_target=80.0)

@@ -78,6 +78,30 @@ class TestExperimentsTable:
         assert "docs ok" in capsys.readouterr().out
 
 
+class TestKnobTables:
+    def test_committed_tables_match_the_knob_table(self, check_docs):
+        assert check_docs.check_knob_tables() == []
+
+    def test_every_knob_command_has_a_checked_block(self, check_docs):
+        from repro.scenarios.knobs import COMMANDS
+
+        # `run` takes only --jobs/--seed and keeps its hand-written table.
+        names = {name for _, name in check_docs.KNOB_TABLES}
+        assert names == set(COMMANDS) - {"run"} | {"keys"}
+
+    def test_stale_table_prints_the_expected_one(self, check_docs, monkeypatch):
+        monkeypatch.setattr(check_docs, "committed_block", lambda page, name: "| stale |")
+        errors = check_docs.check_knob_tables()
+        assert len(errors) == len(check_docs.KNOB_TABLES)
+        route = next(error for error in errors if "knob-table:route" in error)
+        assert "stale" in route and check_docs.generated_knob_table("route") in route
+
+    def test_missing_markers_are_reported(self, check_docs, monkeypatch):
+        monkeypatch.setattr(check_docs, "committed_block", lambda page, name: None)
+        errors = check_docs.check_knob_tables()
+        assert any("missing knob-table:keys markers" in error for error in errors)
+
+
 def test_checker_runs_as_a_script():
     import subprocess
 

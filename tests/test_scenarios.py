@@ -18,7 +18,7 @@ from repro.scenarios import (
     scenario_from_mapping,
     scenario_specs,
 )
-from repro.scenarios.config import parse_mix
+from repro.scenarios.knobs import parse_mix
 from repro.scenarios.runner import _compiled_table, build_trace
 
 CHEAP_BASE = {

@@ -11,9 +11,6 @@ from repro.serving import (
     ServingSimulator,
     SimulationConfig,
     StageResource,
-    makespan_seconds,
-    percentile,
-    sweep_load,
 )
 
 
@@ -127,23 +124,11 @@ class TestSimulator:
         with pytest.raises(ValueError):
             ServingSimulator(single_stage_plan()).run(0)
 
-    def test_max_sustainable_qps_monotone_in_sla(self):
-        plan = single_stage_plan(service=1e-3, servers=4)
-        sim = ServingSimulator(plan, SimulationConfig(num_queries=1500, seed=6))
-        loose = sim.max_sustainable_qps(sla_seconds=50e-3)
-        tight = sim.max_sustainable_qps(sla_seconds=1.2e-3)
-        assert loose >= tight
-
-    def test_sweep_load_returns_one_report_per_point(self):
-        reports = sweep_load(single_stage_plan(), [100, 200, 300])
-        assert len(reports) == 3
-        assert all(isinstance(r, LatencyReport) for r in reports)
-
-    def test_sweep_load_matches_individual_runs(self):
+    def test_run_grid_matches_individual_runs(self):
+        # One arrival draw for the whole column reproduces per-load runs.
         plan = single_stage_plan(service=1e-3, servers=2)
-        config = SimulationConfig(num_queries=800, seed=8)
-        reports = sweep_load(plan, [400, 1200], config)
-        simulator = ServingSimulator(plan, config)
+        simulator = ServingSimulator(plan, SimulationConfig(num_queries=800, seed=8))
+        reports = simulator.run_grid([400, 1200])
         assert reports == [simulator.run(400), simulator.run(1200)]
 
     def test_event_engine_available_as_reference(self):
@@ -155,33 +140,37 @@ class TestSimulator:
 
 
 class TestMetrics:
+    @staticmethod
+    def report(latencies, arrivals=None) -> LatencyReport:
+        latencies = np.asarray(latencies, dtype=np.float64)
+        if arrivals is None:
+            arrivals = np.zeros_like(latencies)
+        (report,) = LatencyReport.from_latencies(
+            latencies[None, :], np.asarray(arrivals)[None, :], offered_qps=[1.0], saturated=[False]
+        )
+        return report
+
     def test_makespan_runs_to_last_completion_not_last_arrival(self):
         # The middle query is the last to complete: the span must cover its
         # completion (1 + 5 = 6), not the final arrival's (2 + 0.5 = 2.5).
-        arrivals = np.array([0.0, 1.0, 2.0])
-        latencies = np.array([0.5, 5.0, 0.5])
-        assert makespan_seconds(arrivals, latencies) == pytest.approx(6.0)
+        report = self.report([0.5, 5.0, 0.5], arrivals=[0.0, 1.0, 2.0])
+        assert report.achieved_qps == pytest.approx(3 / 6.0)
 
     def test_makespan_empty_window(self):
-        assert makespan_seconds(np.array([]), np.array([])) == 0.0
+        # An empty window has no makespan to report.
+        with pytest.raises(ValueError, match="zero completed queries"):
+            self.report(np.array([]))
 
     def test_makespan_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            makespan_seconds(np.array([0.0, 1.0]), np.array([0.5]))
+            LatencyReport.from_latencies(
+                np.array([[0.5]]), np.array([[0.0, 1.0]]), offered_qps=[1.0], saturated=[False]
+            )
 
     def test_simulated_achieved_qps_tracks_offered_load(self):
         plan = single_stage_plan(service=1e-3, servers=8)
         report = ServingSimulator(plan, SimulationConfig(num_queries=4000, seed=7)).run(1000)
         assert report.achieved_qps == pytest.approx(1000, rel=0.1)
-
-    def test_percentile_bounds(self):
-        lat = np.array([1.0, 2.0, 3.0, 4.0])
-        assert percentile(lat, 0) == 1.0
-        assert percentile(lat, 100) == 4.0
-        with pytest.raises(ValueError):
-            percentile(lat, 150)
-        with pytest.raises(ValueError):
-            percentile(np.array([]), 50)
 
     def test_report_from_latencies(self):
         # 100 queries whose last completion lands 10 s after the first arrival.
@@ -198,5 +187,6 @@ class TestMetrics:
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=50))
     @settings(max_examples=25, deadline=None)
     def test_percentiles_ordered(self, values):
-        lat = np.array(values)
-        assert percentile(lat, 50) <= percentile(lat, 95) <= percentile(lat, 99)
+        report = self.report(values)
+        assert report.p50_latency <= report.p95_latency <= report.p99_latency
+        assert report.p99_latency <= report.max_latency == max(values)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checks run by CI (and ``tests/test_docs.py``).
 
-Two checks, both offline:
+Three checks, all offline:
 
 1. **Link check** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must resolve to an existing file (external ``http(s)``/
@@ -11,8 +11,13 @@ Two checks, both offline:
    ``docs/experiments.md`` between the ``experiments-table`` markers must
    match ``recpipe list --format markdown`` exactly, so a registry entry
    cannot land without regenerating the docs.
+3. **Knob table check** — the flag tables of ``sweep``/``route``/``capacity``
+   in ``docs/cli.md`` and the scenario-key table in ``docs/experiments.md``,
+   each between ``knob-table:<name>`` markers, must match the generators in
+   :mod:`repro.scenarios.knobs`; a stale block prints the table to paste.
 
-Exit status 0 when both pass; 1 with one line per finding otherwise.
+Exit status 0 when all pass; 1 with one finding per stale or broken item
+otherwise.
 """
 
 from __future__ import annotations
@@ -88,12 +93,56 @@ def check_experiments_table() -> list[str]:
     return []
 
 
+#: Generated knob tables: (docs page, marker name).
+KNOB_TABLES = (
+    ("cli.md", "sweep"),
+    ("cli.md", "route"),
+    ("cli.md", "capacity"),
+    ("experiments.md", "keys"),
+)
+
+
+def generated_knob_table(name: str) -> str:
+    """A knob table as :mod:`repro.scenarios.knobs` generates it."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.scenarios import knobs
+
+    return knobs.key_table() if name == "keys" else knobs.flag_table(name)
+
+
+def committed_block(page: str, name: str) -> str | None:
+    """The text between a page's ``knob-table:<name>`` markers (None: no markers)."""
+    text = (REPO_ROOT / "docs" / page).read_text()
+    begin, end = f"<!-- knob-table:{name}:begin -->", f"<!-- knob-table:{name}:end -->"
+    start, stop = text.find(begin), text.find(end)
+    if start == -1 or stop < start:
+        return None
+    return text[start + len(begin) : stop].strip()
+
+
+def check_knob_tables() -> list[str]:
+    """Every generated knob table in the docs matches the knob table."""
+    errors = []
+    for page, name in KNOB_TABLES:
+        committed = committed_block(page, name)
+        if committed is None:
+            errors.append(f"docs/{page}: missing knob-table:{name} markers")
+            continue
+        expected = generated_knob_table(name)
+        if committed != expected:
+            errors.append(
+                f"docs/{page}: the knob-table:{name} block is stale; paste this "
+                f"between its markers:\n{expected}"
+            )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_experiments_table()
+    errors = check_links() + check_experiments_table() + check_knob_tables()
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
-        print(f"docs ok: {len(doc_files())} files, links resolve, registry table current")
+        print(f"docs ok: {len(doc_files())} files, links resolve, registry and knob tables current")
     return 1 if errors else 0
 
 
