@@ -28,14 +28,17 @@ from conftest import report
 from repro.cluster import InterconnectLink, gather_seconds_per_node, shard_row_wise
 from repro.cluster.sharding import tables_from_cost
 from repro.experiments import capacity_planning
+from repro.experiments.registry import default_registry
 from repro.models.zoo import RM_LARGE
+from repro.scenarios import packaged_scenario
 
 
 def test_capacity_experiment_claims():
     start = time.perf_counter()
-    result = capacity_planning.run()
+    result = default_registry().get("capacity").execute()
     wall_clock = time.perf_counter() - start
     report(result)
+    (cell,) = packaged_scenario("capacity").expand()
 
     rows = result.rows
     singles = [row for row in rows if row["num_nodes"] == 1]
@@ -57,7 +60,7 @@ def test_capacity_experiment_claims():
 
     # Sharding cannot make a node faster: a homogeneous sharded fleet's
     # half-capacity p99 probe is at least the single node's (gather tax >= 0).
-    for platform in capacity_planning.PLATFORMS:
+    for platform in cell.params["platforms"]:
         probes = {
             row["num_nodes"]: row["probe_p99_ms"]
             for row in rows

@@ -2,14 +2,18 @@
 
 from conftest import report
 
-from repro.experiments import sweep_multiplatform
+from repro.experiments.registry import default_registry
+from repro.scenarios import packaged_scenario
+from repro.scenarios.runner import platform_names
 
 
 def test_sweep_multiplatform_combined_frontier(benchmark):
-    result = benchmark.pedantic(sweep_multiplatform.run, rounds=1, iterations=1, warmup_rounds=0)
+    spec = default_registry().get("sweepmp")
+    result = benchmark.pedantic(spec.execute, rounds=1, iterations=1, warmup_rounds=0)
     report(result)
+    (cell,) = packaged_scenario("sweepmp").expand()
     platforms = {r["platform"] for r in result.rows}
-    assert platforms == set(sweep_multiplatform.PLATFORMS)
+    assert platforms == set(platform_names(cell.params["platforms"]))
     # Quality is platform- and load-independent: each pipeline reports one
     # NDCG across every (platform, qps) cell.
     by_pipeline = {}
@@ -26,4 +30,4 @@ def test_sweep_multiplatform_combined_frontier(benchmark):
     assert speedups and all(s > 1.0 for s in speedups)
     # The combined frontier is reported for every load point.
     frontier_notes = [n for n in result.notes if "combined frontier" in n]
-    assert len(frontier_notes) >= len(sweep_multiplatform.QPS_POINTS)
+    assert len(frontier_notes) >= len(cell.params["qps"])

@@ -13,12 +13,13 @@ Subcommands::
     recpipe compare RUN_A RUN_B       # markdown diff of two --output-dir runs
 
 ``run`` executes registered experiments (process-parallel with
-``--jobs``); ``sweep`` exposes the :mod:`repro.core.sweep` design-space
-exploration with user-supplied loads and latency targets instead of the
-paper's presets; ``route`` translates its flags into a one-cell scenario
-(:mod:`repro.scenarios`), the same runner behind the registry's serving
-entries: it compiles a :class:`~repro.serving.router.PathTable` and replays
-time-varying load traces under static / oracle / online path selection
+``--jobs``).  ``sweep``, ``route`` and ``capacity`` each translate their
+flags into a one-cell scenario (:mod:`repro.scenarios`) of their kind and
+run it through the same runner as the registry's entries: ``sweep`` is the
+:mod:`repro.core.sweep` design-space exploration with user-supplied loads
+and latency targets instead of the paper's presets; ``route`` compiles a
+:class:`~repro.serving.router.PathTable` and replays time-varying load
+traces under static / oracle / online path selection
 (:mod:`repro.serving.router`) — or, with ``--mode per-query``, under the
 streaming frontend's per-query admission control and dynamic batching
 (:mod:`repro.serving.frontend`); ``capacity`` sweeps every
@@ -28,10 +29,10 @@ serve a diurnal trace within the p99 SLA.  With ``--output-dir`` all of them
 write per-experiment JSON + CSV artifacts and a ``manifest.json`` (config,
 seed, resolved knobs, wall-clock per experiment), which ``report`` reads
 back and ``compare`` diffs pairwise into a markdown report.  ``run
---scenario FILE`` expands a declarative scenario config
-(:mod:`repro.scenarios`) into registered runs for the invocation, and
-``--events FILE`` streams structured run events (route decisions, admission
-windows, shard gathers, sweep columns) to JSONL.  ``list --format
+--scenario FILE`` expands a declarative scenario config into registered
+runs for the invocation, and ``--events FILE`` streams structured run
+events (route decisions, admission windows, shard gathers, sweep columns)
+to JSONL.  ``list --format
 markdown`` emits the registry table embedded in ``docs/experiments.md``
 (checked by CI).  Every knob flag is declared once in
 :mod:`repro.scenarios.knobs` and typed and range-checked before any work
@@ -55,7 +56,8 @@ from repro.experiments.registry import (
     UnknownTagError,
     default_registry,
 )
-from repro.scenarios import knobs
+from repro.scenarios import ScenarioConfig, knobs, load_scenario, register_scenario, run_cell
+from repro.scenarios.runner import cell_config, default_pool
 
 PROG = "recpipe"
 
@@ -175,55 +177,22 @@ def _config_record(values, omit: tuple[str, ...] = (), **resolved) -> dict:
     return {**record, **resolved}
 
 
-def _fields(config_class: type, values) -> dict:
-    """The knob values that are fields of ``config_class``."""
-    return {
-        name: value
-        for name, value in vars(values).items()
-        if name in config_class.__dataclass_fields__
-    }
-
-
-def _write_result_pair(
-    args, meta: dict, result, elapsed: float, seed: int, suffix: str, title: str, companion
-) -> list[dict]:
-    """Write a command's result and its companion table (``<id>_<suffix>``)."""
-    companion_meta = {**meta, "id": f"{meta['id']}_{suffix}", "title": f"{meta['title']} — {title}"}
-    output_dir = Path(args.output_dir)
-    return [
-        artifacts.write_experiment_artifacts(
-            output_dir, meta, result, seed=seed, wall_clock_seconds=elapsed
-        ),
-        artifacts.write_experiment_artifacts(output_dir, companion_meta, companion, seed=seed),
-    ]
-
-
-def _write_manifest(args, entries: list, record: dict, seed, resolved: dict, events=None) -> None:
-    """Write the command's manifest and report what was written."""
-    manifest = artifacts.write_manifest(
-        Path(args.output_dir), args.command, record, entries, seed, resolved, events
-    )
-    print(f"wrote {len(entries)} {args.command} artifact pairs + {manifest}")
-
-
 # --------------------------------------------------------------------------- #
 # Scenario expansion and event capture (shared by list/run/route)
 # --------------------------------------------------------------------------- #
-def _registry_with_scenario(registry: ExperimentRegistry, scenario_path: str):
-    """A merged copy of ``registry`` with a scenario file's cells registered.
+def _registry_with_scenario(
+    registry: ExperimentRegistry, config: ScenarioConfig
+) -> ExperimentRegistry:
+    """A merged copy of ``registry`` with a scenario's cells registered.
 
-    Returns ``(merged_registry, config)``; the input registry is untouched
-    so one process can serve many invocations.  Scenario load/validation
-    errors surface as ``ValueError`` (exit 2 via ``main``).
+    The input registry is untouched so one process can serve many
+    invocations.
     """
-    from repro.scenarios import load_scenario, register_scenario
-
-    config = load_scenario(Path(scenario_path))
     merged = ExperimentRegistry()
     for spec in registry:
         merged.register(spec)
     register_scenario(merged, config)
-    return merged, config
+    return merged
 
 
 def _maybe_capture(events_path: str):
@@ -263,7 +232,7 @@ def format_markdown_listing(specs) -> str:
 
 def cmd_list(args: argparse.Namespace, registry: ExperimentRegistry) -> int:
     if getattr(args, "scenario", ""):
-        registry, _ = _registry_with_scenario(registry, args.scenario)
+        registry = _registry_with_scenario(registry, load_scenario(args.scenario))
     specs = registry.select(tags=_parse_csv(args.tag))
     if getattr(args, "format", "table") == "markdown":
         print(format_markdown_listing(specs))
@@ -293,13 +262,18 @@ def _timed_execute(
     return exp_id, result, time.perf_counter() - start
 
 
-def _execute_entry(exp_id: str, seed: int | None) -> tuple[str, ExperimentResult, float]:
+def _execute_entry(
+    exp_id: str, seed: int | None, scenario: ScenarioConfig | None = None
+) -> tuple[str, ExperimentResult, float]:
     """Top-level worker so ``--jobs`` can dispatch it to other processes.
 
-    Workers re-resolve from the process-wide default registry, so ids
-    registered dynamically in the parent (``--scenario``) are serial-only.
+    Workers resolve ``exp_id`` from the process-wide default registry, with
+    the cells of the invocation's ``--scenario`` registered on top.
     """
-    return _timed_execute(default_registry(), exp_id, seed)
+    registry = default_registry()
+    if scenario is not None:
+        registry = _registry_with_scenario(registry, scenario)
+    return _timed_execute(registry, exp_id, seed)
 
 
 def run_experiments(
@@ -308,14 +282,19 @@ def run_experiments(
     tags: list[str] | None = None,
     jobs: int = 1,
     seed: int | None = None,
+    scenario: ScenarioConfig | None = None,
 ) -> list[tuple[str, ExperimentResult, float]]:
-    """Run the selected experiments, optionally across ``jobs`` processes."""
+    """Run the selected experiments, optionally across ``jobs`` processes.
+
+    ``scenario`` is the invocation's scenario, already registered in
+    ``registry``; worker processes register its cells again.
+    """
     specs = registry.select(only=only, tags=tags)
     ids = [spec.id for spec in specs]
     if jobs <= 1 or len(ids) <= 1:
         return [_timed_execute(registry, exp_id, seed) for exp_id in ids]
     with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-        futures = {exp_id: pool.submit(_execute_entry, exp_id, seed) for exp_id in ids}
+        futures = {exp_id: pool.submit(_execute_entry, exp_id, seed, scenario) for exp_id in ids}
         return [futures[exp_id].result() for exp_id in ids]
 
 
@@ -328,46 +307,17 @@ def format_report(outputs: list[tuple[str, ExperimentResult, float]]) -> str:
     return "\n".join(lines)
 
 
-def _write_run_artifacts(
-    output_dir: Path,
-    registry: ExperimentRegistry,
-    outputs: list[tuple[str, ExperimentResult, float]],
-    config: dict,
-    seed: int | None,
-    resolved: dict | None = None,
-    events: dict | None = None,
-) -> Path:
-    entries = []
-    for exp_id, result, elapsed in outputs:
-        meta = registry.get(exp_id).to_dict()
-        entries.append(
-            artifacts.write_experiment_artifacts(
-                output_dir, meta, result, seed=seed, wall_clock_seconds=elapsed
-            )
-        )
-    return artifacts.write_manifest(
-        output_dir, "run", config, entries, seed=seed, resolved=resolved, events=events
-    )
-
-
 def cmd_run(args: argparse.Namespace, registry: ExperimentRegistry) -> int:
     values = knobs.from_args("run", args)
     only = _parse_csv(args.only)
     tags = _parse_csv(args.tag)
-    scenario_config = None
-    if args.scenario:
-        if values.jobs > 1:
-            raise ValueError(
-                "--scenario registers its cells in this process only; "
-                "worker processes cannot see them, so drop --jobs"
-            )
-        registry, scenario_config = _registry_with_scenario(registry, args.scenario)
+    scenario = load_scenario(args.scenario) if args.scenario else None
+    if scenario is not None:
+        registry = _registry_with_scenario(registry, scenario)
     if args.events and values.jobs > 1:
         raise ValueError("--events captures in-process only; drop --jobs to use it")
     with _maybe_capture(args.events) as event_log:
-        outputs = run_experiments(
-            registry, only=only, tags=tags, jobs=values.jobs, seed=values.seed
-        )
+        outputs = run_experiments(registry, only, tags, values.jobs, values.seed, scenario)
     if not args.quiet:
         print(format_report(outputs))
     if args.output_dir:
@@ -385,140 +335,60 @@ def cmd_run(args: argparse.Namespace, registry: ExperimentRegistry) -> int:
             if spec.id in executed and spec.metadata.get("axes")
         }
         resolved = {"experiments": sorted(executed)}
-        if scenario_config is not None:
-            resolved["scenario"] = scenario_config.name
+        if scenario is not None:
+            resolved["scenario"] = scenario.name
         if cell_axes:
             resolved["cell_axes"] = cell_axes
-        manifest = _write_run_artifacts(
-            Path(args.output_dir),
-            registry,
-            outputs,
-            config,
-            values.seed,
-            resolved=resolved,
-            events=_events_entry(args.events, event_log),
+        output_dir, seed = Path(args.output_dir), values.seed
+        entries = [
+            artifacts.write_experiment_artifacts(
+                output_dir, registry.get(exp_id).to_dict(), result, seed, elapsed
+            )
+            for exp_id, result, elapsed in outputs
+        ]
+        events = _events_entry(args.events, event_log)
+        manifest = artifacts.write_manifest(
+            output_dir, "run", config, entries, seed, resolved, events
         )
         print(f"wrote {len(outputs)} experiment artifact pairs + {manifest}")
     return 0
 
 
 # --------------------------------------------------------------------------- #
-# recpipe sweep
+# recpipe sweep / route / capacity
 # --------------------------------------------------------------------------- #
-def _default_pool(values, criteo_pool: int) -> int:
-    """``pool``, or the dataset default when unset (MovieLens catalogues are smaller)."""
-    if values.pool is not None:
-        return values.pool
-    return criteo_pool if values.dataset == "criteo" else 1024
+#: The scenario kind each one-cell command runs.
+CELL_KINDS = {"sweep": "sweep", "route": "serving", "capacity": "capacity"}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.sweep import SweepConfig, run_sweep
-    from repro.scenarios.runner import workload
+def _cell_records(command: str, args, values, cell) -> tuple[dict, dict, dict, dict]:
+    """What a one-cell command writes besides its tables.
 
-    values = knobs.from_args("sweep", args)
-    pool = _default_pool(values, criteo_pool=4096)
-    evaluator, specs, num_tables = workload(values.dataset, pool)
-    config = SweepConfig(num_tables=num_tables, **_fields(SweepConfig, values))
-    start = time.perf_counter()
-    outcome = run_sweep(evaluator, specs, config, jobs=values.jobs)
-    elapsed = time.perf_counter() - start
-
-    rows = outcome.rows()
-    result = ExperimentResult(name=f"sweep_{values.dataset}")
-    for row in rows:
-        result.add(**row)
-    for line in outcome.summary_lines():
-        result.note(line)
-
-    frontier_result = ExperimentResult(name=f"sweep_{values.dataset}_frontier")
-    for row in outcome.frontier_rows():
-        frontier_result.add(**row)
-
-    if not args.quiet:
-        print(result.format_table())
-        print()
-        print(frontier_result.format_table())
-    if args.output_dir:
-        platforms_label = ",".join(config.platforms)
+    Returns the artifact ``meta``, what each companion table shows (by
+    suffix), the manifest's ``resolved`` record and its ``config`` record.
+    """
+    platforms, cluster = values.platforms, "single-node"
+    if command == "sweep":
+        config = cell_config(cell)
+        platforms = config.platforms
         meta = {
             "id": "sweep",
-            "title": f"Design-space sweep ({values.dataset} on {platforms_label})",
+            "title": f"Design-space sweep ({values.dataset} on {','.join(platforms)})",
             "paper_ref": "Figures 7/8/10/12 methodology",
-            "tags": ["sweep", values.dataset, *config.platforms],
+            "tags": ["sweep", values.dataset, *platforms],
             "module": "repro.core.sweep",
         }
-        per_platform = {}
-        for platform in config.platforms:
-            breakdown = ExperimentResult(name=f"sweep_{values.dataset}_{platform}")
-            for row in outcome.platform_rows(platform, rows):
-                breakdown.add(**row)
-            per_platform[platform] = breakdown
-        entries = artifacts.write_sweep_artifacts(
-            Path(args.output_dir),
-            meta,
-            result,
-            per_platform,
-            frontier_result,
-            seed=values.seed,
-            wall_clock_seconds=elapsed,
-        )
-        resolved = {
-            "engine": config.engine,
-            "estimator": None,
-            "service_model": "deterministic",
-            "cluster": "single-node",
-            "platforms": list(config.platforms),
-        }
+        shows = {platform: f"{platform} breakdown" for platform in platforms}
+        shows["frontier"] = "combined cross-platform frontier"
         record = _config_record(
             values,
             # SweepConfig drops repeated platforms and loads.
-            platforms=config.platforms,
+            platforms=platforms,
             qps=config.qps,
             baseline_platform=config.baseline_platform,
             num_tables=config.num_tables,
-            pool=pool,
         )
-        _write_manifest(args, entries, record, values.seed, resolved)
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# recpipe route
-# --------------------------------------------------------------------------- #
-def cmd_route(args: argparse.Namespace) -> int:
-    from repro.scenarios import ScenarioConfig, run_cell
-
-    # Every knob is checked before the expensive table compile, so a typo
-    # fails in milliseconds, not minutes.
-    values = knobs.from_args("route", args)
-    if not values.batching and values.max_batch is not None:
-        raise ValueError(
-            "--no-batching pins every batch to size 1 and conflicts with "
-            "--max-batch; drop one of the two flags"
-        )
-    if values.max_batch is None:
-        values.max_batch = knobs.KNOBS["max_batch"].default
-    # A smaller default pool than sweep's: routing tables pair it with the
-    # default 512-item first stage, like the `router` registry experiment.
-    values.pool = _default_pool(values, criteo_pool=512)
-
-    # The flags become one scenario cell; the runner is the same one the
-    # registry's serving entries go through.
-    config = ScenarioConfig(
-        name="route", base={**vars(values), "platforms": "+".join(values.platforms)}
-    )
-    (cell,) = config.expand()
-    steps_result = ExperimentResult(name=f"route_{values.dataset}_steps")
-    start = time.perf_counter()
-    with _maybe_capture(args.events) as event_log:
-        result = run_cell(cell, log=steps_result)
-    result.name = f"route_{values.dataset}"
-    elapsed = time.perf_counter() - start
-
-    if not args.quiet:
-        print(result.format_table())
-    if args.output_dir:
+    elif command == "route":
         meta = {
             "id": "route",
             "title": f"Online multi-path routing ({values.dataset} on {args.platform})",
@@ -528,17 +398,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         }
         per_query = values.mode == "per-query"
         log = "frontend per-window admission log" if per_query else "online per-step decision log"
-        entries = _write_result_pair(
-            args, meta, result, elapsed, values.seed, "steps", log, steps_result
-        )
-        resolved = {
-            "engine": "analytic",
-            "estimator": values.estimator,
-            "service_model": values.service_model,
-            "cluster": "single-node",
-            "platforms": list(values.platforms),
-            "mode": values.mode,
-        }
+        shows = {"steps": log}
         # The route manifest records its traces as `traces` and leaves the
         # item ladders out.
         record = _config_record(
@@ -546,29 +406,9 @@ def cmd_route(args: argparse.Namespace) -> int:
             omit=("trace", "first_stage_items", "later_stage_items", "max_stages", "serve_k"),
             traces=values.trace,
         )
-        events = _events_entry(args.events, event_log)
-        _write_manifest(args, entries, record, values.seed, resolved, events=events)
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# recpipe capacity
-# --------------------------------------------------------------------------- #
-def cmd_capacity(args: argparse.Namespace) -> int:
-    from repro.experiments.capacity_planning import CapacityConfig, run_capacity
-
-    values = knobs.from_args("capacity", args)
-    config = CapacityConfig(**_fields(CapacityConfig, values))
-    start = time.perf_counter()
-    result, frontier = run_capacity(config)
-    elapsed = time.perf_counter() - start
-
-    if not args.quiet:
-        print(result.format_table())
-        print()
-        print(frontier.format_table())
-    if args.output_dir:
-        platforms = values.platforms
+    else:
+        config = cell_config(cell)
+        cluster = f"up to {values.max_nodes} nodes ({values.strategy} sharding)"
         meta = {
             "id": "capacity",
             "title": (
@@ -578,20 +418,76 @@ def cmd_capacity(args: argparse.Namespace) -> int:
             "tags": ["cluster", "capacity", *platforms],
             "module": "repro.experiments.capacity_planning",
         }
-        entries = _write_result_pair(
-            args, meta, result, elapsed, values.seed, "frontier", "cost/QPS frontier", frontier
-        )
-        resolved = {
-            "engine": "analytic",
-            "estimator": None,
-            "service_model": "deterministic",
-            "cluster": f"up to {values.max_nodes} nodes ({values.strategy} sharding)",
-            "platforms": list(platforms),
-        }
+        shows = {"frontier": "cost/QPS frontier"}
         record = _config_record(
             values, peak_qps=config.resolved_peak_qps, base_qps=config.resolved_base_qps
         )
-        _write_manifest(args, entries, record, values.seed, resolved)
+    # What the run used: the command's knob, or what the command fixes.
+    resolved = {
+        "engine": getattr(values, "engine", "analytic"),
+        "estimator": getattr(values, "estimator", None),
+        "service_model": getattr(values, "service_model", "deterministic"),
+        "cluster": cluster,
+        "platforms": list(platforms),
+    }
+    if command == "route":
+        resolved["mode"] = values.mode
+    return meta, shows, resolved, record
+
+
+def cmd_cell(args: argparse.Namespace) -> int:
+    """``recpipe sweep``, ``route`` and ``capacity``: the flags as a one-cell scenario.
+
+    The cell runs through the same runner as the registry's entries; the
+    command writes its result plus the cell's companion tables.
+    """
+    command = args.command
+    # Every knob is checked before the expensive work, so a typo fails in
+    # milliseconds, not minutes.
+    values = knobs.from_args(command, args)
+    if command == "route":
+        if not values.batching and values.max_batch is not None:
+            raise ValueError(
+                "--no-batching pins every batch to size 1 and conflicts with "
+                "--max-batch; drop one of the two flags"
+            )
+        if values.max_batch is None:
+            values.max_batch = knobs.KNOBS["max_batch"].default
+    if command != "capacity":
+        # Route's default pool is smaller than sweep's: routing tables pair
+        # it with the default 512-item first stage, like the `router` entry.
+        criteo_pool = 512 if command == "route" else 4096
+        values.pool = default_pool(values.dataset, values.pool, criteo_pool)
+    base = {**vars(values), "platforms": "+".join(values.platforms)}
+    (cell,) = ScenarioConfig(name=command, kind=CELL_KINDS[command], base=base).expand()
+    events_path = getattr(args, "events", "")
+    companions: dict = {}
+    start = time.perf_counter()
+    with _maybe_capture(events_path) as event_log:
+        result = run_cell(cell, companions=companions)
+    elapsed = time.perf_counter() - start
+    if command != "capacity":
+        result.name = f"{command}_{values.dataset}"
+        for suffix, table in companions.items():
+            table.name = f"{result.name}_{suffix}"
+
+    if not args.quiet:
+        print(result.format_table())
+        if "frontier" in companions:
+            print()
+            print(companions["frontier"].format_table())
+    if args.output_dir:
+        output_dir = Path(args.output_dir)
+        meta, shows, resolved, record = _cell_records(command, args, values, cell)
+        tables = {suffix: (shows[suffix], table) for suffix, table in companions.items()}
+        entries = artifacts.write_sweep_artifacts(
+            output_dir, meta, result, tables, seed=values.seed, wall_clock_seconds=elapsed
+        )
+        events = _events_entry(events_path, event_log)
+        manifest = artifacts.write_manifest(
+            output_dir, command, record, entries, values.seed, resolved, events
+        )
+        print(f"wrote {len(entries)} {command} artifact pairs + {manifest}")
     return 0
 
 
@@ -646,12 +542,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_list(args, registry)
         if args.command == "run":
             return cmd_run(args, registry)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "route":
-            return cmd_route(args)
-        if args.command == "capacity":
-            return cmd_capacity(args)
+        if args.command in CELL_KINDS:
+            return cmd_cell(args)
         if args.command == "report":
             return cmd_report(args)
         if args.command == "compare":

@@ -18,7 +18,9 @@ it out:
   its sharding-induced gather latency is added, and the per-node samples
   are pooled into one capacity-weighted mixture.  The router and the
   streaming frontend consume a ``ClusterTable`` unchanged — the whole
-  fleet stays one vectorized table.
+  fleet stays one vectorized table;
+* :func:`compose_fleet` — the one fleet composer, behind a serving cell's
+  ``nodes`` axis and the capacity planner alike.
 """
 
 from __future__ import annotations
@@ -31,9 +33,17 @@ import numpy as np
 
 from repro.accel.area_power import AreaPowerModel
 from repro.accel.embedding_cache import EmbeddingCacheConfig
-from repro.cluster.sharding import ShardingPlan
+from repro.cluster.sharding import (
+    EmbeddingTableSpec,
+    ShardingError,
+    ShardingPlan,
+    shard_row_wise,
+    shard_table_wise,
+    tables_from_cost,
+)
 from repro.cluster.topology import InterconnectLink, gather_seconds_per_node
 from repro.core.events import active_log
+from repro.models.zoo import RM_LARGE
 from repro.serving.resources import PipelinePlan, StageResource
 from repro.serving.router import PathTable, ServingPath
 
@@ -41,6 +51,9 @@ __all__ = [
     "ClusterTable",
     "NodeSpec",
     "build_cluster_table",
+    "compose_fleet",
+    "fleet_nodes",
+    "fleet_tables",
     "mix_label",
     "node_cost_usd",
 ]
@@ -51,6 +64,12 @@ AREA_DOLLARS_PER_MM2 = 20.0
 TCO_DOLLARS_PER_WATT = 60.0
 #: Chassis, DRAM, NIC and assembly — paid once per node regardless of chip.
 HOST_BASE_COST_USD = 3000.0
+
+#: Items per query whose embedding rows a fleet's sharded tier serves
+#: (the backend stage of the highest-quality candidate funnel).
+ITEMS_PER_QUERY = 256
+#: Embedding sharding strategies: greedy table-wise bin-packing or row-wise hash.
+STRATEGIES = ("tablewise", "rowwise")
 
 #: Fixed (die mm^2, sustained W) figures for the non-accelerator platforms.
 _PLATFORM_DIE = {
@@ -395,4 +414,50 @@ def build_cluster_table(
         node_tables=node_tables,
         node_weights=weights,
         node_gather=gather,
+    )
+
+
+def fleet_nodes(mix: Sequence[str], budget_bytes: int) -> tuple[NodeSpec, ...]:
+    """One node per platform of ``mix``, named ``n{i}-{platform}``, each with ``budget_bytes``."""
+    return tuple(
+        NodeSpec(name=f"n{i}-{platform}", platform=platform, memory_budget_bytes=budget_bytes)
+        for i, platform in enumerate(mix)
+    )
+
+
+def fleet_tables(num_tables: int, embedding_scale: float) -> list[EmbeddingTableSpec]:
+    """RMlarge's embedding tier, scaled up and split into ``num_tables`` logical tables."""
+    cost = RM_LARGE.reference_cost(num_tables).scaled(embedding_scale)
+    return tables_from_cost(cost, num_tables, items_per_query=float(ITEMS_PER_QUERY))
+
+
+def compose_fleet(
+    nodes: Sequence[NodeSpec],
+    platform_tables: Mapping[str, PathTable],
+    qps_grid: Sequence[float],
+    tables: Sequence[EmbeddingTableSpec],
+    strategy: str = "tablewise",
+    placements: dict | None = None,
+) -> ClusterTable:
+    """Shard ``tables`` over ``nodes`` by ``strategy`` and compose the fleet's table.
+
+    The fleet runs over the default interconnect and embedding cache.  A
+    placement depends only on the tables and the budget vector, so a caller
+    composing many mixes passes one ``placements`` dict (budget vector ->
+    plan or :class:`ShardingError`) to every call: each vector is sharded
+    once.  Raises :class:`ShardingError` when the tables do not fit.
+    """
+    placements = {} if placements is None else placements
+    budgets = tuple(node.memory_budget_bytes for node in nodes)
+    if budgets not in placements:
+        shard = shard_row_wise if strategy == "rowwise" else shard_table_wise
+        try:
+            placements[budgets] = shard(tables, budgets)
+        except ShardingError as error:
+            placements[budgets] = error
+    plan = placements[budgets]
+    if isinstance(plan, ShardingError):
+        raise ShardingError(str(plan))
+    return build_cluster_table(
+        nodes, platform_tables, qps_grid, plan, InterconnectLink(), EmbeddingCacheConfig()
     )

@@ -121,7 +121,8 @@ class SweepConfig:
             raise ValueError(f"qps points must be positive and finite, got {self.qps}")
         # Dedup like platforms: a repeated load would double-count every
         # pipeline in its (platform, qps) cell when columns are transposed.
-        object.__setattr__(self, "qps", tuple(dict.fromkeys(self.qps)))
+        # Loads are floats however given (a scenario file may hold integers).
+        object.__setattr__(self, "qps", tuple(dict.fromkeys(float(q) for q in self.qps)))
         if not (math.isfinite(self.sla_ms) and self.sla_ms > 0):
             raise ValueError(f"sla_ms must be positive and finite, got {self.sla_ms}")
         if self.quality_target is not None and not math.isfinite(self.quality_target):

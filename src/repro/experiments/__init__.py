@@ -26,8 +26,10 @@ Module                    Paper artifact
 ``fig12_rpaccel_scale``   Figure 12 RPAccel at-scale evaluation
 ``fig13_future``          Figure 13 future model scaling with SSDs
 ``fig14_summary``         Figure 14 cross-dataset / cross-load summary
-``sweep_multiplatform``   Figures 8-10 cross-platform sweep on one frontier
 ========================  =====================================================
+
+The cross-platform sweep (``sweepmp``, Figures 8-10) and the capacity plan
+(``capacity_planning``) are scenario kinds run by :mod:`repro.scenarios.runner`.
 """
 
 from repro.experiments.common import ExperimentResult

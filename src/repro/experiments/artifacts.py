@@ -1,8 +1,8 @@
 """Structured artifact output: per-experiment JSON + CSV and a run manifest.
 
-Every ``recpipe run`` (and ``recpipe sweep``) invocation with ``--output-dir``
-writes machine-readable artifacts so runs are diffable across PRs and
-consumable by the benchmark suite:
+Every ``recpipe run`` (and ``sweep``/``route``/``capacity``) invocation with
+``--output-dir`` writes machine-readable artifacts so runs are diffable across
+PRs and consumable by the benchmark suite:
 
 * ``<id>.json``  -- the full :class:`~repro.experiments.common.ExperimentResult`
   (rows + notes) together with the experiment's spec metadata and seed,
@@ -192,39 +192,30 @@ def write_experiment_artifacts(
 def write_sweep_artifacts(
     output_dir: Path,
     meta: Mapping,
-    combined: ExperimentResult,
-    per_platform: Mapping[str, ExperimentResult],
-    frontier: ExperimentResult,
+    result: ExperimentResult,
+    companions: Mapping[str, tuple[str, ExperimentResult]],
     seed: int | None = None,
     wall_clock_seconds: float | None = None,
 ) -> list[dict]:
-    """Write the artifact set of one multi-platform sweep.
+    """Write a command's result as ``<id>`` and each companion as ``<id>_<suffix>``.
 
-    Three kinds of artifacts, all derived from ``meta["id"]`` (``sweep`` by
-    convention):
-
-    * ``sweep.json`` / ``sweep.csv`` -- every (platform, pipeline, qps) row,
-    * ``sweep_<platform>.json`` / ``.csv`` -- the per-platform breakdown,
-    * ``sweep_frontier.json`` / ``.csv`` -- the combined cross-platform
-      Pareto frontier per load (the Figure 10-style comparison).
-
-    Returns the manifest entries in that order.
+    ``companions`` maps a suffix to (what the table shows, the table); the
+    companion's title is ``<title> — <what it shows>`` (``recpipe sweep``:
+    per-platform breakdowns and ``frontier``; ``route``: ``steps``;
+    ``capacity``: ``frontier``).  Returns the manifest entries in order.
     """
-    base_id = meta["id"]
     entries = [
         write_experiment_artifacts(
-            output_dir, meta, combined, seed=seed, wall_clock_seconds=wall_clock_seconds
+            output_dir, meta, result, seed=seed, wall_clock_seconds=wall_clock_seconds
         )
     ]
-    for platform, result in per_platform.items():
-        platform_meta = dict(meta)
-        platform_meta["id"] = f"{base_id}_{platform}"
-        platform_meta["title"] = f"{meta.get('title', base_id)} — {platform} breakdown"
-        entries.append(write_experiment_artifacts(output_dir, platform_meta, result, seed=seed))
-    frontier_meta = dict(meta)
-    frontier_meta["id"] = f"{base_id}_frontier"
-    frontier_meta["title"] = (f"{meta.get('title', base_id)} — combined cross-platform frontier")
-    entries.append(write_experiment_artifacts(output_dir, frontier_meta, frontier, seed=seed))
+    for suffix, (shows, table) in companions.items():
+        companion_meta = {
+            **meta,
+            "id": f"{meta['id']}_{suffix}",
+            "title": f"{meta['title']} — {shows}",
+        }
+        entries.append(write_experiment_artifacts(output_dir, companion_meta, table, seed=seed))
     return entries
 
 

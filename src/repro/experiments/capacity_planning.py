@@ -22,6 +22,10 @@ The headline claim: the diurnal peak exceeds every single node's
 SLA-feasible load, so the cheapest serving fleet is a *multi-node* mix —
 capacity must come from scale-out, and the planner finds the cheapest way
 to buy it.
+
+:func:`run_capacity` is what a ``capacity`` scenario cell runs
+(:func:`repro.scenarios.runner.run_cell` builds its diurnal trace); fleets
+come from :func:`repro.cluster.fleet.compose_fleet`.
 """
 
 from __future__ import annotations
@@ -31,28 +35,23 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from repro.accel.embedding_cache import EmbeddingCacheConfig
-from repro.cluster.fleet import ClusterTable, NodeSpec, build_cluster_table, mix_label
-from repro.cluster.sharding import (
-    ShardingError,
-    ShardingPlan,
-    shard_row_wise,
-    shard_table_wise,
-    tables_from_cost,
+from repro.cluster.fleet import (
+    ITEMS_PER_QUERY,
+    STRATEGIES,
+    ClusterTable,
+    compose_fleet,
+    fleet_nodes,
+    fleet_tables,
+    mix_label,
 )
-from repro.cluster.topology import InterconnectLink
+from repro.cluster.sharding import ShardingError
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import RecPipeScheduler
 from repro.experiments.common import ExperimentResult, criteo_quality_evaluator, make_scheduler
-from repro.models.zoo import RM_LARGE, criteo_model_specs
+from repro.models.zoo import criteo_model_specs
 from repro.serving.router import PathTable, route_oracle, route_static
-from repro.serving.trace import LoadTrace, diurnal_trace
-
-#: Spec metadata consumed by :mod:`repro.experiments.registry`.
-TITLE = "Fleet capacity planning (cheapest node mix serving a diurnal trace in SLA)"
-PAPER_REF = "Fleet-scale extension (scale-in / MicroRec embedding-placement arguments)"
-TAGS = ("cluster", "capacity", "serving", "criteo")
+from repro.serving.trace import LoadTrace
 
 #: Candidate-pool size of the planned workload.
 POOL = 512
@@ -68,17 +67,12 @@ BASE_FRACTION = 0.1
 PLATFORMS = ("cpu", "baseline-accel", "rpaccel")
 #: Largest fleet the planner considers.
 MAX_NODES = 4
-#: Embedding sharding strategies: greedy table-wise bin-packing or row-wise hash.
-STRATEGIES = ("tablewise", "rowwise")
 #: Embedding-tier scale-up over RMlarge's reference storage (fleet tables).
 EMBEDDING_SCALE = 3.0
 #: Logical embedding tables the model shards.
 NUM_TABLES = 26
 #: Per-node embedding memory budget in GiB.
 BUDGET_GB = 32.0
-#: Items per query whose embedding rows the sharded tier serves
-#: (the backend stage of the highest-quality candidate funnel).
-ITEMS_PER_QUERY = 256
 #: Engine budget per dwell simulation.
 NUM_QUERIES = 600
 #: Diurnal trace shape (one day at 15-minute steps).
@@ -209,19 +203,9 @@ def node_qps_grid(
 
 
 def compile_platform_tables(
-    config: CapacityConfig,
-    scheduler: RecPipeScheduler | None = None,
-    pipelines: list[PipelineConfig] | None = None,
+    config: CapacityConfig, scheduler: RecPipeScheduler, pipelines: list[PipelineConfig]
 ) -> dict[str, PathTable]:
     """One single-node :class:`PathTable` per platform, compiled once."""
-    if scheduler is None:
-        scheduler = make_scheduler(
-            criteo_quality_evaluator(config.pool),
-            num_queries=config.num_queries,
-            seed=config.seed,
-        )
-    if pipelines is None:
-        pipelines = build_pipelines(config.pool)
     return {
         platform: PathTable.compile(
             scheduler,
@@ -233,25 +217,6 @@ def compile_platform_tables(
         )
         for platform in config.platforms
     }
-
-
-def build_trace(config: CapacityConfig) -> LoadTrace:
-    """The diurnal million-user trace the winning fleet must serve."""
-    return diurnal_trace(
-        num_steps=config.steps,
-        step_seconds=config.step_seconds,
-        base_qps=config.resolved_base_qps,
-        peak_qps=config.resolved_peak_qps,
-        noise=config.noise,
-        seed=config.seed,
-    )
-
-
-def _shard(config: CapacityConfig, tables, budgets) -> ShardingPlan:
-    """Apply the configured sharding strategy."""
-    if config.strategy == "rowwise":
-        return shard_row_wise(tables, budgets)
-    return shard_table_wise(tables, budgets)
 
 
 def sla_feasible_qps(table: ClusterTable, sla_seconds: float) -> float:
@@ -275,8 +240,17 @@ def probe_p99_seconds(table: ClusterTable) -> float:
     return table.p99_at(0, PROBE_FRACTION * table.paths[0].capacity_qps)
 
 
-def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentResult]:
+def run_capacity(
+    config: CapacityConfig, trace: LoadTrace
+) -> tuple[ExperimentResult, ExperimentResult]:
     """Sweep every platform mix and emit the mix table + cost/QPS frontier.
+
+    Parameters
+    ----------
+    config : CapacityConfig
+        The sweep's knobs.
+    trace : LoadTrace
+        The diurnal trace the winning fleet must serve.
 
     Returns
     -------
@@ -290,29 +264,19 @@ def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentRe
     )
     pipelines = build_pipelines(config.pool)
     platform_tables = compile_platform_tables(config, scheduler, pipelines)
-    embedding_cost = RM_LARGE.reference_cost(config.num_tables).scaled(config.embedding_scale)
-    tables = tables_from_cost(
-        embedding_cost, config.num_tables, items_per_query=float(ITEMS_PER_QUERY)
-    )
-    link = InterconnectLink()
-    cache = EmbeddingCacheConfig()
-    trace = build_trace(config)
+    tables = fleet_tables(config.num_tables, config.embedding_scale)
     peak_offered = float(np.max(trace.qps))
     sla_seconds = config.sla_ms / 1e3
 
     result = ExperimentResult(name="capacity")
     clusters: dict[str, ClusterTable] = {}
-    # A placement depends only on the tables and the budget vector, and every
-    # node gets the same budget: shard once per distinct vector (one per fleet
-    # size) and reuse the plan, or the infeasibility, for every mix.
-    plans: dict[tuple[int, ...], ShardingPlan | ShardingError] = {}
+    # Every node gets the same budget, so the mixes of one fleet size share
+    # a budget vector: the composer shards once per vector and reuses the
+    # plan, or the infeasibility, for every mix.
+    placements: dict = {}
     for size in range(1, config.max_nodes + 1):
         for mix in combinations_with_replacement(config.platforms, size):
-            nodes = tuple(
-                NodeSpec(name=f"n{i}-{platform}", platform=platform,
-                         memory_budget_bytes=config.budget_bytes)
-                for i, platform in enumerate(mix)
-            )
+            nodes = fleet_nodes(mix, config.budget_bytes)
             label = mix_label(nodes)
             row = {
                 "mix": label,
@@ -322,21 +286,6 @@ def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentRe
                 "table_gb": round(sum(t.total_bytes for t in tables) / 2**30, 2),
                 "memory_ok": True,
             }
-            budgets = tuple(n.memory_budget_bytes for n in nodes)
-            if budgets not in plans:
-                try:
-                    plans[budgets] = _shard(config, tables, budgets)
-                except ShardingError as error:
-                    plans[budgets] = error
-            plan = plans[budgets]
-            if isinstance(plan, ShardingError):
-                row.update(
-                    memory_ok=False, capacity_qps=0.0, sla_qps=0.0, gather_max_us=float("nan"),
-                    probe_p99_ms=float("nan"), serves_peak=False,
-                    cost_per_sla_kqps=float("inf"),
-                )
-                result.add(**row)
-                continue
             total_capacity = max(
                 sum(platform_tables[p].paths[k].capacity_qps for p in mix)
                 for k in range(len(pipelines))
@@ -344,7 +293,18 @@ def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentRe
             cluster_grid = tuple(
                 round(fraction * total_capacity, 1) for fraction in GRID_FRACTIONS
             )
-            cluster = build_cluster_table(nodes, platform_tables, cluster_grid, plan, link, cache)
+            try:
+                cluster = compose_fleet(
+                    nodes, platform_tables, cluster_grid, tables, config.strategy, placements
+                )
+            except ShardingError:
+                row.update(
+                    memory_ok=False, capacity_qps=0.0, sla_qps=0.0, gather_max_us=float("nan"),
+                    probe_p99_ms=float("nan"), serves_peak=False,
+                    cost_per_sla_kqps=float("inf"),
+                )
+                result.add(**row)
+                continue
             sla_qps = sla_feasible_qps(cluster, sla_seconds)
             row.update(
                 capacity_qps=round(max(p.capacity_qps for p in cluster.paths), 1),
@@ -407,9 +367,3 @@ def run_capacity(config: CapacityConfig) -> tuple[ExperimentResult, ExperimentRe
         result.note("no mix serves the offered peak within SLA; raise max_nodes")
     frontier.notes.extend(result.notes)
     return result, frontier
-
-
-def run(seed: int = 0) -> ExperimentResult:
-    """Registry entry point: the default capacity sweep's per-mix table."""
-    result, _ = run_capacity(CapacityConfig(seed=seed))
-    return result

@@ -9,6 +9,9 @@ estimator was swapped, a scenario axis moved.  This module reads the two
 * changed resolved knobs (engine, estimator, service model, cluster mix),
 * per-experiment metric deltas (mean over rows, run B minus run A, with
   direction arrows),
+* per-experiment changed rows and notes: every column of every row and
+  every note is compared exactly, so a flipped flag, a renamed pipeline, a
+  dropped row or a changed note shows even when no mean moves,
 * experiments/artifacts present in only one run.
 
 Wall-clock fields are ignored throughout — they differ on every run and
@@ -20,6 +23,8 @@ exactly ``No differences.`` so scripts (and the CI smoke) can assert on it.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
@@ -31,6 +36,9 @@ NO_DIFFERENCES = "No differences."
 #: Keys whose values are measured time or process count, not configuration
 #: or results.
 _TIMING_KEYS = {"wall_clock_seconds", "jobs"}
+
+#: Stands in for a column a row does not have.
+_ABSENT = object()
 
 
 def _fmt(value) -> str:
@@ -73,16 +81,59 @@ def _metric_means(rows: list[Mapping]) -> dict[str, float]:
     return {key: sum(values) / len(values) for key, values in sums.items()}
 
 
-def _experiment_metrics(output_dir: Path, entry: Mapping) -> dict[str, float] | None:
-    """The metric means of one manifest entry, or None when unreadable."""
+def _experiment_payload(output_dir: Path, entry: Mapping) -> dict | None:
+    """The ``<id>.json`` document of one manifest entry, or None when unreadable."""
     json_name = entry.get("json")
     if not json_name:
         return None
     path = output_dir / json_name
     if not path.is_file():
         return None
-    payload = artifacts.load_result_json(path)
-    return _metric_means(payload.get("rows", []))
+    return artifacts.load_result_json(path)
+
+
+def _cell(row: Mapping, key: str) -> str:
+    """An exact rendering of one row value (JSON spelling, strings quoted)."""
+    return f"`{json.dumps(row[key])}`" if key in row else "(absent)"
+
+
+def _unmatched(notes: list[str], other: list[str]) -> list[str]:
+    """The notes of ``notes`` that ``other`` lacks, counting repeats, in order."""
+    remaining = Counter(other)
+    unmatched = []
+    for note in notes:
+        if remaining[note]:
+            remaining[note] -= 1
+        else:
+            unmatched.append(note)
+    return unmatched
+
+
+def _row_changes(payload_a: Mapping, payload_b: Mapping) -> list[str]:
+    """Bullets naming every exact row and note difference of one experiment."""
+    rows_a, rows_b = payload_a.get("rows", []), payload_b.get("rows", [])
+    lines = []
+    if len(rows_a) != len(rows_b):
+        lines.append(f"- row count: run A {len(rows_a)}, run B {len(rows_b)}")
+    total = max(len(rows_a), len(rows_b))
+    differing = [i for i in range(total) if rows_a[i : i + 1] != rows_b[i : i + 1]]
+    if differing:
+        first = differing[0]
+        where = f"- {len(differing)} of {total} rows differ; first at row {first}"
+        if first >= min(len(rows_a), len(rows_b)):
+            lines.append(f"{where}: only in run {'A' if first < len(rows_a) else 'B'}")
+        else:
+            a, b = rows_a[first], rows_b[first]
+            column = next(k for k in {**a, **b} if a.get(k, _ABSENT) != b.get(k, _ABSENT))
+            where += f", column `{column}`: run A {_cell(a, column)}, run B {_cell(b, column)}"
+            lines.append(where)
+    notes_a, notes_b = list(payload_a.get("notes", [])), list(payload_b.get("notes", []))
+    removed, added = _unmatched(notes_a, notes_b), _unmatched(notes_b, notes_a)
+    lines += [f"- note only in run A: {note}" for note in removed]
+    lines += [f"- note only in run B: {note}" for note in added]
+    if notes_a != notes_b and not removed and not added:
+        lines.append("- the same notes in another order")
+    return lines
 
 
 def _section(title: str, lines: list[str]) -> list[str]:
@@ -140,11 +191,17 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
     only_b = [exp_id for exp_id in entries_b if exp_id not in entries_a]
 
     metric_lines: list[str] = []
+    row_lines: list[str] = []
     for exp_id in shared:
-        means_a = _experiment_metrics(dir_a, entries_a[exp_id])
-        means_b = _experiment_metrics(dir_b, entries_b[exp_id])
-        if means_a is None or means_b is None:
+        payload_a = _experiment_payload(dir_a, entries_a[exp_id])
+        payload_b = _experiment_payload(dir_b, entries_b[exp_id])
+        if payload_a is None or payload_b is None:
             continue
+        changes = _row_changes(payload_a, payload_b)
+        if changes:
+            row_lines += [f"### `{exp_id}`", "", *changes, ""]
+        means_a = _metric_means(payload_a.get("rows", []))
+        means_b = _metric_means(payload_b.get("rows", []))
         deltas = [
             (key, means_a[key], means_b[key])
             for key in dict.fromkeys([*means_a, *means_b])
@@ -169,13 +226,16 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
                 )
             metric_lines.append("")
         for key in dropped:
-            where = "A" if key in (means_a or {}) else "B"
+            where = "A" if key in means_a else "B"
             metric_lines.append(f"- metric `{key}` appears only in run {where}")
         if dropped:
             metric_lines.append("")
     if metric_lines:
         found_difference = True
         report += ["## Metric deltas", "", *metric_lines]
+    if row_lines:
+        found_difference = True
+        report += ["## Changed rows and notes", "", *row_lines]
 
     artifact_lines: list[str] = []
     for exp_id in only_b:

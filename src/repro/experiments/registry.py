@@ -1,13 +1,14 @@
 """Declarative registry of every experiment (the CLI's backbone).
 
-Each harness module exposes ``TITLE`` / ``PAPER_REF`` / ``TAGS`` constants and
-a ``run()`` callable; this module assembles them into
+Each paper-figure harness module exposes ``TITLE`` / ``PAPER_REF`` / ``TAGS``
+constants and a ``run()`` callable; this module assembles them into
 :class:`ExperimentSpec` records and a queryable :class:`ExperimentRegistry`.
-The serving experiments are packaged scenario files instead
-(:mod:`repro.scenarios`), registered cell by cell.  Adding an experiment is
-a single :func:`ExperimentRegistry.register` call (or a module or scenario
-file plus one line in :func:`default_registry`), and the ``recpipe`` CLI and
-the benchmark suite both read from the same source of truth.
+The serving experiments, the cross-platform sweep and the capacity plan are
+packaged scenario files instead (:mod:`repro.scenarios`), registered cell by
+cell.  Adding an experiment is a single :func:`ExperimentRegistry.register`
+call (or a module or scenario file plus one line in
+:func:`default_registry`), and the ``recpipe`` CLI and the benchmark suite
+both read from the same source of truth.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.experiments import (
-    capacity_planning,
     fig01_motivation,
     fig03_quality,
     fig05_ablation,
@@ -28,7 +28,6 @@ from repro.experiments import (
     fig12_rpaccel_scale,
     fig13_future,
     fig14_summary,
-    sweep_multiplatform,
     tab01_pareto_models,
 )
 from repro.experiments.common import ExperimentResult
@@ -51,7 +50,6 @@ class ExperimentSpec:
     paper_ref: str
     run: Callable[..., ExperimentResult]
     tags: tuple[str, ...] = ()
-    depends_on: tuple[str, ...] = ()
     module: str = ""
     #: Structured provenance (scenario name, axis assignment, ...) carried
     #: into run manifests so ``recpipe compare`` can diff what varied.
@@ -60,8 +58,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("an experiment spec needs a non-empty id")
-        if self.id in self.depends_on:
-            raise ValueError(f"experiment {self.id!r} cannot depend on itself")
 
     def execute(self, seed: int | None = None) -> ExperimentResult:
         """Run the harness, forwarding ``seed`` when the callable accepts it."""
@@ -84,7 +80,6 @@ class ExperimentSpec:
             "title": self.title,
             "paper_ref": self.paper_ref,
             "tags": list(self.tags),
-            "depends_on": list(self.depends_on),
             "module": self.module,
             "metadata": dict(self.metadata),
         }
@@ -137,15 +132,12 @@ class ExperimentRegistry:
         only: Sequence[str] | None = None,
         tags: Sequence[str] | None = None,
     ) -> list[ExperimentSpec]:
-        """Experiments matching the id and tag filters, dependencies included.
+        """Experiments matching the id and tag filters, in registry order.
 
         ``only`` restricts to the given ids (unknown ids raise
         :class:`UnknownExperimentError`); ``tags`` keeps experiments carrying
         at least one of the given tags (a tag used by no experiment raises
-        :class:`UnknownTagError`).  Both filters compose (intersection).  The
-        transitive ``depends_on`` closure of every selected experiment is
-        pulled in, and the result is dependency-ordered (dependencies first,
-        registry order otherwise).
+        :class:`UnknownTagError`).  Both filters compose (intersection).
         """
         selected = {spec.id for spec in self}
         if only is not None:
@@ -161,51 +153,17 @@ class ExperimentRegistry:
             if unknown_tags:
                 raise UnknownTagError(f"unknown tags {unknown_tags}; available: {self.tags()}")
             selected &= {spec.id for spec in self if any(tag in spec.tags for tag in tags)}
-        closure = self._dependency_closure(selected)
-        return self._topological_order(closure)
-
-    def _dependency_closure(self, selected: set[str]) -> set[str]:
-        closure: set[str] = set()
-        frontier = list(selected)
-        while frontier:
-            exp_id = frontier.pop()
-            if exp_id in closure:
-                continue
-            closure.add(exp_id)
-            frontier.extend(self.get(exp_id).depends_on)
-        return closure
-
-    def _topological_order(self, selected: set[str]) -> list[ExperimentSpec]:
-        ordered: list[ExperimentSpec] = []
-        placed: set[str] = set()
-        visiting: set[str] = set()
-
-        def visit(exp_id: str) -> None:
-            if exp_id in placed:
-                return
-            if exp_id in visiting:
-                raise ValueError(f"dependency cycle involving {exp_id!r}")
-            visiting.add(exp_id)
-            for dep in self.get(exp_id).depends_on:
-                visit(dep)
-            visiting.discard(exp_id)
-            placed.add(exp_id)
-            ordered.append(self.get(exp_id))
-
-        for exp_id in self._specs:  # registry order keeps the paper's sequence
-            if exp_id in selected:
-                visit(exp_id)
-        return ordered
+        # Registry order keeps the paper's sequence.
+        return [spec for spec in self if spec.id in selected]
 
 
-def _spec_from_module(exp_id: str, module, depends_on: tuple[str, ...] = ()) -> ExperimentSpec:
+def _spec_from_module(exp_id: str, module) -> ExperimentSpec:
     """Build a spec from a harness module's TITLE/PAPER_REF/TAGS constants."""
     return ExperimentSpec(
         id=exp_id,
         title=module.TITLE,
         paper_ref=module.PAPER_REF,
         tags=tuple(module.TAGS),
-        depends_on=depends_on,
         run=module.run,
         module=module.__name__,
     )
@@ -232,12 +190,12 @@ def _build_default_registry() -> ExperimentRegistry:
         ("fig12", fig12_rpaccel_scale),
         ("fig13", fig13_future),
         ("fig14", fig14_summary),
-        ("sweepmp", sweep_multiplatform),
+        "sweepmp",
         "router",
         "frontend",
         "flashcrowd",
         "coldcache",
-        ("capacity", capacity_planning),
+        "capacity",
         "builtin",
     ):
         if isinstance(entry, str):

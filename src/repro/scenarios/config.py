@@ -1,4 +1,4 @@
-"""Scenario configs: a declarative grid of serving runs (TOML or JSON).
+"""Scenario configs: a declarative grid of serving, sweep or capacity runs (TOML or JSON).
 
 A scenario file has three parts::
 
@@ -8,9 +8,14 @@ A scenario file has three parts::
       "axes":     {"trace": ["spike", "diurnal"], "estimator": ["windowed", "holt"]}
     }
 
-``base`` overrides :data:`BASE_DEFAULTS`; ``axes`` declares the swept
-dimensions (a subset of :data:`AXES`), and the cartesian product of their
-values becomes the scenario's *cells*.  Every cell is one runnable
+The header's ``kind`` says what a cell runs: a serving
+experiment (``serving``, the default), a design-space sweep (``sweep``) or
+a capacity plan (``capacity``).  A serving ``base`` overrides
+:data:`BASE_DEFAULTS`; a sweep or capacity ``base`` takes exactly the knobs
+of ``recpipe sweep`` or ``recpipe capacity``, with those commands'
+defaults.  Only serving scenarios take ``axes``: the swept dimensions (a
+subset of :data:`AXES`), whose cartesian product becomes the scenario's
+*cells*.  Every cell is one runnable
 experiment: :meth:`ScenarioConfig.expand` resolves each axis assignment
 over the base parameters and derives a stable cell id
 (``<name>-<axis-value>-...``, axes in canonical order), which
@@ -47,6 +52,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.scenarios.knobs import (
+    COMMANDS,
     ESTIMATOR_LIST,
     KNOBS,
     SCENARIO_KNOBS,
@@ -62,13 +68,22 @@ from repro.scenarios.knobs import (
 #: ``+``-joined or ``NxPLATFORM`` node-platform multiset).
 AXES = ("trace", "estimator", "service_model", "platforms", "nodes")
 
-#: Fully-resolved defaults every cell starts from, one per scenario knob.
-#: Deliberately smoke-sized (small pool, short trace) so a scenario is cheap
-#: unless it asks for more; the keys double as the set of legal ``base``
-#: overrides.
-BASE_DEFAULTS: Mapping[str, Any] = MappingProxyType(
-    {knob.name: knob.default for knob in SCENARIO_KNOBS}
-)
+#: The knobs each scenario kind takes (``serving`` is the default kind): a
+#: serving cell the scenario keys, a sweep or capacity cell its command's flags.
+KIND_KNOBS = {
+    "serving": SCENARIO_KNOBS,
+    "sweep": COMMANDS["sweep"],
+    "capacity": COMMANDS["capacity"],
+}
+#: Fully-resolved defaults every cell of a kind starts from, one per knob;
+#: the keys double as the set of legal ``base`` overrides.
+KIND_DEFAULTS = {
+    kind: MappingProxyType({knob.name: knob.default for knob in knobs})
+    for kind, knobs in KIND_KNOBS.items()
+}
+#: The serving defaults: deliberately smoke-sized (small pool, short trace)
+#: so a scenario is cheap unless it asks for more.
+BASE_DEFAULTS: Mapping[str, Any] = KIND_DEFAULTS["serving"]
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
@@ -126,14 +141,17 @@ class ScenarioCell:
     axes : Mapping[str, Any]
         This cell's axis assignment (swept keys only).
     params : Mapping[str, Any]
-        The fully-resolved parameter set: defaults, then the scenario's
-        ``base``, then ``axes``.
+        The fully-resolved parameter set: the kind's defaults, then the
+        scenario's ``base``, then ``axes``.
+    kind : str
+        What the cell runs: ``serving``, ``sweep`` or ``capacity``.
     """
 
     scenario: str
     index: int
     axes: Mapping[str, Any] = field(default_factory=dict)
     params: Mapping[str, Any] = field(default_factory=dict)
+    kind: str = "serving"
 
     @property
     def id(self) -> str:
@@ -164,10 +182,12 @@ class ScenarioConfig:
         Extra registry tags; every cell also carries ``scenario`` and
         ``scenario:<name>``.
     base : Mapping[str, Any]
-        Overrides applied to :data:`BASE_DEFAULTS`.
+        Overrides applied to the kind's defaults (:data:`KIND_DEFAULTS`).
     axes : Mapping[str, tuple]
         Swept dimensions, each a non-empty value list; none at all makes
-        the scenario one cell.
+        the scenario one cell.  Only serving scenarios take axes.
+    kind : str
+        ``serving`` (the default), ``sweep`` or ``capacity``.
     """
 
     name: str
@@ -176,21 +196,35 @@ class ScenarioConfig:
     tags: tuple[str, ...] = ()
     base: Mapping[str, Any] = field(default_factory=dict)
     axes: Mapping[str, tuple] = field(default_factory=dict)
+    kind: str = "serving"
 
     def __post_init__(self) -> None:
-        """Validate the name, base keys and every axis value eagerly."""
+        """Validate the name, kind, base keys and every axis value eagerly."""
         if not _NAME_RE.match(self.name):
             raise ScenarioError(
                 f"scenario name {self.name!r} must be a lowercase slug ([a-z][a-z0-9-]*)"
             )
-        unknown = sorted(set(self.base) - set(BASE_DEFAULTS))
+        if self.kind not in KIND_KNOBS:
+            raise ScenarioError(
+                f"unknown scenario kind {self.kind!r}; expected one of {list(KIND_KNOBS)}"
+            )
+        defaults = KIND_DEFAULTS[self.kind]
+        unknown = sorted(set(self.base) - set(defaults))
         if unknown:
             raise ScenarioError(
-                f"unknown base parameters {unknown}; expected a subset of "
-                f"{sorted(BASE_DEFAULTS)}"
+                f"unknown base parameters {unknown} for kind {self.kind!r}; "
+                f"expected a subset of {sorted(defaults)}"
             )
+        knobs = {knob.name: knob for knob in KIND_KNOBS[self.kind]}
         for key, value in self.base.items():
-            coerce(KNOBS[key], value)
+            # A knob its kind leaves unset by default may stay unset.
+            if value is not None or defaults[key] is not None:
+                coerce(knobs[key], value)
+        if self.axes and self.kind != "serving":
+            raise ScenarioError(
+                f"axes {sorted(self.axes)} on a {self.kind} scenario; "
+                "only serving scenarios take axes"
+            )
         bad_axes = sorted(set(self.axes) - set(AXES))
         if bad_axes:
             raise ScenarioError(f"unknown axes {bad_axes}; supported axes: {list(AXES)}")
@@ -204,8 +238,9 @@ class ScenarioConfig:
             one_item = knob.type in (TRACE_LIST, ESTIMATOR_LIST)
             for value in values:
                 coerce(knob, (value,) if one_item else value)
-        for cell in self.expand():
-            _validate_schedule(cell.params)
+        if self.kind == "serving":
+            for cell in self.expand():
+                _validate_schedule(cell.params)
 
     def expand(self) -> list[ScenarioCell]:
         """The cartesian product of the axes as resolved cells.
@@ -223,12 +258,8 @@ class ScenarioConfig:
             itertools.product(*(self.axes[axis] for axis in ordered))
         ):
             assignment = dict(zip(ordered, combo))
-            params = {**BASE_DEFAULTS, **self.base, **assignment}
-            cells.append(
-                ScenarioCell(
-                    scenario=self.name, index=index, axes=assignment, params=params
-                )
-            )
+            params = {**KIND_DEFAULTS[self.kind], **self.base, **assignment}
+            cells.append(ScenarioCell(self.name, index, assignment, params, self.kind))
         return cells
 
 
@@ -238,7 +269,7 @@ def scenario_from_mapping(data: Mapping, source: str = "<mapping>") -> ScenarioC
     Parameters
     ----------
     data : Mapping
-        The parsed file: ``scenario`` (name/title/paper_ref/tags),
+        The parsed file: ``scenario`` (name/kind/title/paper_ref/tags),
         ``base`` (optional) and ``axes`` tables.
     source : str
         Where the mapping came from, for error messages.
@@ -286,6 +317,7 @@ def scenario_from_mapping(data: Mapping, source: str = "<mapping>") -> ScenarioC
             tags=tuple(str(tag) for tag in header.get("tags", ())),
             base=normalized_base,
             axes=normalized_axes,
+            kind=str(header.get("kind", "serving")),
         )
     except ScenarioError as error:
         raise ScenarioError(f"{source}: {error}") from None

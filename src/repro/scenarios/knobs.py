@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType, SimpleNamespace
 from typing import Any, Mapping
 
+from repro.cluster.fleet import STRATEGIES
 from repro.core.sweep import PLATFORMS, SweepConfig
-from repro.experiments.capacity_planning import STRATEGIES, CapacityConfig
+from repro.experiments.capacity_planning import CapacityConfig
 from repro.serving.engine import ENGINES
 from repro.serving.estimators import ESTIMATORS, EWMA
 from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend

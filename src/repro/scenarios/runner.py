@@ -1,15 +1,20 @@
-"""Run scenario cells: the one code path behind every serving experiment.
+"""Run scenario cells: the one code path behind every experiment run.
 
-One cell replays each of its traces under the static and oracle bounds
-plus one online policy per listed estimator, served from a routing table
-compiled for the cell's workload, platform set, service model and cluster
-mix.  ``mode`` selects the online policy: ``per-step`` runs the
+:func:`run_cell` runs a cell of any kind.  A *serving* cell replays each
+of its traces under the static and oracle bounds plus one online policy
+per listed estimator, served from a routing table compiled for the cell's
+workload, platform set, service model and cluster mix.  ``mode`` selects
+the online policy: ``per-step`` runs the
 :class:`~repro.serving.router.MultiPathRouter` (one decision per trace
 step), ``per-query`` the :class:`~repro.serving.frontend.StreamingFrontend`
 (admission control and dynamic batching over individually arriving
-queries).  The registry's serving entries (``router``, ``frontend``,
-``flashcrowd``, ``coldcache`` and the ``routergrid`` cells) and
-``recpipe route`` all run through :func:`run_cell`.
+queries).  A *sweep* cell is one :func:`~repro.core.sweep.run_sweep` call,
+and a *capacity* cell one
+:func:`~repro.experiments.capacity_planning.run_capacity` call.  The
+registry's serving entries (``router``, ``frontend``, ``flashcrowd``,
+``coldcache`` and the ``routergrid`` cells), ``sweepmp`` and ``capacity``,
+and ``recpipe route``/``sweep``/``capacity`` all run through
+:func:`run_cell`.
 
 Table compilation dominates the cost of a cell, and trace/estimator/policy
 parameters do not affect the table, so compiled tables are memoized per
@@ -33,7 +38,10 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
+from repro.cluster.fleet import compose_fleet, fleet_nodes, fleet_tables
 from repro.core.pipeline import enumerate_pipelines
+from repro.core.sweep import SweepConfig, run_sweep
+from repro.experiments.capacity_planning import CapacityConfig, run_capacity
 from repro.experiments.common import (
     ExperimentResult,
     criteo_quality_evaluator,
@@ -79,6 +87,11 @@ TABLE_PARAMS = (
 )
 
 
+def dataset_tables(dataset: str) -> int:
+    """The embedding-table count of a dataset's models: Criteo's 26, NeuMF's two (user, item)."""
+    return 26 if dataset == "criteo" else 2
+
+
 def workload(dataset: str, pool: int):
     """(evaluator, model specs, embedding-table count) for one dataset.
 
@@ -96,11 +109,40 @@ def workload(dataset: str, pool: int):
     """
     from repro.models.zoo import criteo_model_specs, movielens_model_specs
 
+    tables = dataset_tables(dataset)
     if dataset == "criteo":
-        return criteo_quality_evaluator(pool), criteo_model_specs(), 26
+        return criteo_quality_evaluator(pool), criteo_model_specs(), tables
     preset = dataset.split("-", 1)[1]
-    # NeuMF funnels use two embedding tables (user, item).
-    return movielens_quality_evaluator(preset, pool), movielens_model_specs(), 2
+    return movielens_quality_evaluator(preset, pool), movielens_model_specs(), tables
+
+
+def default_pool(dataset: str, pool: int | None, criteo_pool: int = 4096) -> int:
+    """``pool``, or the dataset default when unset (MovieLens catalogues are smaller)."""
+    if pool is not None:
+        return pool
+    return criteo_pool if dataset == "criteo" else 1024
+
+
+def platform_names(value) -> tuple[str, ...]:
+    """A platform set as a tuple of names, from ``+``-joined text or a sequence."""
+    return tuple(value.split("+")) if isinstance(value, str) else tuple(value)
+
+
+def cell_config(cell: ScenarioCell, seed: int | None = None) -> SweepConfig | CapacityConfig:
+    """The :class:`SweepConfig` or :class:`CapacityConfig` a sweep or capacity cell runs.
+
+    The cell's parameters that are the config's fields fill it, ``seed``
+    overriding; a sweep takes its dataset's embedding-table count.
+    """
+    params = cell.params
+    config_class = SweepConfig if cell.kind == "sweep" else CapacityConfig
+    fields = {name: params[name] for name in config_class.__dataclass_fields__ if name in params}
+    fields["platforms"] = platform_names(params["platforms"])
+    if seed is not None:
+        fields["seed"] = seed
+    if cell.kind == "sweep":
+        fields["num_tables"] = dataset_tables(params["dataset"])
+    return config_class(**fields)
 
 
 @lru_cache(maxsize=8)
@@ -118,8 +160,9 @@ def _compiled_table(key: tuple, seed: int):
     -------
     PathTable or ClusterTable
         A single-node path table, or — when the ``nodes`` mix names more
-        than one node — the composed fleet table over per-platform
-        single-node tables (sharded embeddings, priced gathers).
+        than one node — the fleet table ``compose_fleet`` composes over
+        per-platform tables, sharded table-wise, on the cell's QPS grid
+        scaled by the node count.
     """
     params = dict(zip(TABLE_PARAMS, key))
     evaluator, specs, num_tables = workload(params["dataset"], params["pool"])
@@ -143,8 +186,8 @@ def _compiled_table(key: tuple, seed: int):
             "later_stage_items (--first-stage-items / --later-stage-items) "
             "or lower serve_k (--serve-k)"
         )
-    platforms = tuple(str(params["platforms"]).split("+"))
-    if params["nodes"] == "1":
+
+    def compile_table(platforms: tuple[str, ...]) -> PathTable:
         return PathTable.compile(
             scheduler,
             pipelines,
@@ -154,7 +197,18 @@ def _compiled_table(key: tuple, seed: int):
             quality_target=params["quality_target"],
             seed=seed,
         )
-    return _compile_fleet(scheduler, pipelines, params, seed)
+
+    if params["nodes"] == "1":
+        return compile_table(platform_names(params["platforms"]))
+    mix = parse_mix(params["nodes"])
+    platform_tables = {platform: compile_table((platform,)) for platform in dict.fromkeys(mix)}
+    nodes = fleet_nodes(mix, int(params["budget_gb"] * 2**30))
+    return compose_fleet(
+        nodes,
+        platform_tables,
+        tuple(float(q) * len(nodes) for q in params["qps_grid"]),
+        fleet_tables(params["num_tables"], params["embedding_scale"]),
+    )
 
 
 def compiled_table(params: Mapping, seed: int):
@@ -173,63 +227,6 @@ def compiled_table(params: Mapping, seed: int):
         The compiled table, shared by every cell with equal table params.
     """
     return _compiled_table(tuple(params[name] for name in TABLE_PARAMS), seed)
-
-
-def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
-    """Compose a :class:`~repro.cluster.fleet.ClusterTable` for a node mix.
-
-    Per-platform single-node tables are compiled over the cell's QPS grid;
-    the cluster grid scales it by the node count (an N-node fleet serves
-    roughly N times a node's load range).  Embedding tables derive from
-    RMlarge's reference cost, sharded with the table-wise packer.
-
-    Parameters
-    ----------
-    scheduler : RecPipeScheduler
-        The cell's scheduler (quality + simulation budget).
-    pipelines : list
-        The cell's enumerated candidate funnels.
-    params : Mapping
-        The cell's resolved parameters.
-    seed : int
-        Compile seed.
-
-    Returns
-    -------
-    ClusterTable
-        The composed fleet table.
-    """
-    from repro.accel.embedding_cache import EmbeddingCacheConfig
-    from repro.cluster.fleet import NodeSpec, build_cluster_table
-    from repro.cluster.sharding import shard_table_wise, tables_from_cost
-    from repro.cluster.topology import InterconnectLink
-    from repro.models.zoo import RM_LARGE
-
-    mix = parse_mix(params["nodes"])
-    platform_tables = {
-        platform: PathTable.compile(
-            scheduler,
-            pipelines,
-            (platform,),
-            params["qps_grid"],
-            sla_ms=params["sla_ms"],
-            quality_target=params["quality_target"],
-            seed=seed,
-        )
-        for platform in dict.fromkeys(mix)
-    }
-    budget_bytes = int(params["budget_gb"] * 2**30)
-    nodes = tuple(
-        NodeSpec(name=f"n{i}-{platform}", platform=platform, memory_budget_bytes=budget_bytes)
-        for i, platform in enumerate(mix)
-    )
-    cost = RM_LARGE.reference_cost(params["num_tables"]).scaled(params["embedding_scale"])
-    tables = tables_from_cost(cost, params["num_tables"], items_per_query=256.0)
-    plan = shard_table_wise(tables, [budget_bytes] * len(nodes))
-    cluster_grid = tuple(float(q) * len(nodes) for q in params["qps_grid"])
-    return build_cluster_table(
-        nodes, platform_tables, cluster_grid, plan, InterconnectLink(), EmbeddingCacheConfig()
-    )
 
 
 def build_trace(params: Mapping, item, seed: int) -> LoadTrace:
@@ -453,38 +450,93 @@ def _window_log(table, trace: LoadTrace, schedule: FrontendSchedule) -> list:
 
 
 def run_cell(
-    cell: ScenarioCell, seed: int | None = None, log: ExperimentResult | None = None
+    cell: ScenarioCell, seed: int | None = None, companions: dict | None = None
 ) -> ExperimentResult:
-    """Execute one scenario cell: static vs oracle vs online on every trace.
+    """Execute one scenario cell of any kind; return its main table, named after the cell.
 
-    Parameters
-    ----------
-    cell : ScenarioCell
-        The expanded grid point.
-    seed : int, optional
-        Overrides the cell's ``seed`` parameter (trace noise, table
-        compile and query arrivals; ``recpipe run --seed`` forwards it).
-    log : ExperimentResult, optional
-        When given, receives the decision log of every online run, in run
-        order: one row per trace step (``per-step``) or decision window
-        (``per-query``).
+    ``seed`` overrides the cell's (``recpipe run --seed`` forwards it).
+    ``companions``, when given, receives the cell's companion tables by
+    suffix, each named ``<cell id>_<suffix>``: ``steps`` for a serving
+    cell, one table per platform plus ``frontier`` for a sweep, and
+    ``frontier`` for a capacity plan.
+    """
+    seed = cell.params["seed"] if seed is None else seed
+    kinds = {"serving": _serving_cell, "sweep": _sweep_cell, "capacity": _capacity_cell}
+    return kinds[cell.kind](cell, seed, companions)
 
-    Returns
-    -------
-    ExperimentResult
-        Per trace: the static and oracle rows, then one online row per
-        estimator (prefixed with the scenario name and axis assignment
-        when the cell is a grid point), and one violation note per online
-        run.  Cells with a ``service_schedule`` add measured-vs-closed-form
-        hit-rate notes.
+
+def _sweep_cell(cell: ScenarioCell, seed: int, companions: dict | None) -> ExperimentResult:
+    """One design-space sweep: every (platform, qps, pipeline) row.
+
+    Notes give each load's combined cross-platform frontier, then the
+    sweep's summary lines.  Companions: one breakdown per platform, and
+    ``frontier``, the combined frontier per load.
     """
     params = cell.params
-    seed = params["seed"] if seed is None else seed
+    config = cell_config(cell, seed)
+    dataset = params["dataset"]
+    evaluator, specs, _ = workload(dataset, default_pool(dataset, params["pool"]))
+    outcome = run_sweep(evaluator, specs, config, jobs=params["jobs"])
+    rows = outcome.rows()
+    result = ExperimentResult(name=cell.id, rows=rows)
+    for qps in config.qps:
+        frontier = outcome.combined_frontier[qps]
+        result.note(
+            f"qps {qps:g}: combined frontier spans "
+            f"{len({e.platform for e in frontier})} platform(s), "
+            f"{len(frontier)} configuration(s)"
+        )
+    for line in outcome.summary_lines():
+        result.note(line)
+    if companions is not None:
+        for platform in config.platforms:
+            companions[platform] = ExperimentResult(
+                name=f"{cell.id}_{platform}", rows=outcome.platform_rows(platform, rows)
+            )
+        companions["frontier"] = ExperimentResult(
+            name=f"{cell.id}_frontier", rows=outcome.frontier_rows()
+        )
+    return result
+
+
+def _capacity_cell(cell: ScenarioCell, seed: int, companions: dict | None) -> ExperimentResult:
+    """One capacity plan over the diurnal trace :func:`build_trace` shapes.
+
+    The per-mix table comes back; ``frontier`` is its cost/QPS frontier.
+    """
+    config = cell_config(cell, seed)
+    shape = {
+        **cell.params,
+        "base_qps": config.resolved_base_qps,
+        "peak_qps": config.resolved_peak_qps,
+    }
+    result, frontier = run_capacity(config, build_trace(shape, "diurnal", seed))
+    result.name, frontier.name = cell.id, f"{cell.id}_frontier"
+    if companions is not None:
+        companions["frontier"] = frontier
+    return result
+
+
+def _serving_cell(cell: ScenarioCell, seed: int, companions: dict | None) -> ExperimentResult:
+    """Static vs oracle vs online on every trace of a serving cell.
+
+    Per trace: the static and oracle rows, then one online row per
+    estimator (prefixed with the scenario name and axis assignment when
+    the cell is a grid point), and one violation note per online run.
+    Cells with a ``service_schedule`` add measured-vs-closed-form hit-rate
+    notes.  Companion ``steps`` is the decision log of every online run,
+    in run order: one row per trace step (``per-step``) or decision window
+    (``per-query``).
+    """
+    params = cell.params
     table = compiled_table(params, seed)
     estimators = listed(params["estimator"])
     per_query = params["mode"] == "per-query"
     prefix = {"scenario": cell.scenario, **cell.axes} if cell.axes else {}
     result = ExperimentResult(name=cell.id)
+    log = None
+    if companions is not None:
+        log = companions["steps"] = ExperimentResult(name=f"{cell.id}_steps")
     if cell.axes:
         result.note(f"cell {cell.id}: {cell.label}")
     sampled: set = set()
@@ -618,8 +670,9 @@ def packaged_scenario(name: str) -> ScenarioConfig:
     ----------
     name : str
         The file stem: ``router``, ``frontend``, ``flashcrowd``,
-        ``coldcache`` (the serving entries of the default registry) or
-        ``builtin`` (the ``routergrid`` ``trace x estimator`` grid).
+        ``coldcache`` (the serving entries of the default registry),
+        ``builtin`` (the ``routergrid`` ``trace x estimator`` grid),
+        ``sweepmp`` (a sweep) or ``capacity`` (a capacity plan).
 
     Returns
     -------

@@ -10,12 +10,29 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.experiments import artifacts, capacity_planning
-from repro.experiments.capacity_planning import (
-    CapacityConfig,
-    build_trace,
-    run_capacity,
-)
+from repro.cluster import fleet
+from repro.experiments import artifacts
+from repro.experiments.capacity_planning import CapacityConfig
+from repro.experiments.capacity_planning import run_capacity as plan_capacity
+from repro.scenarios.runner import build_trace
+
+
+def capacity_trace(config: CapacityConfig):
+    """The diurnal trace a capacity cell serves, shaped by ``config``."""
+    shape = {
+        "steps": config.steps,
+        "step_seconds": config.step_seconds,
+        "noise": config.noise,
+        "base_qps": config.resolved_base_qps,
+        "peak_qps": config.resolved_peak_qps,
+    }
+    return build_trace(shape, "diurnal", config.seed)
+
+
+def run_capacity(config: CapacityConfig):
+    """The planner over the trace its capacity cell would serve."""
+    return plan_capacity(config, capacity_trace(config))
+
 
 TINY = CapacityConfig(
     platforms=("cpu",),
@@ -52,7 +69,7 @@ class TestRunCapacity:
 
     def test_serves_peak_matches_the_trace(self, tiny_run):
         result, _ = tiny_run
-        peak = float(np.max(build_trace(TINY).qps))
+        peak = float(np.max(capacity_trace(TINY).qps))
         for row in result.rows:
             assert row["serves_peak"] == (row["sla_qps"] >= peak)
 
@@ -113,13 +130,13 @@ class TestRunCapacity:
     def shard_calls(self, monkeypatch):
         """Record every budget vector the planner hands to the sharder."""
         calls = []
-        original = capacity_planning.shard_table_wise
+        original = fleet.shard_table_wise
 
         def counting(tables, budgets):
             calls.append(tuple(budgets))
             return original(tables, budgets)
 
-        monkeypatch.setattr(capacity_planning, "shard_table_wise", counting)
+        monkeypatch.setattr(fleet, "shard_table_wise", counting)
         return calls
 
     def test_one_placement_per_budget_vector(self, shard_calls):

@@ -8,7 +8,7 @@ from repro import cli
 from repro.experiments import artifacts
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import default_registry
-from repro.scenarios.runner import workload
+from repro.scenarios.runner import default_pool, workload
 
 
 def _strip_wall_clock(payload: dict) -> dict:
@@ -271,12 +271,12 @@ class TestSweep:
 
     def test_sweep_default_pool_fits_movielens_catalogue(self):
         # MovieLens-1M's catalogue is smaller than Criteo's 4096 default.
-        parse = cli.build_parser().parse_args
-        pool = cli._default_pool(parse(["sweep", "--dataset", "movielens-1m"]), criteo_pool=4096)
+        args = cli.build_parser().parse_args(["sweep", "--dataset", "movielens-1m"])
+        pool = default_pool(args.dataset, args.pool)
         assert pool == 1024
         evaluator, _, _ = workload("movielens-1m", pool)
         assert evaluator.queries
-        assert cli._default_pool(parse(["sweep"]), criteo_pool=4096) == 4096
+        assert default_pool("criteo", cli.build_parser().parse_args(["sweep"]).pool) == 4096
 
     def test_saturated_rows_serialize_as_strict_json(self, tmp_path):
         result = ExperimentResult(name="sat")
@@ -642,7 +642,7 @@ class TestRoutePerQuery:
 
         args = cli.build_parser().parse_args(["route"])
         assert args.mode == "per-step"
-        # --max-batch defaults to a None sentinel so cmd_route can tell
+        # --max-batch defaults to a None sentinel so cmd_cell can tell
         # "explicitly set" (conflicts with --no-batching) from "unset"
         # (resolves to the dataclass default).
         assert args.max_batch is None

@@ -127,6 +127,75 @@ class TestCompareRuns:
         assert compare_runs(a, b).endswith(NO_DIFFERENCES + "\n")
 
 
+def edit_rows(out_dir: Path, change) -> None:
+    """Apply ``change`` to a written run's ``cell.json`` payload in place."""
+    path = out_dir / "cell.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    change(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def set_row(index: int, **values):
+    return lambda payload: payload["rows"][index].update(values)
+
+
+class TestChangedRowsAndNotes:
+    """Differences no column mean shows still make the report."""
+
+    @pytest.mark.parametrize(
+        "change_a, change_b, expected",
+        [
+            (
+                set_row(0, on_frontier=True),
+                set_row(0, on_frontier=False),
+                "- 1 of 2 rows differ; first at row 0, column `on_frontier`: "
+                "run A `true`, run B `false`",
+            ),
+            (
+                None,
+                set_row(0, policy="oracle"),
+                '- 1 of 2 rows differ; first at row 0, column `policy`: '
+                'run A `"static"`, run B `"oracle"`',
+            ),
+            (
+                None,
+                lambda payload: payload["rows"].pop(),
+                "- row count: run A 2, run B 1\n"
+                "- 1 of 2 rows differ; first at row 1: only in run A",
+            ),
+            (
+                lambda payload: payload.update(notes=["winner 2xcpu", "peak 100"]),
+                lambda payload: payload.update(notes=["winner 3xcpu", "peak 100"]),
+                "- note only in run A: winner 2xcpu\n- note only in run B: winner 3xcpu",
+            ),
+            (
+                lambda payload: payload.update(notes=["a", "b"]),
+                lambda payload: payload.update(notes=["b", "a"]),
+                "- the same notes in another order",
+            ),
+        ],
+    )
+    def test_exact_differences_are_reported(self, tmp_path, change_a, change_b, expected):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_run(a)
+        write_run(b)
+        for run, change in ((a, change_a), (b, change_b)):
+            if change is not None:
+                edit_rows(run, change)
+        report = compare_runs(a, b)
+        assert NO_DIFFERENCES not in report
+        assert "## Changed rows and notes\n\n### `cell`\n\n" + expected in report
+
+    def test_equal_rows_and_notes_add_no_section(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for run in (a, b):
+            write_run(run)
+            edit_rows(run, lambda payload: payload.update(notes=["same"]))
+        report = compare_runs(a, b)
+        assert "Changed rows and notes" not in report
+        assert report.endswith(NO_DIFFERENCES + "\n")
+
+
 class TestCompareCli:
     def test_compare_writes_output_file(self, tmp_path, capsys):
         from repro.cli import main

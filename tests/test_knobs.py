@@ -426,8 +426,8 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr("repro.scenarios.runner.compiled_table", reached)
     monkeypatch.setattr("repro.scenarios.runner.workload", reached)
-    monkeypatch.setattr("repro.core.sweep.run_sweep", reached)
-    monkeypatch.setattr("repro.experiments.capacity_planning.run_capacity", reached)
+    monkeypatch.setattr("repro.scenarios.runner.run_sweep", reached)
+    monkeypatch.setattr("repro.scenarios.runner.run_capacity", reached)
 
 
 CLI_PROBES = [

@@ -44,13 +44,12 @@ def _dummy_run() -> ExperimentResult:
     return result
 
 
-def _spec(exp_id, tags=(), depends_on=(), run=_dummy_run):
+def _spec(exp_id, tags=(), run=_dummy_run):
     return ExperimentSpec(
         id=exp_id,
         title=f"title {exp_id}",
         paper_ref=f"Figure {exp_id}",
         tags=tuple(tags),
-        depends_on=tuple(depends_on),
         run=run,
         module=f"tests.{exp_id}",
     )
@@ -133,25 +132,6 @@ class TestRegistryMechanics:
         registry.register(_spec("a"))
         with pytest.raises(ValueError, match="already registered"):
             registry.register(_spec("a"))
-
-    def test_self_dependency_rejected(self):
-        with pytest.raises(ValueError, match="cannot depend on itself"):
-            _spec("a", depends_on=("a",))
-
-    def test_dependencies_pulled_in_and_ordered_first(self):
-        registry = ExperimentRegistry()
-        registry.register(_spec("base"))
-        registry.register(_spec("mid", depends_on=("base",)))
-        registry.register(_spec("top", depends_on=("mid",)))
-        selected = registry.select(only=["top"])
-        assert [spec.id for spec in selected] == ["base", "mid", "top"]
-
-    def test_dependency_cycle_detected(self):
-        registry = ExperimentRegistry()
-        registry.register(_spec("a", depends_on=("b",)))
-        registry.register(_spec("b", depends_on=("a",)))
-        with pytest.raises(ValueError, match="cycle"):
-            registry.select(only=["a"])
 
     def test_execute_forwards_seed_only_when_accepted(self):
         calls = {}

@@ -1,11 +1,18 @@
 """Tests for the declarative scenario suite (``repro.scenarios``)."""
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
+from repro.cluster.fleet import compose_fleet, fleet_nodes, fleet_tables
+from repro.core.sweep import SweepConfig, run_sweep
 from repro.experiments import artifacts
+from repro.experiments.capacity_planning import CapacityConfig, run_capacity
+from repro.experiments.common import criteo_quality_evaluator
 from repro.experiments.registry import ExperimentRegistry, ExperimentSpec, default_registry
+from repro.models.zoo import criteo_model_specs
 from repro.scenarios import (
     AXES,
     BASE_DEFAULTS,
@@ -19,7 +26,8 @@ from repro.scenarios import (
     scenario_specs,
 )
 from repro.scenarios.knobs import parse_mix
-from repro.scenarios.runner import _compiled_table, build_trace
+from repro.scenarios.runner import _compiled_table, build_trace, compiled_table
+from repro.serving.trace import diurnal_trace
 
 CHEAP_BASE = {
     "platforms": "cpu",
@@ -316,15 +324,171 @@ class TestCacheScenarios:
         assert coldcache_payload("warm-memo", "coldcache", fresh=False) == alone
 
 
-class TestScenarioCli:
-    def test_run_scenario_with_jobs_rejected(self, capsys):
+#: `recpipe sweep` knobs of a small two-platform sweep, and the same as a
+#: sweep scenario's base.
+SWEEP_FLAGS = (
+    "--platform cpu,rpaccel --qps 100,1000 --first-stage-items 512 "
+    "--later-stage-items 128 --max-stages 2 --num-queries 300 --pool 512"
+).split()
+SWEEP_BASE = {
+    "platforms": "cpu+rpaccel",
+    "qps": [100.0, 1000.0],
+    "first_stage_items": [512],
+    "later_stage_items": [128],
+    "max_stages": 2,
+    "num_queries": 300,
+    "pool": 512,
+}
+#: `recpipe capacity` knobs of a tiny plan, and the same as a capacity base.
+CAPACITY_FLAGS = (
+    "--platforms cpu --max-nodes 2 --users 200000 --steps 12 --step-seconds 60 "
+    "--num-queries 150"
+).split()
+CAPACITY_BASE = {
+    "platforms": ["cpu"],
+    "max_nodes": 2,
+    "users": 200_000,
+    "steps": 12,
+    "step_seconds": 60.0,
+    "num_queries": 150,
+}
+
+
+def kind_cell(kind: str, base: dict):
+    header = {"name": kind, "kind": kind}
+    (cell,) = scenario_from_mapping({"scenario": header, "base": base}).expand()
+    return cell
+
+
+class TestScenarioKinds:
+    @pytest.mark.parametrize(
+        "header, data, match",
+        [
+            ({"kind": "fleet"}, {}, "kind 'fleet'"),
+            ({"kind": "sweep"}, {"base": {"trace": "spike"}}, "['trace'] for kind 'sweep'"),
+            ({}, {"base": {"max_nodes": 4}}, "['max_nodes'] for kind 'serving'"),
+            ({"kind": "capacity"}, {"axes": {"estimator": ["holt"]}}, "axes"),
+        ],
+    )
+    def test_rejected_kind_exits_2(self, tmp_path, capsys, header, data, match):
         from repro.cli import main
 
-        status = main(
-            ["run", "--scenario", "scenarios/smoke.json", "--jobs", "2", "--quiet"]
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"scenario": {"name": "k", **header}, **data}))
+        assert main(["run", "--scenario", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+
+    def test_kinds_take_their_commands_defaults(self):
+        assert kind_cell("sweep", {}).params["qps"] == SweepConfig.qps
+        assert kind_cell("sweep", {}).params["pool"] is None  # resolved per dataset
+        assert kind_cell("capacity", {}).params["max_nodes"] == CapacityConfig.max_nodes
+        assert kind_cell("capacity", {}).kind == "capacity"
+
+    def test_sweep_cell_is_one_direct_sweep(self):
+        companions = {}
+        result = run_cell(kind_cell("sweep", SWEEP_BASE), companions=companions)
+        config = SweepConfig(
+            platforms=("cpu", "rpaccel"),
+            qps=(100.0, 1000.0),
+            first_stage_items=(512,),
+            later_stage_items=(128,),
+            max_stages=2,
+            num_queries=300,
         )
-        assert status == 2
-        assert "--jobs" in capsys.readouterr().err
+        outcome = run_sweep(criteo_quality_evaluator(512), criteo_model_specs(), config)
+        rows = outcome.rows()
+        assert result.rows == rows
+        assert result.notes[len(config.qps) :] == outcome.summary_lines()
+        assert list(companions) == ["cpu", "rpaccel", "frontier"]
+        for platform in config.platforms:
+            assert companions[platform].rows == outcome.platform_rows(platform, rows)
+        assert companions["frontier"].rows == outcome.frontier_rows()
+
+    def test_capacity_cell_is_one_planner_run(self):
+        companions = {}
+        result = run_cell(kind_cell("capacity", CAPACITY_BASE), companions=companions)
+        config = CapacityConfig(
+            platforms=("cpu",),
+            max_nodes=2,
+            users=200_000,
+            steps=12,
+            step_seconds=60.0,
+            num_queries=150,
+        )
+        trace = diurnal_trace(
+            num_steps=config.steps,
+            step_seconds=config.step_seconds,
+            base_qps=config.resolved_base_qps,
+            peak_qps=config.resolved_peak_qps,
+            noise=config.noise,
+            seed=config.seed,
+        )
+        expected, frontier = run_capacity(config, trace)
+        assert (result.rows, result.notes) == (expected.rows, expected.notes)
+        assert list(companions) == ["frontier"]
+        assert companions["frontier"].rows == frontier.rows
+
+    def test_nodes_axis_composes_the_fleet_the_planner_composes(self):
+        params = {**BASE_DEFAULTS, **CHEAP_BASE, "nodes": "2xcpu"}
+        served = compiled_table(params, seed=0)
+        # The planner's call: the same mix, grid and strategy over the node's
+        # own single-node table.
+        node_table = compiled_table({**params, "nodes": "1"}, seed=0)
+        planned = compose_fleet(
+            fleet_nodes(("cpu", "cpu"), int(params["budget_gb"] * 2**30)),
+            {"cpu": node_table},
+            tuple(2.0 * q for q in params["qps_grid"]),
+            fleet_tables(params["num_tables"], params["embedding_scale"]),
+            "tablewise",
+            placements={},
+        )
+        np.testing.assert_array_equal(served.node_gather, planned.node_gather)
+        np.testing.assert_array_equal(served.node_weights, planned.node_weights)
+        loads = np.linspace(50.0, 8000.0, 40)
+        for index in range(len(served.paths)):
+            np.testing.assert_array_equal(
+                served.p99_profile(index, loads), planned.p99_profile(index, loads)
+            )
+
+    @pytest.mark.parametrize(
+        "command, flags, kind, base, artifact",
+        [
+            ("sweep", SWEEP_FLAGS, "sweep", SWEEP_BASE, "sweep.json"),
+            ("capacity", CAPACITY_FLAGS, "capacity", CAPACITY_BASE, "capacity.json"),
+        ],
+    )
+    def test_scenario_file_reaches_the_command_rows(
+        self, tmp_path, command, flags, kind, base, artifact
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"scenario": {"name": "k", "kind": kind}, "base": base}))
+        assert main([command, *flags, "--output-dir", str(tmp_path / "cmd"), "--quiet"]) == 0
+        run = ["run", "--scenario", str(path), "--only", "k", "--quiet"]
+        assert main([*run, "--output-dir", str(tmp_path / "file")]) == 0
+        from_command = artifacts.load_result_json(tmp_path / "cmd" / artifact)
+        from_file = artifacts.load_result_json(tmp_path / "file" / "k.json")
+        assert from_file["rows"] == from_command["rows"]
+        assert from_file["notes"] == from_command["notes"]
+
+
+class TestScenarioCli:
+    def test_scenarios_pickle_round_trip(self):
+        for config in (load_scenario("scenarios/smoke.json"), packaged_scenario("frontend")):
+            assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_run_scenario_serial_and_jobs_compare_equal(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for name, jobs in (("serial", "1"), ("jobs", "2")):
+            args = ["run", "--scenario", "scenarios/smoke.json", "--tag", "smoke"]
+            args += ["--jobs", jobs, "--output-dir", str(tmp_path / name), "--quiet"]
+            assert main(args) == 0
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "serial"), str(tmp_path / "jobs")]) == 0
+        assert capsys.readouterr().out.endswith("No differences.\n")
 
     def test_list_scenario_shows_cells(self, capsys):
         from repro.cli import main
