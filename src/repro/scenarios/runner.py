@@ -551,8 +551,9 @@ def _serving_cell(cell: ScenarioCell, seed: int, companions: dict | None) -> Exp
             row = bound_row(trace, bound) if per_query else result_row(trace, bound)
             result.add(**{**prefix, **row})
         routings = [static, oracle]
-        # One draw per trace, shared by every estimator; only one trace's
-        # queries are alive at a time.
+        # One stream per trace, shared by every estimator: its counts are
+        # drawn once and each arrival block at most once, and ``del stream``
+        # frees the realized blocks before the next trace.
         stream = (
             QueryStream.from_trace(trace, seed=seed, process=params["arrival_process"])
             if per_query

@@ -38,20 +38,27 @@ is ``b = floor((sla − p99(path, λ)) · λ)``, clamped to ``[1, max_batch]``
 Scheduling does per-window work per window.  Path candidates for all
 windows come from one :meth:`~repro.serving.router.PathTable.best_path_batch`
 call and batch sizes from array arithmetic.  Each window's arrival count is
-one ``np.searchsorted`` of the window edges over the arrival-sorted stream,
-with every edge snapped to where ``np.floor_divide`` changes window, so
-non-integer widths bin exactly as ``floor_divide`` would.  Admission is a
-scalar recursion over windows on integer counters.  The FIFO backlog is a
-single count, because deferred queries always form a contiguous suffix of
-all deferrals so far.  :class:`FrontendSchedule` therefore stores window
-counters only; per-query outcomes are read-only views it derives from them
-on first access, and :meth:`StreamingFrontend.serve` touches only the
-deferred-then-served queries, whose waits join the latency pool.
+the stream's count of arrivals before the window edges
+(:meth:`QueryStream.count_before`, equal to one ``np.searchsorted`` over the
+arrival-sorted stream), with every edge snapped to where
+``np.floor_divide`` changes window, so non-integer widths bin exactly as
+``floor_divide`` would.  Admission is a scalar recursion over windows on
+integer counters.  The FIFO backlog is a single count, because deferred
+queries always form a contiguous suffix of all deferrals so far.
+:class:`FrontendSchedule` therefore stores window counters only; per-query
+outcomes are read-only views it derives from them on first access, and
+:meth:`StreamingFrontend.serve` touches only the deferred-then-served
+queries, whose waits join the latency pool.
 
-:meth:`QueryStream.from_trace` draws each step's uniforms straight into that
-step's slice of one preallocated array and sorts per step.  PCG64 emits
-doubles in sequence and step blocks do not overlap, so this equals one
-global draw followed by a global sort, without the ``N``-sized temporaries.
+A :class:`QueryStream` is step-addressable.  :meth:`QueryStream.from_trace`
+draws only the per-step counts; a Poisson stream also keeps the generator's
+state after them.  A step's sorted arrival block is drawn when something
+reads it: a window edge strictly inside the step, or a deferred query whose
+wait :meth:`StreamingFrontend.serve` pools.  Each ``random()`` double
+consumes one PCG64 output, so advancing a copy of the saved state past the
+earlier steps' arrivals draws block ``k`` bit for bit as one draw of the
+whole stream would.  Window edges on step boundaries resolve from the counts
+alone.
 """
 
 from __future__ import annotations
@@ -85,9 +92,14 @@ QUERY_DEFERRED = 2
 ARRIVAL_PROCESSES = ("poisson", "paced")
 
 
-@dataclass(frozen=True)
 class QueryStream:
-    """Individual query arrivals realized from a load trace.
+    """Individual query arrivals, realized one trace step at a time.
+
+    A stream is a sequence of blocks, one per step of its trace: block ``k``
+    holds that step's arrivals, sorted, inside ``[edges[k], edges[k + 1])``.
+    Readers go through :meth:`count_before` and :meth:`arrivals_at`, which
+    realize only the blocks they need; a realized block is validated and
+    kept, so every block is drawn at most once per stream.
 
     Parameters
     ----------
@@ -96,29 +108,133 @@ class QueryStream:
     duration_seconds : float
         Span the stream covers (the trace's duration).
     arrival_seconds : np.ndarray
-        Arrival time of every query, non-decreasing, in ``[0, duration)``.
+        An explicit stream: every arrival time, non-negative and
+        non-decreasing.  It is one block over ``[0, inf)``, so
+        :meth:`StreamingFrontend.schedule` still rejects arrivals past the
+        trace's duration.  :meth:`from_trace` builds trace-drawn streams.
     """
 
-    trace_name: str
-    duration_seconds: float
-    arrival_seconds: np.ndarray
-
-    def __post_init__(self) -> None:
-        """Validate ordering and freeze the arrival array."""
-        arrivals = np.asarray(self.arrival_seconds, dtype=np.float64)
+    def __init__(self, trace_name: str, duration_seconds: float, arrival_seconds: np.ndarray):
+        arrivals = np.asarray(arrival_seconds, dtype=np.float64)
         if arrivals.ndim != 1:
             raise ValueError("arrival_seconds must be one-dimensional")
         if arrivals.size and (np.any(arrivals[1:] < arrivals[:-1]) or arrivals[0] < 0):
             raise ValueError("arrivals must be non-negative and non-decreasing")
-        if self.duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+        edges = np.array([0.0, np.inf])
+        self._setup(trace_name, duration_seconds, edges, np.array([arrivals.size]))
         arrivals.setflags(write=False)
-        object.__setattr__(self, "arrival_seconds", arrivals)
+        self._blocks[0] = arrivals
+
+    def _setup(
+        self,
+        trace_name: str,
+        duration_seconds: float,
+        edges: np.ndarray,
+        counts: np.ndarray,
+        *,
+        process: str | None = None,
+        step_seconds: float | None = None,
+        state: dict | None = None,
+    ) -> None:
+        """Lay out the blocks; a trace-drawn stream also says how :meth:`_draw` draws one."""
+        if duration_seconds <= 0:
+            raise ValueError("duration_seconds must be positive")
+        self.trace_name = trace_name
+        self.duration_seconds = duration_seconds
+        self._edges = edges
+        self._counts = counts
+        # Arrivals before each block edge: block k spans [_before[k], _before[k + 1]).
+        self._before = np.concatenate(([0], np.cumsum(counts)))
+        self._process = process
+        self._step_seconds = step_seconds
+        self._state = state
+        self._blocks: dict[int, np.ndarray] = {}
 
     @property
     def num_queries(self) -> int:
         """Number of queries in the stream."""
-        return int(self.arrival_seconds.size)
+        return int(self._before[-1])
+
+    @property
+    def arrival_seconds(self) -> np.ndarray:
+        """Every arrival time, sorted: all blocks concatenated (read-only copy).
+
+        Realizes the whole stream; the frontend reads only
+        :meth:`count_before` and :meth:`arrivals_at`.
+        """
+        arrivals = np.concatenate([self._block(k) for k in range(self._counts.size)])
+        arrivals.setflags(write=False)
+        return arrivals
+
+    def count_before(self, times: np.ndarray) -> np.ndarray:
+        """Arrivals strictly before each time: ``searchsorted(arrival_seconds, times)``.
+
+        A time on a block edge resolves from the per-step counts alone,
+        because block ``k``'s arrivals lie in ``[edges[k], edges[k + 1])``.
+        A time strictly inside block ``k`` realizes that block.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        steps = np.searchsorted(self._edges, times, side="right") - 1
+        whole = np.clip(steps, 0, self._counts.size)
+        counts = self._before[whole]
+        inside = np.flatnonzero((steps < self._counts.size) & (times > self._edges[whole]))
+        inside_steps = steps[inside]
+        for k in np.unique(inside_steps).tolist():
+            at = inside[inside_steps == k]
+            counts[at] += self._block(k).searchsorted(times[at])
+        return counts
+
+    def arrivals_at(self, indices: np.ndarray) -> np.ndarray:
+        """Arrival times of the given queries: ``arrival_seconds[indices]``.
+
+        ``indices`` must be non-decreasing.  Only the blocks they fall in
+        are realized; one ``searchsorted`` at the block edges bounds each
+        block's share, which is gathered by slice.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and (
+            np.any(indices[1:] < indices[:-1]) or indices[0] < 0 or indices[-1] >= self.num_queries
+        ):
+            raise ValueError(f"arrival indices must be non-decreasing in [0, {self.num_queries})")
+        arrivals = np.empty(indices.size)
+        bounds = np.searchsorted(indices, self._before).tolist()
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                arrivals[lo:hi] = self._block(k)[indices[lo:hi] - self._before[k]]
+        return arrivals
+
+    def _block(self, k: int) -> np.ndarray:
+        """Block ``k``: drawn on first read, checked sorted inside its step, then kept."""
+        block = self._blocks.get(k)
+        if block is None:
+            block = self._draw(k)
+            start, end = self._edges[k], self._edges[k + 1]
+            if block.size and (
+                np.any(block[1:] < block[:-1]) or block[0] < start or block[-1] >= end
+            ):
+                raise ValueError(f"step {k}'s arrivals are not sorted inside [{start}, {end})")
+            block.setflags(write=False)
+            self._blocks[k] = block
+        return block
+
+    def _draw(self, k: int) -> np.ndarray:
+        """Block ``k`` exactly as one draw of the whole stream would hold it."""
+        start, end = self._edges[k], self._edges[k + 1]
+        count = int(self._counts[k])
+        step = self._step_seconds
+        if self._process == "paced":
+            return start + (np.arange(count) + 0.5) * (step / count if count else 0.0)
+        bit_generator = np.random.PCG64()
+        bit_generator.state = self._state
+        bit_generator.advance(int(self._before[k]))
+        block = np.random.default_rng(bit_generator).random(count)
+        block *= step
+        block += start
+        block.sort()
+        # ``start + step * u`` can round up onto the step's end (u just
+        # below 1): pull it back to the last double inside.
+        block[block.searchsorted(end) :] = np.nextafter(end, -np.inf)
+        return block
 
     @classmethod
     def from_trace(cls, trace: LoadTrace, seed: int = 0, process: str = "poisson") -> "QueryStream":
@@ -141,40 +257,35 @@ class QueryStream:
         Returns
         -------
         QueryStream
-            The realized stream, sorted by arrival time.
+            The stream, with only its per-step counts drawn: each step's
+            sorted arrivals are drawn when first read.
         """
         expected = trace.queries_per_step()
-        edges = np.arange(trace.num_steps + 1) * trace.step_seconds
-        starts = edges[:-1]
+        state = None
         if process == "poisson":
             rng = np.random.default_rng(seed)
             counts = rng.poisson(expected)
-            stops = np.cumsum(counts)
-            times = np.empty(int(stops[-1]))
-            for lo, hi, start, end in zip(
-                (stops - counts).tolist(), stops.tolist(), starts.tolist(), edges[1:].tolist()
-            ):
-                block = times[lo:hi]
-                rng.random(out=block)
-                block *= trace.step_seconds
-                block += start
-                block.sort()
-                # ``start + step * u`` can round up onto the step's end (u
-                # just below 1): pull it back to the last double inside.
-                block[block.searchsorted(end) :] = np.nextafter(end, -np.inf)
+            # The arrival uniforms follow the counts in the generator's
+            # sequence, one double per arrival, in step order.
+            state = rng.bit_generator.state
         elif process == "paced":
             cumulative = np.floor(np.cumsum(expected) + 1e-9).astype(np.int64)
             counts = np.diff(np.concatenate(([0], cumulative)))
-            offsets = np.arange(int(counts.sum())) - np.repeat(cumulative - counts, counts)
-            spacing = np.divide(
-                trace.step_seconds, counts, out=np.zeros(counts.size), where=counts > 0
-            )
-            times = np.repeat(starts, counts) + (offsets + 0.5) * np.repeat(spacing, counts)
         else:
             raise ValueError(
                 f"unknown arrival process {process!r}; expected one of {ARRIVAL_PROCESSES}"
             )
-        return cls(trace.name, trace.duration_seconds, times)
+        stream = cls.__new__(cls)
+        stream._setup(
+            trace.name,
+            trace.duration_seconds,
+            np.arange(trace.num_steps + 1) * trace.step_seconds,
+            counts,
+            process=process,
+            step_seconds=trace.step_seconds,
+            state=state,
+        )
+        return stream
 
 
 @dataclass(eq=False)
@@ -517,9 +628,10 @@ class StreamingFrontend:
 
         No engine work happens here — only the compiled table, the
         estimator and integer bookkeeping.  Window arrival counts come from
-        one ``searchsorted`` over the arrival-sorted stream and admission
-        is a scalar recursion over *windows*, so the cost does not grow
-        with the number of queries.
+        :meth:`QueryStream.count_before` at the window edges, which draws a
+        step's arrivals only where an edge falls strictly inside it, and
+        admission is a scalar recursion over *windows*, so with windows on
+        step edges the cost does not grow with the number of queries.
 
         Parameters
         ----------
@@ -543,7 +655,7 @@ class StreamingFrontend:
         paths_array = np.asarray(paths, dtype=np.intp)
         batch = self._batch_sizes(estimates, paths_array)
 
-        window_ends = np.searchsorted(stream.arrival_seconds, _window_edges(num_windows, window))
+        window_ends = stream.count_before(_window_edges(num_windows, window))
         if window_ends[-1] < stream.num_queries:
             raise ValueError("stream extends past the trace duration")
         arrivals = np.diff(window_ends, prepend=0)
@@ -698,7 +810,7 @@ class StreamingFrontend:
             queued = plan.deferrals()[: plan.deferred_served_queries]
             waits = (
                 plan.deferred_serve_windows() * plan.window_seconds
-                - stream.arrival_seconds[queued]
+                - stream.arrivals_at(queued)
             )
             pooled_values.append(np.maximum(waits, 0.0))
             pooled_weights.append(np.ones(waits.size))

@@ -3,7 +3,10 @@
 These are the frontend's original per-query forms, kept verbatim in logic:
 
 * :func:`reference_stream` — one global ``rng.random(N)`` draw plus one
-  global ``np.sort`` (the frontend draws and sorts step by step);
+  global ``np.sort`` (the frontend draws and sorts one step's block at a
+  time, only when something reads it);
+* :func:`reference_paced_stream` — the whole paced stream from one
+  array formula (the frontend computes one step's block at a time);
 * :func:`reference_schedule` — per-query state arrays written by contiguous
   slice fills, with the FIFO backlog as a ``deque`` of index ranges (the
   frontend keeps window counters only);
@@ -11,7 +14,7 @@ These are the frontend's original per-query forms, kept verbatim in logic:
   the per-query state (the frontend gathers them from window ranges).
 
 The equivalence suite in ``tests/test_frontend.py`` requires the frontend
-to reproduce all three exactly.
+to reproduce all of them exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ def reference_stream(trace, seed: int) -> np.ndarray:
     starts = np.arange(trace.num_steps) * trace.step_seconds
     times = np.repeat(starts, counts)
     return np.sort(times + trace.step_seconds * rng.random(times.size))
+
+
+def reference_paced_stream(trace) -> np.ndarray:
+    """Paced arrivals: error-diffused counts, evenly spaced, in one array formula."""
+    cumulative = np.floor(np.cumsum(trace.queries_per_step()) + 1e-9).astype(np.int64)
+    counts = np.diff(np.concatenate(([0], cumulative)))
+    offsets = np.arange(int(counts.sum())) - np.repeat(cumulative - counts, counts)
+    spacing = np.divide(trace.step_seconds, counts, out=np.zeros(counts.size), where=counts > 0)
+    starts = np.arange(trace.num_steps) * trace.step_seconds
+    return np.repeat(starts, counts) + (offsets + 0.5) * np.repeat(spacing, counts)
 
 
 def reference_schedule(frontend, trace, stream) -> SimpleNamespace:

@@ -1,6 +1,6 @@
 """Tests for the per-query streaming frontend (``repro.serving.frontend``).
 
-Five pillars, mirroring the frontend's contract:
+Six pillars, mirroring the frontend's contract:
 
 * **equivalence** — with batching disabled and the decision window equal
   to the trace's dwell step, the frontend's per-window path choices
@@ -8,15 +8,18 @@ Five pillars, mirroring the frontend's contract:
   trace and estimator (the frontend shares the router's estimator and
   state machine, so this is structural, not statistical);
 * **reference equivalence** (hypothesis) — the window-counter schedule,
-  its derived per-query views, ``serve()`` and the block-drawn stream
-  reproduce the per-query reference implementations in
-  ``tests/frontend_reference.py`` exactly;
+  its derived per-query views, ``serve()`` and the step-addressable
+  stream's counts and arrival reads reproduce the per-query reference
+  implementations in ``tests/frontend_reference.py`` exactly;
+* **lazy realization** — ``schedule()`` and ``serve()`` draw a step's
+  arrivals only where a window edge falls strictly inside the step or a
+  served deferral needs its wait, and each step at most once per stream;
 * **admission properties** (hypothesis) — the shed rate is monotone
   non-decreasing in offered load, the admitted rate never exceeds the
   chosen path's feasible frontier, decisions are strictly causal, and
   everything is deterministic under a fixed seed;
-* **memory** — ``serve()``'s peak allocation does not grow with the
-  number of queries in the stream;
+* **memory** — drawing a stream and ``serve()`` allocate nothing that grows
+  with the number of queries in the stream;
 * **throughput** — drawing and serving whole query streams must be at
   least 5x faster per query than the step router is per decision (the
   blocking CI smoke; the full-size number lands in ``BENCH_router.json``).
@@ -42,7 +45,12 @@ from repro.serving.frontend import (
 from repro.serving.router import MultiPathRouter, route_oracle, route_static
 from repro.serving.trace import LoadTrace, diurnal_trace, spike_trace
 from tests.conftest import GRID, flat_trace, make_table
-from tests.frontend_reference import reference_schedule, reference_serve, reference_stream
+from tests.frontend_reference import (
+    reference_paced_stream,
+    reference_schedule,
+    reference_serve,
+    reference_stream,
+)
 
 FRONTEND_ESTIMATORS = ("windowed", "ewma", "holt", "auto")
 
@@ -89,6 +97,7 @@ class TopUniformGenerator:
 
     def __init__(self, seed):
         self._rng = _default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
 
     def poisson(self, lam):
         return self._rng.poisson(lam)
@@ -281,20 +290,113 @@ class TestReferenceEquivalence:
         loads=st.lists(st.floats(min_value=1.0, max_value=2_000.0), min_size=1, max_size=30),
         step_seconds=st.sampled_from([1e-3, 0.01, 0.1, 1.0, 3.0]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        process=st.sampled_from(ARRIVAL_PROCESSES),
+        times=st.lists(st.floats(min_value=-0.1, max_value=1.3), max_size=20),
+        picks=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
     )
     @settings(max_examples=120, deadline=None)
-    def test_block_drawn_stream_matches_one_global_draw(self, loads, step_seconds, seed):
+    def test_block_drawn_stream_matches_one_global_draw(
+        self, loads, step_seconds, seed, process, times, picks
+    ):
         trace = LoadTrace("equiv", step_seconds, np.asarray(loads))
-        np.testing.assert_array_equal(
-            QueryStream.from_trace(trace, seed=seed).arrival_seconds,
-            reference_stream(trace, seed),
+        if process == "poisson":
+            reference = reference_stream(trace, seed)
+        else:
+            reference = reference_paced_stream(trace)
+        duration = trace.duration_seconds
+        # Exact step edges, points anywhere (interior ones included) as
+        # fractions of the duration, and points at or past the duration.
+        edges = np.concatenate(
+            [
+                np.arange(trace.num_steps + 1) * step_seconds,
+                np.asarray(times) * duration,
+                [duration, np.nextafter(duration, np.inf), 2 * duration, np.inf],
+            ]
         )
+        # Non-decreasing indices, repeats allowed.
+        indices = np.sort(np.asarray(picks if reference.size else []) * reference.size)
+        indices = indices.astype(np.int64)
+        stream = QueryStream.from_trace(trace, seed=seed, process=process)
+        assert stream.num_queries == reference.size
+        np.testing.assert_array_equal(stream.count_before(edges), np.searchsorted(reference, edges))
+        np.testing.assert_array_equal(stream.arrivals_at(indices), reference[indices])
+        np.testing.assert_array_equal(stream.arrival_seconds, reference)
 
     def test_per_query_views_are_read_only(self):
         plan = paced_frontend(self.TABLE).schedule(flat_trace(8000.0, num_steps=6))
         for view in (plan.query_state, plan.query_path, plan.query_serve_window):
             with pytest.raises(ValueError):
                 view[0] = 0
+
+
+@pytest.fixture
+def drawn_steps(monkeypatch):
+    """The step of every arrival block any stream draws, in draw order."""
+    drawn = []
+    draw = QueryStream._draw
+
+    def spy(stream, k):
+        drawn.append(k)
+        return draw(stream, k)
+
+    monkeypatch.setattr(QueryStream, "_draw", spy)
+    return drawn
+
+
+class TestLazyRealization:
+    """``schedule()`` and ``serve()`` draw only the arrival blocks they read, once each.
+
+    Steps are 3 s.  At 1,000 QPS no window defers; a 4,000 QPS step
+    overflows the 98-quality path the estimator still picks (feasible to
+    3,000 QPS), so that step's window defers and the next one drains it.
+    """
+
+    TABLE = make_table()
+    CALM = [1000.0] * 9
+    BURSTS = [1000.0, 1000.0, 4000.0, 1000.0, 1000.0, 4000.0, 1000.0, 1000.0, 1000.0]
+
+    def serve(self, loads, window_seconds=None, estimators=("windowed",)):
+        """Serve one Poisson stream once per estimator; the last schedule and the stream."""
+        trace = LoadTrace("lazy", 3.0, np.asarray(loads))
+        stream = QueryStream.from_trace(trace, seed=0)
+        for estimator in estimators:
+            frontend = StreamingFrontend(
+                build_router(self.TABLE, estimator), window_seconds=window_seconds
+            )
+            plan = frontend.serve(trace, stream).schedule
+        return plan, stream
+
+    def test_windows_on_step_edges_without_deferrals_draw_nothing(self, drawn_steps):
+        plan, stream = self.serve(self.CALM)
+        assert plan.offered_queries == stream.num_queries > 0
+        assert not plan.window_deferred.any()
+        assert drawn_steps == []
+
+    def test_serve_draws_exactly_the_steps_whose_deferrals_it_serves(self, drawn_steps):
+        plan, _ = self.serve(self.BURSTS)
+        assert plan.deferred_served_queries > 0
+        assert plan.final_backlog == 0
+        assert drawn_steps == np.flatnonzero(plan.window_deferred).tolist() == [2, 5]
+
+    @pytest.mark.parametrize(
+        ("window_seconds", "interior_steps"),
+        [(1.0, list(range(9))), (4.5, [1, 4, 7])],
+        ids=["step/3", "1.5*step"],
+    )
+    def test_schedule_draws_the_steps_holding_interior_window_edges(
+        self, drawn_steps, window_seconds, interior_steps
+    ):
+        plan, _ = self.serve(self.CALM, window_seconds=window_seconds)
+        assert not plan.window_deferred.any()
+        assert sorted(drawn_steps) == interior_steps
+
+    def test_frontends_sharing_a_stream_draw_each_step_once(self, drawn_steps):
+        plan, stream = self.serve(self.BURSTS, window_seconds=1.0, estimators=FRONTEND_ESTIMATORS)
+        assert plan.deferred_served_queries > 0
+        assert sorted(drawn_steps) == list(range(9))
+        # Later readers see the kept blocks: the whole stream draws nothing new.
+        assert stream.arrival_seconds.size == stream.num_queries
+        assert sorted(drawn_steps) == list(range(9))
 
 
 class TestAdmissionProperties:
@@ -417,11 +519,22 @@ class TestAdmissionAccounting:
         assert np.all(plan.query_path[served] >= 0)
 
     def test_stream_past_the_trace_duration_is_rejected(self):
-        table = make_table()
-        frontend = StreamingFrontend(MultiPathRouter(table, window=1))
-        stream = QueryStream("x", 100.0, np.array([5.0, 95.0]))
-        with pytest.raises(ValueError, match="past the trace"):
-            frontend.schedule(flat_trace(100.0, num_steps=3), stream)
+        # 30 s of trace: 3 windows of 10 s, or 5 of 7 s whose last edge is
+        # 35 s.  An arrival at or after the last window edge is rejected; a
+        # stream with every arrival before it is accepted.
+        trace = flat_trace(100.0, num_steps=3)
+        for window_seconds, last_edge in ((None, 30.0), (7.0, 35.0)):
+            frontend = StreamingFrontend(
+                MultiPathRouter(make_table(), window=1), window_seconds=window_seconds
+            )
+            inside = np.nextafter(last_edge, 0.0)
+            plan = frontend.schedule(trace, QueryStream("x", 30.0, np.array([0.0, 12.5, inside])))
+            assert plan.offered_queries == 3
+            assert plan.window_arrivals[-1] == 1
+            for late in (last_edge, np.nextafter(last_edge, np.inf), 95.0):
+                stream = QueryStream("x", 100.0, np.array([0.0, 12.5, late]))
+                with pytest.raises(ValueError, match="past the trace"):
+                    frontend.schedule(trace, stream)
 
 
 class TestShedReasonSchema:
@@ -577,27 +690,42 @@ class TestServe:
 
 
 class TestServeMemory:
-    """``serve()`` allocates nothing per query on a stream with no deferrals."""
+    """Drawing and serving a stream with no deferrals allocate nothing per query."""
 
     @staticmethod
-    def serve_peak(qps: float) -> tuple[int, int]:
-        """``serve()``'s traced peak allocation and the stream's size, in bytes."""
+    def serve_peak(qps: float, process: str = "paced", draw: bool = False) -> tuple[int, int]:
+        """Traced peak allocation and the stream's size as float64 arrivals, in bytes.
+
+        The traced region is ``serve()``, plus ``from_trace`` with ``draw``.
+        """
         trace = flat_trace(qps, num_steps=400, step_seconds=2.0)
-        stream = QueryStream.from_trace(trace, process="paced")
         frontend = paced_frontend(make_table())
+        stream = None if draw else QueryStream.from_trace(trace, process=process)
         tracemalloc.start()
         try:
+            if draw:
+                stream = QueryStream.from_trace(trace, process=process)
             served = frontend.serve(trace, stream)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert served.schedule.shed_queries == 0  # both loads are feasible
-        return peak, stream.arrival_seconds.nbytes
+        # Both loads are feasible: nothing is shed or deferred.
+        assert served.schedule.shed_queries == 0
+        assert not served.schedule.window_deferred.any()
+        return peak, stream.num_queries * np.dtype(np.float64).itemsize
 
     def test_serve_peak_does_not_grow_with_the_stream(self):
         self.serve_peak(500.0)  # settle lazily initialised state first
         small_peak, small_bytes = self.serve_peak(500.0)
         large_peak, large_bytes = self.serve_peak(2000.0)
+        assert large_bytes - small_bytes > 9_000_000
+        assert large_peak - small_peak < 0.25 * (large_bytes - small_bytes)
+
+    @pytest.mark.parametrize("process", ARRIVAL_PROCESSES)
+    def test_drawing_and_serving_peak_does_not_grow_with_the_stream(self, process):
+        self.serve_peak(500.0, process, draw=True)  # settle lazily initialised state first
+        small_peak, small_bytes = self.serve_peak(500.0, process, draw=True)
+        large_peak, large_bytes = self.serve_peak(2000.0, process, draw=True)
         assert large_bytes - small_bytes > 9_000_000
         assert large_peak - small_peak < 0.25 * (large_bytes - small_bytes)
 
