@@ -238,7 +238,7 @@ class ClusterTable(PathTable):
         """Summed lifetime cost of every node."""
         return float(sum(node.cost_usd for node in self.nodes))
 
-    def _fill_segments(self, path_index, qps_values, service=None) -> None:
+    def prefill_dwell(self, path_index, qps_values, service=None) -> None:
         """Compose every missing cluster dwell cell from per-node cells.
 
         Per-node simulation goes through each node table's own batched,
@@ -254,12 +254,7 @@ class ClusterTable(PathTable):
                 "per-step service overrides are not supported on cluster tables; "
                 "compile the fleet with the service model instead"
             )
-        resolved = self._resolve_service(service)
-        missing = [
-            q
-            for q in dict.fromkeys(float(q) for q in qps_values)
-            if self._segment_key(path_index, q, resolved) not in self._segments
-        ]
+        service, missing = self._missing_dwell(path_index, qps_values, service)
         if not missing:
             return
         weights = self.node_weights[path_index]
@@ -276,7 +271,7 @@ class ClusterTable(PathTable):
                     samples = []
                     break
                 samples.append(latencies + self.node_gather[node_index])
-            key = self._segment_key(path_index, q, resolved)
+            key = (path_index, q, service)
             if not samples:
                 self._segments[key] = None
                 continue

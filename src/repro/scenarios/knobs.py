@@ -17,10 +17,11 @@ knobs of each subcommand with the defaults that differ from the scenario
 default; ``sweep`` and ``capacity`` read theirs from the
 :class:`~repro.core.sweep.SweepConfig` and
 :class:`~repro.experiments.capacity_planning.CapacityConfig` field
-defaults, and the policy knobs default to the router, frontend and
-estimator dataclasses.  Rules tying several knobs together stay with the
-commands and :mod:`repro.scenarios.config`; the library constructors keep
-their own checks for library callers.
+defaults, the policy knobs default to the router, frontend and
+estimator dataclasses, and the arrival process to the first of
+:data:`~repro.serving.frontend.ARRIVAL_PROCESSES`.  Rules tying several
+knobs together stay with the commands and :mod:`repro.scenarios.config`;
+the library constructors keep their own checks for library callers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.cluster.fleet import STRATEGIES
 from repro.core.sweep import PLATFORMS, SweepConfig
 from repro.experiments.capacity_planning import CapacityConfig
 from repro.serving.engine import ENGINES
-from repro.serving.estimators import ESTIMATORS, EWMA
+from repro.serving.estimators import ESTIMATORS, EWMA, WindowedMean
 from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend
 from repro.serving.router import MultiPathRouter
 from repro.serving.service_times import SERVICE_MODELS
@@ -209,7 +210,7 @@ SCENARIO_KNOBS = (
     Knob(
         "window",
         INT,
-        MultiPathRouter.window,
+        WindowedMean.window,
         AT_LEAST_ONE,
         "sliding-window length of the windowed-mean load estimator",
     ),
@@ -297,7 +298,7 @@ SCENARIO_KNOBS = (
     Knob(
         "arrival_process",
         CHOICE,
-        StreamingFrontend.arrival_process,
+        ARRIVAL_PROCESSES[0],
         ARRIVAL_PROCESSES,
         "per-query arrivals: per-step Poisson, or evenly paced",
     ),

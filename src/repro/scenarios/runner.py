@@ -50,7 +50,7 @@ from repro.experiments.common import (
 )
 from repro.scenarios.config import ScenarioCell, ScenarioConfig, scenario_from_mapping
 from repro.scenarios.knobs import TRACE_SHAPE, listed, parse_mix
-from repro.serving.estimators import estimator_from_knobs
+from repro.serving.estimators import make_estimator
 from repro.serving.frontend import FrontendResult, FrontendSchedule, QueryStream, StreamingFrontend
 from repro.serving.router import (
     MultiPathRouter,
@@ -283,12 +283,9 @@ def build_router(table, params: Mapping, estimator: str) -> MultiPathRouter:
     """
     return MultiPathRouter(
         table,
-        window=params["window"],
         hysteresis_steps=params["hysteresis"],
         switch_penalty_seconds=params["switch_penalty_ms"] / 1e3,
-        estimator=estimator_from_knobs(
-            estimator, window=params["window"], ewma_alpha=params["ewma_alpha"]
-        ),
+        estimator=make_estimator(estimator, params["window"], params["ewma_alpha"]),
         switch_cost_seconds=params["switch_cost_ms"] / 1e3,
     )
 
@@ -410,7 +407,7 @@ def hit_rate_notes(table: PathTable, sampled: set) -> list[str]:
 
 def _step_log(table, trace: LoadTrace, router: MultiPathRouter, online: RoutingResult) -> list:
     """The online router's per-step decision log (``route_steps``)."""
-    estimates = router.estimate_series(trace)
+    estimates = router.estimate_over(trace.qps)
     rows = []
     for step, (index, switched) in enumerate(zip(online.path_steps, online.switch_steps)):
         path = table.paths[index]

@@ -40,7 +40,6 @@ from repro.serving.estimators import (
     HoltTrend,
     LoadEstimator,
     WindowedMean,
-    estimator_from_knobs,
     make_estimator,
 )
 from repro.serving.metrics import LatencyReport
@@ -79,7 +78,6 @@ __all__ = [
     "HoltTrend",
     "ESTIMATORS",
     "make_estimator",
-    "estimator_from_knobs",
     "LoadTrace",
     "TRACES",
     "diurnal_trace",

@@ -20,11 +20,6 @@ transitions.  This module turns the estimate into a pluggable policy axis:
   delegates each prediction to whichever currently has the lowest
   trailing one-step forecast error (scored causally, before observing).
 
-:class:`HazardDwellForecaster` is the companion piece for the router's
-cost-aware switch gate: it tracks completed dwell lengths and forecasts the
-expected dwell ahead under a memoryless hazard, replacing the persistence
-streak as the amortization horizon when attached to a router.
-
 Every estimator is seed-free and deterministic, keeps its state in plain
 floats, and observes **strictly past** steps: ``predict()`` is the estimate
 for the *next* step and may only depend on loads already passed to
@@ -32,9 +27,9 @@ for the *next* step and may only depend on loads already passed to
 trace's provisioning load, before any observation exists).
 
 Estimators are tiny mutable objects; :func:`make_estimator` builds one by
-name (``windowed``/``ewma``/``holt``) for the CLI and the experiment grid,
-and :meth:`LoadEstimator.reset` returns one to its initial state so a
-single instance can replay many traces.
+name from the shared ``window``/``ewma_alpha`` knobs for the CLI and the
+scenario runner, and :meth:`LoadEstimator.reset` returns one to its initial
+state so a single instance can replay many traces.
 """
 
 from __future__ import annotations
@@ -47,11 +42,9 @@ __all__ = [
     "ESTIMATORS",
     "EWMA",
     "AutoSelector",
-    "HazardDwellForecaster",
     "HoltTrend",
     "LoadEstimator",
     "WindowedMean",
-    "estimator_from_knobs",
     "make_estimator",
 ]
 
@@ -359,55 +352,6 @@ class AutoSelector:
         return any(candidate.primed for candidate in self.candidates)
 
 
-@dataclass
-class HazardDwellForecaster:
-    """Forecast how long the next dwell segment will last, from past dwells.
-
-    The router's cost-aware switch gate needs an expected dwell length to
-    amortize the switch cost over.  PR 5 approximated it with the
-    candidate's persistence streak; this forecaster instead tracks an
-    exponentially weighted mean of *completed* dwell lengths and reads the
-    expected remaining dwell off a memoryless (geometric) hazard model: if
-    dwells end each step with probability ``1 / mean_dwell``, the expected
-    dwell ahead is simply ``mean_dwell``, regardless of how long the
-    current segment has already lasted.
-
-    Parameters
-    ----------
-    alpha : float
-        Smoothing factor in ``(0, 1]`` for the dwell-length EWMA.
-    prior_dwell : float
-        Expected dwell (steps) returned before any dwell has completed;
-        must be at least 1.
-    """
-
-    alpha: float = 0.3
-    prior_dwell: float = 1.0
-    _mean: float | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        """Validate the smoothing factor and the prior."""
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.prior_dwell < 1.0:
-            raise ValueError("prior_dwell must be at least one step")
-
-    def reset(self) -> None:
-        """Forget every completed dwell."""
-        self._mean = None
-
-    def observe_dwell(self, steps: int) -> None:
-        """Record one *completed* dwell segment's length in steps."""
-        if steps < 1:
-            raise ValueError("a dwell lasts at least one step")
-        x = float(steps)
-        self._mean = x if self._mean is None else self.alpha * x + (1.0 - self.alpha) * self._mean
-
-    def expected_dwell(self) -> float:
-        """Expected length (steps) of the next dwell under the geometric hazard."""
-        return self.prior_dwell if self._mean is None else max(self._mean, 1.0)
-
-
 #: Estimator constructors by CLI/artifact name.
 ESTIMATORS = {
     "windowed": WindowedMean,
@@ -417,42 +361,17 @@ ESTIMATORS = {
 }
 
 
-def make_estimator(name: str, **kwargs) -> LoadEstimator:
-    """Build the named estimator, forwarding constructor keyword arguments.
-
-    Parameters
-    ----------
-    name : str
-        One of :data:`ESTIMATORS` (``windowed``, ``ewma``, ``holt``).
-    **kwargs
-        Forwarded to the estimator constructor (e.g. ``window``, ``alpha``).
-
-    Returns
-    -------
-    LoadEstimator
-        A fresh estimator in its initial state.
-    """
-    try:
-        cls = ESTIMATORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}"
-        ) from None
-    return cls(**kwargs)
-
-
-def estimator_from_knobs(
+def make_estimator(
     name: str,
     window: int = WindowedMean.window,
     ewma_alpha: float = EWMA.alpha,
 ) -> LoadEstimator:
-    """Build the named estimator from the shared CLI/experiment knob set.
+    """Build the named estimator from the shared CLI/scenario knob set.
 
-    The ``recpipe route`` flags and the ``router``/``frontend`` experiments
-    expose the same two estimator knobs; this single dispatch keeps them
-    from drifting: ``window`` reaches the windowed mean, ``ewma_alpha``
-    reaches the EWMA (both directly and inside the ``auto`` selector's
-    candidate set), and every other estimator uses its class defaults.
+    ``recpipe route`` and the scenario runner expose the same two estimator
+    knobs: ``window`` reaches the windowed mean and ``ewma_alpha`` the EWMA,
+    both directly and inside the ``auto`` selector's candidate set; every
+    other estimator uses its class defaults.
 
     Parameters
     ----------
@@ -469,6 +388,8 @@ def estimator_from_knobs(
     LoadEstimator
         A fresh estimator in its initial state.
     """
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}")
     if name == "windowed":
         return WindowedMean(window=window)
     if name == "ewma":
@@ -477,4 +398,4 @@ def estimator_from_knobs(
         return AutoSelector(
             candidates=(WindowedMean(window=window), EWMA(alpha=ewma_alpha), HoltTrend())
         )
-    return make_estimator(name)
+    return ESTIMATORS[name]()

@@ -35,6 +35,10 @@ to fill, so the largest batch whose fill time fits the predicted headroom
 is ``b = floor((sla − p99(path, λ)) · λ)``, clamped to ``[1, max_batch]``
 (and to 1 whenever the path has no predicted headroom).
 
+A window wider than the trace acts as one window over it: the width is
+clamped to the trace's duration, so the admission cap and the admitted rate
+never assume load the trace did not offer.
+
 Scheduling does per-window work per window.  Path candidates for all
 windows come from one :meth:`~repro.serving.router.PathTable.best_path_batch`
 call and batch sizes from array arithmetic.  Each window's arrival count is
@@ -48,7 +52,9 @@ queries always form a contiguous suffix of all deferrals so far.
 :class:`FrontendSchedule` therefore stores window counters only; per-query
 outcomes are read-only views it derives from them on first access, and
 :meth:`StreamingFrontend.serve` touches only the deferred-then-served
-queries, whose waits join the latency pool.
+queries, whose waits join the latency pool that
+:meth:`~repro.serving.router.PathTable.score` aggregates for the step
+policies too.
 
 A :class:`QueryStream` is step-addressable.  :meth:`QueryStream.from_trace`
 draws only the per-step counts; a Poisson stream also keeps the generator's
@@ -68,7 +74,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.serving.metrics import weighted_percentile
 from repro.serving.router import MultiPathRouter, PathTable, RoutingResult, _event_log
 from repro.serving.trace import LoadTrace
 
@@ -515,18 +520,20 @@ class StreamingFrontend:
     trace's per-window offered rates — the same observable the step router
     sees) and path selection through
     :meth:`~repro.serving.router.MultiPathRouter.decide_from_estimates`
-    (hysteresis, switch cost, dwell forecasting included).  With
-    ``window_seconds`` equal to the trace's step width the per-window path
-    choices therefore reproduce the step router's bit-for-bit; smaller
-    windows re-decide faster than the trace changes, larger ones smooth
-    over it.
+    (hysteresis and switch cost included).  With ``window_seconds`` equal
+    to the trace's step width the per-window path choices therefore
+    reproduce the step router's bit-for-bit; smaller windows re-decide
+    faster than the trace changes, larger ones smooth over it.  The caller
+    supplies the :class:`QueryStream` (:meth:`QueryStream.from_trace`
+    realizes one), so frontends sharing a trace can share its stream.
 
     Parameters
     ----------
     router : MultiPathRouter
         The decision core (table, estimator, hysteresis, switch cost).
     window_seconds : float, optional
-        Decision-window width (default: the served trace's step width).
+        Decision-window width (default: the served trace's step width;
+        clamped to the trace's duration).
     max_batch : int
         Upper clamp on the dynamic batch size.
     batching : bool
@@ -534,11 +541,6 @@ class StreamingFrontend:
     defer_windows : float
         Defer-queue capacity, in multiples of the current window's
         admission cap; ``0`` disables deferral (admit or shed only).
-    arrival_process : str
-        Arrival process used when no explicit stream is supplied
-        (``"poisson"`` or ``"paced"``).
-    arrival_seed : int
-        Seed for the implicit arrival draw.
     """
 
     router: MultiPathRouter
@@ -546,8 +548,6 @@ class StreamingFrontend:
     max_batch: int = 64
     batching: bool = True
     defer_windows: float = 1.0
-    arrival_process: str = "poisson"
-    arrival_seed: int = 0
 
     def __post_init__(self) -> None:
         """Validate the frontend knobs."""
@@ -557,11 +557,6 @@ class StreamingFrontend:
             raise ValueError("max_batch must be at least 1")
         if self.defer_windows < 0:
             raise ValueError("defer_windows must be non-negative")
-        if self.arrival_process not in ARRIVAL_PROCESSES:
-            raise ValueError(
-                f"unknown arrival process {self.arrival_process!r}; "
-                f"expected one of {ARRIVAL_PROCESSES}"
-            )
 
     @property
     def table(self) -> PathTable:
@@ -569,12 +564,8 @@ class StreamingFrontend:
         return self.router.table
 
     def _window_width(self, trace: LoadTrace) -> float:
-        """The effective decision-window width for one trace."""
-        return float(self.window_seconds or trace.step_seconds)
-
-    def _stream_for(self, trace: LoadTrace) -> QueryStream:
-        """The implicit arrival stream used when none is supplied."""
-        return QueryStream.from_trace(trace, seed=self.arrival_seed, process=self.arrival_process)
+        """The effective decision-window width for one trace: at most its duration."""
+        return min(float(self.window_seconds or trace.step_seconds), trace.duration_seconds)
 
     def decide_windows(self, trace: LoadTrace) -> tuple[np.ndarray, list[int], list[bool]]:
         """Per-window estimates, path choices and switch flags for a trace.
@@ -623,7 +614,7 @@ class StreamingFrontend:
         ).astype(np.int64)
         return batch
 
-    def schedule(self, trace: LoadTrace, stream: QueryStream | None = None) -> FrontendSchedule:
+    def schedule(self, trace: LoadTrace, stream: QueryStream) -> FrontendSchedule:
         """Route a whole query stream: the serving-time hot path.
 
         No engine work happens here — only the compiled table, the
@@ -637,9 +628,8 @@ class StreamingFrontend:
         ----------
         trace : LoadTrace
             The offered-load trace (drives estimation and windowing).
-        stream : QueryStream, optional
-            The realized arrivals (default: drawn from the trace with the
-            frontend's ``arrival_process`` and ``arrival_seed``).
+        stream : QueryStream
+            The realized arrivals.
 
         Returns
         -------
@@ -647,8 +637,6 @@ class StreamingFrontend:
             Per-window decisions (per-query outcomes derive from them).
         """
         window = self._window_width(trace)
-        if stream is None:
-            stream = self._stream_for(trace)
         log = _event_log()
         estimates, paths, switches = self.decide_windows(trace)
         num_windows = estimates.size
@@ -735,105 +723,67 @@ class StreamingFrontend:
             max_queue_depth=max_queue_depth,
         )
 
-    def serve(self, trace: LoadTrace, stream: QueryStream | None = None) -> FrontendResult:
+    def serve(self, trace: LoadTrace, stream: QueryStream) -> FrontendResult:
         """Schedule a stream and score the schedule on the analytic engine.
 
-        Every window with admitted queries becomes a dwell cell: the
-        chosen path serves a steady-state arrival window at the *admitted*
-        rate (admission control means the engine never sees an infeasible
-        load unless the table's frontier and the engine's utilization
-        threshold disagree, in which case the cell counts as saturated,
-        exactly as in :meth:`PathTable.evaluate_route`).  Switch windows
-        charge the router's ``switch_penalty_seconds`` to every query.
-        Shed queries count as SLA violations with ``inf`` latency mass and
-        zero quality; deferred-then-served queries deliver their path's
-        quality but violate the SLA through their queueing delay, which is
-        pooled into the latency sample.
+        Every window with admitted queries becomes a dwell cell of
+        :meth:`~repro.serving.router.PathTable.score`: the chosen path
+        serves a steady-state arrival window at the *admitted* rate
+        (admission control means the engine never sees an infeasible load
+        unless the table's frontier and the engine's utilization threshold
+        disagree, in which case the cell counts as saturated, exactly as in
+        :meth:`~repro.serving.router.PathTable.evaluate_route`).  The
+        window's fresh admits are its prompt queries; switch windows charge
+        the router's ``switch_penalty_seconds`` to them.  Deferred-then-served
+        queries deliver their path's quality but violate the SLA, and their
+        queueing delay joins the latency pool; shed queries count as SLA
+        violations with ``inf`` latency mass and zero quality.
 
         Parameters
         ----------
         trace : LoadTrace
             The offered-load trace.
-        stream : QueryStream, optional
-            The realized arrivals (default: drawn from the trace).
+        stream : QueryStream
+            The realized arrivals.
 
         Returns
         -------
         FrontendResult
             Routing metrics plus the underlying schedule.
         """
-        if stream is None:
-            stream = self._stream_for(trace)
         if stream.num_queries == 0:
             raise ValueError("cannot serve an empty query stream")
         plan = self.schedule(trace, stream)
-        table = self.table
-        total = plan.offered_queries
-
         served_windows = np.flatnonzero(plan.window_admitted > 0)
         admitted_qps = plan.window_admitted[served_windows] / plan.window_seconds
-        for index in np.unique(plan.window_paths[served_windows]):
-            mask = plan.window_paths[served_windows] == index
-            table.prefill_dwell(int(index), admitted_qps[mask])
-
-        violations = 0.0
-        quality_mass = 0.0
-        effective_mass = 0.0
-        occupancy: dict[str, float] = {}
-        pooled_values: list[np.ndarray] = []
-        pooled_weights: list[np.ndarray] = []
-        penalty_base = self.router.switch_penalty_seconds
-        for w, qps in zip(served_windows, admitted_qps):
-            index = int(plan.window_paths[w])
-            path = table.paths[index]
-            weight = int(plan.window_admitted[w])
-            prompt = weight - int(plan.window_from_queue[w])
-            quality_mass += weight * path.quality
-            occupancy[path.name] = occupancy.get(path.name, 0.0) + weight
-            latencies = table.dwell_latencies(index, float(qps))
-            if latencies is None:  # saturated: every query violates, none delivers
-                violations += weight
-                pooled_values.append(np.asarray([np.inf]))
-                pooled_weights.append(np.asarray([float(weight)]))
-                continue
-            penalty = penalty_base if plan.window_switches[w] else 0.0
-            observed = latencies + penalty if penalty else latencies
-            violating = float(np.mean(observed > table.sla_seconds))
-            violations += prompt * violating + (weight - prompt)
-            effective_mass += prompt * path.quality * (1.0 - violating)
-            pooled_values.append(observed)
-            pooled_weights.append(np.full(observed.size, prompt / observed.size))
-        # Deferred queries: their queueing delay is their latency story.
-        # They are the only queries whose identity matters here, pooled in
-        # arrival order.
-        if plan.deferred_served_queries:
-            queued = plan.deferrals()[: plan.deferred_served_queries]
-            waits = (
-                plan.deferred_serve_windows() * plan.window_seconds
-                - stream.arrivals_at(queued)
+        penalty = self.router.switch_penalty_seconds
+        cells = [
+            (
+                int(plan.window_paths[w]),
+                float(qps),
+                None,
+                int(plan.window_admitted[w]),
+                int(plan.window_admitted[w] - plan.window_from_queue[w]),
+                penalty if plan.window_switches[w] else 0.0,
             )
-            pooled_values.append(np.maximum(waits, 0.0))
-            pooled_weights.append(np.ones(waits.size))
-        shed_total = plan.shed_queries
-        if shed_total:
-            violations += shed_total
-            pooled_values.append(np.asarray([np.inf]))
-            pooled_weights.append(np.asarray([float(shed_total)]))
-
-        p99 = weighted_percentile(
-            np.concatenate(pooled_values), np.concatenate(pooled_weights), 99.0
-        )
-        routing = RoutingResult(
-            policy="frontend",
-            trace_name=trace.name,
-            quality=quality_mass / total,
-            effective_quality=effective_mass / total,
-            p99_seconds=p99,
-            violation_rate=violations / total,
-            num_switches=plan.num_switches,
-            total_queries=float(total),
-            path_steps=tuple(int(i) for i in plan.window_paths),
-            switch_steps=tuple(bool(s) for s in plan.window_switches),
-            occupancy={name: mass / total for name, mass in occupancy.items()},
+            for w, qps in zip(served_windows, admitted_qps)
+        ]
+        # Deferred queries: their queueing delay is their latency, pooled in
+        # arrival order.  Computing the waits in place keeps one array of
+        # them alive while the pool is scored.
+        waits = None
+        if plan.deferred_served_queries:
+            waits = plan.deferred_serve_windows() * plan.window_seconds
+            waits -= stream.arrivals_at(plan.deferrals()[: plan.deferred_served_queries])
+            np.maximum(waits, 0.0, out=waits)
+        routing = self.table.score(
+            "frontend",
+            trace.name,
+            plan.window_paths,
+            plan.window_switches,
+            cells,
+            plan.offered_queries,
+            waits=waits,
+            shed=plan.shed_queries,
         )
         return FrontendResult(routing=routing, schedule=plan)

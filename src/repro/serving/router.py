@@ -31,12 +31,13 @@ MP-Rec-style closing of the loop the roadmap asks for:
   typical load, and the clairvoyant per-step optimum with no lag, no
   hysteresis and free switches.
 
-Every dwell step of a routed schedule is evaluated on the closed-form
+Every dwell cell of a routed schedule is evaluated on the closed-form
 analytic engine (:mod:`repro.serving.engine`): a steady-state arrival window
-is simulated at the step's offered load for the active path, one batched
-kernel call per (path, distinct-load) set, and per-query SLA violations,
-trace-wide weighted p99 and query-weighted quality are aggregated into a
-:class:`RoutingResult`.
+is simulated at the cell's load for the active path, one batched kernel call
+per (path, distinct-load) set.  :meth:`PathTable.score` is the one place
+per-query SLA violations, trace-wide weighted p99 and query-weighted quality
+are aggregated into a :class:`RoutingResult`, for the step policies here and
+the per-query frontend alike.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.serving.engine import (
     service_seed,
     spawn_seeds,
 )
-from repro.serving.estimators import HazardDwellForecaster, LoadEstimator, WindowedMean
+from repro.serving.estimators import LoadEstimator, WindowedMean
 from repro.serving.metrics import weighted_percentile
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import CachedServiceConfig, ServiceTimeSampler, sampled_service
@@ -62,7 +63,6 @@ from repro.serving.trace import LoadTrace
 if TYPE_CHECKING:  # the core layer imports serving; keep the reverse edge type-only
     from repro.core.pipeline import PipelineConfig
     from repro.core.scheduler import RecPipeScheduler
-    from repro.core.sweep import SweepOutcome
 
 __all__ = [
     "MultiPathRouter",
@@ -126,7 +126,7 @@ class RoutingResult:
     Attributes
     ----------
     policy : str
-        ``static``, ``oracle`` or ``online``.
+        ``static``, ``oracle``, ``online`` or ``frontend``.
     trace_name : str
         Name of the :class:`~repro.serving.trace.LoadTrace` served.
     quality : float
@@ -171,8 +171,7 @@ class RoutingResult:
 class PathTable:
     """The compiled routing table: p99-vs-load per path plus the decision rule.
 
-    A table is compiled from a finished sweep (:meth:`from_outcome`) or
-    directly from the scheduler (:meth:`compile`, one
+    A table is compiled from the scheduler (:meth:`compile`, one
     :meth:`~repro.core.scheduler.RecPipeScheduler.evaluate_grid` column per
     path).  At construction each path's **feasible frontier** is
     precomputed: the prefix of finite grid cells before the path's first
@@ -342,53 +341,6 @@ class PathTable:
             seed=seed,
         )
 
-    @classmethod
-    def from_outcome(cls, outcome: "SweepOutcome", scheduler: "RecPipeScheduler") -> "PathTable":
-        """Build a table from a finished sweep without re-simulating anything.
-
-        Every (platform, pipeline) column of ``outcome.evaluated`` becomes a
-        path; the sweep's SLA, quality target, engine budget and seed carry
-        over.  ``scheduler`` only rebuilds the hardware plans (construction
-        is cheap and plans are not serialized into sweep outcomes).
-
-        Parameters
-        ----------
-        outcome : SweepOutcome
-            A finished :func:`repro.core.sweep.run_sweep` result.
-        scheduler : RecPipeScheduler
-            Used to rebuild each path's :class:`PipelinePlan`.
-
-        Returns
-        -------
-        PathTable
-            The compiled table.
-        """
-        config = outcome.config
-        paths: list[ServingPath] = []
-        p99_rows: list[list[float]] = []
-        for platform in config.platforms:
-            for index, pipeline in enumerate(outcome.pipelines):
-                paths.append(
-                    ServingPath(
-                        platform=platform,
-                        pipeline=pipeline,
-                        plan=scheduler.plan_for(pipeline, platform),
-                        quality=outcome.quality_by_pipeline[pipeline.name],
-                    )
-                )
-                p99_rows.append(
-                    [outcome.evaluated[(platform, qps)][index].p99_latency for qps in config.qps]
-                )
-        return cls(
-            paths=paths,
-            qps_grid=config.qps,
-            p99_grid=np.asarray(p99_rows),
-            sla_seconds=config.sla_seconds,
-            quality_target=config.quality_target,
-            simulation=scheduler.simulation,
-            seed=config.seed,
-        )
-
     # ------------------------------------------------------------------ #
     # Decisions
     # ------------------------------------------------------------------ #
@@ -541,17 +493,6 @@ class PathTable:
     # ------------------------------------------------------------------ #
     # Dwell-segment simulation
     # ------------------------------------------------------------------ #
-    def _resolve_service(self, service: CachedServiceConfig | None) -> CachedServiceConfig | None:
-        """The service model a dwell cell runs under (explicit > table default)."""
-        return self.simulation.service if service is None else service
-
-    @staticmethod
-    def _segment_key(path_index: int, qps: float, service: CachedServiceConfig | None) -> tuple:
-        """Memo key of one dwell cell; deterministic cells keep the legacy shape."""
-        if service is None:
-            return (path_index, qps)
-        return (path_index, qps, service)
-
     def _service_state(
         self, path_index: int, service: CachedServiceConfig
     ) -> tuple[ServiceTimeSampler, np.ndarray]:
@@ -599,51 +540,82 @@ class PathTable:
             )
         return rows
 
-    def _segment_latencies(
+    def _missing_dwell(
+        self,
+        path_index: int,
+        qps_values: Sequence[float],
+        service: CachedServiceConfig | None,
+    ) -> tuple[CachedServiceConfig | None, list[float]]:
+        """The model the cells run under (``None``: the table's) and their unmemoized loads."""
+        if any(q <= 0 for q in qps_values):
+            raise ValueError("qps values must be positive")
+        service = self.simulation.service if service is None else service
+        loads = dict.fromkeys(float(q) for q in qps_values)
+        return service, [q for q in loads if (path_index, q, service) not in self._segments]
+
+    def dwell_latencies(
         self, path_index: int, qps: float, service: CachedServiceConfig | None = None
     ) -> np.ndarray | None:
         """Steady-state per-query latencies of one (path, load) dwell cell.
 
-        Returns ``None`` for saturated cells (offered load at or beyond the
-        engine's saturation threshold).  Results are memoized; distinct
-        loads of one path share a single unit arrival draw, so the batched
-        fill in :meth:`_fill_segments` and this scalar path produce
-        identical samples.
+        Cells are memoized per ``(path, load, service model)``; a miss
+        simulates the cell through :meth:`prefill_dwell`, so a cell holds
+        the same sample whether it was read alone or batched with others.
+
+        Parameters
+        ----------
+        path_index : int
+            Index into :attr:`paths`.
+        qps : float
+            Offered load of the dwell cell; must be positive.
+        service : CachedServiceConfig, optional
+            The cell's service model (default: the table's).
+
+        Returns
+        -------
+        np.ndarray or None
+            Post-warm-up latency sample, or ``None`` when the cell is
+            saturated (offered load at or beyond the engine's saturation
+            threshold).
         """
-        service = self._resolve_service(service)
-        key = self._segment_key(path_index, float(qps), service)
+        if qps <= 0:
+            raise ValueError(f"qps must be positive, got {qps}")
+        key = (path_index, float(qps), self.simulation.service if service is None else service)
         if key not in self._segments:
-            self._fill_segments(path_index, [float(qps)], service=service)
+            self.prefill_dwell(path_index, [qps], service)
         return self._segments[key]
 
-    def _fill_segments(
+    def prefill_dwell(
         self,
         path_index: int,
         qps_values: Sequence[float],
         service: CachedServiceConfig | None = None,
     ) -> None:
-        """Simulate every missing (path, load) cell in one batched kernel call.
+        """Simulate every missing (path, load) dwell cell in one batched kernel call.
 
-        ``service`` selects the per-query service model of the filled cells
-        (``None`` resolves to the table default).  The saturation pre-check
-        stays on the deterministic utilization — a stochastic cell whose
-        inflated service overloads the path is simulated honestly and shows
-        up as latency mass, not silently dropped.
+        Distinct loads of one path scale one shared unit arrival draw, so
+        the engine runs one vectorized kernel per path instead of one per
+        load.  The saturation pre-check stays on the deterministic
+        utilization — a stochastic cell whose inflated service overloads the
+        path is simulated honestly and shows up as latency mass, not
+        silently dropped.
+
+        Parameters
+        ----------
+        path_index : int
+            Index into :attr:`paths`.
+        qps_values : sequence of float
+            The strictly positive dwell-cell loads about to be read.
+        service : CachedServiceConfig, optional
+            The cells' service model (default: the table's).
         """
+        service, missing = self._missing_dwell(path_index, qps_values, service)
         path = self.paths[path_index]
         cfg = self.simulation
-        service = self._resolve_service(service)
-        missing = [
-            q
-            for q in dict.fromkeys(float(q) for q in qps_values)
-            if self._segment_key(path_index, q, service) not in self._segments
-        ]
-        if not missing:
-            return
         live: list[float] = []
         for q in missing:
             if path.plan.utilization(q) >= cfg.saturation_utilization:
-                self._segments[self._segment_key(path_index, q, service)] = None
+                self._segments[(path_index, q, service)] = None
             else:
                 live.append(q)
         if not live:
@@ -656,54 +628,110 @@ class PathTable:
         arrivals = np.cumsum(unit[None, :] * scales[:, None], axis=1)
         latencies = analytic_latencies(path.plan, arrivals, service=service_matrix)
         for row, q in enumerate(live):
-            self._segments[self._segment_key(path_index, q, service)] = latencies[
-                row, cfg.warmup_queries :
-            ]
+            self._segments[(path_index, q, service)] = latencies[row, cfg.warmup_queries :]
 
-    def dwell_latencies(self, path_index: int, qps: float) -> np.ndarray | None:
-        """Steady-state per-query latencies of one (path, load) dwell cell.
+    def score(
+        self,
+        policy: str,
+        trace_name: str,
+        path_steps: Sequence[int],
+        switch_steps: Sequence[bool],
+        cells: Sequence[tuple],
+        total_queries: float,
+        waits: np.ndarray | None = None,
+        shed: int = 0,
+    ) -> RoutingResult:
+        """Aggregate dwell cells and extra latency mass into a :class:`RoutingResult`.
 
-        The public face of the memoized dwell-segment cache the route
-        evaluators share: the per-query frontend scores admitted windows on
-        exactly the samples :meth:`evaluate_route` would draw for the same
-        (path, load) pair.
+        A cell ``(path, load, service, served, prompt, penalty)`` serves
+        ``served`` queries on ``path``.  ``prompt`` of them see the cell's
+        steady-state sample at ``load`` under ``service`` (``None``: the
+        table's model) plus ``penalty`` seconds of warm-up; the other
+        ``served - prompt`` were served late, deliver the path's quality and
+        violate the SLA, and their latencies are ``waits`` (one query each).
+        ``shed`` queries were never served: they violate with ``inf``
+        latency mass and zero quality.  A saturated cell counts all of its
+        queries as violations and adds ``inf`` mass.  ``effective_quality``
+        discounts every violating query to zero, so policies are ranked by
+        quality *delivered within SLA*, not quality promised.
 
         Parameters
         ----------
-        path_index : int
-            Index into :attr:`paths`.
-        qps : float
-            Offered load of the dwell cell; must be positive.
+        policy : str
+            Label recorded in the result.
+        trace_name : str
+            Name of the served trace.
+        path_steps : sequence of int
+            Active path index per decision (trace step or window).
+        switch_steps : sequence of bool
+            Marks the first decision of each new dwell segment.
+        cells : sequence of tuple
+            The dwell cells, in decision order.
+        total_queries : float
+            Queries offered; quality, violation rate and occupancy are
+            fractions of it.
+        waits : np.ndarray, optional
+            Latencies of the late-served queries.
+        shed : int
+            Queries offered but never served.
 
         Returns
         -------
-        np.ndarray or None
-            Post-warm-up latency sample, or ``None`` when the cell is
-            saturated (offered load at or beyond the engine's saturation
-            threshold).
+        RoutingResult
+            Aggregated quality, p99, violation rate, switches, occupancy.
         """
-        if qps <= 0:
-            raise ValueError(f"qps must be positive, got {qps}")
-        return self._segment_latencies(path_index, float(qps))
+        loads: dict[tuple, list[float]] = {}
+        for index, load, service, *_ in cells:
+            loads.setdefault((index, service), []).append(load)
+        for (index, service), values in loads.items():
+            self.prefill_dwell(index, values, service)
 
-    def prefill_dwell(self, path_index: int, qps_values: Sequence[float]) -> None:
-        """Simulate every missing (path, load) dwell cell in one batched call.
-
-        Callers that will read many :meth:`dwell_latencies` cells of one
-        path (the route evaluators, the per-query frontend) prefill them
-        here so the engine runs one vectorized kernel per path instead of
-        one per load.
-
-        Parameters
-        ----------
-        path_index : int
-            Index into :attr:`paths`.
-        qps_values : sequence of float
-            The strictly positive dwell-cell loads about to be read.
-        """
-        if any(q <= 0 for q in qps_values):
-            raise ValueError("qps values must be positive")
-        self._fill_segments(path_index, [float(q) for q in qps_values])
+        violations = 0.0
+        quality_mass = 0.0
+        effective_mass = 0.0
+        occupancy: dict[str, float] = {}
+        pooled_values: list[np.ndarray] = []
+        pooled_weights: list[np.ndarray] = []
+        for index, load, service, served, prompt, penalty in cells:
+            path = self.paths[index]
+            quality_mass += served * path.quality
+            occupancy[path.name] = occupancy.get(path.name, 0.0) + served
+            latencies = self.dwell_latencies(index, load, service)
+            if latencies is None:  # saturated: every query violates, none delivers
+                violations += served
+                pooled_values.append(np.asarray([np.inf]))
+                pooled_weights.append(np.asarray([float(served)]))
+                continue
+            observed = latencies + penalty if penalty else latencies
+            violating = float(np.mean(observed > self.sla_seconds))
+            violations += prompt * violating + (served - prompt)
+            effective_mass += prompt * path.quality * (1.0 - violating)
+            pooled_values.append(observed)
+            pooled_weights.append(np.full(observed.size, prompt / observed.size))
+        if waits is not None:
+            pooled_values.append(waits)
+            pooled_weights.append(np.ones(waits.size))
+        if shed:
+            violations += shed
+            pooled_values.append(np.asarray([np.inf]))
+            pooled_weights.append(np.asarray([float(shed)]))
+        p99 = weighted_percentile(
+            np.concatenate(pooled_values), np.concatenate(pooled_weights), 99.0
+        )
+        switch_steps = tuple(bool(s) for s in switch_steps)
+        return RoutingResult(
+            policy=policy,
+            trace_name=trace_name,
+            quality=quality_mass / total_queries,
+            effective_quality=effective_mass / total_queries,
+            p99_seconds=p99,
+            violation_rate=violations / total_queries,
+            num_switches=sum(switch_steps[1:]),
+            total_queries=float(total_queries),
+            path_steps=tuple(int(i) for i in path_steps),
+            switch_steps=switch_steps,
+            occupancy={name: mass / total_queries for name, mass in occupancy.items()},
+        )
 
     def evaluate_route(
         self,
@@ -716,16 +744,11 @@ class PathTable:
     ) -> RoutingResult:
         """Simulate a routed schedule and aggregate its serving metrics.
 
-        Each step is a dwell slice: the active path serves a steady-state
-        arrival window at the step's offered load on the analytic engine.
-        Steps flagged in ``switch_steps`` add ``switch_penalty_seconds`` to
-        every query latency (path warm-up).  Saturated dwell cells count all
-        of their queries as SLA violations and contribute ``inf`` latency
-        mass to the trace-wide p99.  ``effective_quality`` re-weights the
-        quality aggregate by SLA attainment: queries whose latency violates
-        the SLA (and every query of a saturated cell) contribute zero
-        quality, so policies are ranked by quality *delivered within SLA*,
-        not quality promised.
+        Each step is one dwell cell (:meth:`score`): the active path serves
+        a steady-state arrival window at the step's offered load, and every
+        one of the step's expected queries is served promptly.  Steps
+        flagged in ``switch_steps`` add ``switch_penalty_seconds`` to every
+        query latency (path warm-up).
 
         Parameters
         ----------
@@ -754,63 +777,17 @@ class PathTable:
         switch_steps = list(switch_steps)
         if len(path_steps) != trace.num_steps or len(switch_steps) != trace.num_steps:
             raise ValueError("path_steps and switch_steps must cover every trace step")
-        if service_steps is None:
-            service_steps = [None] * trace.num_steps
-        else:
-            service_steps = list(service_steps)
-            if len(service_steps) != trace.num_steps:
-                raise ValueError("service_steps must cover every trace step")
+        service_steps = [None] * trace.num_steps if service_steps is None else list(service_steps)
+        if len(service_steps) != trace.num_steps:
+            raise ValueError("service_steps must cover every trace step")
         queries = trace.queries_per_step()
-        total_queries = float(queries.sum())
-        fill_groups: dict[tuple, list[float]] = {}
-        for t, index in enumerate(path_steps):
-            resolved = self._resolve_service(service_steps[t])
-            fill_groups.setdefault((index, resolved), []).append(trace.qps[t])
-        for (index, resolved), loads in fill_groups.items():
-            self._fill_segments(index, loads, service=resolved)
-
-        violations = 0.0
-        quality_mass = 0.0
-        effective_mass = 0.0
-        occupancy: dict[str, float] = {}
-        pooled_values: list[np.ndarray] = []
-        pooled_weights: list[np.ndarray] = []
-        for t, index in enumerate(path_steps):
-            path = self.paths[index]
-            weight = queries[t]
-            quality_mass += weight * path.quality
-            occupancy[path.name] = occupancy.get(path.name, 0.0) + weight
-            penalty = switch_penalty_seconds if switch_steps[t] else 0.0
-            latencies = self._segment_latencies(
-                index, float(trace.qps[t]), service=service_steps[t]
+        cells = [
+            (index, float(qps), service, weight, weight, switch_penalty_seconds if switch else 0.0)
+            for index, qps, service, weight, switch in zip(
+                path_steps, trace.qps, service_steps, queries, switch_steps
             )
-            if latencies is None:  # saturated: every query violates, none delivers
-                violations += weight
-                pooled_values.append(np.asarray([np.inf]))
-                pooled_weights.append(np.asarray([weight]))
-                continue
-            observed = latencies + penalty if penalty else latencies
-            violating = float(np.mean(observed > self.sla_seconds))
-            violations += weight * violating
-            effective_mass += weight * path.quality * (1.0 - violating)
-            pooled_values.append(observed)
-            pooled_weights.append(np.full(observed.size, weight / observed.size))
-        p99 = weighted_percentile(
-            np.concatenate(pooled_values), np.concatenate(pooled_weights), 99.0
-        )
-        return RoutingResult(
-            policy=policy,
-            trace_name=trace.name,
-            quality=quality_mass / total_queries,
-            effective_quality=effective_mass / total_queries,
-            p99_seconds=p99,
-            violation_rate=violations / total_queries,
-            num_switches=int(sum(switch_steps[1:])),
-            total_queries=total_queries,
-            path_steps=tuple(path_steps),
-            switch_steps=tuple(bool(s) for s in switch_steps),
-            occupancy={name: mass / total_queries for name, mass in occupancy.items()},
-        )
+        ]
+        return self.score(policy, trace.name, path_steps, switch_steps, cells, float(queries.sum()))
 
 
 def route_static(
@@ -902,9 +879,10 @@ class MultiPathRouter:
 
     The router never sees the future: its load estimate for step ``t``
     comes from a strictly causal :class:`~repro.serving.estimators.LoadEstimator`
-    that has observed only steps ``0 .. t-1`` (the default reproduces the
-    original behavior — the mean of the last ``window`` observed steps;
-    predictive estimators extrapolate instead of chasing).  A switch is
+    that has observed only steps ``0 .. t-1`` (the default
+    :class:`~repro.serving.estimators.WindowedMean` is the original
+    behavior — the mean of the last few observed steps; predictive
+    estimators extrapolate instead of chasing).  A switch is
     only committed once the table proposes the same non-current path for
     ``hysteresis_steps`` consecutive decisions — noise straddling a path
     boundary therefore cannot flap the system.  When ``switch_cost_seconds``
@@ -923,55 +901,35 @@ class MultiPathRouter:
     ----------
     table : PathTable
         The compiled routing table decisions are read from.
-    window : int
-        Sliding-window length (steps) of the default
-        :class:`~repro.serving.estimators.WindowedMean` estimator; ignored
-        when ``estimator`` is provided.
     hysteresis_steps : int
         Consecutive identical proposals required before switching.
     switch_penalty_seconds : float
         Warm-up latency charged to every query of a switch step.
-    estimator : LoadEstimator, optional
-        The load forecaster (default: ``WindowedMean(window)``).  The
-        router resets it at the start of every decision pass, so one
-        instance can replay many traces.
+    estimator : LoadEstimator
+        The load forecaster (default: ``WindowedMean()``;
+        :func:`~repro.serving.estimators.make_estimator` builds one by
+        name).  The router resets it at the start of every decision pass,
+        so one instance can replay many traces.
     switch_cost_seconds : float
         Predicted p99 gain (seconds, accumulated over the expected dwell)
         a shedding switch must repay before it is committed; ``0`` disables
         the gate.
-    dwell_forecaster : HazardDwellForecaster, optional
-        When set, the cost gate amortizes over
-        ``max(streak, expected_dwell())`` — a hazard-rate forecast of the
-        dwell ahead learned from completed dwell lengths — instead of the
-        persistence streak alone.  The default (``None``) reproduces the
-        streak-only decisions bit-for-bit.
     """
 
     table: PathTable
-    window: int = 3
     hysteresis_steps: int = 2
     switch_penalty_seconds: float = 0.0
-    estimator: LoadEstimator | None = None
+    estimator: LoadEstimator = field(default_factory=WindowedMean)
     switch_cost_seconds: float = 0.0
-    dwell_forecaster: HazardDwellForecaster | None = None
 
     def __post_init__(self) -> None:
-        """Validate the policy knobs and default the estimator."""
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        """Validate the policy knobs."""
         if self.hysteresis_steps <= 0:
             raise ValueError("hysteresis_steps must be positive")
         if self.switch_penalty_seconds < 0:
             raise ValueError("switch_penalty_seconds must be non-negative")
         if self.switch_cost_seconds < 0:
             raise ValueError("switch_cost_seconds must be non-negative")
-        if self.estimator is None:
-            self.estimator = WindowedMean(window=self.window)
-
-    @property
-    def estimator_name(self) -> str:
-        """The active estimator's artifact label (``windowed``/``ewma``/...)."""
-        return type(self.estimator).name
 
     def estimate_over(self, observed: np.ndarray) -> np.ndarray:
         """The load estimate entering every step of an observed load series.
@@ -1003,27 +961,6 @@ class MultiPathRouter:
             self.estimator.observe(float(observed[t]))
         return estimates
 
-    def estimate_series(self, trace: LoadTrace) -> np.ndarray:
-        """The router's load estimate entering every trace step, in one pass.
-
-        Delegates to :meth:`estimate_over` on the trace's per-step loads.
-        """
-        return self.estimate_over(trace.qps)
-
-    def estimate_qps(self, trace: LoadTrace, step: int) -> float:
-        """The router's load estimate entering ``step``.
-
-        Replays the estimator over the observed prefix ``trace.qps[:step]``
-        (strictly causal); prefer :meth:`estimate_series` when every step's
-        estimate is needed.
-        """
-        if step == 0:
-            return float(trace.qps[0])
-        self.estimator.reset()
-        for qps in trace.qps[:step]:
-            self.estimator.observe(float(qps))
-        return self.estimator.predict()
-
     def _switch_pays_off(self, current: int, candidate: int, qps: float, streak: int) -> bool:
         """Whether committing ``candidate`` over ``current`` repays the switch cost.
 
@@ -1037,11 +974,7 @@ class MultiPathRouter:
         candidate's persistence so far is the forecast of its persistence
         to come), reaches ``switch_cost_seconds``.  The gain is finite
         there by construction: ``best_path`` proposes the lowest-p99
-        eligible path, whose p99 cannot exceed the current path's.  With a
-        :attr:`dwell_forecaster` attached, the amortization horizon is the
-        larger of the streak and the hazard-rate forecast of the dwell
-        ahead, so a router that has learned dwells run long commits
-        profitable switches earlier.
+        eligible path, whose p99 cannot exceed the current path's.
         """
         if self.switch_cost_seconds == 0:
             return True
@@ -1051,21 +984,18 @@ class MultiPathRouter:
         if np.isinf(p99_current):
             return True
         gain = p99_current - self.table.p99_at(candidate, qps)
-        horizon = float(max(streak, 1))
-        if self.dwell_forecaster is not None:
-            horizon = max(horizon, self.dwell_forecaster.expected_dwell())
-        return gain * horizon >= self.switch_cost_seconds
+        return gain * float(max(streak, 1)) >= self.switch_cost_seconds
 
     def decide_from_estimates(self, estimates: np.ndarray) -> tuple[list[int], list[bool]]:
         """Run the hysteresis/cost state machine over precomputed estimates.
 
         The table's per-step candidate proposals come from one vectorized
         :meth:`PathTable.best_path_batch` call; the sequential part — the
-        hysteresis streak, the cost gate, the dwell bookkeeping — is
-        inherently stateful and stays a scalar loop over cheap integer
-        comparisons.  Both :meth:`decide` and the per-query frontend
-        delegate here, so the step router and the frontend share one
-        decision state machine by construction.
+        hysteresis streak and the cost gate — is inherently stateful and
+        stays a scalar loop over cheap integer comparisons.  Both
+        :meth:`decide` and the per-query frontend delegate here, so the step
+        router and the frontend share one decision state machine by
+        construction.
 
         Parameters
         ----------
@@ -1080,8 +1010,6 @@ class MultiPathRouter:
         estimates = np.asarray(estimates, dtype=np.float64)
         if estimates.ndim != 1 or estimates.size == 0:
             raise ValueError("estimates must form a 1-D, non-empty series")
-        if self.dwell_forecaster is not None:
-            self.dwell_forecaster.reset()
         log = _event_log()
         candidates = self.table.best_path_batch(estimates)
         current = int(candidates[0])
@@ -1089,7 +1017,6 @@ class MultiPathRouter:
         switches = [False]
         pending: int | None = None
         streak = 0
-        dwell_start = 0
         if log is not None:
             log.emit(
                 "route_decision",
@@ -1112,9 +1039,6 @@ class MultiPathRouter:
                 and streak >= self.hysteresis_steps
                 and self._switch_pays_off(current, pending, float(estimates[t]), streak)
             ):
-                if self.dwell_forecaster is not None:
-                    self.dwell_forecaster.observe_dwell(t - dwell_start)
-                dwell_start = t
                 if log is not None:
                     log.emit(
                         "route_decision",
@@ -1151,7 +1075,7 @@ class MultiPathRouter:
         tuple[list[int], list[bool]]
             Per-step active path indices and switch markers.
         """
-        return self.decide_from_estimates(self.estimate_series(trace))
+        return self.decide_from_estimates(self.estimate_over(trace.qps))
 
     def route(
         self,

@@ -450,22 +450,22 @@ class TestRoute:
         # and the scenario defaults every registry entry starts from must
         # agree with them.
         from repro.scenarios import BASE_DEFAULTS
-        from repro.serving.estimators import EWMA
-        from repro.serving.frontend import StreamingFrontend
+        from repro.serving.estimators import EWMA, WindowedMean
+        from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend
         from repro.serving.router import MultiPathRouter
 
         args = cli.build_parser().parse_args(["route"])
-        assert args.window == MultiPathRouter.window
+        assert args.window == WindowedMean.window
         assert args.hysteresis == MultiPathRouter.hysteresis_steps
         assert args.switch_cost_ms == MultiPathRouter.switch_cost_seconds * 1e3
-        assert BASE_DEFAULTS["window"] == MultiPathRouter.window
+        assert BASE_DEFAULTS["window"] == WindowedMean.window
         assert BASE_DEFAULTS["hysteresis"] == MultiPathRouter.hysteresis_steps
         assert BASE_DEFAULTS["switch_penalty_ms"] == MultiPathRouter.switch_penalty_seconds * 1e3
         assert BASE_DEFAULTS["switch_cost_ms"] == MultiPathRouter.switch_cost_seconds * 1e3
         assert BASE_DEFAULTS["ewma_alpha"] == args.ewma_alpha == EWMA.alpha
         for knob in ("window_seconds", "max_batch", "batching", "defer_windows"):
             assert BASE_DEFAULTS[knob] == getattr(StreamingFrontend, knob)
-        assert BASE_DEFAULTS["arrival_process"] == StreamingFrontend.arrival_process
+        assert BASE_DEFAULTS["arrival_process"] == ARRIVAL_PROCESSES[0]
 
     def test_non_positive_planning_qps_is_a_clear_error(self, capsys):
         for value in ("0", "-250"):
@@ -638,7 +638,7 @@ class TestRoutePerQuery:
         assert artifacts.load_manifest(out_dir)["config"]["arrival_process"] == "paced"
 
     def test_frontend_knob_defaults_come_from_the_dataclass(self):
-        from repro.serving.frontend import StreamingFrontend
+        from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend
 
         args = cli.build_parser().parse_args(["route"])
         assert args.mode == "per-step"
@@ -648,5 +648,5 @@ class TestRoutePerQuery:
         assert args.max_batch is None
         assert StreamingFrontend.max_batch == 64
         assert args.defer_windows == StreamingFrontend.defer_windows
-        assert args.arrival_process == StreamingFrontend.arrival_process
+        assert args.arrival_process == ARRIVAL_PROCESSES[0]
         assert args.window_seconds is None

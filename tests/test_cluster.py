@@ -391,7 +391,7 @@ class TestFleetCost:
 class TestMixtureCounts:
     """Pin `_mixture_counts`: the largest-remainder split behind sample pooling.
 
-    The contract the quantile pooling in ``ClusterTable._fill_segments``
+    The contract the quantile pooling in ``ClusterTable.prefill_dwell``
     relies on: counts sum to exactly the requested pool size, remainder
     ties break toward the lower index, and every positive-weight node keeps
     at least one sample.

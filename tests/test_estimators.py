@@ -9,6 +9,7 @@ from repro.serving.estimators import (
     ESTIMATORS,
     EWMA,
     MIN_PREDICTED_QPS,
+    AutoSelector,
     HoltTrend,
     LoadEstimator,
     WindowedMean,
@@ -60,9 +61,18 @@ class TestProtocol:
         assert first == second
 
     def test_make_estimator_by_name(self):
-        assert isinstance(make_estimator("windowed", window=7), WindowedMean)
-        assert isinstance(make_estimator("ewma", alpha=0.3), EWMA)
-        assert isinstance(make_estimator("holt"), HoltTrend)
+        windowed = make_estimator("windowed", window=7)
+        assert isinstance(windowed, WindowedMean) and windowed.window == 7
+        ewma = make_estimator("ewma", ewma_alpha=0.3)
+        assert isinstance(ewma, EWMA) and ewma.alpha == 0.3
+        assert make_estimator("holt") == HoltTrend()
+        # The shared knobs reach the auto selector's candidates too.
+        auto = make_estimator("auto", 7, 0.3)
+        assert isinstance(auto, AutoSelector)
+        assert auto.candidates == (WindowedMean(window=7), EWMA(alpha=0.3), HoltTrend())
+        # Unset knobs are the estimator classes' own defaults.
+        assert make_estimator("windowed").window == WindowedMean.window
+        assert make_estimator("ewma").alpha == EWMA.alpha
         with pytest.raises(ValueError, match="unknown estimator"):
             make_estimator("prophet")
 
@@ -189,7 +199,7 @@ class TestHoltTrend:
 
 
 class TestRouterLagSemantics:
-    """Pinned-seed regression for ``MultiPathRouter.estimate_qps`` lag."""
+    """Pinned-seed regression for ``MultiPathRouter.estimate_over`` lag."""
 
     def trace(self) -> LoadTrace:
         return spike_trace(
@@ -215,30 +225,33 @@ class TestRouterLagSemantics:
         trace = self.trace()
         for name in ESTIMATORS:
             router = self._router(name)
-            assert router.estimate_qps(trace, 0) == float(trace.qps[0])
+            assert router.estimate_over(trace.qps)[0] == float(trace.qps[0])
 
     def test_windowed_estimate_matches_the_lagged_window_mean(self):
         trace = self.trace()
-        router = MultiPathRouter(self._table(), window=3)
+        router = MultiPathRouter(self._table(), estimator=WindowedMean(window=3))
+        series = router.estimate_over(trace.qps)
         for step in range(1, trace.num_steps):
-            lo = max(0, step - router.window)
+            lo = max(0, step - router.estimator.window)
             expected = float(np.mean(trace.qps[lo:step]))
-            assert router.estimate_qps(trace, step) == pytest.approx(expected)
+            assert series[step] == pytest.approx(expected)
 
-    def test_estimate_series_agrees_with_per_step_replay(self):
+    def test_estimate_over_agrees_with_per_step_replay(self):
+        # The estimate entering a step replays only the observed prefix.
         trace = self.trace()
         for name in ESTIMATORS:
             router = self._router(name)
-            series = router.estimate_series(trace)
+            series = router.estimate_over(trace.qps)
             assert series.shape == (trace.num_steps,)
             for step in range(trace.num_steps):
-                assert series[step] == pytest.approx(router.estimate_qps(trace, step))
+                replayed = router.estimate_over(trace.qps[: step + 1])[step]
+                assert series[step] == pytest.approx(replayed)
 
     def test_pinned_seed_windowed_estimates(self):
         # Frozen numbers: if these move, the lag semantics changed.
         trace = self.trace()
-        router = MultiPathRouter(self._table(), window=3)
-        series = router.estimate_series(trace)
+        router = MultiPathRouter(self._table(), estimator=WindowedMean(window=3))
+        series = router.estimate_over(trace.qps)
         np.testing.assert_allclose(
             series[:4],
             [

@@ -11,6 +11,7 @@ from repro.core.events import (
     active_log,
     capture,
 )
+from repro.serving.estimators import WindowedMean
 from repro.serving.frontend import QueryStream, StreamingFrontend
 from repro.serving.router import MultiPathRouter
 from repro.serving.trace import LoadTrace, spike_trace
@@ -112,7 +113,7 @@ class TestCapture:
 
 class TestRouterEvents:
     def test_route_decisions_logged_at_commit_points(self):
-        router = MultiPathRouter(make_table(), window=1)
+        router = MultiPathRouter(make_table(), estimator=WindowedMean(window=1))
         trace = switching_trace()
         with capture() as log:
             steps, switches = router.decide(trace)
@@ -127,7 +128,7 @@ class TestRouterEvents:
             assert record["path_name"] == router.table.paths[record["path"]].name
 
     def test_logging_does_not_change_decisions(self):
-        router = MultiPathRouter(make_table(), window=1)
+        router = MultiPathRouter(make_table(), estimator=WindowedMean(window=1))
         trace = switching_trace()
         baseline = router.decide(trace)
         with capture():
@@ -136,7 +137,7 @@ class TestRouterEvents:
 
     def test_events_are_seed_deterministic(self):
         trace = spike_trace(num_steps=40, seed=7)
-        router = MultiPathRouter(make_table(), window=1)
+        router = MultiPathRouter(make_table(), estimator=WindowedMean(window=1))
         runs = []
         for _ in range(2):
             with capture() as log:
@@ -145,7 +146,7 @@ class TestRouterEvents:
         assert runs[0] == runs[1]
 
     def test_kinds_stay_in_vocabulary(self):
-        router = MultiPathRouter(make_table(), window=1)
+        router = MultiPathRouter(make_table(), estimator=WindowedMean(window=1))
         with capture() as log:
             router.decide(switching_trace())
         assert {r["kind"] for r in log} <= set(EVENT_KINDS)
@@ -153,7 +154,7 @@ class TestRouterEvents:
 
 class TestFrontendEvents:
     def overloaded_frontend(self):
-        router = MultiPathRouter(make_table(), window=1)
+        router = MultiPathRouter(make_table(), estimator=WindowedMean(window=1))
         return StreamingFrontend(router, max_batch=16)
 
     def test_stream_summary_totals_match_schedule(self):

@@ -34,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import packaged_scenario, runner
+from repro.serving.estimators import WindowedMean
 from repro.serving.frontend import (
     ARRIVAL_PROCESSES,
     QUERY_ADMITTED,
@@ -110,13 +111,17 @@ class TopUniformGenerator:
 
 
 def paced_frontend(table, defer_windows: float = 1.0, **kwargs) -> StreamingFrontend:
-    """A frontend on deterministic paced arrivals (seed-free, exact)."""
+    """A frontend for deterministic paced arrivals: a one-step windowed mean."""
     return StreamingFrontend(
-        MultiPathRouter(table, window=1),
-        arrival_process="paced",
+        MultiPathRouter(table, estimator=WindowedMean(window=1)),
         defer_windows=defer_windows,
         **kwargs,
     )
+
+
+def paced(trace: LoadTrace) -> tuple[LoadTrace, QueryStream]:
+    """``trace`` and its paced arrivals (seed-free, exact): ``schedule(*paced(trace))``."""
+    return trace, QueryStream.from_trace(trace, seed=0, process="paced")
 
 
 class TestQueryStream:
@@ -167,7 +172,8 @@ class TestQueryStream:
         step_of = np.repeat(np.arange(trace.num_steps), counts)
         assert np.all(stream.arrival_seconds < (step_of + 1) * trace.step_seconds)
         # Every arrival is binned into its own step's window, the last included.
-        plan = StreamingFrontend(MultiPathRouter(make_table(), window=1)).schedule(trace, stream)
+        router = MultiPathRouter(make_table(), estimator=WindowedMean(window=1))
+        plan = StreamingFrontend(router).schedule(trace, stream)
         np.testing.assert_array_equal(plan.window_arrivals, np.bincount(step_of, minlength=120))
 
     def test_validation(self):
@@ -198,13 +204,13 @@ class TestStepRouterEquivalence:
             ref_steps, ref_switches = reference.decide(trace)
             assert paths == ref_steps
             assert switches == ref_switches
-            np.testing.assert_array_equal(estimates, reference.estimate_series(trace))
+            np.testing.assert_array_equal(estimates, reference.estimate_over(trace.qps))
 
     def test_schedule_embeds_the_same_decisions(self, synthetic_table, scenario_traces):
         trace = scenario_traces[0]
         reference = build_router(synthetic_table)
         frontend = StreamingFrontend(build_router(synthetic_table), batching=False)
-        plan = frontend.schedule(trace)
+        plan = frontend.schedule(trace, QueryStream.from_trace(trace, seed=0))
         ref_steps, ref_switches = reference.decide(trace)
         np.testing.assert_array_equal(plan.window_paths, ref_steps)
         np.testing.assert_array_equal(plan.window_switches, ref_switches)
@@ -269,7 +275,7 @@ class TestReferenceEquivalence:
     ):
         trace = LoadTrace("equiv", step_seconds, np.asarray(loads))
         frontend = StreamingFrontend(
-            MultiPathRouter(self.TABLE, window=2),
+            MultiPathRouter(self.TABLE, estimator=WindowedMean(window=2)),
             window_seconds=WINDOW_WIDTHS[window](step_seconds),
             defer_windows=defer_windows,
         )
@@ -323,7 +329,7 @@ class TestReferenceEquivalence:
         np.testing.assert_array_equal(stream.arrival_seconds, reference)
 
     def test_per_query_views_are_read_only(self):
-        plan = paced_frontend(self.TABLE).schedule(flat_trace(8000.0, num_steps=6))
+        plan = paced_frontend(self.TABLE).schedule(*paced(flat_trace(8000.0, num_steps=6)))
         for view in (plan.query_state, plan.query_path, plan.query_serve_window):
             with pytest.raises(ValueError):
                 view[0] = 0
@@ -406,7 +412,7 @@ class TestAdmissionProperties:
 
     def shed_rate_at(self, qps: int, defer_windows: float) -> float:
         frontend = paced_frontend(self.TABLE, defer_windows=defer_windows)
-        return frontend.schedule(flat_trace(float(qps), num_steps=8)).shed_rate
+        return frontend.schedule(*paced(flat_trace(float(qps), num_steps=8))).shed_rate
 
     @given(
         rates=st.lists(st.integers(min_value=50, max_value=12_000), min_size=2, max_size=6),
@@ -426,8 +432,8 @@ class TestAdmissionProperties:
     @settings(max_examples=50, deadline=None)
     def test_admitted_rate_never_exceeds_the_frontier(self, qps, seed):
         trace = flat_trace(qps, num_steps=6)
-        frontend = StreamingFrontend(MultiPathRouter(self.TABLE, window=1), arrival_seed=seed)
-        plan = frontend.schedule(trace)
+        frontend = StreamingFrontend(MultiPathRouter(self.TABLE, estimator=WindowedMean(window=1)))
+        plan = frontend.schedule(trace, QueryStream.from_trace(trace, seed=seed))
         for w in range(plan.num_windows):
             cap = self.TABLE.max_feasible_qps(int(plan.window_paths[w]))
             assert plan.window_admitted[w] / plan.window_seconds <= cap
@@ -456,10 +462,9 @@ class TestAdmissionProperties:
         trace = spike_trace(
             num_steps=25, step_seconds=10.0, base_qps=2500.0, spike_qps=6000.0, seed=2
         )
+        router = MultiPathRouter(self.TABLE, estimator=WindowedMean(window=2))
         plans = [
-            StreamingFrontend(MultiPathRouter(self.TABLE, window=2), arrival_seed=seed).schedule(
-                trace
-            )
+            StreamingFrontend(router).schedule(trace, QueryStream.from_trace(trace, seed=seed))
             for _ in range(2)
         ]
         np.testing.assert_array_equal(plans[0].query_state, plans[1].query_state)
@@ -472,7 +477,7 @@ class TestAdmissionAccounting:
     def overload_plan(self, defer_windows: float = 1.0):
         table = make_table()
         frontend = paced_frontend(table, defer_windows=defer_windows)
-        return frontend.schedule(flat_trace(8000.0, num_steps=6))
+        return frontend.schedule(*paced(flat_trace(8000.0, num_steps=6)))
 
     def test_every_arrival_is_admitted_deferred_or_shed(self):
         plan = self.overload_plan()
@@ -503,7 +508,7 @@ class TestAdmissionAccounting:
         table = make_table()
         qps = np.concatenate([np.full(5, 1000.0), np.full(1, 9000.0)])
         frontend = paced_frontend(table)
-        plan = frontend.schedule(LoadTrace("tail", 10.0, qps))
+        plan = frontend.schedule(*paced(LoadTrace("tail", 10.0, qps)))
         # The last window overflows into the queue with no window left to
         # drain it: those queries must not count as served.
         assert plan.window_deferred[-1] > 0
@@ -525,7 +530,8 @@ class TestAdmissionAccounting:
         trace = flat_trace(100.0, num_steps=3)
         for window_seconds, last_edge in ((None, 30.0), (7.0, 35.0)):
             frontend = StreamingFrontend(
-                MultiPathRouter(make_table(), window=1), window_seconds=window_seconds
+                MultiPathRouter(make_table(), estimator=WindowedMean(window=1)),
+                window_seconds=window_seconds,
             )
             inside = np.nextafter(last_edge, 0.0)
             plan = frontend.schedule(trace, QueryStream("x", 30.0, np.array([0.0, 12.5, inside])))
@@ -535,6 +541,36 @@ class TestAdmissionAccounting:
                 stream = QueryStream("x", 100.0, np.array([0.0, 12.5, late]))
                 with pytest.raises(ValueError, match="past the trace"):
                     frontend.schedule(trace, stream)
+
+
+class TestWindowsWiderThanTheTrace:
+    """A decision window wider than the trace acts as one window over it."""
+
+    def test_widths_past_the_duration_equal_one_trace_wide_window(self):
+        # 8,000 QPS is past both paths' frontiers: admission caps bind, so a
+        # cap or a dwell load scaled by the nominal width would show.
+        trace = flat_trace(8000.0, num_steps=6)
+        stream = QueryStream.from_trace(trace, seed=0)
+        duration = trace.duration_seconds
+        results = [
+            StreamingFrontend(
+                MultiPathRouter(make_table(), estimator=WindowedMean(window=1)),
+                window_seconds=width,
+            ).serve(trace, stream)
+            for width in (duration, 2 * duration, 1e16)
+        ]
+        first = results[0].schedule
+        assert first.num_windows == 1
+        assert first.window_seconds == duration
+        assert first.shed_queries > 0
+        for result in results[1:]:
+            for name in SCHEDULE_FIELDS + ("window_seconds", "estimates", "window_batch"):
+                np.testing.assert_array_equal(
+                    getattr(result.schedule, name), getattr(first, name), err_msg=name
+                )
+            for name in SUMMARY_FIELDS:
+                assert getattr(result.schedule, name) == getattr(first, name), name
+            assert result.routing == results[0].routing
 
 
 class TestShedReasonSchema:
@@ -551,19 +587,19 @@ class TestShedReasonSchema:
     @pytest.mark.parametrize("qps", [1000.0, 8000.0])
     def test_schema_is_unconditional(self, batching, qps):
         frontend = paced_frontend(make_table(), batching=batching)
-        plan = frontend.schedule(flat_trace(qps, num_steps=6))
+        plan = frontend.schedule(*paced(flat_trace(qps, num_steps=6)))
         reasons = plan.window_shed_reason
         assert reasons.shape == (plan.num_windows,)
         assert set(reasons) <= self.VOCABULARY
         np.testing.assert_array_equal(plan.window_shed > 0, reasons != "none")
 
     def test_feasible_load_reports_none_everywhere(self):
-        plan = paced_frontend(make_table()).schedule(flat_trace(1000.0, num_steps=6))
+        plan = paced_frontend(make_table()).schedule(*paced(flat_trace(1000.0, num_steps=6)))
         assert plan.shed_queries == 0
         assert set(plan.window_shed_reason) == {"none"}
 
     def test_overload_with_capacity_reports_queue_full(self):
-        plan = paced_frontend(make_table()).schedule(flat_trace(8000.0, num_steps=6))
+        plan = paced_frontend(make_table()).schedule(*paced(flat_trace(8000.0, num_steps=6)))
         shed_windows = plan.window_shed > 0
         assert np.any(shed_windows)
         assert set(plan.window_shed_reason[shed_windows]) == {"queue-full"}
@@ -573,7 +609,7 @@ class TestShedReasonSchema:
         # rounds to zero admitted slots: every arrival is shed for lack of
         # capacity, not queue space (the queue limit scales with capacity).
         frontend = paced_frontend(make_table(), window_seconds=1e-4)
-        plan = frontend.schedule(flat_trace(10_000.0, num_steps=1, step_seconds=0.01))
+        plan = frontend.schedule(*paced(flat_trace(10_000.0, num_steps=1, step_seconds=0.01)))
         assert plan.served_queries == 0
         shed_windows = plan.window_shed > 0
         assert np.any(shed_windows)
@@ -586,7 +622,7 @@ class TestDynamicBatching:
         table = make_table()
         frontend = paced_frontend(table)
         trace = flat_trace(1000.0, num_steps=4)
-        plan = frontend.schedule(trace)
+        plan = frontend.schedule(*paced(trace))
         headroom = table.sla_seconds - table.p99_at(0, 1000.0)
         expected = int(np.floor(headroom * 1000.0))
         assert np.all(plan.window_paths == 0)
@@ -596,20 +632,20 @@ class TestDynamicBatching:
     def test_batch_is_clamped_to_max_batch(self):
         table = make_table()
         frontend = paced_frontend(table, max_batch=8)
-        plan = frontend.schedule(flat_trace(2500.0, num_steps=4))
+        plan = frontend.schedule(*paced(flat_trace(2500.0, num_steps=4)))
         assert np.all(plan.window_batch <= 8)
         assert plan.window_batch.max() == 8  # headroom alone would exceed it
 
     def test_no_headroom_means_no_batching(self):
         table = make_table(sla_ms=1.0)  # nobody meets 1 ms
         frontend = paced_frontend(table)
-        plan = frontend.schedule(flat_trace(1000.0, num_steps=4))
+        plan = frontend.schedule(*paced(flat_trace(1000.0, num_steps=4)))
         assert np.all(plan.window_batch == 1)
 
     def test_mean_batch_size_weights_by_served_queries(self):
         table = make_table()
         frontend = paced_frontend(table)
-        plan = frontend.schedule(flat_trace(1000.0, num_steps=4))
+        plan = frontend.schedule(*paced(flat_trace(1000.0, num_steps=4)))
         weighted = np.sum(plan.window_admitted * plan.window_batch) / plan.window_admitted.sum()
         assert plan.mean_batch_size == pytest.approx(weighted)
 
@@ -622,8 +658,6 @@ class TestDynamicBatching:
             StreamingFrontend(router, window_seconds=0.0)
         with pytest.raises(ValueError, match="defer_windows"):
             StreamingFrontend(router, defer_windows=-1.0)
-        with pytest.raises(ValueError, match="arrival process"):
-            StreamingFrontend(router, arrival_process="burst")
 
 
 @pytest.fixture(scope="module")
@@ -640,8 +674,8 @@ class TestServe:
         for trace in scenario_traces:
             static = route_static(experiment_table, trace)
             oracle = route_oracle(experiment_table, trace)
-            frontend = StreamingFrontend(build_router(experiment_table), arrival_seed=0)
-            served = frontend.serve(trace)
+            frontend = StreamingFrontend(build_router(experiment_table))
+            served = frontend.serve(trace, QueryStream.from_trace(trace, seed=0))
             assert (
                 oracle.violation_rate
                 <= served.routing.violation_rate
@@ -654,7 +688,7 @@ class TestServe:
         table = make_table()
         frontend = paced_frontend(table, defer_windows=0.0)
         trace = flat_trace(8000.0, num_steps=6)
-        served = frontend.serve(trace)
+        served = frontend.serve(*paced(trace))
         schedule = served.schedule
         assert schedule.shed_rate > 0
         # The served remainder runs on the feasible fast path, so sheds are
@@ -667,7 +701,7 @@ class TestServe:
     def test_feasible_stream_has_no_violations(self):
         table = make_table()
         frontend = paced_frontend(table)
-        served = frontend.serve(flat_trace(1000.0, num_steps=6))
+        served = frontend.serve(*paced(flat_trace(1000.0, num_steps=6)))
         assert served.schedule.shed_queries == 0
         assert served.routing.violation_rate == 0.0
         assert served.routing.quality == pytest.approx(98.0)
@@ -676,7 +710,7 @@ class TestServe:
 
     def test_empty_stream_is_rejected(self):
         table = make_table()
-        frontend = StreamingFrontend(MultiPathRouter(table, window=1))
+        frontend = StreamingFrontend(MultiPathRouter(table, estimator=WindowedMean(window=1)))
         stream = QueryStream("empty", 30.0, np.array([]))
         with pytest.raises(ValueError, match="empty"):
             frontend.serve(flat_trace(100.0, num_steps=3), stream)
@@ -684,7 +718,7 @@ class TestServe:
     def test_occupancy_sums_to_the_served_fraction(self):
         table = make_table()
         frontend = paced_frontend(table)
-        served = frontend.serve(flat_trace(8000.0, num_steps=6))
+        served = frontend.serve(*paced(flat_trace(8000.0, num_steps=6)))
         served_fraction = served.schedule.served_queries / served.schedule.offered_queries
         assert sum(served.routing.occupancy.values()) == pytest.approx(served_fraction)
 
@@ -739,7 +773,7 @@ class TestThroughputSmoke:
             num_steps=600, step_seconds=1.0, base_qps=500.0, peak_qps=2500.0, noise=0.05, seed=0
         )
 
-        router = MultiPathRouter(table, window=3)
+        router = MultiPathRouter(table, estimator=WindowedMean(window=3))
         best_decide = float("inf")
         for _ in range(3):
             start = time.perf_counter()
@@ -749,7 +783,7 @@ class TestThroughputSmoke:
 
         # Scheduling alone is per-window work; the per-query work a caller
         # waits for is drawing the stream and serving it.
-        frontend = StreamingFrontend(MultiPathRouter(table, window=3))
+        frontend = StreamingFrontend(MultiPathRouter(table, estimator=WindowedMean(window=3)))
         best_serve = float("inf")
         for _ in range(3):
             start = time.perf_counter()

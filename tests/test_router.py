@@ -2,15 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import (
+    EmbeddingTableSpec,
+    InterconnectLink,
+    NodeSpec,
+    build_cluster_table,
+    shard_row_wise,
+)
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.models.zoo import RM_LARGE, RM_SMALL, criteo_model_specs
+from repro.serving.estimators import HoltTrend, WindowedMean
 from repro.serving.router import (
     MultiPathRouter,
     PathTable,
     route_oracle,
     route_static,
 )
+from repro.serving.service_times import CachedServiceConfig
 from repro.serving.simulator import SimulationConfig
 from repro.serving.trace import LoadTrace, spike_trace
 
@@ -24,6 +35,7 @@ from tests.conftest import (  # noqa: F401  (re-export)
     make_path,
     make_table,
 )
+from tests.router_reference import reference_evaluate_route
 
 
 class TestPathTableValidation:
@@ -312,6 +324,63 @@ class TestEvaluateRoute:
         assert result.occupancy[table.paths[1].name] == pytest.approx(0.75)
 
 
+def two_replica_cluster():
+    """Two cpu replicas of the synthetic table behind a row-wise sharded tier."""
+    tables = [EmbeddingTableSpec(f"t{i}", 1000, 8, 4.0) for i in range(4)]
+    budget = sum(t.total_bytes for t in tables)
+    nodes = (NodeSpec("n0", "cpu", budget), NodeSpec("n1", "cpu", budget))
+    plan = shard_row_wise(tables, [budget] * 2)
+    grid = (200.0, 2000.0, 4000.0, 6000.0)
+    return build_cluster_table(nodes, {"cpu": make_table()}, grid, plan, InterconnectLink())
+
+
+@st.composite
+def routed_schedules(draw, services):
+    """A trace and a schedule over it: paths, switch flags, a penalty, service overrides."""
+    num_steps = draw(st.integers(min_value=1, max_value=12))
+
+    def per_step(elements):
+        return draw(st.lists(elements, min_size=num_steps, max_size=num_steps))
+
+    loads = per_step(st.floats(min_value=50.0, max_value=40_000.0))
+    trace = LoadTrace("equiv", draw(st.sampled_from([0.5, 10.0])), np.asarray(loads))
+    overrides = per_step(st.sampled_from(services))
+    return (
+        trace,
+        per_step(st.integers(min_value=0, max_value=1)),
+        per_step(st.booleans()),
+        draw(st.sampled_from([0.0, 2e-3, 0.05])),
+        draw(st.sampled_from([None, overrides])),
+    )
+
+
+class TestReferenceEquivalence:
+    """`evaluate_route` scores a schedule exactly as the step-by-step reference does.
+
+    Loads run from a trickle to past both paths' saturation (the hq path
+    saturates near 3.1k QPS per node, the fast one near 15.7k), so
+    saturated cells are drawn too.  Each side scores on its own fresh
+    table, so neither reads cells the other filled.
+    """
+
+    SERVICES = (None, CachedServiceConfig(), CachedServiceConfig(warm_fraction=0.0))
+
+    @given(schedule=routed_schedules(SERVICES))
+    @settings(max_examples=60, deadline=None)
+    def test_single_node_table(self, schedule):
+        trace, paths, switches, penalty, services = schedule
+        args = (trace, paths, switches, "online", penalty, services)
+        assert make_table().evaluate_route(*args) == reference_evaluate_route(make_table(), *args)
+
+    @given(schedule=routed_schedules((None,)))
+    @settings(max_examples=30, deadline=None)
+    def test_cluster_table_without_overrides(self, schedule):
+        trace, paths, switches, penalty, services = schedule
+        args = (trace, paths, switches, "online", penalty, services)
+        expected = reference_evaluate_route(two_replica_cluster(), *args)
+        assert two_replica_cluster().evaluate_route(*args) == expected
+
+
 class TestEffectiveQuality:
     def test_fully_within_sla_delivers_all_promised_quality(self):
         table = make_table()
@@ -382,7 +451,9 @@ class TestCostAwareSwitching:
         return LoadTrace("shed", 10.0, qps)
 
     def test_zero_cost_commits_marginal_sheds(self):
-        router = MultiPathRouter(self.marginal_table(), window=1, switch_cost_seconds=0.0)
+        router = MultiPathRouter(
+            self.marginal_table(), estimator=WindowedMean(window=1), switch_cost_seconds=0.0
+        )
         steps, switches = router.decide(self.shed_trace())
         assert steps[-1] == 1
         assert sum(switches) == 1
@@ -390,7 +461,9 @@ class TestCostAwareSwitching:
     def test_cost_gate_blocks_sheds_that_cannot_repay(self):
         # 2 ms predicted gain per step over a ~2-step expected dwell never
         # repays a 50 ms switch cost: stay put.
-        router = MultiPathRouter(self.marginal_table(), window=1, switch_cost_seconds=0.05)
+        router = MultiPathRouter(
+            self.marginal_table(), estimator=WindowedMean(window=1), switch_cost_seconds=0.05
+        )
         steps, switches = router.decide(self.shed_trace())
         assert sum(switches) == 0
         assert set(steps) == {0}
@@ -398,7 +471,9 @@ class TestCostAwareSwitching:
     def test_escaping_saturation_is_always_worthwhile(self):
         # A saturated current path (inf p99) is exempt from the gate: even
         # a hefty switch cost never pins the router to a saturated path.
-        router = MultiPathRouter(make_table(), window=1, switch_cost_seconds=0.05)
+        router = MultiPathRouter(
+            make_table(), estimator=WindowedMean(window=1), switch_cost_seconds=0.05
+        )
         qps = np.concatenate([np.full(4, 500.0), np.full(12, 4000.0)])
         steps, switches = router.decide(LoadTrace("sat", 10.0, qps))
         assert steps[-1] == 1
@@ -418,7 +493,9 @@ class TestCostAwareSwitching:
             sla_seconds=0.025,
             simulation=SimulationConfig(num_queries=600, warmup_queries=60),
         )
-        router = MultiPathRouter(table, window=1, switch_cost_seconds=10.0)
+        router = MultiPathRouter(
+            table, estimator=WindowedMean(window=1), switch_cost_seconds=10.0
+        )
         qps = np.concatenate([np.full(3, 100.0), np.full(10, 2500.0)])
         steps, switches = router.decide(LoadTrace("allsat", 10.0, qps))
         assert steps[0] == 0  # the high-quality path at the feasible low load
@@ -428,7 +505,9 @@ class TestCostAwareSwitching:
     def test_quality_motivated_switches_are_exempt(self):
         # Coming back down from a shed: the current (fast) path still meets
         # the SLA, so reclaiming quality must not be blocked by the gate.
-        router = MultiPathRouter(make_table(), window=1, switch_cost_seconds=10.0)
+        router = MultiPathRouter(
+            make_table(), estimator=WindowedMean(window=1), switch_cost_seconds=10.0
+        )
         qps = np.concatenate([np.full(6, 4000.0), np.full(10, 500.0)])
         steps, switches = router.decide(LoadTrace("updown", 10.0, qps))
         assert steps[0] == 1  # shedding under the initial saturating load
@@ -442,23 +521,22 @@ class TestCostAwareSwitching:
 
 class TestEstimatorIntegration:
     def test_default_estimator_reproduces_windowed_mean_decisions(self):
-        from repro.serving.estimators import WindowedMean
-
         table = make_table()
         trace = spike_trace(num_steps=60, step_seconds=10.0, base_qps=1000.0, seed=2)
-        implicit = MultiPathRouter(table, window=4)
-        explicit = MultiPathRouter(table, estimator=WindowedMean(window=4))
+        implicit = MultiPathRouter(table)
+        explicit = MultiPathRouter(table, estimator=WindowedMean())
         assert implicit.decide(trace) == explicit.decide(trace)
-        assert implicit.estimator_name == explicit.estimator_name == "windowed"
+        assert type(implicit.estimator).name == type(explicit.estimator).name == "windowed"
+        assert implicit.estimator.window == WindowedMean.window
+        # Each router owns its default estimator: decision passes never share state.
+        assert MultiPathRouter(table).estimator is not implicit.estimator
 
     def test_predictive_estimator_reacts_faster_on_a_ramp(self):
-        from repro.serving.estimators import HoltTrend
-
         table = make_table()
         qps = np.linspace(1000.0, 4500.0, 30)
         trace = LoadTrace("ramp", 10.0, qps)
-        reactive = MultiPathRouter(table, window=5)
-        predictive = MultiPathRouter(table, window=5, estimator=HoltTrend())
+        reactive = MultiPathRouter(table, estimator=WindowedMean(window=5))
+        predictive = MultiPathRouter(table, estimator=HoltTrend())
         reactive_steps, _ = reactive.decide(trace)
         predictive_steps, _ = predictive.decide(trace)
         first_shed_reactive = reactive_steps.index(1)
@@ -476,8 +554,8 @@ class TestHysteresis:
     def test_hysteresis_prevents_flapping(self):
         table = make_table()
         trace = self.boundary_trace()
-        naive = MultiPathRouter(table, window=1, hysteresis_steps=1)
-        damped = MultiPathRouter(table, window=1, hysteresis_steps=3)
+        naive = MultiPathRouter(table, estimator=WindowedMean(window=1), hysteresis_steps=1)
+        damped = MultiPathRouter(table, estimator=WindowedMean(window=1), hysteresis_steps=3)
         _, naive_switches = naive.decide(trace)
         _, damped_switches = damped.decide(trace)
         assert sum(naive_switches) >= trace.num_steps // 2 - 1  # flaps every other step
@@ -486,7 +564,7 @@ class TestHysteresis:
     def test_window_smoothing_alone_damps_oscillation(self):
         table = make_table()
         trace = self.boundary_trace()
-        smoothed = MultiPathRouter(table, window=6, hysteresis_steps=1)
+        smoothed = MultiPathRouter(table, estimator=WindowedMean(window=6), hysteresis_steps=1)
         _, switches = smoothed.decide(trace)
         # The windowed mean (~3.2k) straddles the boundary far less often.
         assert sum(switches) <= 4
@@ -495,7 +573,7 @@ class TestHysteresis:
         table = make_table()
         qps = np.concatenate([np.full(10, 1000.0), np.full(10, 4000.0)])
         trace = LoadTrace("shift", 10.0, qps)
-        router = MultiPathRouter(table, window=2, hysteresis_steps=2)
+        router = MultiPathRouter(table, estimator=WindowedMean(window=2), hysteresis_steps=2)
         steps, switches = router.decide(trace)
         assert steps[0] == 0 and steps[-1] == 1
         assert sum(switches) == 1
@@ -503,7 +581,7 @@ class TestHysteresis:
     def test_knob_validation(self):
         table = make_table()
         with pytest.raises(ValueError):
-            MultiPathRouter(table, window=0)
+            MultiPathRouter(table, estimator=WindowedMean(window=0))
         with pytest.raises(ValueError):
             MultiPathRouter(table, hysteresis_steps=0)
         with pytest.raises(ValueError):
@@ -529,7 +607,10 @@ class TestPolicyOrdering:
         static = route_static(table, trace)
         oracle = route_oracle(table, trace)
         online = MultiPathRouter(
-            table, window=3, hysteresis_steps=2, switch_penalty_seconds=5e-3
+            table,
+            estimator=WindowedMean(window=3),
+            hysteresis_steps=2,
+            switch_penalty_seconds=5e-3,
         ).route(trace)
         assert oracle.violation_rate <= online.violation_rate <= static.violation_rate
         assert online.violation_rate < static.violation_rate  # the headline claim
@@ -540,7 +621,8 @@ class TestPolicyOrdering:
         table = make_table()
         trace = self.spike()
         oracle = route_oracle(table, trace)
-        online = MultiPathRouter(table, window=3, hysteresis_steps=2).route(trace)
+        router = MultiPathRouter(table, estimator=WindowedMean(window=3), hysteresis_steps=2)
+        online = router.route(trace)
         assert online.quality >= oracle.quality * (1.0 - 1e-3)
 
     def test_static_provisions_for_the_median_load(self):
@@ -552,7 +634,7 @@ class TestPolicyOrdering:
 
 class TestCompiledTables:
     def test_compile_matches_sweep_outcome(self, criteo_workload):
-        """`compile` and `from_outcome` derive the same table from one seed."""
+        """`compile` over a sweep's pipelines, platforms, loads and seed holds its grid."""
         scheduler, pipelines = criteo_workload
         config = SweepConfig(
             platforms=("cpu", "rpaccel"),
@@ -572,10 +654,25 @@ class TestCompiledTables:
             sla_ms=config.sla_ms,
             seed=config.seed,
         )
-        derived = PathTable.from_outcome(outcome, scheduler)
-        assert [p.name for p in compiled.paths] == [p.name for p in derived.paths]
-        np.testing.assert_allclose(compiled.p99_grid, derived.p99_grid)
-        assert compiled.sla_seconds == derived.sla_seconds
+        columns = [
+            (platform, index, pipeline)
+            for platform in config.platforms
+            for index, pipeline in enumerate(outcome.pipelines)
+        ]
+        assert [p.name for p in compiled.paths] == [
+            f"{platform}:{pipeline.name}" for platform, _, pipeline in columns
+        ]
+        assert [p.quality for p in compiled.paths] == [
+            outcome.quality_by_pipeline[pipeline.name] for _, _, pipeline in columns
+        ]
+        np.testing.assert_array_equal(
+            compiled.p99_grid,
+            [
+                [outcome.evaluated[(platform, qps)][index].p99_latency for qps in config.qps]
+                for platform, index, _ in columns
+            ],
+        )
+        assert compiled.sla_seconds == config.sla_seconds
 
     def test_compiled_table_routes_by_load_regime(self, criteo_workload):
         scheduler, pipelines = criteo_workload
