@@ -37,9 +37,10 @@ from repro.data import CriteoConfig, CriteoSynthetic
 from repro.experiments.common import ExperimentResult
 from repro.models.zoo import criteo_model_specs
 from repro.quality import QualityEvaluator
+from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan, StageResource
 from repro.serving.service_times import CachedServiceConfig
-from repro.serving.simulator import ServingSimulator, SimulationConfig
+from repro.serving.simulator import SimulationConfig, simulate
 
 #: QPS column every engine kernel is timed over.
 QPS_GRID = (200.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0)
@@ -69,12 +70,13 @@ def reference_plan(num_stages: int = 3) -> PipelinePlan:
 
 def _time_column(plan: PipelinePlan, config: SimulationConfig, repeats: int) -> tuple[float, list]:
     """Best-of-``repeats`` wall-clock of one full QPS column, plus the reports."""
-    simulator = ServingSimulator(plan, config)
     best = float("inf")
     reports = None
     for _ in range(repeats):
         start = time.perf_counter()
-        reports = simulator.run_grid(QPS_GRID)
+        live, arrivals, latencies = simulate(plan, QPS_GRID, config)
+        offered = [qps for qps, ok in zip(QPS_GRID, live) if ok]
+        reports = LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
         best = min(best, time.perf_counter() - start)
     return best, reports
 

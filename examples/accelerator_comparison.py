@@ -15,18 +15,20 @@ from repro.experiments.common import (
     criteo_three_stage,
     criteo_two_stage,
 )
-from repro.serving import ServingSimulator, SimulationConfig
+from repro.serving import LatencyReport, SimulationConfig, simulate
 
 
 def sweep(plan, qps_values):
-    simulator = ServingSimulator(plan, SimulationConfig(num_queries=3000, warmup_queries=300))
-    rows = []
-    for qps in qps_values:
-        if plan.utilization(qps) >= 0.98:
-            rows.append((qps, None))
-        else:
-            rows.append((qps, simulator.run(qps).p99_latency * 1e3))
-    return rows
+    """``(qps, p99 ms)`` per load, ``None`` where the plan cannot sustain it."""
+    config = SimulationConfig(num_queries=3000, warmup_queries=300)
+    live, arrivals, latencies = simulate(plan, qps_values, config)
+    offered = [qps for qps, ok in zip(qps_values, live) if ok]
+    reports = iter(
+        LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
+    )
+    return [
+        (qps, next(reports).p99_latency * 1e3 if ok else None) for qps, ok in zip(qps_values, live)
+    ]
 
 
 def main() -> None:

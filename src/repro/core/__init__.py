@@ -15,12 +15,9 @@ This is the paper's primary contribution: a system that
 
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig, Stage, enumerate_pipelines
-from repro.core.targets import ApplicationTargets
 from repro.core.mapping import (
     HardwarePool,
     build_accelerator_plan,
-    build_cpu_plan,
-    build_gpu_plan,
     build_heterogeneous_plan,
 )
 from repro.core.scheduler import EvaluatedConfig, RecPipeScheduler
@@ -30,11 +27,8 @@ __all__ = [
     "Stage",
     "PipelineConfig",
     "enumerate_pipelines",
-    "ApplicationTargets",
     "pareto_frontier",
     "HardwarePool",
-    "build_cpu_plan",
-    "build_gpu_plan",
     "build_heterogeneous_plan",
     "build_accelerator_plan",
     "RecPipeScheduler",

@@ -3,14 +3,16 @@
 Each builder turns a :class:`~repro.core.pipeline.PipelineConfig` into a
 :class:`~repro.serving.resources.PipelinePlan`:
 
-* **CPU-only** -- every stage runs on CPU cores, one query per core per
-  stage; the 64 cores are partitioned across stages proportionally to each
-  stage's per-query service time, so the bottleneck stage is minimized.
-* **GPU-only** -- every stage runs data-parallel on the single GPU.
-* **Heterogeneous GPU-CPU** -- each stage is pinned to a device; whenever
+* **Device list** (:func:`build_heterogeneous_plan`) -- each stage is pinned
+  to ``"cpu"`` or ``"gpu"``.  CPU stages run one query per core; the 64
+  cores are partitioned across them proportionally to each stage's
+  per-query service time, so the bottleneck stage is minimized.  GPU stages
+  run data-parallel on the single GPU.  Whenever the host feeds the GPU or
   consecutive stages run on different devices the intermediate candidates
   cross PCIe, which is the overhead that limits multi-stage GPU-CPU designs
-  in the paper's Section 5.2.
+  in the paper's Section 5.2.  The ``cpu``, ``gpu`` and ``gpu-cpu``
+  platforms are the all-CPU, all-GPU and GPU-then-CPU lists
+  (:data:`DEVICE_PLATFORMS`).
 * **Accelerator** -- delegates to the baseline accelerator or RPAccel models
   in :mod:`repro.accel`.
 """
@@ -29,6 +31,10 @@ from repro.hardware.pcie import PCIeModel
 from repro.serving.resources import PipelinePlan, StageResource
 
 
+#: The (first-stage, later-stage) device of each CPU/GPU platform.
+DEVICE_PLATFORMS = {"cpu": ("cpu", "cpu"), "gpu": ("gpu", "gpu"), "gpu-cpu": ("gpu", "cpu")}
+
+
 @dataclass
 class HardwarePool:
     """The hardware available to the RecPipe scheduler."""
@@ -40,70 +46,6 @@ class HardwarePool:
     rpaccel: RPAccel = field(default_factory=RPAccel)
 
 
-def build_cpu_plan(
-    pipeline: PipelineConfig,
-    cpu: CPUPerformanceModel,
-    num_tables: int = 26,
-    total_cores: int | None = None,
-) -> PipelinePlan:
-    """CPU-only mapping: cores partitioned across stages proportional to load."""
-    costs = pipeline.stage_costs(num_tables)
-    items = pipeline.stage_items()
-    services = [cpu.stage_latency(cost, n) for cost, n in zip(costs, items)]
-    cores = total_cores if total_cores is not None else cpu.num_servers
-    if cores < len(services):
-        raise ValueError(
-            f"need at least one core per stage: {cores} cores for {len(services)} stages"
-        )
-    allocation = _proportional_allocation(services, cores)
-    stages = [
-        StageResource(
-            name=f"cpu:{cost.name}@{n}",
-            num_servers=alloc,
-            service_seconds=service,
-        )
-        for cost, n, service, alloc in zip(costs, items, services, allocation)
-    ]
-    return PipelinePlan(
-        platform="cpu",
-        stages=stages,
-        description=f"CPU-only mapping of {pipeline.name} across {cores} cores",
-    )
-
-
-def build_gpu_plan(
-    pipeline: PipelineConfig,
-    gpu: GPUPerformanceModel,
-    pcie: PCIeModel | None = None,
-    num_tables: int = 26,
-    num_dense: int = 13,
-) -> PipelinePlan:
-    """GPU-only mapping: every stage runs data-parallel on the one GPU."""
-    pcie = pcie if pcie is not None else PCIeModel()
-    costs = pipeline.stage_costs(num_tables)
-    items = pipeline.stage_items()
-    stages = []
-    for i, (cost, n) in enumerate(zip(costs, items)):
-        transfer = 0.0
-        if i == 0:
-            transfer = pcie.transfer_seconds(
-                pcie.candidate_payload_bytes(n, num_dense, cost.embedding_lookups_per_item)
-            )
-        stages.append(
-            StageResource(
-                name=f"gpu:{cost.name}@{n}",
-                num_servers=gpu.num_servers,
-                service_seconds=gpu.stage_latency(cost, n),
-                transfer_seconds=transfer,
-            )
-        )
-    return PipelinePlan(
-        platform="gpu",
-        stages=stages,
-        description=f"GPU-only mapping of {pipeline.name}",
-    )
-
-
 def build_heterogeneous_plan(
     pipeline: PipelineConfig,
     devices: Sequence[str],
@@ -113,11 +55,13 @@ def build_heterogeneous_plan(
     num_tables: int = 26,
     num_dense: int = 13,
 ) -> PipelinePlan:
-    """Heterogeneous mapping: each stage pinned to ``"cpu"`` or ``"gpu"``.
+    """Device-list mapping: each stage pinned to ``"cpu"`` or ``"gpu"``.
 
-    Crossing devices between consecutive stages (or feeding the GPU from the
-    host at the start of the query) charges a PCIe transfer of the candidate
-    payload entering that stage.
+    The CPU's cores are split across the CPU stages proportionally to their
+    service times; every GPU stage gets the GPU.  Crossing devices between
+    consecutive stages (or feeding the GPU from the host at the start of the
+    query) charges a PCIe transfer of the candidate payload entering that
+    stage.
     """
     if len(devices) != pipeline.num_stages:
         raise ValueError(

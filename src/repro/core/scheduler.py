@@ -17,21 +17,21 @@ tail-latency SLA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.mapping import (
+    DEVICE_PLATFORMS,
     HardwarePool,
     build_accelerator_plan,
-    build_cpu_plan,
-    build_gpu_plan,
     build_heterogeneous_plan,
 )
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig
 from repro.quality.evaluator import QualityEvaluator
+from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
-from repro.serving.simulator import ServingSimulator, SimulationConfig
+from repro.serving.simulator import SimulationConfig, simulate
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,18 @@ class RecPipeScheduler:
     ) -> PipelinePlan:
         """Build the serving plan of ``pipeline`` on ``platform``.
 
-        ``platform`` is one of ``"cpu"``, ``"gpu"``, ``"gpu-cpu"`` (frontend
-        stages on the GPU, the rest on the CPU, unless ``devices`` overrides
-        the assignment), ``"baseline-accel"`` or ``"rpaccel"``.
+        ``platform`` is one of ``"cpu"`` (every stage on the CPU), ``"gpu"``
+        (every stage on the GPU), ``"gpu-cpu"`` (the frontend stage on the
+        GPU, the rest on the CPU), ``"baseline-accel"`` or ``"rpaccel"``.
+        The first three map one device list (``devices``, when given,
+        overrides the platform's) through
+        :func:`~repro.core.mapping.build_heterogeneous_plan`.
         """
         hw = self.hardware
-        if platform == "cpu":
-            return build_cpu_plan(pipeline, hw.cpu, num_tables=self.num_tables)
-        if platform == "gpu":
-            return build_gpu_plan(pipeline, hw.gpu, hw.pcie, num_tables=self.num_tables)
-        if platform == "gpu-cpu":
+        if platform in DEVICE_PLATFORMS:
             if devices is None:
-                devices = ["gpu"] + ["cpu"] * (pipeline.num_stages - 1)
+                first, later = DEVICE_PLATFORMS[platform]
+                devices = [first] + [later] * (pipeline.num_stages - 1)
             return build_heterogeneous_plan(
                 pipeline, devices, hw.cpu, hw.gpu, hw.pcie, num_tables=self.num_tables
             )
@@ -163,11 +163,12 @@ class RecPipeScheduler:
     ) -> list[EvaluatedConfig]:
         """Evaluate one (pipeline, platform) column across every offered load.
 
-        The plan is constructed once and every non-saturated QPS point is
-        simulated in one batched call (one arrival draw, one vectorized
-        kernel pass on the analytic engine).  Saturated loads are not
-        simulated -- they report infinite tail latency, as in the paper's
-        greyed-out cells.
+        The plan is constructed once and the whole column is one
+        :func:`~repro.serving.simulator.simulate` call (one arrival draw, one
+        vectorized kernel pass on the analytic engine) whose live rows are
+        summarized by one report call.  Saturated loads are not simulated --
+        they report infinite tail latency, as in the paper's greyed-out
+        cells.
 
         Parameters
         ----------
@@ -200,27 +201,28 @@ class RecPipeScheduler:
             else quality
         )
         plan = self.plan_for(pipeline, platform, devices=devices, **accel_kwargs)
-        sim_cfg = self.simulation if seed is None else replace(self.simulation, seed=seed)
         capacity = plan.throughput_capacity()
         unloaded = plan.unloaded_latency()
         qps_list = [float(qps) for qps in qps_values]
-        saturated = [
-            plan.utilization(qps) >= sim_cfg.saturation_utilization for qps in qps_list
-        ]
-        live = [qps for qps, sat in zip(qps_list, saturated) if not sat]
-        reports = iter(ServingSimulator(plan, sim_cfg).run_grid(live) if live else ())
+        live, arrivals, latencies = simulate(plan, qps_list, self.simulation, seed=seed)
+        offered = [qps for qps, ok in zip(qps_list, live) if ok]
+        reports = iter(
+            LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
+            if offered
+            else ()
+        )
         return [
             EvaluatedConfig(
                 pipeline=pipeline,
                 platform=platform,
                 quality=quality_value,
-                p99_latency=float("inf") if sat else next(reports).p99_latency,
+                p99_latency=next(reports).p99_latency if ok else float("inf"),
                 unloaded_latency=unloaded,
                 throughput_capacity=capacity,
                 offered_qps=qps,
-                saturated=sat,
+                saturated=not ok,
             )
-            for qps, sat in zip(qps_list, saturated)
+            for qps, ok in zip(qps_list, live.tolist())
         ]
 
     def quality_map(

@@ -368,7 +368,7 @@ def column_seeds(
     that the same sweep config always re-derives identically.  Within a
     column, the draw is deliberately shared across the QPS axis (common
     random numbers make load curves smooth and let
-    :func:`repro.serving.engine.simulate_grid` batch the whole column).
+    :func:`repro.serving.simulator.simulate` batch the whole column).
     """
     spawned = iter(spawn_seeds(config.seed, len(config.platforms) * len(pipelines)))
     return {

@@ -22,21 +22,28 @@ from repro.experiments.common import (
     criteo_three_stage,
     criteo_two_stage,
 )
-from repro.serving.simulator import ServingSimulator, SimulationConfig
+from repro.serving.metrics import LatencyReport
+from repro.serving.simulator import SimulationConfig, simulate
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
 TITLE = "At-scale evaluation of RPAccel vs the baseline accelerator"
 PAPER_REF = "Figure 12"
 TAGS = ("accel", "rpaccel", "serving")
 
+#: The at-scale budget every figure point is simulated with.
+SIMULATION = SimulationConfig(num_queries=2000, warmup_queries=200)
 
-def _simulate(plan, qps, num_queries=2000, seed=0):
-    simulator = ServingSimulator(
-        plan, SimulationConfig(num_queries=num_queries, warmup_queries=200, seed=seed)
+
+def _simulate(plan, qps_values) -> list[tuple[float, bool]]:
+    """``(p99 seconds, saturated)`` of ``plan`` at each load; saturated is ``inf``."""
+    live, arrivals, latencies = simulate(plan, qps_values, SIMULATION)
+    offered = [qps for qps, ok in zip(qps_values, live) if ok]
+    reports = iter(
+        LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
     )
-    if plan.utilization(qps) >= 0.98:
-        return float("inf"), True
-    return simulator.run(qps).p99_latency, False
+    return [
+        (next(reports).p99_latency, False) if ok else (float("inf"), True) for ok in live.tolist()
+    ]
 
 
 def run_scale(
@@ -58,8 +65,7 @@ def run_scale(
     }
     result = ExperimentResult(name="fig12_top_rpaccel_at_scale")
     for label, plan in plans.items():
-        for qps in qps_values:
-            p99, saturated = _simulate(plan, qps)
+        for qps, (p99, saturated) in zip(qps_values, _simulate(plan, qps_values)):
             result.add(
                 config=label,
                 qps=qps,
@@ -97,8 +103,8 @@ def run_asymmetric(
             subarrays_per_stage=[8, backend_subarrays],
             frontend_cache_fraction=0.5,
         )
-        for qps, load in ((low_qps, "low"), (high_qps, "high")):
-            p99, saturated = _simulate(plan, qps)
+        points = _simulate(plan, (low_qps, high_qps))
+        for qps, load, (p99, saturated) in zip((low_qps, high_qps), ("low", "high"), points):
             result.add(
                 config=f"RPAccel8,{backend_subarrays}",
                 load=load,

@@ -96,10 +96,3 @@ class CPUPerformanceModel:
         if num_items == 0:
             return 0.0
         return self.calibration.per_stage_overhead_s + num_items * self.per_item_latency(cost)
-
-    def stage_throughput_capacity(self, cost: ModelCost, num_items: int) -> float:
-        """Maximum sustainable stage executions per second across all cores."""
-        latency = self.stage_latency(cost, num_items)
-        if latency == 0.0:
-            return float("inf")
-        return self.num_servers / latency

@@ -86,13 +86,6 @@ class GPUPerformanceModel:
         )
         return cal.per_stage_overhead_s + mlp + embedding
 
-    def stage_throughput_capacity(self, cost: ModelCost, num_items: int) -> float:
-        """Maximum sustainable stage executions per second."""
-        latency = self.stage_latency(cost, num_items)
-        if latency == 0.0:
-            return float("inf")
-        return self.num_servers / latency
-
     def fits_in_memory(self, cost: ModelCost) -> bool:
         """Whether the paper-scale model fits in GPU DRAM (15 GB on the T4).
 

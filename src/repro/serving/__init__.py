@@ -8,11 +8,14 @@ tail latency and sustained throughput.  This package provides
 * :class:`~repro.serving.resources.StageResource` /
   :class:`~repro.serving.resources.PipelinePlan` -- the platform-agnostic
   description of a scheduled pipeline,
-* :class:`~repro.serving.simulator.ServingSimulator` -- the engine-selecting
-  simulator facade (closed-form ``analytic`` default, discrete-event
-  ``event`` reference),
-* :mod:`repro.serving.engine` -- the closed-form kernel and the batched
-  :func:`~repro.serving.engine.simulate_grid` entry point,
+* :func:`~repro.serving.simulator.simulate` -- the one path from a plan and
+  a column of loads to latency samples: one arrival draw, one service draw,
+  the saturation rule (:meth:`SimulationConfig.saturated`) and the
+  engine-selected kernel (closed-form ``analytic`` default, discrete-event
+  ``event`` reference); sweep cells, router dwell cells and figure points
+  all come from it,
+* :mod:`repro.serving.engine` -- :class:`SimulationConfig`, the seed
+  helpers and the two kernels,
 * :class:`~repro.serving.metrics.LatencyReport` -- the latency summary of
   one simulated load,
 * :mod:`repro.serving.trace` / :mod:`repro.serving.estimators` /
@@ -32,7 +35,6 @@ from repro.serving.engine import (
     SimulationConfig,
     analytic_latencies,
     event_latencies,
-    simulate_grid,
 )
 from repro.serving.estimators import (
     ESTIMATORS,
@@ -52,7 +54,7 @@ from repro.serving.router import (
     route_oracle,
     route_static,
 )
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import simulate
 from repro.serving.trace import (
     TRACES,
     LoadTrace,
@@ -66,12 +68,11 @@ __all__ = [
     "StageResource",
     "PipelinePlan",
     "LatencyReport",
-    "ServingSimulator",
     "SimulationConfig",
+    "simulate",
     "ENGINES",
     "analytic_latencies",
     "event_latencies",
-    "simulate_grid",
     "LoadEstimator",
     "WindowedMean",
     "EWMA",

@@ -29,8 +29,9 @@ when the slowest stage finishes.
 
 The event-loop reference (:func:`event_latencies`) is kept for validation:
 the two engines agree to floating-point noise (``atol=1e-9``; see
-``tests/test_engine.py``).  :func:`simulate_grid` amortizes one arrival draw
-across an entire QPS column — ``rng.exponential(scale)`` is bitwise
+``tests/test_engine.py``).  :func:`repro.serving.simulator.simulate` is the
+one caller of both kernels: it amortizes one arrival draw across an entire
+QPS column — ``rng.exponential(scale)`` is bitwise
 ``standard_exponential() * scale``, so scaling a shared unit draw by
 ``1/qps`` reproduces the exact arrivals a per-cell draw with the same seed
 would produce, while the Lindley kernel runs batched over the whole
@@ -59,15 +60,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
-from repro.serving.service_times import CachedServiceConfig, sampled_service
+from repro.serving.service_times import CachedServiceConfig
 
-#: Engines :class:`~repro.serving.simulator.ServingSimulator` can select.
+#: Engines :func:`~repro.serving.simulator.simulate` can select.
 ENGINES = ("analytic", "event")
 
 
@@ -103,6 +102,14 @@ class SimulationConfig:
                 f"service must be a CachedServiceConfig or None, got {type(self.service)!r}"
             )
 
+    def saturated(self, plan: PipelinePlan, qps: float) -> bool:
+        """Whether ``qps`` loads ``plan``'s bottleneck at or past the saturation threshold.
+
+        The one saturation rule: a saturated load is not simulated and
+        reports infinite tail latency (the paper's greyed-out cells).
+        """
+        return plan.utilization(qps) >= self.saturation_utilization
+
     @classmethod
     def with_budget(
         cls,
@@ -122,7 +129,7 @@ class SimulationConfig:
 
 
 # --------------------------------------------------------------------------- #
-# Arrival processes and report building (shared by both engines)
+# Seeds, the arrival draw and the service check (shared by both engines)
 # --------------------------------------------------------------------------- #
 def spawn_seeds(seed: int, count: int) -> list[int]:
     """Derive ``count`` independent integer seeds from ``seed``.
@@ -147,9 +154,10 @@ def service_seed(seed) -> int:
 
     Arrivals consume ``default_rng(seed)`` directly (bit-compatible with
     every pre-stochastic result); service sampling must not share that
-    stream, so it uses the first spawned child instead.  Every call site --
-    grid, per-cell, router dwell -- derives the pair the same way, which is
-    what makes grid columns equal per-cell runs under a service model.
+    stream, so it uses the first spawned child instead.
+    :func:`~repro.serving.simulator.simulate` and the router's memoized
+    dwell draws derive the pair the same way, which is what makes a
+    column's cells equal one-load runs under a service model.
     """
     if isinstance(seed, np.random.SeedSequence):
         seed = int.from_bytes(seed.generate_state(4, np.uint32).tobytes(), "little")
@@ -167,32 +175,21 @@ def draw_unit_arrivals(num_queries: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).standard_exponential(num_queries)
 
 
-def arrivals_at_qps(unit: np.ndarray, qps: float) -> np.ndarray:
-    """Poisson arrival times at ``qps`` from a unit inter-arrival draw."""
-    if qps <= 0:
-        raise ValueError(f"qps must be positive, got {qps}")
-    return np.cumsum(unit * (1.0 / qps))
+def _stage_service(plan: PipelinePlan, service) -> np.ndarray | None:
+    """A per-query service array whose axis 0 indexes ``plan``'s stages, checked.
 
-
-def build_reports(
-    plan: PipelinePlan,
-    config: SimulationConfig,
-    qps_values: Sequence[float],
-    arrivals: np.ndarray,
-    latencies: np.ndarray,
-) -> list[LatencyReport]:
-    """Summarize simulated ``(loads, queries)`` columns after dropping the warmup window.
-
-    Row ``i`` of ``arrivals`` and ``latencies`` was simulated at
-    ``qps_values[i]``; one :class:`LatencyReport` per row comes back.
+    Both kernels read ``service[k]`` as stage ``k``'s times, so an array
+    with any other axis-0 length is rejected rather than broadcast.
     """
-    warmup = config.warmup_queries
-    return LatencyReport.from_latencies(
-        latencies[:, warmup:],
-        arrivals[:, warmup:],
-        offered_qps=qps_values,
-        saturated=[plan.utilization(qps) >= config.saturation_utilization for qps in qps_values],
-    )
+    if service is None:
+        return None
+    service = np.asarray(service, dtype=np.float64)
+    if service.ndim == 0 or service.shape[0] != len(plan.stages):
+        raise ValueError(
+            f"service axis 0 must match the {len(plan.stages)} plan stages, "
+            f"got shape {service.shape}"
+        )
+    return service
 
 
 # --------------------------------------------------------------------------- #
@@ -255,13 +252,7 @@ def analytic_latencies(
     load-independent).  ``None`` keeps each stage's deterministic time.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
-    if service is not None:
-        service = np.asarray(service, dtype=np.float64)
-        if service.shape[0] != len(plan.stages):
-            raise ValueError(
-                f"service axis 0 must match the {len(plan.stages)} plan stages, "
-                f"got shape {service.shape}"
-            )
+    service = _stage_service(plan, service)
     eligible = arrivals
     completion = arrivals
     for k, stage in enumerate(plan.stages):
@@ -296,8 +287,8 @@ def event_latencies(
     if arrivals.ndim != 1:
         raise ValueError("event engine simulates one arrival column at a time")
     latencies = np.empty(arrivals.size, dtype=np.float64)
+    service = _stage_service(plan, service)
     if service is not None:
-        service = np.asarray(service, dtype=np.float64)
         matrix = np.broadcast_to(
             service.reshape(service.shape[0], -1), (len(plan.stages), arrivals.size)
         )
@@ -332,41 +323,3 @@ def event_latencies(
             eligible = start + stage.forward_fraction * stage.service_seconds
         latencies[q] = completion - arrivals[q]
     return latencies
-
-
-# --------------------------------------------------------------------------- #
-# Batched entry points
-# --------------------------------------------------------------------------- #
-def simulate_grid(
-    plan: PipelinePlan,
-    qps_values: Sequence[float],
-    config: SimulationConfig | None = None,
-    seed=None,
-) -> list[LatencyReport]:
-    """Simulate ``plan`` at every load in one vectorized call, one draw total.
-
-    A single unit inter-arrival draw is scaled to each QPS point (bitwise
-    identical to drawing per cell with the same seed), the closed-form kernel
-    runs over the whole ``(qps, query)`` matrix at once, and one
-    :class:`LatencyReport` per load comes back.  ``seed`` overrides
-    ``config.seed`` (any :func:`np.random.default_rng` seed, e.g. an ``int``
-    or a spawned :class:`np.random.SeedSequence` child).
-    """
-    cfg = config or SimulationConfig()
-    qps_list = [float(q) for q in qps_values]
-    if any(q <= 0 for q in qps_list):
-        raise ValueError(f"qps points must be positive, got {qps_list}")
-    if not qps_list:
-        return []
-    effective_seed = cfg.seed if seed is None else seed
-    unit = draw_unit_arrivals(cfg.num_queries, effective_seed)
-    service = None
-    if cfg.service is not None:
-        # One load-independent draw per column, broadcast over the QPS axis --
-        # the service a query needs does not depend on how fast queries arrive.
-        matrix = sampled_service(plan, cfg.service, cfg.num_queries, service_seed(effective_seed))
-        service = matrix[:, None, :]
-    scales = 1.0 / np.asarray(qps_list, dtype=np.float64)
-    arrivals = np.cumsum(unit[None, :] * scales[:, None], axis=1)
-    latencies = analytic_latencies(plan, arrivals, service=service)
-    return build_reports(plan, cfg, qps_list, arrivals, latencies)

@@ -31,9 +31,9 @@ MP-Rec-style closing of the loop the roadmap asks for:
   typical load, and the clairvoyant per-step optimum with no lag, no
   hysteresis and free switches.
 
-Every dwell cell of a routed schedule is evaluated on the closed-form
-analytic engine (:mod:`repro.serving.engine`): a steady-state arrival window
-is simulated at the cell's load for the active path, one batched kernel call
+Every dwell cell of a routed schedule comes from
+:func:`~repro.serving.simulator.simulate`: a steady-state arrival window is
+simulated at the cell's load for the active path, one batched kernel call
 per (path, distinct-load) set.  :meth:`PathTable.score` is the one place
 per-query SLA violations, trace-wide weighted p99 and query-weighted quality
 are aggregated into a :class:`RoutingResult`, for the step policies here and
@@ -47,17 +47,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serving.engine import (
-    SimulationConfig,
-    analytic_latencies,
-    draw_unit_arrivals,
-    service_seed,
-    spawn_seeds,
-)
+from repro.serving.engine import SimulationConfig, service_seed, spawn_seeds
 from repro.serving.estimators import LoadEstimator, WindowedMean
 from repro.serving.metrics import weighted_percentile
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import CachedServiceConfig, ServiceTimeSampler, sampled_service
+from repro.serving.simulator import simulate
 from repro.serving.trace import LoadTrace
 
 if TYPE_CHECKING:  # the core layer imports serving; keep the reverse edge type-only
@@ -499,10 +494,10 @@ class PathTable:
         """The memoized (sampler, service matrix) of one (path, model) pair.
 
         One load-independent draw per pair, seeded from the path's arrival
-        seed via :func:`service_seed` — the same derivation the simulator
-        and grid paths use, so dwell cells reproduce their samples.  The
-        sampler is kept alongside the matrix so its measured hit tallies
-        stay readable (:meth:`service_stats`).
+        seed via :func:`service_seed` — the same derivation
+        :func:`~repro.serving.simulator.simulate` uses, so dwell cells
+        reproduce its samples.  The sampler is kept alongside the matrix so
+        its measured hit tallies stay readable (:meth:`service_stats`).
         """
         key = (path_index, service)
         state = self._service_samplers.get(key)
@@ -591,14 +586,15 @@ class PathTable:
         qps_values: Sequence[float],
         service: CachedServiceConfig | None = None,
     ) -> None:
-        """Simulate every missing (path, load) dwell cell in one batched kernel call.
+        """Simulate every missing (path, load) dwell cell in one :func:`simulate` call.
 
         Distinct loads of one path scale one shared unit arrival draw, so
         the engine runs one vectorized kernel per path instead of one per
-        load.  The saturation pre-check stays on the deterministic
-        utilization — a stochastic cell whose inflated service overloads the
-        path is simulated honestly and shows up as latency mass, not
-        silently dropped.
+        load.  Under a service model the call reuses the path's memoized
+        matrix, drawn only once some load is live.  The saturation rule
+        stays on the deterministic utilization — a stochastic cell whose
+        inflated service overloads the path is simulated honestly and shows
+        up as latency mass, not silently dropped.
 
         Parameters
         ----------
@@ -610,25 +606,17 @@ class PathTable:
             The cells' service model (default: the table's).
         """
         service, missing = self._missing_dwell(path_index, qps_values, service)
-        path = self.paths[path_index]
+        plan = self.paths[path_index].plan
         cfg = self.simulation
-        live: list[float] = []
-        for q in missing:
-            if path.plan.utilization(q) >= cfg.saturation_utilization:
-                self._segments[(path_index, q, service)] = None
-            else:
-                live.append(q)
-        if not live:
-            return
-        service_matrix = None
-        if service is not None:
-            service_matrix = self._service_state(path_index, service)[1][:, None, :]
-        unit = draw_unit_arrivals(cfg.num_queries, self._path_seeds[path_index])
-        scales = 1.0 / np.asarray(live, dtype=np.float64)
-        arrivals = np.cumsum(unit[None, :] * scales[:, None], axis=1)
-        latencies = analytic_latencies(path.plan, arrivals, service=service_matrix)
-        for row, q in enumerate(live):
-            self._segments[(path_index, q, service)] = latencies[row, cfg.warmup_queries :]
+        matrix = None
+        if service is not None and not all(cfg.saturated(plan, q) for q in missing):
+            matrix = self._service_state(path_index, service)[1]
+        live, _, latencies = simulate(
+            plan, missing, cfg, seed=self._path_seeds[path_index], service=matrix
+        )
+        rows = iter(latencies)
+        for q, ok in zip(missing, live):
+            self._segments[(path_index, q, service)] = next(rows) if ok else None
 
     def score(
         self,

@@ -9,23 +9,22 @@ which is how RPAccel's sub-batch pipelining shortens end-to-end latency
 without changing stage occupancy.  The query completes when every one of its
 stage executions has finished.
 
-:class:`ServingSimulator` selects between two engines producing the same
-schedule (see :mod:`repro.serving.engine`):
+:func:`simulate` is the one place latency samples are made: every sweep
+cell, router dwell cell and figure point comes from it.  It selects between
+two engines producing the same schedule (see :mod:`repro.serving.engine`):
 
 * ``engine="analytic"`` (default) -- the closed-form per-lane Lindley
   recurrence, a handful of vectorized numpy passes per stage;
 * ``engine="event"`` -- the discrete-event reference, one heappop/heappush
   per (query, stage), kept for validating the closed form.
 
-The simulator reports the latency distribution (mean, p50/p95/p99, max) and
-whether the configuration is saturated (offered load at or beyond the
-bottleneck stage's capacity), which the paper's figures display by greying
-out configurations that cannot meet the system load.
+Loads at or beyond the saturation threshold
+(:meth:`~repro.serving.engine.SimulationConfig.saturated`) are not simulated;
+the paper's figures grey out configurations that cannot meet the system load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,72 +32,73 @@ import numpy as np
 from repro.serving.engine import (
     SimulationConfig,
     analytic_latencies,
-    arrivals_at_qps,
-    build_reports,
     draw_unit_arrivals,
     event_latencies,
     service_seed,
-    simulate_grid,
 )
-from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import sampled_service
 
-__all__ = ["ServingSimulator", "SimulationConfig"]
+__all__ = ["SimulationConfig", "simulate"]
 
 
-@dataclass
-class ServingSimulator:
-    """Simulate a pipeline plan under Poisson arrivals at a fixed QPS."""
+def simulate(
+    plan: PipelinePlan,
+    qps_values: Sequence[float],
+    config: SimulationConfig,
+    seed=None,
+    service: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate ``plan`` at every load of ``qps_values`` from one arrival draw.
 
-    plan: PipelinePlan
-    config: SimulationConfig = field(default_factory=SimulationConfig)
+    One unit inter-arrival draw is scaled to each live load (bitwise the
+    draw a one-load call with the same seed makes), and one load-independent
+    service matrix serves every load.  The analytic kernel runs over the
+    whole ``(load, query)`` matrix at once; the event kernel replays it one
+    row at a time.
 
-    def _service(self, effective_seed) -> np.ndarray | None:
-        """Per-query service matrix for ``config.service`` (None = deterministic)."""
-        if self.config.service is None:
-            return None
-        return sampled_service(
-            self.plan, self.config.service, self.config.num_queries,
-            service_seed(effective_seed),
+    Parameters
+    ----------
+    plan : PipelinePlan
+        The mapped pipeline to simulate.
+    qps_values : sequence of float
+        Offered loads; each must be positive.
+    config : SimulationConfig
+        Query budget, warm-up, seed, engine and service model.
+    seed : optional
+        Overrides ``config.seed`` (any :func:`np.random.default_rng` seed).
+    service : np.ndarray, optional
+        A ``(stages, queries)`` service matrix to use instead of drawing one
+        from ``config.service``.
+
+    Returns
+    -------
+    tuple of np.ndarray
+        ``(live, arrivals, latencies)``: ``live[i]`` is False when load ``i``
+        is saturated, and row ``j`` of ``arrivals`` and ``latencies`` is the
+        post-warm-up window of the ``j``-th live load.
+    """
+    loads = [float(qps) for qps in qps_values]
+    if any(qps <= 0 for qps in loads):
+        raise ValueError(f"qps points must be positive, got {loads}")
+    live = np.array([not config.saturated(plan, qps) for qps in loads], dtype=bool)
+    warmup = config.warmup_queries
+    if not live.any():
+        empty = np.empty((0, config.num_queries - warmup))
+        return live, empty, empty
+    effective_seed = config.seed if seed is None else seed
+    unit = draw_unit_arrivals(config.num_queries, effective_seed)
+    if service is None and config.service is not None:
+        service = sampled_service(
+            plan, config.service, config.num_queries, service_seed(effective_seed)
         )
-
-    def _latencies(self, arrivals: np.ndarray, service: np.ndarray | None = None) -> np.ndarray:
-        if self.config.engine == "event":
-            return event_latencies(self.plan, arrivals, service=service)
-        return analytic_latencies(self.plan, arrivals, service=service)
-
-    def run(self, qps: float, seed=None) -> LatencyReport:
-        """Simulate ``config.num_queries`` arrivals at ``qps`` and report latency.
-
-        ``seed`` overrides ``config.seed`` for this run (any
-        :func:`np.random.default_rng` seed).
-        """
-        if qps <= 0:
-            raise ValueError(f"qps must be positive, got {qps}")
-        cfg = self.config
-        effective_seed = cfg.seed if seed is None else seed
-        unit = draw_unit_arrivals(cfg.num_queries, effective_seed)
-        arrivals = arrivals_at_qps(unit, qps)
-        latencies = self._latencies(arrivals, self._service(effective_seed))
-        return build_reports(self.plan, cfg, [qps], arrivals[None, :], latencies[None, :])[0]
-
-    def run_grid(self, qps_values: Sequence[float], seed=None) -> list[LatencyReport]:
-        """One report per load in ``qps_values`` from a single arrival draw.
-
-        On the analytic engine the whole column is simulated in one batched
-        call; the event engine replays the same arrivals (and, under a
-        service model, the same load-independent service draw) per load.
-        """
-        cfg = self.config
-        if cfg.engine == "analytic":
-            return simulate_grid(self.plan, qps_values, cfg, seed=seed)
-        qps_list = [float(qps) for qps in qps_values]
-        if not qps_list:
-            return []
-        effective_seed = cfg.seed if seed is None else seed
-        unit = draw_unit_arrivals(cfg.num_queries, effective_seed)
-        service = self._service(effective_seed)
-        arrivals = np.stack([arrivals_at_qps(unit, qps) for qps in qps_list])
-        latencies = np.stack([self._latencies(row, service) for row in arrivals])
-        return build_reports(self.plan, cfg, qps_list, arrivals, latencies)
+    scales = 1.0 / np.asarray(loads, dtype=np.float64)[live]
+    arrivals = np.cumsum(unit[None, :] * scales[:, None], axis=1)
+    if config.engine == "event":
+        latencies = np.stack([event_latencies(plan, row, service=service) for row in arrivals])
+    else:
+        # The service a query needs does not depend on how fast queries
+        # arrive, so one matrix broadcasts over the load axis.
+        column = None if service is None else np.expand_dims(service, 1)
+        latencies = analytic_latencies(plan, arrivals, service=column)
+    return live, arrivals[:, warmup:], latencies[:, warmup:]

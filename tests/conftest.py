@@ -17,22 +17,61 @@ Fixtures
     A small real compiled table whose top path saturates inside the grid.
 ``scenario_traces``
     The diurnal / spike / ramp traces the serving experiments replay.
+
+Helpers
+-------
+``draw_plan``
+    A hypothesis-drawn 1–3-stage plan (servers, service time, forward
+    fraction and transfer all vary).
+``live_reports``
+    One :class:`LatencyReport` per live load of a ``simulate`` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.pipeline import PipelineConfig, Stage, enumerate_pipelines
 from repro.core.scheduler import RecPipeScheduler
 from repro.data import CriteoConfig, CriteoSynthetic
 from repro.models.zoo import RM_LARGE, RM_SMALL, criteo_model_specs
 from repro.quality import QualityEvaluator
+from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan, StageResource
 from repro.serving.router import PathTable, ServingPath
-from repro.serving.simulator import SimulationConfig
+from repro.serving.simulator import SimulationConfig, simulate
 from repro.serving.trace import LoadTrace
+
+
+def draw_plan(data, max_stages=3) -> PipelinePlan:
+    num_stages = data.draw(st.integers(1, max_stages), label="num_stages")
+    stages = [
+        StageResource(
+            name=f"s{index}",
+            num_servers=data.draw(st.integers(1, 8), label=f"servers{index}"),
+            service_seconds=data.draw(
+                st.floats(1e-4, 5e-3, allow_nan=False), label=f"service{index}"
+            ),
+            forward_fraction=data.draw(
+                st.floats(0.1, 1.0, allow_nan=False), label=f"forward{index}"
+            ),
+            transfer_seconds=data.draw(
+                st.floats(0.0, 5e-4, allow_nan=False), label=f"transfer{index}"
+            ),
+        )
+        for index in range(num_stages)
+    ]
+    return PipelinePlan(platform="test", stages=stages)
+
+
+def live_reports(plan, qps_values, config, seed=None) -> list[LatencyReport]:
+    """Reports of the loads ``simulate`` finds live, in order (saturated ones dropped)."""
+    live, arrivals, latencies = simulate(plan, qps_values, config, seed=seed)
+    offered = [float(qps) for qps, ok in zip(qps_values, live) if ok]
+    return LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
+
 
 # --------------------------------------------------------------------------- #
 # Synthetic two-path table: a high-quality path that saturates at ~3.1k QPS

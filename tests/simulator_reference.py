@@ -1,0 +1,69 @@
+"""Reference implementation :func:`repro.serving.simulator.simulate` is checked against.
+
+:class:`ReferenceSimulator` is ``ServingSimulator.run`` as it was before every
+latency sample moved into one ``simulate`` call, kept verbatim in logic: one
+unit inter-arrival draw per load with arrivals at
+``cumsum(unit * (1 / qps))``, one service draw seeded from
+:func:`~repro.serving.engine.service_seed`, the analytic or event kernel,
+the warm-up cut, and a report whose ``saturated`` flag comes from the
+utilization rule.  Unlike ``simulate`` it simulates saturated loads too.
+
+The equivalence suite in ``tests/test_engine.py`` requires ``simulate``'s
+live mask, its reports and ``PathTable``'s dwell cells to reproduce it
+exactly (``==``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.serving.engine import (
+    SimulationConfig,
+    analytic_latencies,
+    event_latencies,
+    service_seed,
+)
+from repro.serving.metrics import LatencyReport
+from repro.serving.resources import PipelinePlan
+from repro.serving.service_times import sampled_service
+
+
+@dataclass
+class ReferenceSimulator:
+    """Simulate a pipeline plan under Poisson arrivals at a fixed QPS."""
+
+    plan: PipelinePlan
+    config: SimulationConfig = field(default_factory=SimulationConfig)
+
+    def _service(self, effective_seed) -> np.ndarray | None:
+        if self.config.service is None:
+            return None
+        return sampled_service(
+            self.plan, self.config.service, self.config.num_queries, service_seed(effective_seed)
+        )
+
+    def simulate(self, qps: float, seed=None) -> tuple[np.ndarray, np.ndarray]:
+        """Full ``(arrivals, latencies)`` of one load, warm-up included."""
+        if qps <= 0:
+            raise ValueError(f"qps must be positive, got {qps}")
+        cfg = self.config
+        effective_seed = cfg.seed if seed is None else seed
+        unit = np.random.default_rng(effective_seed).standard_exponential(cfg.num_queries)
+        arrivals = np.cumsum(unit * (1.0 / qps))
+        service = self._service(effective_seed)
+        if cfg.engine == "event":
+            return arrivals, event_latencies(self.plan, arrivals, service=service)
+        return arrivals, analytic_latencies(self.plan, arrivals, service=service)
+
+    def run(self, qps: float, seed=None) -> LatencyReport:
+        """Report of ``config.num_queries`` arrivals at ``qps`` after the warm-up."""
+        arrivals, latencies = self.simulate(qps, seed)
+        warmup = self.config.warmup_queries
+        return LatencyReport.from_latencies(
+            latencies[None, warmup:],
+            arrivals[None, warmup:],
+            offered_qps=[qps],
+            saturated=[self.plan.utilization(qps) >= self.config.saturation_utilization],
+        )[0]

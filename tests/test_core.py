@@ -7,14 +7,11 @@ from repro.core import (
     PipelineConfig,
     RecPipeScheduler,
     Stage,
-    build_cpu_plan,
-    build_gpu_plan,
     build_heterogeneous_plan,
     enumerate_pipelines,
     pareto_frontier,
 )
 from repro.core.mapping import _proportional_allocation
-from repro.core.targets import ApplicationTargets
 from repro.data import CriteoConfig, CriteoSynthetic
 from repro.hardware import CPUPerformanceModel, GPUPerformanceModel
 from repro.models.zoo import RM_LARGE, RM_MED, RM_SMALL, criteo_model_specs
@@ -103,28 +100,16 @@ class TestPareto:
         assert pareto_frontier([], objectives=lambda p: p, minimize=[True]) == []
 
 
-class TestTargets:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ApplicationTargets(quality_target=150.0)
-        with pytest.raises(ValueError):
-            ApplicationTargets(sla_seconds=0.0)
-
-    def test_with_helpers(self):
-        targets = ApplicationTargets(quality_target=90.0, sla_seconds=0.025, qps=100)
-        assert targets.with_qps(500).qps == 500
-        assert targets.with_quality(95.0).quality_target == 95.0
-
-
 class TestMapping:
     def test_cpu_plan_allocates_all_cores(self):
         pipeline = PipelineConfig((Stage(RM_SMALL, 4096), Stage(RM_LARGE, 512)))
-        plan = build_cpu_plan(pipeline, CPUPerformanceModel())
+        plan = RecPipeScheduler(None).plan_for(pipeline, "cpu")
         assert sum(s.num_servers for s in plan.stages) == 64
+        assert all(s.transfer_seconds == 0.0 for s in plan.stages)
 
     def test_gpu_plan_single_server_per_stage(self):
         pipeline = PipelineConfig((Stage(RM_LARGE, 4096),))
-        plan = build_gpu_plan(pipeline, GPUPerformanceModel())
+        plan = RecPipeScheduler(None).plan_for(pipeline, "gpu")
         assert all(s.num_servers == 1 for s in plan.stages)
         assert plan.stages[0].transfer_seconds > 0.0
 

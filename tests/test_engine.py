@@ -14,16 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import PipelineConfig, Stage
+from repro.models.zoo import RM_SMALL
 from repro.serving import (
+    ENGINES,
+    PathTable,
     PipelinePlan,
-    ServingSimulator,
+    ServingPath,
     SimulationConfig,
     StageResource,
     analytic_latencies,
     event_latencies,
-    simulate_grid,
+    simulate,
 )
-from repro.serving.engine import fcfs_start_times
+from repro.serving.engine import fcfs_start_times, spawn_seeds
+from repro.serving.service_times import CachedServiceConfig
+from tests.conftest import draw_plan, live_reports
+from tests.simulator_reference import ReferenceSimulator
 
 ATOL = 1e-9
 
@@ -91,24 +98,7 @@ class TestClosedFormEquivalence:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_random_plans(self, data):
-        num_stages = data.draw(st.integers(1, 3), label="num_stages")
-        stages = [
-            StageResource(
-                name=f"s{index}",
-                num_servers=data.draw(st.integers(1, 8), label=f"servers{index}"),
-                service_seconds=data.draw(
-                    st.floats(1e-4, 5e-3, allow_nan=False), label=f"service{index}"
-                ),
-                forward_fraction=data.draw(
-                    st.floats(0.1, 1.0, allow_nan=False), label=f"forward{index}"
-                ),
-                transfer_seconds=data.draw(
-                    st.floats(0.0, 5e-4, allow_nan=False), label=f"transfer{index}"
-                ),
-            )
-            for index in range(num_stages)
-        ]
-        plan = plan_of(*stages)
+        plan = draw_plan(data)
         load = data.draw(st.floats(0.2, 0.95, allow_nan=False), label="utilization")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         qps = load * plan.throughput_capacity()
@@ -146,31 +136,81 @@ class TestGridPath:
         plan = self.plan()
         config = SimulationConfig(num_queries=1200, seed=9)
         qps_values = [300.0, 900.0, 1700.0]
-        grid = simulate_grid(plan, qps_values, config)
+        grid = live_reports(plan, qps_values, config)
+        assert len(grid) == len(qps_values)
         for qps, from_grid in zip(qps_values, grid):
-            single = ServingSimulator(plan, config).run(qps)
+            (single,) = live_reports(plan, [qps], config)
             assert from_grid == single
 
     def test_event_grid_agrees_with_analytic_grid(self):
         plan = self.plan()
         qps_values = [250.0, 1000.0]
-        analytic = ServingSimulator(plan, SimulationConfig(num_queries=800, seed=4)).run_grid(
-            qps_values
+        analytic = live_reports(plan, qps_values, SimulationConfig(num_queries=800, seed=4))
+        event = live_reports(
+            plan, qps_values, SimulationConfig(num_queries=800, seed=4, engine="event")
         )
-        event = ServingSimulator(
-            plan, SimulationConfig(num_queries=800, seed=4, engine="event")
-        ).run_grid(qps_values)
+        assert len(analytic) == len(event) == len(qps_values)
         for a, e in zip(analytic, event):
             assert a.p99_latency == pytest.approx(e.p99_latency, abs=ATOL)
             assert a.mean_latency == pytest.approx(e.mean_latency, abs=ATOL)
             assert a.saturated == e.saturated
 
     def test_empty_grid(self):
-        assert simulate_grid(self.plan(), []) == []
+        live, arrivals, latencies = simulate(self.plan(), [], SimulationConfig())
+        assert live.size == arrivals.size == latencies.size == 0
 
     def test_grid_rejects_nonpositive_qps(self):
         with pytest.raises(ValueError):
-            simulate_grid(self.plan(), [100.0, 0.0])
+            simulate(self.plan(), [100.0, 0.0], SimulationConfig())
+
+
+class TestSimulateMatchesReference:
+    """``simulate`` and the router's dwell cells equal the per-load reference exactly."""
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_live_mask_reports_and_dwell_cells(self, data):
+        plan = draw_plan(data)
+        utilizations = data.draw(
+            st.lists(st.floats(0.1, 1.3, allow_nan=False) | st.just(0.98), min_size=1, max_size=5),
+            label="utilizations",
+        )
+        qps_values = [u * plan.throughput_capacity() for u in utilizations]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        config = SimulationConfig(
+            num_queries=300,
+            warmup_queries=30,
+            seed=seed,
+            engine=data.draw(st.sampled_from(ENGINES), label="engine"),
+            service=data.draw(st.sampled_from([None, CachedServiceConfig()]), label="service"),
+        )
+        reference = ReferenceSimulator(plan, config)
+        expected = [reference.run(qps) for qps in qps_values]
+
+        live, _, _ = simulate(plan, qps_values, config)
+        assert live.tolist() == [not report.saturated for report in expected]
+        assert live_reports(plan, qps_values, config) == [
+            report for report in expected if not report.saturated
+        ]
+
+        pipeline = PipelineConfig((Stage(RM_SMALL, 128),), serve_k=64)
+        path = ServingPath(platform="test", pipeline=pipeline, plan=plan, quality=90.0)
+        table = PathTable(
+            paths=[path, path],
+            qps_grid=(1.0, 2.0),
+            p99_grid=np.zeros((2, 2)),
+            sla_seconds=1.0,
+            simulation=config,
+            seed=seed,
+        )
+        for index, path_seed in enumerate(spawn_seeds(seed, 2)):
+            for qps, report in zip(qps_values, expected):
+                dwell = table.dwell_latencies(index, qps)
+                if report.saturated:
+                    assert dwell is None
+                else:
+                    _, full = reference.simulate(qps, seed=path_seed)
+                    np.testing.assert_array_equal(dwell, full[config.warmup_queries :])
 
 
 class TestEngineSelection:
@@ -184,9 +224,13 @@ class TestEngineSelection:
 
     def test_seed_override_changes_noise_deterministically(self):
         plan = plan_of(StageResource(name="s0", num_servers=2, service_seconds=1e-3))
-        simulator = ServingSimulator(plan, SimulationConfig(num_queries=600, seed=0))
-        assert simulator.run(1500, seed=11) == simulator.run(1500, seed=11)
-        assert simulator.run(1500, seed=11) != simulator.run(1500, seed=12)
+        config = SimulationConfig(num_queries=600, seed=0)
+        assert live_reports(plan, [1500], config, seed=11) == live_reports(
+            plan, [1500], config, seed=11
+        )
+        assert live_reports(plan, [1500], config, seed=11) != live_reports(
+            plan, [1500], config, seed=12
+        )
 
     def test_analytic_speedup_smoke(self):
         """Blocking CI floor: the closed form is >=10x the event loop."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import PipelineConfig, RecPipeScheduler, Stage
 from repro.hardware import (
     CASCADE_LAKE_CPU,
     CPUPerformanceModel,
@@ -91,8 +92,9 @@ class TestCPUModel:
         assert one / two > 2.0
 
     def test_throughput_capacity_uses_all_cores(self, cpu):
-        cost = RM_LARGE.reference_cost()
-        capacity = cpu.stage_throughput_capacity(cost, 4096)
+        pipeline = PipelineConfig((Stage(RM_LARGE, 4096),))
+        capacity = RecPipeScheduler(None).plan_for(pipeline, "cpu").throughput_capacity()
+        cost = pipeline.stage_costs()[0]
         assert capacity == pytest.approx(64 / cpu.stage_latency(cost, 4096))
 
 
@@ -112,11 +114,13 @@ class TestGPUModel:
         cost = RM_LARGE.reference_cost()
         assert gpu.stage_latency(cost, 4096) < cpu.stage_latency(cost, 4096)
 
-    def test_gpu_throughput_lower_than_cpu(self, gpu):
+    def test_gpu_throughput_lower_than_cpu(self):
         """GPUs serve one query at a time; 64 CPU cores sustain more load."""
-        cpu = CPUPerformanceModel()
-        cost = RM_LARGE.reference_cost()
-        assert gpu.stage_throughput_capacity(cost, 4096) < cpu.stage_throughput_capacity(cost, 4096)
+        scheduler = RecPipeScheduler(None)
+        pipeline = PipelineConfig((Stage(RM_LARGE, 4096),))
+        gpu_plan = scheduler.plan_for(pipeline, "gpu")
+        cpu_plan = scheduler.plan_for(pipeline, "cpu")
+        assert gpu_plan.throughput_capacity() < cpu_plan.throughput_capacity()
 
     def test_memory_capacity_check(self, gpu):
         assert gpu.fits_in_memory(RM_LARGE.reference_cost())

@@ -25,12 +25,11 @@ from hypothesis import strategies as st
 
 from repro.serving import (
     PipelinePlan,
-    ServingSimulator,
     SimulationConfig,
     StageResource,
     analytic_latencies,
     event_latencies,
-    simulate_grid,
+    simulate,
 )
 from repro.serving.engine import service_seed
 from repro.serving.service_times import (
@@ -39,7 +38,7 @@ from repro.serving.service_times import (
     ServiceTimeSampler,
     sampled_service,
 )
-from tests.conftest import flat_trace, make_table
+from tests.conftest import draw_plan, flat_trace, live_reports, make_table
 
 ATOL = 1e-9
 
@@ -51,27 +50,6 @@ def poisson_arrivals(qps, num_queries=800, seed=0):
 
 def plan_of(*stages):
     return PipelinePlan(platform="test", stages=list(stages))
-
-
-def draw_plan(data, max_stages=3):
-    num_stages = data.draw(st.integers(1, max_stages), label="num_stages")
-    stages = [
-        StageResource(
-            name=f"s{index}",
-            num_servers=data.draw(st.integers(1, 8), label=f"servers{index}"),
-            service_seconds=data.draw(
-                st.floats(1e-4, 5e-3, allow_nan=False), label=f"service{index}"
-            ),
-            forward_fraction=data.draw(
-                st.floats(0.1, 1.0, allow_nan=False), label=f"forward{index}"
-            ),
-            transfer_seconds=data.draw(
-                st.floats(0.0, 5e-4, allow_nan=False), label=f"transfer{index}"
-            ),
-        )
-        for index in range(num_stages)
-    ]
-    return plan_of(*stages)
 
 
 def draw_config(data, warm_fraction=None):
@@ -141,6 +119,21 @@ class TestCrossEngineEquivalence:
         bad = np.full((2, 50), 1e-3)
         with pytest.raises(ValueError, match="stage"):
             analytic_latencies(plan, arrivals, service=bad)
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_both_engines_reject_a_matrix_of_the_wrong_stage_count(self, engine, rows):
+        """A 1- or 2-row matrix on a 3-stage plan is an error, never a broadcast."""
+        plan = plan_of(
+            *(StageResource(name=f"s{k}", num_servers=2, service_seconds=1e-3) for k in range(3))
+        )
+        bad = np.full((rows, 50), 1e-3)
+        kernel = event_latencies if engine == "event" else analytic_latencies
+        with pytest.raises(ValueError, match="3 plan stages"):
+            kernel(plan, poisson_arrivals(500, num_queries=50), service=bad)
+        config = SimulationConfig(num_queries=50, warmup_queries=5, engine=engine)
+        with pytest.raises(ValueError, match="3 plan stages"):
+            simulate(plan, [500.0], config, service=bad)
 
 
 class TestTailMonotonicity:
@@ -280,31 +273,35 @@ class TestDeterminism:
 
     def test_simulator_run_is_deterministic(self):
         config = SimulationConfig(num_queries=600, seed=2, service=CachedServiceConfig())
-        simulator = ServingSimulator(self.plan(), config)
-        assert simulator.run(1200) == simulator.run(1200)
-        assert simulator.run(1200, seed=9) == simulator.run(1200, seed=9)
-        assert simulator.run(1200, seed=9) != simulator.run(1200, seed=10)
+        plan = self.plan()
+
+        def run(seed=None):
+            return live_reports(plan, [1200], config, seed=seed)
+
+        assert run() == run()
+        assert run(seed=9) == run(seed=9)
+        assert run(seed=9) != run(seed=10)
 
     def test_grid_cells_match_per_cell_runs_under_service(self):
         plan = self.plan()
         config = SimulationConfig(num_queries=800, seed=4, service=CachedServiceConfig())
         qps_values = [300.0, 900.0, 1500.0]
-        grid = simulate_grid(plan, qps_values, config)
+        grid = live_reports(plan, qps_values, config)
+        assert len(grid) == len(qps_values)
         for qps, from_grid in zip(qps_values, grid):
-            assert from_grid == ServingSimulator(plan, config).run(qps)
+            assert [from_grid] == live_reports(plan, [qps], config)
 
     def test_event_facade_agrees_with_analytic_under_service(self):
         plan = self.plan()
         service_model = CachedServiceConfig()
-        analytic = ServingSimulator(
-            plan, SimulationConfig(num_queries=600, seed=1, service=service_model)
-        ).run(1000)
-        event = ServingSimulator(
+        (analytic,) = live_reports(
+            plan, [1000], SimulationConfig(num_queries=600, seed=1, service=service_model)
+        )
+        (event,) = live_reports(
             plan,
-            SimulationConfig(
-                num_queries=600, seed=1, engine="event", service=service_model
-            ),
-        ).run(1000)
+            [1000],
+            SimulationConfig(num_queries=600, seed=1, engine="event", service=service_model),
+        )
         assert analytic.p99_latency == pytest.approx(event.p99_latency, abs=ATOL)
         assert analytic.mean_latency == pytest.approx(event.mean_latency, abs=ATOL)
 

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from repro.serving import (
     LatencyReport,
     PipelinePlan,
-    ServingSimulator,
     SimulationConfig,
     StageResource,
+    simulate,
 )
+from tests.conftest import live_reports
+
+
+def run(plan, qps, config=None, seed=None) -> LatencyReport:
+    """The report of one live load (fails if ``simulate`` finds it saturated)."""
+    (report,) = live_reports(plan, [qps], config or SimulationConfig(), seed=seed)
+    return report
 
 
 def single_stage_plan(service=1e-3, servers=4):
@@ -80,62 +87,62 @@ class TestResources:
 class TestSimulator:
     def test_low_load_latency_close_to_unloaded(self):
         plan = single_stage_plan(service=1e-3, servers=8)
-        report = ServingSimulator(plan, SimulationConfig(num_queries=2000, seed=1)).run(100)
+        report = run(plan, 100, SimulationConfig(num_queries=2000, seed=1))
         assert report.p50_latency == pytest.approx(1e-3, rel=0.05)
         assert report.p99_latency < 2e-3
 
     def test_latency_grows_with_load(self):
         plan = single_stage_plan(service=1e-3, servers=4)
-        sim = ServingSimulator(plan, SimulationConfig(num_queries=3000, seed=2))
-        low = sim.run(500).p99_latency
-        high = sim.run(3500).p99_latency
+        cfg = SimulationConfig(num_queries=3000, seed=2)
+        low = run(plan, 500, cfg).p99_latency
+        high = run(plan, 3500, cfg).p99_latency
         assert high > low
 
     def test_saturation_flagged(self):
         plan = single_stage_plan(service=1e-3, servers=1)
-        report = ServingSimulator(plan, SimulationConfig(num_queries=1500, seed=0)).run(2000)
-        assert report.saturated
+        config = SimulationConfig(num_queries=1500, seed=0)
+        assert config.saturated(plan, 2000)
+        live, arrivals, latencies = simulate(plan, [2000], config)
+        assert live.tolist() == [False]
+        assert arrivals.shape == latencies.shape == (0, 1500 - config.warmup_queries)
 
     def test_deterministic_given_seed(self):
         plan = two_stage_plan()
-        a = ServingSimulator(plan, SimulationConfig(num_queries=1000, seed=5)).run(300)
-        b = ServingSimulator(plan, SimulationConfig(num_queries=1000, seed=5)).run(300)
+        a = run(plan, 300, SimulationConfig(num_queries=1000, seed=5))
+        b = run(plan, 300, SimulationConfig(num_queries=1000, seed=5))
         assert a.p99_latency == b.p99_latency
 
     def test_pipelined_plan_lower_latency_under_load(self):
         serial = two_stage_plan(2e-3, 2e-3, forward=1.0)
         pipelined = two_stage_plan(2e-3, 2e-3, forward=0.25)
         cfg = SimulationConfig(num_queries=2000, seed=3)
-        assert (
-            ServingSimulator(pipelined, cfg).run(500).p99_latency
-            <= ServingSimulator(serial, cfg).run(500).p99_latency
-        )
+        assert run(pipelined, 500, cfg).p99_latency <= run(serial, 500, cfg).p99_latency
 
     def test_more_servers_sustain_more_load(self):
         few = single_stage_plan(service=2e-3, servers=2)
         many = single_stage_plan(service=2e-3, servers=16)
         cfg = SimulationConfig(num_queries=2000, seed=4)
         qps = 900
-        assert ServingSimulator(many, cfg).run(qps).p99_latency < ServingSimulator(
-            few, cfg
-        ).run(qps).p99_latency or few.utilization(qps) >= 0.98
+        assert cfg.saturated(few, qps) or (
+            run(many, qps, cfg).p99_latency < run(few, qps, cfg).p99_latency
+        )
 
     def test_invalid_qps(self):
         with pytest.raises(ValueError):
-            ServingSimulator(single_stage_plan()).run(0)
+            simulate(single_stage_plan(), [0], SimulationConfig())
 
     def test_run_grid_matches_individual_runs(self):
-        # One arrival draw for the whole column reproduces per-load runs.
+        # One arrival draw for the whole column reproduces per-load calls.
         plan = single_stage_plan(service=1e-3, servers=2)
-        simulator = ServingSimulator(plan, SimulationConfig(num_queries=800, seed=8))
-        reports = simulator.run_grid([400, 1200])
-        assert reports == [simulator.run(400), simulator.run(1200)]
+        config = SimulationConfig(num_queries=800, seed=8)
+        reports = live_reports(plan, [400, 1200], config)
+        assert reports == [run(plan, 400, config), run(plan, 1200, config)]
 
     def test_event_engine_available_as_reference(self):
         plan = two_stage_plan()
         config = SimulationConfig(num_queries=800, seed=5, engine="event")
-        report = ServingSimulator(plan, config).run(400)
-        analytic = ServingSimulator(plan, SimulationConfig(num_queries=800, seed=5)).run(400)
+        report = run(plan, 400, config)
+        analytic = run(plan, 400, SimulationConfig(num_queries=800, seed=5))
         assert report.p99_latency == pytest.approx(analytic.p99_latency, abs=1e-9)
 
 
@@ -169,7 +176,7 @@ class TestMetrics:
 
     def test_simulated_achieved_qps_tracks_offered_load(self):
         plan = single_stage_plan(service=1e-3, servers=8)
-        report = ServingSimulator(plan, SimulationConfig(num_queries=4000, seed=7)).run(1000)
+        report = run(plan, 1000, SimulationConfig(num_queries=4000, seed=7))
         assert report.achieved_qps == pytest.approx(1000, rel=0.1)
 
     def test_report_from_latencies(self):
