@@ -9,22 +9,44 @@ stack.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
 def zipf_probabilities(num_items: int, alpha: float = 1.05) -> np.ndarray:
-    """Normalized Zipf probabilities over ``num_items`` ranks.
+    """Normalized Zipf probabilities over ``num_items`` ranks (read-only, memoized).
 
     Rank 0 is the hottest item.  ``alpha`` controls skew: larger values
     concentrate more probability mass in the head of the distribution.
     """
+    return _zipf_tables(num_items, alpha)[0]
+
+
+@lru_cache(maxsize=8)
+def _zipf_tables(num_items: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Zipf pmf of ``(num_items, alpha)`` and the CDF sampling inverts.
+
+    The CDF is ``pmf.cumsum()`` divided by its last element, the table
+    ``Generator.choice(num_items, p=pmf)`` builds on every call.
+    """
     if num_items <= 0:
         raise ValueError(f"num_items must be positive, got {num_items}")
-    if alpha <= 0:
+    if not alpha > 0:  # also rejects NaN, as Generator.choice's pmf check did
         raise ValueError(f"alpha must be positive, got {alpha}")
     ranks = np.arange(1, num_items + 1, dtype=np.float64)
     weights = ranks**-alpha
-    return weights / weights.sum()
+    pmf = weights / weights.sum()
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    pmf.setflags(write=False)
+    cdf.setflags(write=False)
+    return pmf, cdf
+
+
+def zipf_cdf(num_items: int, alpha: float = 1.05) -> np.ndarray:
+    """The read-only CDF :func:`zipf_sample` inverts: rank ``r`` has ``cdf[r-1] <= u < cdf[r]``."""
+    return _zipf_tables(num_items, alpha)[1]
 
 
 def zipf_sample(
@@ -33,9 +55,13 @@ def zipf_sample(
     size: int | tuple[int, ...],
     alpha: float = 1.05,
 ) -> np.ndarray:
-    """Draw Zipf-distributed integer ids in ``[0, num_items)``."""
-    probs = zipf_probabilities(num_items, alpha)
-    return rng.choice(num_items, size=size, p=probs)
+    """Draw Zipf-distributed integer ids in ``[0, num_items)``.
+
+    Inverts :func:`zipf_cdf` at ``rng.random(size)``: the same uniforms and
+    the same search ``rng.choice(num_items, size, p=zipf_probabilities(...))``
+    performs, without re-validating and re-summing the pmf per call.
+    """
+    return zipf_cdf(num_items, alpha).searchsorted(rng.random(size), side="right")
 
 
 def hit_rate_for_cache(

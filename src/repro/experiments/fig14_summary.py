@@ -63,25 +63,19 @@ def run(
                 ("accel", "rpaccel"),
             ):
                 for num_stages, pipeline in pipelines.items():
-                    chosen_platform = platform
-                    devices = None
-                    if platform == "gpu" and num_stages > 1:
-                        # Multi-stage GPU configurations run frontend-on-GPU,
-                        # backend-on-CPU (Section 5.2).
-                        chosen_platform = "gpu-cpu"
-                        devices = ["gpu"] + ["cpu"] * (num_stages - 1)
-                    evaluated = scheduler.evaluate(pipeline, chosen_platform, qps, devices=devices)
+                    # Multi-stage GPU configurations run frontend-on-GPU,
+                    # backend-on-CPU (Section 5.2).
+                    multi_gpu = platform == "gpu" and num_stages > 1
+                    evaluated = scheduler.evaluate(
+                        pipeline, "gpu-cpu" if multi_gpu else platform, qps
+                    )
                     result.add(
                         dataset=dataset,
                         qps=qps,
                         platform=platform_label,
                         num_stages=num_stages,
                         quality_ndcg=evaluated.quality,
-                        p99_latency_ms=(
-                            evaluated.p99_latency * 1e3
-                            if evaluated.p99_latency != float("inf")
-                            else float("inf")
-                        ),
+                        p99_latency_ms=evaluated.p99_latency * 1e3,
                         saturated=evaluated.saturated,
                     )
     result.note(

@@ -50,11 +50,13 @@ arrival-sorted stream), with every edge snapped to where
 integer counters.  The FIFO backlog is a single count, because deferred
 queries always form a contiguous suffix of all deferrals so far.
 :class:`FrontendSchedule` therefore stores window counters only; per-query
-outcomes are read-only views it derives from them on first access, and
-:meth:`StreamingFrontend.serve` touches only the deferred-then-served
-queries, whose waits join the latency pool that
-:meth:`~repro.serving.router.PathTable.score` aggregates for the step
-policies too.
+outcomes are read-only views it derives from them on first access.
+:meth:`StreamingFrontend.serve` touches per-query data only for the
+deferred-then-served queries, and only on demand: their waits join the
+latency pool that :meth:`~repro.serving.router.PathTable.score` aggregates
+for the step policies too, and the score asks for them only when it builds
+that pool.  A stream whose shed mass alone proves the pooled p99 ``inf``
+(roughly, one shedding more than 1% of its queries) computes no wait.
 
 A :class:`QueryStream` is step-addressable.  :meth:`QueryStream.from_trace`
 draws only the per-step counts; a Poisson stream also keeps the generator's
@@ -737,7 +739,10 @@ class StreamingFrontend:
         the router's ``switch_penalty_seconds`` to them.  Deferred-then-served
         queries deliver their path's quality but violate the SLA, and their
         queueing delay joins the latency pool; shed queries count as SLA
-        violations with ``inf`` latency mass and zero quality.
+        violations with ``inf`` latency mass and zero quality.  The waits are
+        computed only if the score builds its latency pool, so a stream
+        whose shed mass alone makes the p99 ``inf`` draws no arrival block
+        for them.
 
         Parameters
         ----------
@@ -768,14 +773,15 @@ class StreamingFrontend:
             )
             for w, qps in zip(served_windows, admitted_qps)
         ]
-        # Deferred queries: their queueing delay is their latency, pooled in
-        # arrival order.  Computing the waits in place keeps one array of
-        # them alive while the pool is scored.
-        waits = None
-        if plan.deferred_served_queries:
-            waits = plan.deferred_serve_windows() * plan.window_seconds
-            waits -= stream.arrivals_at(plan.deferrals()[: plan.deferred_served_queries])
-            np.maximum(waits, 0.0, out=waits)
+
+        def waits() -> np.ndarray:
+            # Deferred queries: their queueing delay is their latency, pooled
+            # in arrival order.  Computing the waits in place keeps one array
+            # of them alive while the pool is scored.
+            delays = plan.deferred_serve_windows() * plan.window_seconds
+            delays -= stream.arrivals_at(plan.deferrals()[: plan.deferred_served_queries])
+            return np.maximum(delays, 0.0, out=delays)
+
         routing = self.table.score(
             "frontend",
             trace.name,

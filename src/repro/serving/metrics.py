@@ -45,6 +45,49 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> fl
     return float(values[min(index, values.size - 1)])
 
 
+def percentile_is_infinite(
+    finite_mass: float, infinite_mass: float, entries: int, q: float
+) -> bool:
+    """Whether :func:`weighted_percentile` of a pool is provably ``inf`` from its masses.
+
+    The percentile is ``inf`` exactly when the sorted-order running weight up
+    to the last finite entry falls below ``q`` percent of the sorted-order
+    total, because every finite value sorts before every ``inf``.  A
+    sequential sum of ``k`` non-negative floats lies within
+    ``gamma(k) = k*u / (1 - k*u)`` of the exact sum (``u = 2**-53``), so
+    ``F * (1 + g) < (q/100) * (F + I) * (1 - g)`` with ``g = gamma(2n)``
+    proves the result without building or sorting the pool.  The doubled
+    count covers both the caller's own sums of the masses and the
+    percentile's; 16 more units cover this test's own roundings.  When the
+    test declines, the percentile may still be ``inf``: callers then build
+    the pool.
+
+    Parameters
+    ----------
+    finite_mass : float
+        Total weight of the pool's finite values: a float sum, in any
+        order, of non-negative terms, each within one rounding of the pool
+        weights it stands for.
+    infinite_mass : float
+        Total weight of the pool's ``inf`` values, summed the same way.
+    entries : int
+        At least the pool's entry count, and at least the number of terms
+        in each of the two sums.
+    q : float
+        Percentile in ``[0, 100]``.
+
+    Returns
+    -------
+    bool
+        ``True`` only if ``weighted_percentile`` of the pool returns ``inf``.
+    """
+    scaled = (2 * entries + 16) * 2.0**-53
+    if not scaled < 0.5:
+        return False
+    slack = scaled / (1.0 - scaled)
+    return finite_mass * (1.0 + slack) < (q / 100.0) * (finite_mass + infinite_mass) * (1.0 - slack)
+
+
 @dataclass(frozen=True)
 class LatencyReport:
     """Summary of one at-scale simulation run."""

@@ -43,13 +43,13 @@ the per-query frontend alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.serving.engine import SimulationConfig, service_seed, spawn_seeds
 from repro.serving.estimators import LoadEstimator, WindowedMean
-from repro.serving.metrics import weighted_percentile
+from repro.serving.metrics import percentile_is_infinite, weighted_percentile
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import CachedServiceConfig, ServiceTimeSampler, sampled_service
 from repro.serving.simulator import simulate
@@ -626,7 +626,7 @@ class PathTable:
         switch_steps: Sequence[bool],
         cells: Sequence[tuple],
         total_queries: float,
-        waits: np.ndarray | None = None,
+        waits: Callable[[], np.ndarray] | None = None,
         shed: int = 0,
     ) -> RoutingResult:
         """Aggregate dwell cells and extra latency mass into a :class:`RoutingResult`.
@@ -636,12 +636,20 @@ class PathTable:
         steady-state sample at ``load`` under ``service`` (``None``: the
         table's model) plus ``penalty`` seconds of warm-up; the other
         ``served - prompt`` were served late, deliver the path's quality and
-        violate the SLA, and their latencies are ``waits`` (one query each).
-        ``shed`` queries were never served: they violate with ``inf``
+        violate the SLA, and ``waits()`` returns their latencies (one query
+        each).  ``shed`` queries were never served: they violate with ``inf``
         latency mass and zero quality.  A saturated cell counts all of its
         queries as violations and adds ``inf`` mass.  ``effective_quality``
         discounts every violating query to zero, so policies are ranked by
         quality *delivered within SLA*, not quality promised.
+
+        The p99 is mass-first: the pool's finite and ``inf`` masses are
+        totalled before any sample is pooled, and when
+        :func:`~repro.serving.metrics.percentile_is_infinite` proves the
+        pooled p99 ``inf`` no pool is built and ``waits`` is never called.
+        Otherwise the pool is the cells' samples in decision order, then the
+        waits, then the shed mass, through
+        :func:`~repro.serving.metrics.weighted_percentile`.
 
         Parameters
         ----------
@@ -658,8 +666,9 @@ class PathTable:
         total_queries : float
             Queries offered; quality, violation rate and occupancy are
             fractions of it.
-        waits : np.ndarray, optional
-            Latencies of the late-served queries.
+        waits : callable, optional
+            Returns the latencies of the late-served queries; needed when
+            some cell serves late, called only if the pool is built.
         shed : int
             Queries offered but never served.
 
@@ -678,34 +687,49 @@ class PathTable:
         quality_mass = 0.0
         effective_mass = 0.0
         occupancy: dict[str, float] = {}
-        pooled_values: list[np.ndarray] = []
-        pooled_weights: list[np.ndarray] = []
+        # The pool's pieces in pool order, each (values, weight of each
+        # value), and the masses and entry count the pool would hold.
+        pieces: list[tuple[np.ndarray, float]] = []
+        finite, late = 0.0, 0
+        infinite = float(shed)
+        entries = len(cells) + (1 if shed else 0)
         for index, load, service, served, prompt, penalty in cells:
             path = self.paths[index]
             quality_mass += served * path.quality
             occupancy[path.name] = occupancy.get(path.name, 0.0) + served
+            late += served - prompt
             latencies = self.dwell_latencies(index, load, service)
             if latencies is None:  # saturated: every query violates, none delivers
                 violations += served
-                pooled_values.append(np.asarray([np.inf]))
-                pooled_weights.append(np.asarray([float(served)]))
+                infinite += float(served)
+                pieces.append((np.asarray([np.inf]), float(served)))
+                entries += 1
                 continue
             observed = latencies + penalty if penalty else latencies
             violating = float(np.mean(observed > self.sla_seconds))
             violations += prompt * violating + (served - prompt)
             effective_mass += prompt * path.quality * (1.0 - violating)
-            pooled_values.append(observed)
-            pooled_weights.append(np.full(observed.size, prompt / observed.size))
-        if waits is not None:
-            pooled_values.append(waits)
-            pooled_weights.append(np.ones(waits.size))
-        if shed:
-            violations += shed
-            pooled_values.append(np.asarray([np.inf]))
-            pooled_weights.append(np.asarray([float(shed)]))
-        p99 = weighted_percentile(
-            np.concatenate(pooled_values), np.concatenate(pooled_weights), 99.0
-        )
+            finite += prompt
+            pieces.append((observed, prompt / observed.size))
+            entries += observed.size
+        violations += shed
+        if percentile_is_infinite(finite + late, infinite, entries + int(late), 99.0):
+            p99 = float("inf")
+        else:
+            if late:
+                sample = None if waits is None else waits()
+                if sample is None or sample.size != late:
+                    raise ValueError(f"waits must return the {late} late-served latencies")
+                pieces.append((sample, 1.0))
+            if shed:
+                pieces.append((np.asarray([np.inf]), float(shed)))
+            # Passed as temporaries: no name here keeps them alive, so the
+            # percentile can free each one once it holds the sorted copy.
+            p99 = weighted_percentile(
+                np.concatenate([piece for piece, _ in pieces]),
+                np.repeat([weight for _, weight in pieces], [piece.size for piece, _ in pieces]),
+                99.0,
+            )
         switch_steps = tuple(bool(s) for s in switch_steps)
         return RoutingResult(
             policy=policy,
@@ -854,7 +878,7 @@ def route_oracle(
     RoutingResult
         Metrics of the clairvoyant policy over the trace.
     """
-    steps = [table.best_path(float(q)) for q in trace.qps]
+    steps = table.best_path_batch(trace.qps).tolist()
     switches = [False] + [a != b for a, b in zip(steps, steps[1:])]
     return table.evaluate_route(
         trace, steps, switches, policy="oracle", service_steps=service_steps

@@ -34,6 +34,12 @@ fully-warm, unshifted cache so the expected factor is ~1.0 at baseline;
 embedding tier can inflate.  Item-id draws depend only on the seed (never
 on the cache geometry), so shrinking the cache perturbs *costs* but not
 *ids* -- the property the p99-monotonicity tests rely on.
+
+The factors read only each query's tier counts, never the ids.  A lookup's
+rank inverts the memoized Zipf CDF at one uniform, so the sampler draws the
+uniforms :meth:`ServiceTimeSampler.sample_ids` would invert and counts each
+tier with at most four comparisons of them against fixed CDF entries: the
+shifted ids below a bound fill at most two rank intervals.
 """
 
 from __future__ import annotations
@@ -42,7 +48,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.distributions import hit_rate_for_cache, zipf_probabilities, zipf_sample
+from repro.data.distributions import (
+    hit_rate_for_cache,
+    zipf_cdf,
+    zipf_probabilities,
+    zipf_sample,
+)
 from repro.hardware.memory import DramModel, SramModel, SsdModel
 
 #: Lookups amortise SSD latency over gathers of this many rows, matching
@@ -217,6 +228,10 @@ class ServiceTimeSampler:
     def sample_factors(self, num_queries: int, seed: int | np.integer) -> np.ndarray:
         """Draw per-query service factors, updating the hit tallies.
 
+        The tiers are counted from the uniforms :meth:`sample_ids` would
+        invert, without building ids (:meth:`_count_below`), so factors and
+        tallies equal those of the id matrix.
+
         Returns
         -------
         numpy.ndarray
@@ -226,12 +241,12 @@ class ServiceTimeSampler:
             relative to the warm-cache reference.
         """
         cfg = self.config
-        ids = self.sample_ids(num_queries, seed)
-        hit_counts = (ids < cfg.warm_rows).sum(axis=1)
-        ssd_counts = (ids >= cfg.dram_rows).sum(axis=1)
+        uniforms = np.random.default_rng(seed).random((num_queries, cfg.lookups_per_query))
+        hit_counts = self._count_below(uniforms, cfg.warm_rows)
+        ssd_counts = cfg.lookups_per_query - self._count_below(uniforms, cfg.dram_rows)
         dram_counts = cfg.lookups_per_query - hit_counts - ssd_counts
 
-        self.accesses += ids.size
+        self.accesses += uniforms.size
         self.hits += int(hit_counts.sum())
         self.dram_misses += int(dram_counts.sum())
         self.ssd_misses += int(ssd_counts.sum())
@@ -243,6 +258,32 @@ class ServiceTimeSampler:
         ) / cfg.lookups_per_query
         ratio = lookup_cost / self.reference_lookup_seconds
         return (1.0 - cfg.embedding_fraction) + cfg.embedding_fraction * ratio
+
+    def _count_below(self, uniforms: np.ndarray, bound: int) -> np.ndarray:
+        """Per query, the lookups whose item id is below ``bound``.
+
+        A lookup's rank is ``cdf.searchsorted(u, side="right")`` over
+        :func:`~repro.data.distributions.zipf_cdf`, so rank ``>= a`` exactly
+        when ``u >= cdf[a - 1]``.  With ``s = shift_items % num_items``, the
+        id ``(rank + s) % num_items`` is below ``bound`` on the rank
+        intervals ``[0, bound - s)`` and ``[n - s, n - s + min(bound, s))``,
+        so the count takes at most four comparisons per lookup.
+        """
+        cfg = self.config
+        n = cfg.num_items
+        shift = cfg.shift_items % n
+        cdf = zipf_cdf(n, cfg.zipf_alpha)
+
+        def at_least(rank: int) -> np.ndarray:
+            """Lookups per query whose rank is at least ``rank`` (``1 <= rank``)."""
+            return np.count_nonzero(uniforms >= cdf[rank - 1], axis=1)
+
+        counts = np.zeros(uniforms.shape[0], dtype=np.int64)
+        for lo, hi in ((0, bound - shift), (n - shift, n - shift + min(bound, shift))):
+            if hi > lo:
+                counts += uniforms.shape[1] if lo == 0 else at_least(lo)
+                counts -= at_least(hi)
+        return counts
 
 
 def sampled_service(

@@ -7,6 +7,10 @@ whole ground-truth function (Criteo's ``true_ctr`` formula, MovieLens's
 step.  The generators now compute the bias-free logit terms once and only
 combine them per step; ``tests/test_data.py`` patches these references in
 as ``_calibrate_bias`` and requires the calibrated bias to be bit-equal.
+
+:func:`reference_zipf_sample` is the original Zipf draw: a freshly built
+pmf handed to ``Generator.choice`` on every call.  ``zipf_sample`` inverts
+a memoized CDF instead and must return the same ids, dtype and shape.
 """
 
 from __future__ import annotations
@@ -62,3 +66,10 @@ def reference_movielens_calibrate_bias(dataset, rng: np.random.Generator) -> flo
     users = rng.integers(0, dataset.config.num_users, size=4096)
     items = rng.integers(0, dataset.config.num_items, size=4096)
     return _bisect(dataset, lambda: float(reference_true_preference(dataset, users, items).mean()))
+
+
+def reference_zipf_sample(rng, num_items: int, size, alpha: float) -> np.ndarray:
+    """Zipf ids as ``Generator.choice`` draws them from a freshly built pmf."""
+    ranks = np.arange(1, num_items + 1, dtype=np.float64)
+    weights = ranks**-alpha
+    return rng.choice(num_items, size=size, p=weights / weights.sum())

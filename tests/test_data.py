@@ -16,6 +16,7 @@ from repro.data import (
 from repro.data.distributions import (
     approx_zipf_hit_rate,
     hit_rate_for_cache,
+    zipf_cdf,
     zipf_probabilities,
     zipf_sample,
 )
@@ -24,6 +25,7 @@ from tests.data_reference import (
     reference_movielens_calibrate_bias,
     reference_true_ctr,
     reference_true_preference,
+    reference_zipf_sample,
 )
 
 
@@ -75,6 +77,33 @@ class TestDistributions:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             zipf_probabilities(10, alpha=0.0)
+        with pytest.raises(ValueError):
+            zipf_sample(np.random.default_rng(0), 10, 5, alpha=float("nan"))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        num_items=st.one_of(st.integers(1, 64), st.integers(1, 300_000)),
+        size=st.one_of(
+            st.integers(0, 2_000),
+            st.lists(st.integers(0, 40), min_size=1, max_size=3).map(tuple),
+        ),
+        alpha=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_zipf_sample_equals_choice_over_the_pmf(self, seed, num_items, size, alpha):
+        drawn = zipf_sample(np.random.default_rng(seed), num_items, size, alpha)
+        expected = reference_zipf_sample(np.random.default_rng(seed), num_items, size, alpha)
+        assert drawn.dtype == expected.dtype
+        assert drawn.shape == expected.shape
+        np.testing.assert_array_equal(drawn, expected)
+
+    def test_memoized_tables_are_read_only(self):
+        pmf, cdf = zipf_probabilities(1_000, 0.9), zipf_cdf(1_000, 0.9)
+        assert zipf_probabilities(1_000, 0.9) is pmf
+        assert cdf[-1] == 1.0
+        for table in (pmf, cdf):
+            with pytest.raises(ValueError):
+                table[0] = 0.5
 
 
 class TestBiasCalibration:

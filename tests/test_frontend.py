@@ -14,6 +14,7 @@ Six pillars, mirroring the frontend's contract:
 * **lazy realization** — ``schedule()`` and ``serve()`` draw a step's
   arrivals only where a window edge falls strictly inside the step or a
   served deferral needs its wait, and each step at most once per stream;
+  a stream whose shed mass alone makes the p99 ``inf`` needs no wait;
 * **admission properties** (hypothesis) — the shed rate is monotone
   non-decreasing in offered load, the admitted rate never exceeds the
   chosen path's feasible frontier, decisions are strictly causal, and
@@ -328,6 +329,18 @@ class TestReferenceEquivalence:
         np.testing.assert_array_equal(stream.arrivals_at(indices), reference[indices])
         np.testing.assert_array_equal(stream.arrival_seconds, reference)
 
+    def test_a_stream_shedding_over_one_percent_matches_the_reference(self):
+        trace = LoadTrace("shed", 1.0, np.array([1000.0, 9000.0, 9000.0, 1000.0, 1000.0]))
+        frontend = StreamingFrontend(
+            MultiPathRouter(self.TABLE, estimator=WindowedMean(window=2)), defer_windows=0.5
+        )
+        stream = QueryStream.from_trace(trace, seed=3)
+        served = frontend.serve(trace, stream)
+        assert served.schedule.shed_rate >= 0.01
+        assert served.schedule.deferred_served_queries > 0
+        assert served.routing.p99_seconds == float("inf")
+        assert served.routing == reference_serve(frontend, trace, stream)
+
     def test_per_query_views_are_read_only(self):
         plan = paced_frontend(self.TABLE).schedule(*paced(flat_trace(8000.0, num_steps=6)))
         for view in (plan.query_state, plan.query_path, plan.query_serve_window):
@@ -383,6 +396,18 @@ class TestLazyRealization:
         assert plan.deferred_served_queries > 0
         assert plan.final_backlog == 0
         assert drawn_steps == np.flatnonzero(plan.window_deferred).tolist() == [2, 5]
+
+    def test_a_stream_shedding_over_one_percent_draws_nothing(self, drawn_steps):
+        # 9,000 QPS overflows both paths: its windows defer and shed, and the
+        # shed mass alone proves the p99 inf, so no deferral's wait is read.
+        loads = [1000.0, 1000.0, 9000.0, 9000.0, 1000.0, 1000.0, 1000.0, 1000.0, 1000.0]
+        trace = LoadTrace("lazy", 3.0, np.asarray(loads))
+        stream = QueryStream.from_trace(trace, seed=0)
+        served = StreamingFrontend(build_router(self.TABLE, "windowed")).serve(trace, stream)
+        assert served.schedule.deferred_served_queries > 0
+        assert served.schedule.shed_queries > 0.01 * stream.num_queries
+        assert served.routing.p99_seconds == float("inf")
+        assert drawn_steps == []
 
     @pytest.mark.parametrize(
         ("window_seconds", "interior_steps"),

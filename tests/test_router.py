@@ -15,6 +15,7 @@ from repro.cluster import (
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.models.zoo import RM_LARGE, RM_SMALL, criteo_model_specs
 from repro.serving.estimators import HoltTrend, WindowedMean
+from repro.serving.metrics import percentile_is_infinite
 from repro.serving.router import (
     MultiPathRouter,
     PathTable,
@@ -36,6 +37,7 @@ from tests.conftest import (  # noqa: F401  (re-export)
     make_table,
 )
 from tests.router_reference import reference_evaluate_route
+from tests.score_reference import reference_score
 
 
 class TestPathTableValidation:
@@ -276,6 +278,21 @@ class TestBestPath:
         table = make_table(sla_ms=1.0)  # nobody meets 1 ms
         assert table.best_path(1000.0) == 1  # lowest interpolated p99 wins
 
+    @given(
+        loads=st.lists(
+            st.one_of(st.sampled_from(GRID), st.floats(min_value=1.0, max_value=8_000.0)),
+            min_size=1,
+            max_size=30,
+        ),
+        sla_ms=st.sampled_from([1.0, 10.5, 25.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_routes_every_step_to_the_scalar_best_path(self, loads, sla_ms):
+        table = make_table(sla_ms=sla_ms)
+        trace = LoadTrace("oracle", 1.0, np.asarray(loads))
+        steps = route_oracle(table, trace).path_steps
+        assert steps == tuple(table.best_path(q) for q in trace.qps)
+
 
 class TestEvaluateRoute:
     def test_static_on_feasible_path_has_zero_violations(self):
@@ -379,6 +396,104 @@ class TestReferenceEquivalence:
         args = (trace, paths, switches, "online", penalty, services)
         expected = reference_evaluate_route(two_replica_cluster(), *args)
         assert two_replica_cluster().evaluate_route(*args) == expected
+
+
+@st.composite
+def scored_cells(draw):
+    """Frontend-style dwell cells on the synthetic table, late-served waits and a shed count.
+
+    Cells mix live loads of both paths with saturated hq loads; the shed
+    count is a fraction of the served queries up to 5%, so pooled p99s on
+    both sides of the 1% infinite-mass line are drawn.
+    """
+    loads = st.sampled_from([(1, 1000.0), (1, 4000.0), (0, 500.0), (0, 2500.0), (0, 4000.0)])
+    cells = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        path, load = draw(loads)
+        served = draw(st.integers(min_value=0, max_value=5_000))
+        prompt = draw(st.integers(min_value=0, max_value=served))
+        penalty = draw(st.sampled_from([0.0, 0.05]))
+        cells.append((path, load, None, served, prompt, penalty))
+    late = sum(served - prompt for *_, served, prompt, _ in cells)
+    waits = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(0.0, 30.0, late)
+    served = sum(cell[3] for cell in cells)
+    shed = round(served * draw(st.floats(min_value=0.0, max_value=0.05)))
+    return cells, waits, shed
+
+
+def score_both(cells, waits, shed):
+    """``(score, reference_score)`` of the same cells, each on a fresh synthetic table.
+
+    ``score`` reads the waits through a callable that counts its calls.
+    """
+    calls = []
+
+    def lazy_waits():
+        calls.append(1)
+        return waits
+
+    total = sum(cell[3] for cell in cells) + shed
+    steps = [cell[0] for cell in cells]
+    switches = [False] * len(cells)
+    args = ("frontend", "cells", steps, switches, cells, total)
+    result = make_table().score(*args, waits=lazy_waits, shed=shed)
+    expected = reference_score(make_table(), *args, waits=waits, shed=shed)
+    return result, expected, len(calls)
+
+
+class TestMassFirstP99:
+    """``score`` proves p99 ``inf`` from masses alone, else pools exactly as the reference.
+
+    The synthetic table's cells hold 540 post-warm-up samples each.
+    """
+
+    @given(drawn=scored_cells())
+    @settings(max_examples=80, deadline=None)
+    def test_score_matches_the_reference(self, drawn):
+        cells, waits, shed = drawn
+        if not sum(cell[3] for cell in cells) + shed:
+            return
+        result, expected, calls = score_both(cells, waits, shed)
+        assert result == expected
+        if result.p99_seconds < float("inf"):
+            assert calls == (1 if waits.size else 0)
+
+    def test_shedding_over_one_percent_skips_the_pool_and_the_waits(self):
+        cells = [(1, 1000.0, None, 990, 900, 0.0), (0, 1000.0, None, 1000, 1000, 0.0)]
+        waits = np.linspace(1.0, 20.0, 90)
+        result, expected, calls = score_both(cells, waits, shed=60)
+        assert result == expected
+        assert result.p99_seconds == float("inf")
+        assert calls == 0
+
+    @pytest.mark.parametrize("ulps", range(-4, 5))
+    def test_inf_mass_at_one_percent_declines_and_pools(self, ulps):
+        # 99 finite queries per inf query, perturbed by a few ulps of the inf
+        # mass: F / (F + I) sits at 0.99 to within a few ulps.
+        inf_mass = 1_000.0 * (1.0 + ulps * 2.0**-52)
+        finite_mass = 99_000.0
+        assert not percentile_is_infinite(finite_mass, inf_mass, 542, 99.0)
+        cells = [
+            (1, 1000.0, None, finite_mass, finite_mass, 0.0),
+            (0, 4000.0, None, inf_mass, inf_mass, 0.0),
+        ]
+        result, expected, _ = score_both(cells, np.empty(0), shed=0)
+        assert result == expected
+
+    def test_integer_shed_at_one_percent_declines_and_pools(self):
+        cells = [(1, 1000.0, None, 990, 900, 0.0)]
+        waits = np.linspace(0.5, 9.0, 90)
+        assert not percentile_is_infinite(990.0, 10.0, 541 + 90, 99.0)
+        result, expected, calls = score_both(cells, waits, shed=10)
+        assert result == expected
+        assert calls == 1
+
+    def test_waits_of_the_wrong_length_are_rejected(self):
+        cells = [(1, 1000.0, None, 100, 90, 0.0)]
+        with pytest.raises(ValueError, match="10 late-served"):
+            make_table().score("f", "t", [1], [False], cells, 100, waits=lambda: np.ones(9))
+        with pytest.raises(ValueError, match="10 late-served"):
+            make_table().score("f", "t", [1], [False], cells, 100)
 
 
 class TestEffectiveQuality:

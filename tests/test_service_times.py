@@ -11,6 +11,8 @@ The contract under test, in the style of ``tests/test_engine.py``:
 * **Measured hit rate** — the sampler's tallies equal an independent
   frequency count, converge to the Zipf closed form when the closed form
   applies, and expose its blind spots (popularity shift) when it doesn't.
+  Factors and tallies counted from the rank uniforms equal the id-matrix
+  reference in ``tests/service_times_reference.py`` exactly.
 * **Causality** — a query's latency never depends on later queries.
 * **Determinism** — pinned seeds reproduce matrices, runs, and grids; the
   grid path equals per-cell runs under a service model.
@@ -39,6 +41,7 @@ from repro.serving.service_times import (
     sampled_service,
 )
 from tests.conftest import draw_plan, flat_trace, live_reports, make_table
+from tests.service_times_reference import reference_sample_factors
 
 ATOL = 1e-9
 
@@ -213,6 +216,32 @@ class TestMeasuredHitRate:
         sampler.sample_factors(5_000, seed=0)
         assert config.analytic_hit_rate > 0.8  # the formula still says "warm"
         assert sampler.measured_hit_rate < 0.1  # the stream says otherwise
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tier_counts_equal_the_id_matrix_reference(self, data):
+        num_items = data.draw(st.integers(1, 5_000), label="num_items")
+        dram_rows = data.draw(st.integers(0, num_items), label="dram_rows")
+        config = CachedServiceConfig(
+            num_items=num_items,
+            hot_rows=data.draw(st.one_of(st.just(0), st.integers(0, dram_rows)), label="hot"),
+            dram_rows=dram_rows,
+            zipf_alpha=data.draw(st.floats(0.05, 3.0, allow_nan=False), label="alpha"),
+            lookups_per_query=data.draw(st.integers(1, 30), label="lookups"),
+            shift_items=data.draw(st.integers(0, 3 * num_items), label="shift"),
+            warm_fraction=data.draw(
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)), label="warm"
+            ),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        num_queries = data.draw(st.integers(0, 96), label="queries")
+        sampler, reference = ServiceTimeSampler(config), ServiceTimeSampler(config)
+        for draw in range(2):  # tallies accumulate across draws
+            factors = sampler.sample_factors(num_queries, seed + draw)
+            expected = reference_sample_factors(reference, num_queries, seed + draw)
+            np.testing.assert_array_equal(factors, expected)
+        tallies = ("accesses", "hits", "dram_misses", "ssd_misses")
+        assert [getattr(sampler, t) for t in tallies] == [getattr(reference, t) for t in tallies]
 
     def test_no_accesses_reports_zero(self):
         assert ServiceTimeSampler(CachedServiceConfig()).measured_hit_rate == 0.0

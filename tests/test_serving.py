@@ -12,6 +12,7 @@ from repro.serving import (
     StageResource,
     simulate,
 )
+from repro.serving.metrics import percentile_is_infinite, weighted_percentile
 from tests.conftest import live_reports
 
 
@@ -197,3 +198,51 @@ class TestMetrics:
         report = self.report(values)
         assert report.p50_latency <= report.p95_latency <= report.p99_latency
         assert report.p99_latency <= report.max_latency == max(values)
+
+
+class TestPercentileIsInfinite:
+    """The mass-first check never reports ``inf`` where the pooled percentile is finite."""
+
+    @given(
+        finite=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=60),
+        infinite=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=4),
+        near_boundary=st.booleans(),
+        ulps=st.integers(min_value=-(2**12), max_value=2**12),
+        q=st.sampled_from([50.0, 90.0, 99.0, 99.9, 100.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reported_inf_is_what_the_pool_returns(
+        self, finite, infinite, near_boundary, ulps, q, seed
+    ):
+        finite_mass = sum(finite)
+        if near_boundary and sum(infinite) > 0:
+            # Scale the inf weights so the finite share sits ``ulps`` units
+            # of 2**-53 from exactly q percent.
+            target = finite_mass * (100.0 / q - 1.0) * (1.0 + ulps * 2.0**-53)
+            infinite = [w * target / sum(infinite) for w in infinite]
+        rng = np.random.default_rng(seed)
+        values = np.concatenate(
+            [rng.uniform(0.0, 1.0, len(finite)), np.full(len(infinite), np.inf)]
+        )
+        weights = np.asarray(finite + infinite, dtype=np.float64)
+        order = rng.permutation(values.size)
+        if not weights.sum() > 0:
+            return
+        if percentile_is_infinite(finite_mass, sum(infinite), values.size, q):
+            assert weighted_percentile(values[order], weights[order], q) == np.inf
+
+    @pytest.mark.parametrize("ulps", range(-4, 5))
+    def test_declines_within_a_few_ulps_of_the_percentile(self, ulps):
+        infinite_mass = 1.0 + ulps * 2.0**-52
+        assert not percentile_is_infinite(99.0, infinite_mass, 2, 99.0)
+        assert not percentile_is_infinite(990.0, 10.0 * infinite_mass, 1_000, 99.0)
+
+    def test_clear_cases(self):
+        assert percentile_is_infinite(98.0, 2.0, 3, 99.0)
+        assert percentile_is_infinite(0.0, 1.0, 1, 99.0)
+        assert not percentile_is_infinite(0.0, 0.0, 1, 99.0)
+        assert not percentile_is_infinite(1.0, 0.0, 2, 99.0)
+        assert not percentile_is_infinite(float("nan"), 1.0, 2, 99.0)
+        # Past 2**50 entries the rounding bound says nothing.
+        assert not percentile_is_infinite(0.0, 1.0, 2**51, 99.0)
