@@ -21,8 +21,8 @@ SLA_MS = 25.0
 
 def evaluate_mappings(scheduler, mappings, qps):
     rows = []
-    for label, (pipeline, platform, devices) in mappings.items():
-        evaluated = scheduler.evaluate(pipeline, platform, qps, devices=devices)
+    for label, (pipeline, platform) in mappings.items():
+        evaluated = scheduler.evaluate(pipeline, platform, qps)
         rows.append((label, evaluated))
     return rows
 
@@ -48,9 +48,9 @@ def main() -> None:
         num_tables=26,
     )
     criteo_mappings = {
-        "cpu 2-stage": (criteo_two_stage(), "cpu", None),
-        "gpu 1-stage": (criteo_one_stage(), "gpu", None),
-        "gpu-cpu 2-stage": (criteo_two_stage(), "gpu-cpu", ["gpu", "cpu"]),
+        "cpu 2-stage": (criteo_two_stage(), "cpu"),
+        "gpu 1-stage": (criteo_one_stage(), "gpu"),
+        "gpu-cpu 2-stage": (criteo_two_stage(), "gpu-cpu"),
     }
     for qps in (70, 500):
         rows = evaluate_mappings(criteo_scheduler, criteo_mappings, qps)
@@ -66,9 +66,9 @@ def main() -> None:
     )
     pipelines = movielens_pipelines(1024)
     ml_mappings = {
-        "cpu 2-stage": (pipelines[2], "cpu", None),
-        "gpu 1-stage": (pipelines[1], "gpu", None),
-        "gpu-cpu 2-stage": (pipelines[2], "gpu-cpu", ["gpu", "cpu"]),
+        "cpu 2-stage": (pipelines[2], "cpu"),
+        "gpu 1-stage": (pipelines[1], "gpu"),
+        "gpu-cpu 2-stage": (pipelines[2], "gpu-cpu"),
     }
     rows = evaluate_mappings(ml_scheduler, ml_mappings, 500)
     print_rows("MovieLens-1M @ 500 QPS", rows)

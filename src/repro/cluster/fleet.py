@@ -299,8 +299,7 @@ def build_cluster_table(
     gather latency (the replica whose tail lands last defines the fleet's
     tail), with ``inf`` propagating when any share saturates.  Each
     (path, node) pair is looked up once over the whole grid through
-    :meth:`~repro.serving.router.PathTable.p99_profile`, which equals
-    :meth:`~repro.serving.router.PathTable.p99_at` elementwise.  The
+    :meth:`~repro.serving.router.PathTable.p99_profile`.  The
     cluster's per-path capacity is the sum of node capacities, surfaced
     through a synthetic one-stage aggregate plan so
     :attr:`~repro.serving.router.ServingPath.capacity_qps` and the

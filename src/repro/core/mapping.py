@@ -125,14 +125,9 @@ def build_accelerator_plan(
     pipeline: PipelineConfig,
     accelerator: BaselineAccelerator | RPAccel,
     num_tables: int = 26,
-    **plan_kwargs,
 ) -> PipelinePlan:
-    """Accelerator mapping: delegate to the baseline or RPAccel model."""
-    costs = pipeline.stage_costs(num_tables)
-    items = pipeline.stage_items()
-    if isinstance(accelerator, BaselineAccelerator):
-        return accelerator.plan_query(costs, items)
-    return accelerator.plan_query(costs, items, **plan_kwargs)
+    """Accelerator mapping: the baseline's or RPAccel's default plan of the funnel."""
+    return accelerator.plan_query(pipeline.stage_costs(num_tables), pipeline.stage_items())
 
 
 def _proportional_allocation(services: Sequence[float], total: int) -> list[int]:

@@ -6,8 +6,9 @@ The scheduler combines the three ingredients of the paper's methodology:
    number of stages) from :func:`repro.core.pipeline.enumerate_pipelines`,
 2. quality evaluation over a query workload (:class:`repro.quality.QualityEvaluator`),
 3. performance evaluation by mapping each configuration onto a hardware
-   platform and simulating it under Poisson load (:mod:`repro.core.mapping` +
-   :mod:`repro.serving`).
+   platform (:meth:`RecPipeScheduler.plan_for`, :mod:`repro.core.mapping`)
+   and reading its p99 under Poisson load at every offered load of a column
+   from one :func:`repro.serving.simulator.simulated_p99` call.
 
 Its outputs are the cross-sections the paper analyzes: quality/latency
 Pareto frontiers at a fixed load (iso-throughput), latency/throughput curves
@@ -18,7 +19,7 @@ tail-latency SLA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.mapping import (
     DEVICE_PLATFORMS,
@@ -29,9 +30,8 @@ from repro.core.mapping import (
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig
 from repro.quality.evaluator import QualityEvaluator
-from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
-from repro.serving.simulator import SimulationConfig, simulate
+from repro.serving.simulator import SimulationConfig, simulated_p99
 
 
 @dataclass(frozen=True)
@@ -85,36 +85,27 @@ class RecPipeScheduler:
     # ------------------------------------------------------------------ #
     # Plan construction
     # ------------------------------------------------------------------ #
-    def plan_for(
-        self,
-        pipeline: PipelineConfig,
-        platform: str,
-        devices: Sequence[str] | None = None,
-        **accel_kwargs,
-    ) -> PipelinePlan:
+    def plan_for(self, pipeline: PipelineConfig, platform: str) -> PipelinePlan:
         """Build the serving plan of ``pipeline`` on ``platform``.
 
         ``platform`` is one of ``"cpu"`` (every stage on the CPU), ``"gpu"``
         (every stage on the GPU), ``"gpu-cpu"`` (the frontend stage on the
         GPU, the rest on the CPU), ``"baseline-accel"`` or ``"rpaccel"``.
-        The first three map one device list (``devices``, when given,
-        overrides the platform's) through
-        :func:`~repro.core.mapping.build_heterogeneous_plan`.
+        The first three map the platform's device list through
+        :func:`~repro.core.mapping.build_heterogeneous_plan`; the last two
+        delegate to the accelerator's default plan.
         """
         hw = self.hardware
         if platform in DEVICE_PLATFORMS:
-            if devices is None:
-                first, later = DEVICE_PLATFORMS[platform]
-                devices = [first] + [later] * (pipeline.num_stages - 1)
+            first, later = DEVICE_PLATFORMS[platform]
+            devices = [first] + [later] * (pipeline.num_stages - 1)
             return build_heterogeneous_plan(
                 pipeline, devices, hw.cpu, hw.gpu, hw.pcie, num_tables=self.num_tables
             )
         if platform == "baseline-accel":
             return build_accelerator_plan(pipeline, hw.baseline_accel, num_tables=self.num_tables)
         if platform == "rpaccel":
-            return build_accelerator_plan(
-                pipeline, hw.rpaccel, num_tables=self.num_tables, **accel_kwargs
-            )
+            return build_accelerator_plan(pipeline, hw.rpaccel, num_tables=self.num_tables)
         raise ValueError(
             f"unknown platform {platform!r}; expected cpu, gpu, gpu-cpu, "
             "baseline-accel or rpaccel"
@@ -123,52 +114,32 @@ class RecPipeScheduler:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def evaluate(
-        self,
-        pipeline: PipelineConfig,
-        platform: str,
-        qps: float,
-        devices: Sequence[str] | None = None,
-        sub_batches: int = 1,
-        quality: float | None = None,
-        **accel_kwargs,
-    ) -> EvaluatedConfig:
-        """Quality + at-scale performance of one configuration on one platform.
+    def evaluate(self, pipeline: PipelineConfig, platform: str, qps: float) -> EvaluatedConfig:
+        """Quality + at-scale performance of one configuration on one platform at one load.
 
         Quality is independent of the platform and the offered load, so
-        callers sweeping many (platform, qps) cells can compute it once per
-        pipeline (see :meth:`quality_map`) and pass it via ``quality`` to
-        skip the evaluator entirely.
+        callers sweeping many (platform, qps) cells compute it once per
+        pipeline (see :meth:`quality_map`) and pass it to
+        :meth:`evaluate_grid` instead.
         """
-        return self.evaluate_grid(
-            pipeline,
-            platform,
-            (qps,),
-            devices=devices,
-            sub_batches=sub_batches,
-            quality=quality,
-            **accel_kwargs,
-        )[0]
+        return self.evaluate_grid(pipeline, platform, (qps,))[0]
 
     def evaluate_grid(
         self,
         pipeline: PipelineConfig,
         platform: str,
         qps_values: Sequence[float],
-        devices: Sequence[str] | None = None,
-        sub_batches: int = 1,
         quality: float | None = None,
         seed: int | None = None,
-        **accel_kwargs,
     ) -> list[EvaluatedConfig]:
         """Evaluate one (pipeline, platform) column across every offered load.
 
-        The plan is constructed once and the whole column is one
-        :func:`~repro.serving.simulator.simulate` call (one arrival draw, one
-        vectorized kernel pass on the analytic engine) whose live rows are
-        summarized by one report call.  Saturated loads are not simulated --
-        they report infinite tail latency, as in the paper's greyed-out
-        cells.
+        The plan is constructed once and the whole column's p99s come from
+        one :func:`~repro.serving.simulator.simulated_p99` call (one arrival
+        draw, one vectorized kernel pass on the analytic engine, one report
+        call).  Saturated loads are not simulated -- they report infinite
+        tail latency, as in the paper's greyed-out cells, and a load is
+        flagged saturated exactly where its p99 is ``inf``.
 
         Parameters
         ----------
@@ -178,17 +149,11 @@ class RecPipeScheduler:
             Hardware platform (see :meth:`plan_for`).
         qps_values : sequence of float
             Offered loads of the column.
-        devices : sequence of str, optional
-            Per-stage device pinning for ``gpu-cpu`` mappings.
-        sub_batches : int
-            Sub-batch pipelining factor forwarded to the quality evaluator.
         quality : float, optional
             Precomputed platform-independent quality (skips the evaluator).
         seed : int, optional
             Overrides the simulation seed for this column (see
             :func:`repro.core.sweep.column_seeds`).
-        **accel_kwargs
-            Forwarded to the accelerator plan builder.
 
         Returns
         -------
@@ -196,38 +161,28 @@ class RecPipeScheduler:
             One record per load, in ``qps_values`` order.
         """
         quality_value = (
-            self.evaluator.evaluate(pipeline.funnel_stages(), sub_batches=sub_batches)
-            if quality is None
-            else quality
+            self.evaluator.evaluate(pipeline.funnel_stages()) if quality is None else quality
         )
-        plan = self.plan_for(pipeline, platform, devices=devices, **accel_kwargs)
+        plan = self.plan_for(pipeline, platform)
         capacity = plan.throughput_capacity()
         unloaded = plan.unloaded_latency()
         qps_list = [float(qps) for qps in qps_values]
-        live, arrivals, latencies = simulate(plan, qps_list, self.simulation, seed=seed)
-        offered = [qps for qps, ok in zip(qps_list, live) if ok]
-        reports = iter(
-            LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
-            if offered
-            else ()
-        )
+        p99s = simulated_p99(plan, qps_list, self.simulation, seed=seed).tolist()
         return [
             EvaluatedConfig(
                 pipeline=pipeline,
                 platform=platform,
                 quality=quality_value,
-                p99_latency=next(reports).p99_latency if ok else float("inf"),
+                p99_latency=p99,
                 unloaded_latency=unloaded,
                 throughput_capacity=capacity,
                 offered_qps=qps,
-                saturated=not ok,
+                saturated=p99 == float("inf"),
             )
-            for qps, ok in zip(qps_list, live.tolist())
+            for qps, p99 in zip(qps_list, p99s)
         ]
 
-    def quality_map(
-        self, pipelines: Sequence[PipelineConfig], sub_batches: int = 1
-    ) -> dict[str, float]:
+    def quality_map(self, pipelines: Sequence[PipelineConfig]) -> dict[str, float]:
         """Quality of each unique pipeline, evaluated once per pipeline.
 
         The returned dict is the memo that :func:`repro.core.sweep.run_sweep`
@@ -237,9 +192,7 @@ class RecPipeScheduler:
         qualities: dict[str, float] = {}
         for pipeline in pipelines:
             if pipeline.name not in qualities:
-                qualities[pipeline.name] = self.evaluator.evaluate(
-                    pipeline.funnel_stages(), sub_batches=sub_batches
-                )
+                qualities[pipeline.name] = self.evaluator.evaluate(pipeline.funnel_stages())
         return qualities
 
     # ------------------------------------------------------------------ #
@@ -260,14 +213,12 @@ class RecPipeScheduler:
         self,
         evaluated: Sequence[EvaluatedConfig],
         quality_target: float,
-        key: Callable[[EvaluatedConfig], float] | None = None,
     ) -> EvaluatedConfig | None:
         """Lowest-latency feasible configuration meeting the quality target."""
-        key = key if key is not None else (lambda e: e.p99_latency)
         candidates = [e for e in evaluated if e.feasible and e.quality >= quality_target]
         if not candidates:
             return None
-        return min(candidates, key=key)
+        return min(candidates, key=lambda e: e.p99_latency)
 
     def best_quality_under_sla(
         self,

@@ -203,7 +203,6 @@ class SweepOutcome:
 
     def rows(self) -> list[dict]:
         """One JSON/CSV-ready row per (platform, pipeline, qps) evaluation."""
-        baseline_p99 = self._baseline_p99()
         rows = []
         for qps in self.config.qps:
             combined = {(e.platform, e.pipeline.name) for e in self.combined_frontier.get(qps, [])}
@@ -214,12 +213,6 @@ class SweepOutcome:
                 sla_best = self.best_under_sla.get(cell)
                 quality_best = self.best_at_quality.get(cell)
                 for e in self.evaluated.get(cell, []):
-                    base = baseline_p99.get((e.pipeline.name, qps))
-                    speedup = (
-                        base / e.p99_latency
-                        if base is not None and not e.saturated
-                        else None
-                    )
                     rows.append(
                         {
                             "pipeline": e.pipeline.name,
@@ -235,7 +228,7 @@ class SweepOutcome:
                             "capacity_qps": e.throughput_capacity,
                             "saturated": e.saturated,
                             "meets_sla": e.meets(0.0, self.config.sla_seconds),
-                            "speedup_vs_baseline": speedup,
+                            "speedup_vs_baseline": self.speedup_vs_baseline(e),
                             "on_frontier": e.pipeline.name in frontier_names,
                             "on_combined_frontier": (platform, e.pipeline.name)
                             in combined,
@@ -378,18 +371,6 @@ def column_seeds(
     }
 
 
-def _evaluate_column(
-    scheduler: RecPipeScheduler,
-    pipeline: PipelineConfig,
-    platform: str,
-    qps_values: Sequence[float],
-    quality: float | None,
-    seed: int,
-) -> list[EvaluatedConfig]:
-    """Performance-evaluate one (platform, pipeline) column across all loads."""
-    return scheduler.evaluate_grid(pipeline, platform, qps_values, quality=quality, seed=seed)
-
-
 #: Per-worker sweep state installed by :func:`_init_worker`.
 _WORKER_STATE: dict = {}
 
@@ -413,13 +394,12 @@ def _init_worker(
 def _evaluate_column_in_worker(platform: str, pipeline_index: int) -> list[EvaluatedConfig]:
     scheduler, pipelines, qualities, qps_values, seeds = _WORKER_STATE["sweep"]
     pipeline = pipelines[pipeline_index]
-    return _evaluate_column(
-        scheduler,
+    return scheduler.evaluate_grid(
         pipeline,
         platform,
         qps_values,
-        qualities.get(pipeline.name),
-        seeds[(platform, pipeline.name)],
+        quality=qualities.get(pipeline.name),
+        seed=seeds[(platform, pipeline.name)],
     )
 
 
@@ -488,13 +468,13 @@ def run_sweep(
     evaluated_columns: dict[tuple[str, int], list[EvaluatedConfig]] = {}
     if jobs <= 1 or len(columns) <= 1:
         for platform, index in columns:
-            evaluated = _evaluate_column(
-                scheduler,
-                pipelines[index],
+            pipeline = pipelines[index]
+            evaluated = scheduler.evaluate_grid(
+                pipeline,
                 platform,
                 config.qps,
-                qualities.get(pipelines[index].name),
-                seeds[(platform, pipelines[index].name)],
+                quality=qualities.get(pipeline.name),
+                seed=seeds[(platform, pipeline.name)],
             )
             evaluated_columns[(platform, index)] = evaluated
             _column_done((platform, index), evaluated)

@@ -237,7 +237,7 @@ def probe_p99_seconds(table: ClusterTable) -> float:
     between a homogeneous N-node fleet and its single node is the gather
     latency — the quantity the CI smoke asserts is non-negative.
     """
-    return table.p99_at(0, PROBE_FRACTION * table.paths[0].capacity_qps)
+    return float(table.p99_profile(0, PROBE_FRACTION * table.paths[0].capacity_qps))
 
 
 def run_capacity(

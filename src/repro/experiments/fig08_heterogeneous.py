@@ -38,14 +38,14 @@ def run_iso_quality(
     evaluator = criteo_quality_evaluator()
     scheduler = make_scheduler(evaluator)
     mappings = {
-        "cpu 2-stage": (criteo_two_stage(), "cpu", None),
-        "gpu 1-stage": (criteo_one_stage(), "gpu", None),
-        "gpu-cpu 2-stage": (criteo_two_stage(), "gpu-cpu", ["gpu", "cpu"]),
+        "cpu 2-stage": (criteo_two_stage(), "cpu"),
+        "gpu 1-stage": (criteo_one_stage(), "gpu"),
+        "gpu-cpu 2-stage": (criteo_two_stage(), "gpu-cpu"),
     }
     result = ExperimentResult(name="fig08_top_heterogeneous_iso_quality")
-    for label, (pipeline, platform, devices) in mappings.items():
+    for label, (pipeline, platform) in mappings.items():
         for qps in qps_values:
-            evaluated = scheduler.evaluate(pipeline, platform, qps, devices=devices)
+            evaluated = scheduler.evaluate(pipeline, platform, qps)
             result.add(
                 config=label,
                 qps=qps,

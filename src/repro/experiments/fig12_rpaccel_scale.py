@@ -22,8 +22,7 @@ from repro.experiments.common import (
     criteo_three_stage,
     criteo_two_stage,
 )
-from repro.serving.metrics import LatencyReport
-from repro.serving.simulator import SimulationConfig, simulate
+from repro.serving.simulator import SimulationConfig, simulated_p99
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
 TITLE = "At-scale evaluation of RPAccel vs the baseline accelerator"
@@ -32,18 +31,6 @@ TAGS = ("accel", "rpaccel", "serving")
 
 #: The at-scale budget every figure point is simulated with.
 SIMULATION = SimulationConfig(num_queries=2000, warmup_queries=200)
-
-
-def _simulate(plan, qps_values) -> list[tuple[float, bool]]:
-    """``(p99 seconds, saturated)`` of ``plan`` at each load; saturated is ``inf``."""
-    live, arrivals, latencies = simulate(plan, qps_values, SIMULATION)
-    offered = [qps for qps, ok in zip(qps_values, live) if ok]
-    reports = iter(
-        LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
-    )
-    return [
-        (next(reports).p99_latency, False) if ok else (float("inf"), True) for ok in live.tolist()
-    ]
 
 
 def run_scale(
@@ -65,14 +52,14 @@ def run_scale(
     }
     result = ExperimentResult(name="fig12_top_rpaccel_at_scale")
     for label, plan in plans.items():
-        for qps, (p99, saturated) in zip(qps_values, _simulate(plan, qps_values)):
+        for qps, p99 in zip(qps_values, simulated_p99(plan, qps_values, SIMULATION).tolist()):
             result.add(
                 config=label,
                 qps=qps,
-                p99_latency_ms=p99 * 1e3 if p99 != float("inf") else float("inf"),
+                p99_latency_ms=p99 * 1e3,
                 unloaded_latency_ms=plan.unloaded_latency() * 1e3,
                 capacity_qps=plan.throughput_capacity(),
-                saturated=saturated,
+                saturated=p99 == float("inf"),
             )
     base_plan = plans["baseline accel (1-stage)"]
     best_plan = plans["rpaccel 2-stage"]
@@ -103,15 +90,16 @@ def run_asymmetric(
             subarrays_per_stage=[8, backend_subarrays],
             frontend_cache_fraction=0.5,
         )
-        points = _simulate(plan, (low_qps, high_qps))
-        for qps, load, (p99, saturated) in zip((low_qps, high_qps), ("low", "high"), points):
+        loads = (low_qps, high_qps)
+        p99s = simulated_p99(plan, loads, SIMULATION).tolist()
+        for qps, load, p99 in zip(loads, ("low", "high"), p99s):
             result.add(
                 config=f"RPAccel8,{backend_subarrays}",
                 load=load,
                 qps=qps,
-                p99_latency_ms=p99 * 1e3 if p99 != float("inf") else float("inf"),
+                p99_latency_ms=p99 * 1e3,
                 unloaded_latency_ms=plan.unloaded_latency() * 1e3,
-                saturated=saturated,
+                saturated=p99 == float("inf"),
             )
     result.note(
         "fewer, larger backend sub-arrays minimize latency at low load; more, "

@@ -247,6 +247,12 @@ def build_trace(params: Mapping, item, seed: int) -> LoadTrace:
     -------
     LoadTrace
         The generated trace.
+
+    Raises
+    ------
+    ValueError
+        When the trace name has no base/peak load mapping here (a generator
+        added to :data:`~repro.serving.trace.TRACES` needs one).
     """
     item = dict(item) if isinstance(item, Mapping) else {"name": item}
     shape = {**{key: params[key] for key in TRACE_SHAPE}, **item}
@@ -261,7 +267,12 @@ def build_trace(params: Mapping, item, seed: int) -> LoadTrace:
         return diurnal_trace(base_qps=base, peak_qps=peak, **common)
     if shape["name"] == "spike":
         return spike_trace(base_qps=base, spike_qps=peak, **common)
-    return ramp_trace(start_qps=base, end_qps=peak, **common)
+    if shape["name"] == "ramp":
+        return ramp_trace(start_qps=base, end_qps=peak, **common)
+    raise ValueError(
+        f"trace {shape['name']!r} has no base/peak load mapping; add one to "
+        "repro.scenarios.runner.build_trace"
+    )
 
 
 def build_router(table, params: Mapping, estimator: str) -> MultiPathRouter:

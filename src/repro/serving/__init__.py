@@ -14,6 +14,10 @@ tail latency and sustained throughput.  This package provides
   engine-selected kernel (closed-form ``analytic`` default, discrete-event
   ``event`` reference); sweep cells, router dwell cells and figure points
   all come from it,
+* :func:`~repro.serving.simulator.simulated_p99` -- the one path from a
+  plan and a column of loads to p99s (``inf`` where saturated): the
+  scheduler's columns, the router's path-table rows and Figure 12's points
+  read it,
 * :mod:`repro.serving.engine` -- :class:`SimulationConfig`, the seed
   helpers and the two kernels,
 * :class:`~repro.serving.metrics.LatencyReport` -- the latency summary of
@@ -27,7 +31,8 @@ tail latency and sustained throughput.  This package provides
   :class:`~repro.serving.estimators.EWMA`,
   :class:`~repro.serving.estimators.HoltTrend`) and MP-Rec-style
   serving-time path selection (:class:`~repro.serving.router.PathTable`,
-  :class:`~repro.serving.router.MultiPathRouter`).
+  whose one lookup is ``p99_profile`` and one decision rule
+  ``best_path_batch``, and :class:`~repro.serving.router.MultiPathRouter`).
 """
 
 from repro.serving.engine import (
@@ -54,7 +59,7 @@ from repro.serving.router import (
     route_oracle,
     route_static,
 )
-from repro.serving.simulator import simulate
+from repro.serving.simulator import simulate, simulated_p99
 from repro.serving.trace import (
     TRACES,
     LoadTrace,
@@ -70,6 +75,7 @@ __all__ = [
     "LatencyReport",
     "SimulationConfig",
     "simulate",
+    "simulated_p99",
     "ENGINES",
     "analytic_latencies",
     "event_latencies",

@@ -8,15 +8,17 @@ MP-Rec-style closing of the loop the roadmap asks for:
 * :class:`ServingPath` — one runnable (platform, pipeline) execution path
   with its hardware plan and platform-independent quality;
 * :class:`PathTable` — the compiled routing table: per path, a p99-vs-load
-  curve over a swept QPS grid.  Each path's *feasible frontier* — the
-  monotone prefix of finite grid cells before its first saturated one — is
-  precomputed at construction; lookups interpolate only over that frontier
-  and return an explicit ``inf`` beyond it, so ``p99_at`` is finite-or-
-  ``inf`` and non-decreasing in load, never NaN (interpolating across
-  ``inf`` cells used to produce ``inf - inf`` NaNs exactly in the saturated
-  regime where shedding decisions matter).  The decision rule
-  ``best_path(qps)`` picks the highest-quality path whose frontier p99
-  meets the SLA, degrading to latency shedding when nothing does;
+  curve over a swept QPS grid, one
+  :func:`~repro.serving.simulator.simulated_p99` row per path.  Each
+  path's *feasible frontier* — the monotone prefix of finite grid cells
+  before its first saturated one — is precomputed at construction; the one
+  lookup, ``p99_profile``, interpolates only over that frontier and returns
+  an explicit ``inf`` beyond it, so it is finite-or-``inf`` and
+  non-decreasing in load, never NaN (interpolating across ``inf`` cells
+  used to produce ``inf - inf`` NaNs exactly in the saturated regime where
+  shedding decisions matter).  The one decision rule, ``best_path_batch``,
+  picks at each load the highest-quality path whose frontier p99 meets the
+  SLA, degrading to latency shedding when nothing does;
 * :class:`MultiPathRouter` — the online policy: it forecasts offered load
   through a pluggable :class:`~repro.serving.estimators.LoadEstimator`
   (windowed mean, EWMA, or Holt level+trend — all strictly causal), and
@@ -52,7 +54,7 @@ from repro.serving.estimators import LoadEstimator, WindowedMean
 from repro.serving.metrics import percentile_is_infinite, weighted_percentile
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import CachedServiceConfig, ServiceTimeSampler, sampled_service
-from repro.serving.simulator import simulate
+from repro.serving.simulator import simulate, simulated_p99
 from repro.serving.trace import LoadTrace
 
 if TYPE_CHECKING:  # the core layer imports serving; keep the reverse edge type-only
@@ -166,9 +168,9 @@ class RoutingResult:
 class PathTable:
     """The compiled routing table: p99-vs-load per path plus the decision rule.
 
-    A table is compiled from the scheduler (:meth:`compile`, one
-    :meth:`~repro.core.scheduler.RecPipeScheduler.evaluate_grid` column per
-    path).  At construction each path's **feasible frontier** is
+    A table is compiled from the scheduler (:meth:`compile`, one plan and
+    one :func:`~repro.serving.simulator.simulated_p99` row per path).  At
+    construction each path's **feasible frontier** is
     precomputed: the prefix of finite grid cells before the path's first
     saturated (``inf``) cell, forced non-decreasing (a physical p99 curve
     rises with load; simulation noise may dip, routing decisions should
@@ -176,8 +178,8 @@ class PathTable:
     first value below it, and return an explicit ``inf`` beyond it — both
     past the last feasible grid point and past the whole grid (the un-swept
     high-load region is treated as violating).  Interpolating across
-    ``inf`` cells is never attempted, so :meth:`p99_at` cannot produce the
-    ``inf - inf = NaN`` values that once made saturated-regime shedding
+    ``inf`` cells is never attempted, so :meth:`p99_profile` cannot produce
+    the ``inf - inf = NaN`` values that once made saturated-regime shedding
     decisions order-dependent.
 
     Parameters
@@ -272,10 +274,12 @@ class PathTable:
         """Compile a table by sweeping every (platform, pipeline) path.
 
         Quality is evaluated once per unique pipeline
-        (:meth:`~repro.core.scheduler.RecPipeScheduler.quality_map`) and each
-        path's p99 curve comes from one vectorized
-        :meth:`~repro.core.scheduler.RecPipeScheduler.evaluate_grid` column,
-        independently seeded via ``np.random.SeedSequence`` spawning.
+        (:meth:`~repro.core.scheduler.RecPipeScheduler.quality_map`).  Each
+        path's plan is built once
+        (:meth:`~repro.core.scheduler.RecPipeScheduler.plan_for`) and its
+        p99 curve is that plan's
+        :func:`~repro.serving.simulator.simulated_p99` row, independently
+        seeded via ``np.random.SeedSequence`` spawning.
 
         Parameters
         ----------
@@ -304,31 +308,18 @@ class PathTable:
         if not platforms:
             raise ValueError("at least one platform is required")
         qualities = scheduler.quality_map(pipelines)
+        grid = tuple(float(q) for q in qps_grid)
         paths: list[ServingPath] = []
-        p99_rows: list[list[float]] = []
-        column_seeds = spawn_seeds(seed, len(platforms) * len(pipelines))
-        seeds = iter(column_seeds)
+        p99_rows: list[np.ndarray] = []
+        seeds = iter(spawn_seeds(seed, len(platforms) * len(pipelines)))
         for platform in platforms:
             for pipeline in pipelines:
-                column = scheduler.evaluate_grid(
-                    pipeline,
-                    platform,
-                    qps_grid,
-                    quality=qualities[pipeline.name],
-                    seed=next(seeds),
-                )
-                paths.append(
-                    ServingPath(
-                        platform=platform,
-                        pipeline=pipeline,
-                        plan=scheduler.plan_for(pipeline, platform),
-                        quality=qualities[pipeline.name],
-                    )
-                )
-                p99_rows.append([e.p99_latency for e in column])
+                plan = scheduler.plan_for(pipeline, platform)
+                paths.append(ServingPath(platform, pipeline, plan, qualities[pipeline.name]))
+                p99_rows.append(simulated_p99(plan, grid, scheduler.simulation, seed=next(seeds)))
         return cls(
             paths=paths,
-            qps_grid=tuple(float(q) for q in qps_grid),
+            qps_grid=grid,
             p99_grid=np.asarray(p99_rows),
             sla_seconds=sla_ms / 1e3,
             quality_target=quality_target,
@@ -339,58 +330,35 @@ class PathTable:
     # ------------------------------------------------------------------ #
     # Decisions
     # ------------------------------------------------------------------ #
-    def p99_at(self, path_index: int, qps: float) -> float:
-        """Frontier-interpolated p99 of one path at an arbitrary load.
-
-        Linear interpolation over the path's precomputed feasible frontier
-        (the non-decreasing finite prefix of its p99 row); loads below the
-        frontier clamp to its first value and loads beyond it — past the
-        last feasible grid point or past the whole grid — are an explicit
-        ``inf``.  The result is always finite or ``inf``, never NaN, and
-        non-decreasing in ``qps``.
-
-        Parameters
-        ----------
-        path_index : int
-            Index into :attr:`paths`.
-        qps : float
-            Offered load to look up.
-
-        Returns
-        -------
-        float
-            p99 latency in seconds, possibly ``inf``.
-        """
-        if qps <= 0:
-            raise ValueError(f"qps must be positive, got {qps}")
-        frontier_qps = self._frontier_qps[path_index]
-        if frontier_qps.size == 0 or qps > frontier_qps[-1]:
-            return float("inf")
-        return float(np.interp(qps, frontier_qps, self._frontier_p99[path_index]))
-
     def max_feasible_qps(self, path_index: int) -> float:
         """The last swept load at which the path's p99 is finite (0.0: none)."""
         frontier_qps = self._frontier_qps[path_index]
         return float(frontier_qps[-1]) if frontier_qps.size else 0.0
 
     def p99_profile(self, path_index: int, qps_values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`p99_at`: one path's p99 at many loads at once.
+        """Frontier-interpolated p99 of one path at every load of ``qps_values``.
 
-        Element ``k`` equals ``p99_at(path_index, qps_values[k])`` exactly
-        (both go through the same ``np.interp`` over the same frontier), so
-        batched decisions and scalar decisions cannot disagree.
+        Linear interpolation over the path's precomputed feasible frontier
+        (the non-decreasing finite prefix of its p99 row); loads below the
+        frontier clamp to its first value and loads beyond it — past the
+        last feasible grid point or past the whole grid — are an explicit
+        ``inf``.  Every value is finite or ``inf``, never NaN, and
+        non-decreasing in load.  This is the table's one lookup: a scalar
+        load returns a 0-d array, so one load reads ``float(p99_profile(i,
+        q))``.
 
         Parameters
         ----------
         path_index : int
             Index into :attr:`paths`.
-        qps_values : np.ndarray
-            Strictly positive loads to look up, any shape.
+        qps_values : np.ndarray or float
+            Strictly positive loads to look up, any shape (a scalar too).
 
         Returns
         -------
         np.ndarray
-            p99 seconds per load, ``inf`` beyond the path's frontier.
+            p99 seconds per load, same shape, ``inf`` beyond the path's
+            frontier.
         """
         qps_values = np.asarray(qps_values, dtype=np.float64)
         if qps_values.size and np.min(qps_values) <= 0:
@@ -405,15 +373,22 @@ class PathTable:
         return profile
 
     def best_path_batch(self, qps_values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`best_path`: route a whole load series at once.
+        """The path the table routes to at every load of ``qps_values``.
 
-        One pass over the eligible paths (a handful) instead of one pass
-        per load: each path's frontier profile is interpolated for the full
-        series and the running best is updated elementwise.  Tie-breaking
-        is *strict*, replicating ``max``/``min`` first-wins semantics, so
-        ``best_path_batch(q)[k] == best_path(q[k])`` for every element —
-        the property the per-query frontend's equivalence guarantee rests
-        on.
+        At each load, among quality-eligible paths whose interpolated p99
+        (:meth:`p99_profile`) meets the SLA: the highest quality, ties
+        broken toward lower p99.  When no eligible path meets the SLA the
+        table degrades to latency shedding: the eligible path with the
+        lowest interpolated p99, ties broken toward higher capacity (so
+        fully saturated regimes pick the path that drains fastest).  Every
+        tie that remains goes to the earliest path in compile order.
+
+        This is the table's one decision rule; one load routes as
+        ``best_path_batch(np.array([q]))[0]``.  It makes one pass over the
+        eligible paths (a handful): each path's frontier profile is
+        interpolated for the full series and the running best is updated
+        elementwise, with *strict* comparisons so the earlier path keeps a
+        tie.
 
         Parameters
         ----------
@@ -458,32 +433,6 @@ class PathTable:
                 shed_p99[lower] = p99[lower]
                 shed_capacity[lower] = capacity
         return np.where(meet_index >= 0, meet_index, shed_index)
-
-    def best_path(self, qps: float) -> int:
-        """The path the table routes to at ``qps``.
-
-        Among quality-eligible paths whose interpolated p99 meets the SLA:
-        the highest quality, ties broken toward lower p99.  When no eligible
-        path meets the SLA the table degrades to latency shedding: the
-        eligible path with the lowest interpolated p99, ties broken toward
-        higher capacity (so fully saturated regimes pick the path that
-        drains fastest).
-
-        Parameters
-        ----------
-        qps : float
-            Offered load the decision is for.
-
-        Returns
-        -------
-        int
-            Index into :attr:`paths`.
-        """
-        p99s = {i: self.p99_at(i, qps) for i in self._eligible}
-        meeting = [i for i, p99 in p99s.items() if p99 <= self.sla_seconds]
-        if meeting:
-            return max(meeting, key=lambda i: (self.paths[i].quality, -p99s[i]))
-        return min(self._eligible, key=lambda i: (p99s[i], -self.paths[i].capacity_qps))
 
     # ------------------------------------------------------------------ #
     # Dwell-segment simulation
@@ -844,7 +793,7 @@ def route_static(
                 "offered load the static path is provisioned for (omit it to "
                 "provision for the trace's median load)"
             )
-    index = table.best_path(provisioned)
+    index = int(table.best_path_batch(np.array([provisioned]))[0])
     steps = [index] * trace.num_steps
     return table.evaluate_route(
         trace, steps, [False] * trace.num_steps, policy="static", service_steps=service_steps
@@ -985,17 +934,17 @@ class MultiPathRouter:
         p99 gain, summed over the expected dwell (``streak`` steps: the
         candidate's persistence so far is the forecast of its persistence
         to come), reaches ``switch_cost_seconds``.  The gain is finite
-        there by construction: ``best_path`` proposes the lowest-p99
+        there by construction: ``best_path_batch`` proposes the lowest-p99
         eligible path, whose p99 cannot exceed the current path's.
         """
         if self.switch_cost_seconds == 0:
             return True
-        p99_current = self.table.p99_at(current, qps)
+        p99_current = float(self.table.p99_profile(current, qps))
         if p99_current <= self.table.sla_seconds:
             return True
         if np.isinf(p99_current):
             return True
-        gain = p99_current - self.table.p99_at(candidate, qps)
+        gain = p99_current - float(self.table.p99_profile(candidate, qps))
         return gain * float(max(streak, 1)) >= self.switch_cost_seconds
 
     def decide_from_estimates(self, estimates: np.ndarray) -> tuple[list[int], list[bool]]:

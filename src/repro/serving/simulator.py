@@ -21,6 +21,10 @@ two engines producing the same schedule (see :mod:`repro.serving.engine`):
 Loads at or beyond the saturation threshold
 (:meth:`~repro.serving.engine.SimulationConfig.saturated`) are not simulated;
 the paper's figures grey out configurations that cannot meet the system load.
+
+:func:`simulated_p99` is the one place ``simulate`` rows become p99s: the
+scheduler's columns, the router's path-table rows and Figure 12's points
+all read their tail latency from it, ``inf`` marking the saturated loads.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from repro.serving.engine import (
     event_latencies,
     service_seed,
 )
+from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import sampled_service
 
-__all__ = ["SimulationConfig", "simulate"]
+__all__ = ["SimulationConfig", "simulate", "simulated_p99"]
 
 
 def simulate(
@@ -102,3 +107,41 @@ def simulate(
         column = None if service is None else np.expand_dims(service, 1)
         latencies = analytic_latencies(plan, arrivals, service=column)
     return live, arrivals[:, warmup:], latencies[:, warmup:]
+
+
+def simulated_p99(
+    plan: PipelinePlan,
+    qps_values: Sequence[float],
+    config: SimulationConfig,
+    seed=None,
+) -> np.ndarray:
+    """The p99 latency of ``plan`` at every load of ``qps_values``.
+
+    One :func:`simulate` call and one
+    :meth:`~repro.serving.metrics.LatencyReport.from_latencies` call over
+    its live rows.  A simulated load's latencies are finite, so the result
+    is ``inf`` exactly at the saturated loads.
+
+    Parameters
+    ----------
+    plan : PipelinePlan
+        The mapped pipeline to simulate.
+    qps_values : sequence of float
+        Offered loads; each must be positive.
+    config : SimulationConfig
+        Query budget, warm-up, seed, engine and service model.
+    seed : optional
+        Overrides ``config.seed`` (any :func:`np.random.default_rng` seed).
+
+    Returns
+    -------
+    np.ndarray
+        p99 seconds per load, in ``qps_values`` order; ``inf`` where saturated.
+    """
+    live, arrivals, latencies = simulate(plan, qps_values, config, seed=seed)
+    p99 = np.full(live.shape, np.inf)
+    if live.any():
+        offered = [float(qps) for qps, ok in zip(qps_values, live) if ok]
+        reports = LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
+        p99[live] = [report.p99_latency for report in reports]
+    return p99

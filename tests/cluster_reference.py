@@ -11,9 +11,10 @@ aggregates in its validating pass, kept verbatim in logic:
 * :func:`reference_remote_cache_hit_rate` and
   :func:`reference_gather_seconds_per_node` — the topology model priced on
   top of those walks;
-* :func:`reference_p99_grid` — one scalar ``p99_at`` per (path, grid
-  point, node) with a Python ``max`` over nodes (the fleet composes each
-  path over the whole grid with ``p99_profile``).
+* :func:`reference_p99_grid` — one scalar
+  :func:`~tests.router_reference.reference_p99_at` per (path, grid point,
+  node) with a Python ``max`` over nodes (the fleet composes each path over
+  the whole grid with ``p99_profile``).
 
 The equivalence suite in ``tests/test_cluster.py`` requires the cluster
 layer to reproduce all of them exactly.
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro.cluster.topology import gather_seconds
 from repro.data.distributions import approx_zipf_hit_rate
+from tests.router_reference import reference_p99_at
 
 
 def reference_node_bytes(plan) -> np.ndarray:
@@ -95,7 +97,7 @@ def reference_gather_seconds_per_node(plan, link, cache=None) -> np.ndarray:
 
 
 def reference_p99_grid(node_tables, qps_grid, gather) -> np.ndarray:
-    """The fleet p99 grid from one scalar ``p99_at`` per (path, load, node).
+    """The fleet p99 grid from one scalar ``reference_p99_at`` per (path, load, node).
 
     Load splits across nodes proportionally to each node's path capacity.
     """
@@ -109,7 +111,7 @@ def reference_p99_grid(node_tables, qps_grid, gather) -> np.ndarray:
     for k in range(num_paths):
         for column, q in enumerate(grid):
             p99_rows[k, column] = max(
-                table.p99_at(k, q * weights[k, i]) + gather[i]
+                reference_p99_at(table, k, q * weights[k, i]) + gather[i]
                 for i, table in enumerate(node_tables)
             )
     return p99_rows

@@ -11,6 +11,11 @@ utilization rule.  Unlike ``simulate`` it simulates saturated loads too.
 The equivalence suite in ``tests/test_engine.py`` requires ``simulate``'s
 live mask, its reports and ``PathTable``'s dwell cells to reproduce it
 exactly (``==``).
+
+:func:`reference_p99_column` is the report step ``RecPipeScheduler.evaluate_grid``
+and Figure 12 each kept before ``simulated_p99`` took it over: one
+``simulate`` call, one report per live load, ``inf`` at the others.  The
+suite requires ``simulated_p99`` to equal it exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.serving.engine import (
 from repro.serving.metrics import LatencyReport
 from repro.serving.resources import PipelinePlan
 from repro.serving.service_times import sampled_service
+from repro.serving.simulator import simulate
 
 
 @dataclass
@@ -67,3 +73,16 @@ class ReferenceSimulator:
             offered_qps=[qps],
             saturated=[self.plan.utilization(qps) >= self.config.saturation_utilization],
         )[0]
+
+
+def reference_p99_column(plan, qps_values, config, seed=None) -> list[float]:
+    """p99 seconds of ``plan`` at each load; ``inf`` where ``simulate`` finds it saturated."""
+    qps_list = [float(qps) for qps in qps_values]
+    live, arrivals, latencies = simulate(plan, qps_list, config, seed=seed)
+    offered = [qps for qps, ok in zip(qps_list, live) if ok]
+    reports = iter(
+        LatencyReport.from_latencies(latencies, arrivals, offered, [False] * len(offered))
+        if offered
+        else ()
+    )
+    return [next(reports).p99_latency if ok else float("inf") for ok in live.tolist()]

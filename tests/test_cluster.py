@@ -489,9 +489,7 @@ class TestClusterTable:
         gather = gather_seconds_per_node(plan, link)
         for k in range(len(cluster.paths)):
             for column, q in enumerate(cluster.qps_grid):
-                expected = max(
-                    single.p99_at(k, q / 2) + gather[i] for i in range(2)
-                )
+                expected = max(float(single.p99_profile(k, q / 2)) + gather[i] for i in range(2))
                 assert cluster.p99_grid[k, column] == pytest.approx(expected)
 
     def test_sharded_p99_never_beats_the_single_node(self, fleet):
@@ -500,7 +498,7 @@ class TestClusterTable:
         # a non-negative gather, so it can never undercut it.
         for k in range(len(cluster.paths)):
             for q in cluster.qps_grid:
-                assert cluster.p99_at(k, q) >= single.p99_at(k, q / 2) - 1e-15
+                assert cluster.p99_profile(k, q) >= single.p99_profile(k, q / 2) - 1e-15
 
     def test_router_policies_consume_the_cluster_unchanged(self, fleet):
         _, cluster, _, _ = fleet

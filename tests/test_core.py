@@ -156,7 +156,7 @@ class TestScheduler:
     def test_rpaccel_dominates_baseline(self, scheduler):
         two = PipelineConfig((Stage(RM_SMALL, 2048), Stage(RM_LARGE, 256)))
         one = PipelineConfig((Stage(RM_LARGE, 2048),))
-        rp = scheduler.evaluate(two, "rpaccel", qps=200, frontend_cache_fraction=0.5)
+        rp = scheduler.evaluate(two, "rpaccel", qps=200)
         base = scheduler.evaluate(one, "baseline-accel", qps=200)
         assert rp.p99_latency < base.p99_latency
         assert rp.throughput_capacity > base.throughput_capacity

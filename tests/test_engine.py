@@ -26,11 +26,12 @@ from repro.serving import (
     analytic_latencies,
     event_latencies,
     simulate,
+    simulated_p99,
 )
 from repro.serving.engine import fcfs_start_times, spawn_seeds
 from repro.serving.service_times import CachedServiceConfig
 from tests.conftest import draw_plan, live_reports
-from tests.simulator_reference import ReferenceSimulator
+from tests.simulator_reference import ReferenceSimulator, reference_p99_column
 
 ATOL = 1e-9
 
@@ -211,6 +212,43 @@ class TestSimulateMatchesReference:
                 else:
                     _, full = reference.simulate(qps, seed=path_seed)
                     np.testing.assert_array_equal(dwell, full[config.warmup_queries :])
+
+
+class TestSimulatedP99:
+    """``simulated_p99`` is the parent's report step, ``inf`` exactly where saturated."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_report_step_and_the_saturation_rule(self, data):
+        plan = draw_plan(data)
+        utilizations = data.draw(
+            st.lists(st.floats(0.1, 1.3, allow_nan=False) | st.just(0.98), min_size=1, max_size=5),
+            label="utilizations",
+        )
+        qps_values = [u * plan.throughput_capacity() for u in utilizations]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        config = SimulationConfig(
+            num_queries=300,
+            warmup_queries=30,
+            seed=data.draw(st.integers(0, 2**32 - 1), label="config_seed"),
+            engine=data.draw(st.sampled_from(ENGINES), label="engine"),
+            service=data.draw(st.sampled_from([None, CachedServiceConfig()]), label="service"),
+        )
+        override = data.draw(st.sampled_from([None, seed]), label="override")
+
+        p99 = simulated_p99(plan, qps_values, config, seed=override)
+        assert p99.shape == (len(qps_values),)
+        assert p99.tolist() == reference_p99_column(plan, qps_values, config, seed=override)
+        assert np.isinf(p99).tolist() == [config.saturated(plan, q) for q in qps_values]
+        reference = ReferenceSimulator(plan, config)
+        for qps, value in zip(qps_values, p99.tolist()):
+            if not config.saturated(plan, qps):
+                assert value == reference.run(qps, seed=override).p99_latency
+
+    def test_all_saturated_column_is_all_inf(self):
+        plan = plan_of(StageResource("s", num_servers=1, service_seconds=0.01))
+        p99 = simulated_p99(plan, [200.0, 500.0], SimulationConfig.with_budget(100))
+        assert p99.tolist() == [float("inf")] * 2
 
 
 class TestEngineSelection:

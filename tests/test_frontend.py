@@ -53,6 +53,7 @@ from tests.frontend_reference import (
     reference_serve,
     reference_stream,
 )
+from tests.router_reference import reference_best_path, reference_p99_at
 
 FRONTEND_ESTIMATORS = ("windowed", "ewma", "holt", "auto")
 
@@ -231,7 +232,7 @@ class TestStepRouterEquivalence:
     def test_batched_best_path_matches_scalar(self, synthetic_table):
         loads = np.concatenate([np.asarray(GRID), np.linspace(1.0, 1.5 * GRID[-1], 997)])
         batched = synthetic_table.best_path_batch(loads)
-        scalar = np.array([synthetic_table.best_path(float(q)) for q in loads])
+        scalar = np.array([reference_best_path(synthetic_table, float(q)) for q in loads])
         np.testing.assert_array_equal(batched, scalar)
 
     def test_batched_p99_profile_matches_scalar(self, synthetic_table, compiled_table):
@@ -240,7 +241,7 @@ class TestStepRouterEquivalence:
             loads = np.concatenate([grid, np.linspace(grid[0] * 0.5, grid[-1] * 1.5, 400)])
             for index in range(len(table.paths)):
                 profile = table.p99_profile(index, loads)
-                scalar = np.array([table.p99_at(index, float(q)) for q in loads])
+                scalar = np.array([reference_p99_at(table, index, float(q)) for q in loads])
                 np.testing.assert_array_equal(profile, scalar)
 
 
@@ -648,7 +649,7 @@ class TestDynamicBatching:
         frontend = paced_frontend(table)
         trace = flat_trace(1000.0, num_steps=4)
         plan = frontend.schedule(*paced(trace))
-        headroom = table.sla_seconds - table.p99_at(0, 1000.0)
+        headroom = table.sla_seconds - float(table.p99_profile(0, 1000.0))
         expected = int(np.floor(headroom * 1000.0))
         assert np.all(plan.window_paths == 0)
         assert np.all(plan.window_batch == expected)

@@ -36,8 +36,58 @@ from tests.conftest import (  # noqa: F401  (re-export)
     make_path,
     make_table,
 )
-from tests.router_reference import reference_evaluate_route
+from tests.router_reference import (
+    reference_best_path,
+    reference_decide,
+    reference_evaluate_route,
+    reference_p99_at,
+)
 from tests.score_reference import reference_score
+
+
+#: p99 cells (seconds) random tables draw from: few values, so paths tie.
+TABLE_CELLS = (0.002, 0.010, 0.020, 0.030, 0.045, float("inf"))
+
+
+@st.composite
+def random_tables(draw, max_paths=4) -> PathTable:
+    """A table over ``GRID`` with tied qualities, capacities and p99 cells.
+
+    Rows mix SLA-meeting, violating-but-finite and ``inf`` cells (an ``inf``
+    tail or a lone saturated cell mid-row), and unsorted cells make the
+    frontier monotonize dips.
+    """
+    num_paths = draw(st.integers(1, max_paths), label="num_paths")
+    paths = [
+        make_path(
+            "cpu",
+            RM_LARGE,
+            service_ms=draw(st.sampled_from([2.0, 10.0]), label=f"service{i}"),
+            servers=draw(st.sampled_from([8, 32]), label=f"servers{i}"),
+            quality=draw(st.sampled_from([95.0, 97.0, 98.0]), label=f"quality{i}"),
+        )
+        for i in range(num_paths)
+    ]
+    rows = np.array(
+        [
+            draw(st.lists(st.sampled_from(TABLE_CELLS), min_size=5, max_size=5), label=f"row{i}")
+            for i in range(num_paths)
+        ]
+    )
+    quality_target = draw(st.sampled_from([None, None, 96.0]), label="quality_target")
+    if quality_target is not None and all(p.quality < quality_target for p in paths):
+        quality_target = None
+    return PathTable(
+        paths=paths,
+        qps_grid=GRID,
+        p99_grid=rows,
+        sla_seconds=draw(st.sampled_from([0.005, 0.015, 0.025, 0.040]), label="sla"),
+        quality_target=quality_target,
+    )
+
+
+#: Loads random tables are read at: grid knots (exact cells, so ties) or anywhere.
+TABLE_LOADS = st.one_of(st.sampled_from(GRID), st.floats(min_value=1.0, max_value=8_000.0))
 
 
 class TestPathTableValidation:
@@ -67,28 +117,28 @@ class TestInterpolation:
     def test_off_grid_interpolates_linearly(self):
         table = make_table()
         expected = float(np.interp(1500.0, GRID, np.asarray(HQ_ROW)))
-        assert table.p99_at(0, 1500.0) == pytest.approx(expected)
-        assert HQ_ROW[1] < table.p99_at(0, 1500.0) < HQ_ROW[2]
+        assert float(table.p99_profile(0, 1500.0)) == pytest.approx(expected)
+        assert HQ_ROW[1] < float(table.p99_profile(0, 1500.0)) < HQ_ROW[2]
 
     def test_below_grid_clamps_to_first_point(self):
         table = make_table()
-        assert table.p99_at(0, 10.0) == pytest.approx(HQ_ROW[0])
+        assert float(table.p99_profile(0, 10.0)) == pytest.approx(HQ_ROW[0])
 
     def test_beyond_grid_is_conservatively_infinite(self):
         table = make_table()
-        assert table.p99_at(1, 10000.0) == float("inf")
+        assert float(table.p99_profile(1, 10000.0)) == float("inf")
 
     def test_segment_into_saturated_point_is_infinite(self):
         table = make_table()
-        assert table.p99_at(0, 4000.0) == float("inf")
+        assert float(table.p99_profile(0, 4000.0)) == float("inf")
 
     def test_non_positive_qps_rejected(self):
         with pytest.raises(ValueError):
-            make_table().p99_at(0, 0.0)
+            make_table().p99_profile(0, 0.0)
 
 
 class TestFeasibleFrontier:
-    """`p99_at` is finite-or-inf (never NaN) and non-decreasing in load."""
+    """`p99_profile` is finite-or-inf (never NaN) and non-decreasing in load."""
 
     INF = float("inf")
     # Saturates mid-grid with *two* adjacent inf cells: loads between
@@ -111,45 +161,45 @@ class TestFeasibleFrontier:
     def test_nan_regression_between_two_saturated_points(self):
         table = self.saturated_table([self.DOUBLE_SAT_ROW])
         # 4000 falls strictly between the two saturated grid points.
-        value = table.p99_at(0, 4000.0)
+        value = float(table.p99_profile(0, 4000.0))
         assert value == self.INF
         assert not np.isnan(value)
 
     def test_fully_saturated_shedding_is_order_independent(self):
-        # With NaN p99s, `best_path`'s shedding min() depended on path
+        # With NaN p99s, the shedding rule's min() depended on path
         # order.  Now every lookup is inf and the capacity tie-break wins,
         # whichever way the paths are listed.
         rows = [self.DOUBLE_SAT_ROW, self.DOUBLE_SAT_ROW]
         forward = self.saturated_table(rows, qualities=[98.0, 97.0])
         backward = self.saturated_table(list(reversed(rows)), qualities=[97.0, 98.0])
         load = 4000.0  # inside the saturated region for both paths
-        chosen_fwd = forward.paths[forward.best_path(load)]
-        chosen_bwd = backward.paths[backward.best_path(load)]
+        chosen_fwd = forward.paths[forward.best_path_batch([load])[0]]
+        chosen_bwd = backward.paths[backward.best_path_batch([load])[0]]
         # The higher-capacity path drains fastest and must win both times.
         assert chosen_fwd.capacity_qps == chosen_bwd.capacity_qps
         assert chosen_fwd.capacity_qps == max(p.capacity_qps for p in forward.paths)
 
     def test_path_saturated_from_the_first_cell(self):
         table = self.saturated_table([(self.INF,) * len(GRID)])
-        assert table.p99_at(0, 50.0) == self.INF
-        assert table.p99_at(0, 10_000.0) == self.INF
+        assert float(table.p99_profile(0, 50.0)) == self.INF
+        assert float(table.p99_profile(0, 10_000.0)) == self.INF
         assert table.max_feasible_qps(0) == 0.0
 
     def test_finite_cells_after_saturation_are_distrusted(self):
         # A physical p99 curve never recovers from saturation as load
         # rises; a finite cell after an inf one is treated as saturated.
         table = self.saturated_table([(0.010, self.INF, 0.012, 0.013, 0.014)])
-        assert table.p99_at(0, float(GRID[0])) == pytest.approx(0.010)
+        assert float(table.p99_profile(0, float(GRID[0]))) == pytest.approx(0.010)
         for qps in (float(GRID[2]), float(GRID[3]), float(GRID[4])):
-            assert table.p99_at(0, qps) == self.INF
+            assert float(table.p99_profile(0, qps)) == self.INF
         assert table.max_feasible_qps(0) == GRID[0]
 
     def test_noisy_dips_are_monotonized(self):
         # Simulation noise can make a measured p99 dip as load rises; the
         # frontier forces the routing view non-decreasing.
         table = self.saturated_table([(0.010, 0.009, 0.012, 0.011, self.INF)])
-        assert table.p99_at(0, float(GRID[1])) == pytest.approx(0.010)
-        assert table.p99_at(0, float(GRID[3])) == pytest.approx(0.012)
+        assert float(table.p99_profile(0, float(GRID[1]))) == pytest.approx(0.010)
+        assert float(table.p99_profile(0, float(GRID[3]))) == pytest.approx(0.012)
 
     def test_nan_grid_cells_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -174,7 +224,7 @@ class TestFeasibleFrontier:
     def test_property_finite_or_inf_and_non_decreasing(self, row):
         table = self.saturated_table([row])
         loads = np.linspace(1.0, 2.0 * GRID[-1], 400)
-        values = np.array([table.p99_at(0, float(q)) for q in loads])
+        values = np.array([float(table.p99_profile(0, float(q))) for q in loads])
         assert not np.isnan(values).any()
         # Pairwise comparison (not np.diff): inf >= inf is True while
         # inf - inf is the very NaN this suite guards against.
@@ -189,14 +239,14 @@ class TestFeasibleFrontier:
             ]
         )
         for index in range(len(compiled_table.paths)):
-            values = np.array([compiled_table.p99_at(index, float(q)) for q in loads])
+            values = np.array([float(compiled_table.p99_profile(index, float(q))) for q in loads])
             assert not np.isnan(values).any()
             assert np.all(values[1:] >= values[:-1])
             assert np.all((values > 0) | np.isinf(values))
 
 
 class TestGridKnotRegression:
-    """`p99_at` exactly at grid knots and at `max_feasible_qps` boundaries.
+    """`p99_profile` exactly at grid knots and at `max_feasible_qps` boundaries.
 
     Interpolation must not perturb the compiled measurements: a lookup at
     a grid knot returns the grid cell bit-for-bit, and the feasibility
@@ -207,54 +257,55 @@ class TestGridKnotRegression:
     def test_finite_knots_reproduce_grid_cells_exactly(self):
         table = make_table()
         for qps, expected in zip(GRID, FAST_ROW):
-            assert table.p99_at(1, float(qps)) == expected
+            assert float(table.p99_profile(1, float(qps))) == expected
         for qps, expected in zip(GRID[:-1], HQ_ROW[:-1]):  # finite prefix
-            assert table.p99_at(0, float(qps)) == expected
+            assert float(table.p99_profile(0, float(qps))) == expected
 
     def test_saturated_knot_is_infinite(self):
         table = make_table()
-        assert table.p99_at(0, float(GRID[-1])) == float("inf")
+        assert float(table.p99_profile(0, float(GRID[-1]))) == float("inf")
 
     def test_boundary_is_closed_at_max_feasible_qps(self):
         table = make_table()
         cap = table.max_feasible_qps(0)
         assert cap == GRID[3]
-        assert table.p99_at(0, cap) == HQ_ROW[3]
-        assert table.p99_at(0, float(np.nextafter(cap, np.inf))) == float("inf")
+        assert float(table.p99_profile(0, cap)) == HQ_ROW[3]
+        assert float(table.p99_profile(0, float(np.nextafter(cap, np.inf)))) == float("inf")
 
     def test_never_saturating_path_is_feasible_through_the_last_knot(self):
         table = make_table()
         cap = table.max_feasible_qps(1)
         assert cap == GRID[-1]
-        assert table.p99_at(1, cap) == FAST_ROW[-1]
+        assert float(table.p99_profile(1, cap)) == FAST_ROW[-1]
         # Beyond the measured grid the table stays conservative.
-        assert table.p99_at(1, float(np.nextafter(cap, np.inf))) == float("inf")
+        assert float(table.p99_profile(1, float(np.nextafter(cap, np.inf)))) == float("inf")
 
     def test_compiled_knots_and_boundaries(self, compiled_table):
         grid = np.asarray(compiled_table.qps_grid)
         for index in range(len(compiled_table.paths)):
             cap = compiled_table.max_feasible_qps(index)
             if cap == 0.0:  # saturated from the first cell
-                assert compiled_table.p99_at(index, float(grid[0])) == float("inf")
+                assert float(compiled_table.p99_profile(index, float(grid[0]))) == float("inf")
                 continue
             # Knots on the feasible frontier reproduce the monotonized grid.
             frontier = np.maximum.accumulate(compiled_table.p99_grid[index])
             for qps, expected in zip(grid, frontier):
                 if qps > cap:
                     break
-                assert compiled_table.p99_at(index, float(qps)) == expected
-            assert np.isfinite(compiled_table.p99_at(index, cap))
-            assert compiled_table.p99_at(index, float(np.nextafter(cap, np.inf))) == float("inf")
+                assert float(compiled_table.p99_profile(index, float(qps))) == expected
+            assert np.isfinite(float(compiled_table.p99_profile(index, cap)))
+            beyond = float(np.nextafter(cap, np.inf))
+            assert float(compiled_table.p99_profile(index, beyond)) == float("inf")
 
 
 class TestBestPath:
     def test_prefers_quality_when_sla_met(self):
         table = make_table()
-        assert table.best_path(1000.0) == 0  # hq meets the SLA and wins on quality
+        assert table.best_path_batch([1000.0])[0] == 0  # hq meets the SLA and wins on quality
 
     def test_switches_to_fast_path_when_hq_saturates(self):
         table = make_table()
-        assert table.best_path(4000.0) == 1
+        assert table.best_path_batch([4000.0])[0] == 1
 
     def test_quality_tie_breaks_toward_lower_p99(self):
         hq = make_path("cpu", RM_LARGE, 10.0, 32, 98.0)
@@ -265,18 +316,18 @@ class TestBestPath:
             p99_grid=np.array([HQ_ROW, FAST_ROW]),
             sla_seconds=0.025,
         )
-        assert table.best_path(1000.0) == 1
+        assert table.best_path_batch([1000.0])[0] == 1
 
     def test_quality_target_restricts_eligibility(self):
         table = make_table(quality_target=96.0)
         # Only the hq path is eligible; even where it misses the SLA the
         # table degrades within the eligible set instead of dropping quality.
-        assert table.best_path(1000.0) == 0
-        assert table.best_path(4000.0) == 0
+        assert table.best_path_batch([1000.0])[0] == 0
+        assert table.best_path_batch([4000.0])[0] == 0
 
     def test_sheds_latency_when_nothing_meets_sla(self):
         table = make_table(sla_ms=1.0)  # nobody meets 1 ms
-        assert table.best_path(1000.0) == 1  # lowest interpolated p99 wins
+        assert table.best_path_batch([1000.0])[0] == 1  # lowest interpolated p99 wins
 
     @given(
         loads=st.lists(
@@ -291,7 +342,22 @@ class TestBestPath:
         table = make_table(sla_ms=sla_ms)
         trace = LoadTrace("oracle", 1.0, np.asarray(loads))
         steps = route_oracle(table, trace).path_steps
-        assert steps == tuple(table.best_path(q) for q in trace.qps)
+        assert steps == tuple(reference_best_path(table, q) for q in trace.qps)
+
+
+    @given(
+        table=random_tables(),
+        loads=st.lists(TABLE_LOADS, min_size=1, max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables_route_like_the_scalar_rule(self, table, loads):
+        # Ties in quality, p99 and capacity must all go the scalar rule's
+        # way: the earliest path keeps a tie.
+        batched = table.best_path_batch(np.asarray(loads)).tolist()
+        assert batched == [reference_best_path(table, q) for q in loads]
+        for index in range(len(table.paths)):
+            profile = table.p99_profile(index, np.asarray(loads)).tolist()
+            assert profile == [reference_p99_at(table, index, q) for q in loads]
 
 
 class TestEvaluateRoute:
@@ -595,7 +661,7 @@ class TestCostAwareSwitching:
         assert sum(switches) == 1
 
     def test_saturated_to_saturated_capacity_shed_is_not_blocked(self):
-        # Both paths saturated: best_path proposes the faster-draining one
+        # Both paths saturated: best_path_batch proposes the faster-draining one
         # and the gate must not block it (the p99 "gain" is unmeasurable,
         # not zero-valued).
         slow = make_path("cpu", RM_LARGE, service_ms=10.0, servers=8, quality=98.0)
@@ -632,6 +698,32 @@ class TestCostAwareSwitching:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             MultiPathRouter(make_table(), switch_cost_seconds=-1.0)
+
+
+class TestCostGateMatchesReference:
+    """The cost gate's every branch equals a scalar reference decision loop.
+
+    Tables hold violating-but-finite cells, so the gain branch (current
+    path over the SLA, not saturated) is reached as well as the quality,
+    saturation and zero-cost branches.
+    """
+
+    @given(
+        table=random_tables(),
+        # Runs of one load, so proposals persist long enough to switch.
+        runs=st.lists(st.tuples(TABLE_LOADS, st.integers(1, 5)), min_size=1, max_size=12),
+        hysteresis=st.integers(1, 3),
+        switch_cost=st.sampled_from([0.0, 0.002, 0.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decisions_equal_the_reference_loop(self, table, runs, hysteresis, switch_cost):
+        router = MultiPathRouter(
+            table, hysteresis_steps=hysteresis, switch_cost_seconds=switch_cost
+        )
+        estimates = np.repeat([load for load, _ in runs], [count for _, count in runs])
+        assert router.decide_from_estimates(estimates) == reference_decide(
+            table, estimates, hysteresis, switch_cost
+        )
 
 
 class TestEstimatorIntegration:
@@ -744,7 +836,7 @@ class TestPolicyOrdering:
         table = make_table()
         trace = self.spike()  # median sits at the base load
         result = route_static(table, trace)
-        assert set(result.path_steps) == {table.best_path(trace.median_qps())}
+        assert set(result.path_steps) == {table.best_path_batch([trace.median_qps()])[0]}
 
 
 class TestCompiledTables:
@@ -799,8 +891,8 @@ class TestCompiledTables:
             sla_ms=25.0,
             seed=0,
         )
-        low = table.paths[table.best_path(300.0)]
-        high = table.paths[table.best_path(7500.0)]
+        low = table.paths[table.best_path_batch([300.0])[0]]
+        high = table.paths[table.best_path_batch([7500.0])[0]]
         # Under pressure the router gives up quality for feasibility.
         assert high.quality <= low.quality
         assert high.capacity_qps > low.capacity_qps

@@ -27,7 +27,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.knobs import parse_mix
 from repro.scenarios.runner import _compiled_table, build_trace, compiled_table
-from repro.serving.trace import diurnal_trace
+from repro.serving.trace import TRACES, diurnal_trace, ramp_trace
 
 CHEAP_BASE = {
     "platforms": "cpu",
@@ -130,6 +130,17 @@ class TestScenarioConfig:
         assert ramp.qps[-1] > 4000.0  # the shared peak still applies to ramp
         rows = run_cell(cell).rows
         assert [row["trace"] for row in rows] == ["spike"] * 3 + ["ramp"] * 3
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_every_registered_trace_builds_under_its_own_name(self, name):
+        assert build_trace(BASE_DEFAULTS, name, seed=0).name == name
+
+    def test_trace_without_a_load_mapping_is_rejected(self, monkeypatch):
+        # A generator registered in TRACES passes the knob table, but
+        # build_trace must not serve it as some other trace.
+        monkeypatch.setitem(TRACES, "step", ramp_trace)
+        with pytest.raises(ValueError, match="'step'"):
+            build_trace(BASE_DEFAULTS, "step", seed=0)
 
     def test_estimator_list_runs_every_estimator_in_one_cell(self):
         data = cheap_mapping()
