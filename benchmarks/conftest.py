@@ -2,8 +2,7 @@
 
 Each benchmark regenerates one of the paper's tables/figures through the
 corresponding ``repro.experiments`` module, asserts the qualitative shape the
-paper reports, and prints the regenerated rows so the numbers can be copied
-into EXPERIMENTS.md.
+paper reports, and prints the regenerated rows and notes.
 
 The perf benchmarks record ``BENCH_*.json`` trajectories.  A plain test run
 writes them to a session temp dir, so it never rewrites the committed files;

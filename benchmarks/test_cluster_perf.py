@@ -28,9 +28,8 @@ from conftest import report
 from repro.cluster import InterconnectLink, gather_seconds_per_node, shard_row_wise
 from repro.cluster.sharding import tables_from_cost
 from repro.experiments import capacity_planning
-from repro.experiments.registry import default_registry
+from repro.experiments.registry import default_registry, packaged_scenario
 from repro.models.zoo import RM_LARGE
-from repro.scenarios import packaged_scenario
 
 
 def test_capacity_experiment_claims():

@@ -28,9 +28,9 @@ import numpy as np
 from _bench_io import ROUTER_BENCH, record_bench
 from conftest import report
 
-from repro.core.events import EventLog, active_log, capture
-from repro.experiments.registry import default_registry
-from repro.scenarios import packaged_scenario, runner
+from repro.events import EventLog, active_log, capture
+from repro.experiments.registry import default_registry, packaged_scenario
+from repro.scenarios import runner
 from repro.serving.frontend import QueryStream, StreamingFrontend
 from repro.serving.trace import diurnal_trace
 

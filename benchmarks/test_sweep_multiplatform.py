@@ -2,8 +2,7 @@
 
 from conftest import report
 
-from repro.experiments.registry import default_registry
-from repro.scenarios import packaged_scenario
+from repro.experiments.registry import default_registry, packaged_scenario
 from repro.scenarios.runner import platform_names
 
 

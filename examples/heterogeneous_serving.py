@@ -8,6 +8,7 @@ Run with:  python examples/heterogeneous_serving.py
 from repro.core import RecPipeScheduler
 from repro.data import MovieLensConfig, MovieLensSynthetic
 from repro.experiments.common import (
+    CRITEO_POOL,
     criteo_one_stage,
     criteo_quality_evaluator,
     criteo_two_stage,
@@ -43,7 +44,7 @@ def print_rows(title, rows):
 def main() -> None:
     # Criteo: DLRM-based funnel, 26 embedding tables.
     criteo_scheduler = RecPipeScheduler(
-        criteo_quality_evaluator(),
+        criteo_quality_evaluator(CRITEO_POOL),
         simulation=SimulationConfig.with_budget(2000),
         num_tables=26,
     )

@@ -2,6 +2,8 @@
 
 The package is organized bottom-up:
 
+* :mod:`repro.events` -- the seed-free structured run event log the layers above
+  emit to (it imports nothing from them).
 * :mod:`repro.nn` -- minimal numpy neural-network substrate.
 * :mod:`repro.data` -- synthetic Criteo / MovieLens datasets and ranking queries.
 * :mod:`repro.models` -- DLRM, NeuMF, the Pareto-optimal model zoo and trainer.

@@ -46,8 +46,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
+from repro.events import EventLog, capture
 from repro.experiments import artifacts
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import (
@@ -55,8 +57,9 @@ from repro.experiments.registry import (
     UnknownExperimentError,
     UnknownTagError,
     default_registry,
+    register_scenario,
 )
-from repro.scenarios import ScenarioConfig, knobs, load_scenario, register_scenario, run_cell
+from repro.scenarios import ScenarioConfig, knobs, load_scenario, run_cell
 from repro.scenarios.runner import cell_config, default_pool
 
 PROG = "recpipe"
@@ -197,12 +200,8 @@ def _registry_with_scenario(
 
 def _maybe_capture(events_path: str):
     """A ``capture`` context streaming to ``events_path``, or a no-op one."""
-    from contextlib import nullcontext
-
     if not events_path:
         return nullcontext(None)
-    from repro.core.events import EventLog, capture
-
     return capture(EventLog(path=Path(events_path)))
 
 

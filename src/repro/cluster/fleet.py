@@ -42,7 +42,7 @@ from repro.cluster.sharding import (
     tables_from_cost,
 )
 from repro.cluster.topology import InterconnectLink, gather_seconds_per_node
-from repro.core.events import active_log
+from repro.events import active_log
 from repro.models.zoo import RM_LARGE
 from repro.serving.resources import PipelinePlan, StageResource
 from repro.serving.router import PathTable, ServingPath

@@ -42,10 +42,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.events import active_log
 from repro.core.mapping import HardwarePool
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import EvaluatedConfig, RecPipeScheduler
+from repro.events import active_log
 from repro.models.zoo import ModelSpec
 from repro.quality.evaluator import QualityEvaluator
 from repro.serving.engine import ENGINES, spawn_seeds

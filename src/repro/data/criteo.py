@@ -24,9 +24,15 @@ from repro.data.datasets import (
     Dataset,
     RankingQuery,
     calibrate_bias,
-    train_test_split,
+    combine_logits,
+    grade_relevance,
+    split_dataset,
 )
 from repro.data.distributions import zipf_sample
+
+#: Per-query CTR quantiles at which relevance grades 1..4 start: most
+#: candidates are irrelevant and a small head highly relevant.
+RELEVANCE_QUANTILES = (0.60, 0.85, 0.95, 0.99)
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class CriteoSynthetic:
         the summed categorical latents, and a dense-categorical cross term --
         enough non-linearity that small models underfit and large ones do not.
         """
-        return _combine(self._bias, self._logit_terms(dense, sparse))
+        return combine_logits(self._bias, self._logit_terms(dense, sparse))
 
     def _logit_terms(
         self, dense: np.ndarray, sparse: np.ndarray
@@ -116,7 +122,7 @@ class CriteoSynthetic:
         dense, sparse = self._sample_features(rng, 4096)
         terms = self._logit_terms(dense, sparse)
         return calibrate_bias(
-            lambda bias: float(_combine(bias, terms).mean()), self.config.positive_rate
+            lambda bias: float(combine_logits(bias, terms).mean()), self.config.positive_rate
         )
 
     # ------------------------------------------------------------------ #
@@ -151,16 +157,8 @@ class CriteoSynthetic:
         seed: int | None = None,
     ) -> Dataset:
         """Build a train/test CTR dataset sized for fast experimentation."""
-        batch = self.sample_ctr_batch(num_train + num_test, seed=seed)
-        rng = np.random.default_rng(self.config.seed + 7 if seed is None else seed + 7)
-        test_fraction = num_test / (num_train + num_test)
-        train, test = train_test_split(batch, test_fraction, rng)
-        return Dataset(
-            name=self.name,
-            train=train,
-            test=test,
-            num_dense=self.config.num_dense,
-            table_sizes=self.config.table_sizes(),
+        return split_dataset(
+            self, num_train, num_test, seed, self.config.num_dense, self.config.table_sizes()
         )
 
     def sample_ranking_queries(
@@ -183,40 +181,8 @@ class CriteoSynthetic:
         for q in range(num_queries):
             dense, sparse = self._sample_features(rng, candidates_per_query)
             ctr = self.true_ctr(dense, sparse)
-            relevance = _grade_relevance(ctr)
+            relevance = grade_relevance(ctr, RELEVANCE_QUANTILES)
             queries.append(
                 RankingQuery(query_id=q, dense=dense, sparse=sparse, relevance=relevance)
             )
         return queries
-
-
-def _grade_relevance(ctr: np.ndarray) -> np.ndarray:
-    """Map click probabilities onto a 0..4 graded relevance scale.
-
-    Thresholds are chosen on the per-query quantiles so every query has a
-    small set of highly relevant items and a long tail of irrelevant ones.
-    """
-    if ctr.size == 0:
-        return np.zeros(0)
-    qs = np.quantile(ctr, [0.60, 0.85, 0.95, 0.99])
-    relevance = np.zeros(ctr.shape[0], dtype=np.float64)
-    relevance[ctr >= qs[0]] = 1.0
-    relevance[ctr >= qs[1]] = 2.0
-    relevance[ctr >= qs[2]] = 3.0
-    relevance[ctr >= qs[3]] = 4.0
-    return relevance
-
-
-def _combine(bias: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Click probability from a bias and :meth:`CriteoSynthetic._logit_terms`."""
-    linear, bilinear, cross = terms
-    return _sigmoid(bias + linear + bilinear + cross)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.nn.loss import sigmoid
 
 
 @dataclass
@@ -136,3 +138,56 @@ def calibrate_bias(positive_rate: Callable[[float], float], target: float) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def split_dataset(
+    generator,
+    num_train: int,
+    num_test: int,
+    seed: int | None,
+    num_dense: int,
+    table_sizes: list[int],
+) -> Dataset:
+    """Draw ``num_train + num_test`` labelled samples from ``generator`` and split them.
+
+    ``generator`` is a synthetic dataset (``sample_ctr_batch``, ``config.seed``
+    and ``name``); the split is shuffled by a generator seeded 7 past ``seed``
+    (or past the generator's own seed when ``seed`` is ``None``).
+    """
+    batch = generator.sample_ctr_batch(num_train + num_test, seed=seed)
+    rng = np.random.default_rng(generator.config.seed + 7 if seed is None else seed + 7)
+    test_fraction = num_test / (num_train + num_test)
+    train, test = train_test_split(batch, test_fraction, rng)
+    return Dataset(
+        name=generator.name,
+        train=train,
+        test=test,
+        num_dense=num_dense,
+        table_sizes=table_sizes,
+    )
+
+
+def combine_logits(bias: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Probability from a bias and a generator's three bias-free logit terms.
+
+    The terms are added to the bias left to right, the order both the ground
+    truth and :func:`calibrate_bias` closures use, so both see the same bits.
+    """
+    first, second, third = terms
+    return sigmoid(bias + first + second + third)
+
+
+def grade_relevance(values: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
+    """Map probabilities onto a 0..4 graded relevance scale.
+
+    Grade ``g`` goes to every value at or above the query's ``g``-th of the
+    four ``quantiles``, so every query has a small set of highly relevant
+    items and a long tail of irrelevant ones.
+    """
+    if values.size == 0:
+        return np.zeros(0)
+    thresholds = np.quantile(values, quantiles)
+    relevance = np.zeros(values.shape[0], dtype=np.float64)
+    for grade, threshold in enumerate(thresholds, start=1):
+        relevance[values >= threshold] = float(grade)
+    return relevance

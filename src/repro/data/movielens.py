@@ -20,9 +20,14 @@ from repro.data.datasets import (
     Dataset,
     RankingQuery,
     calibrate_bias,
-    train_test_split,
+    combine_logits,
+    grade_relevance,
+    split_dataset,
 )
 from repro.data.distributions import zipf_sample
+
+#: Per-query preference quantiles at which relevance grades 1..4 start.
+RELEVANCE_QUANTILES = (0.50, 0.80, 0.93, 0.99)
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class MovieLensSynthetic:
     # ------------------------------------------------------------------ #
     def true_preference(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Ground-truth probability a user positively rates an item."""
-        return _combine(self._bias, self._logit_terms(users, items))
+        return combine_logits(self._bias, self._logit_terms(users, items))
 
     def _logit_terms(
         self, users: np.ndarray, items: np.ndarray
@@ -96,7 +101,7 @@ class MovieLensSynthetic:
         items = rng.integers(0, self.config.num_items, size=4096)
         terms = self._logit_terms(users, items)
         return calibrate_bias(
-            lambda bias: float(_combine(bias, terms).mean()), self.config.positive_rate
+            lambda bias: float(combine_logits(bias, terms).mean()), self.config.positive_rate
         )
 
     # ------------------------------------------------------------------ #
@@ -129,17 +134,8 @@ class MovieLensSynthetic:
         num_test: int = 2048,
         seed: int | None = None,
     ) -> Dataset:
-        batch = self.sample_ctr_batch(num_train + num_test, seed=seed)
-        rng = np.random.default_rng(self.config.seed + 7 if seed is None else seed + 7)
-        test_fraction = num_test / (num_train + num_test)
-        train, test = train_test_split(batch, test_fraction, rng)
-        return Dataset(
-            name=self.name,
-            train=train,
-            test=test,
-            num_dense=1,
-            table_sizes=[self.config.num_users, self.config.num_items],
-        )
+        table_sizes = [self.config.num_users, self.config.num_items]
+        return split_dataset(self, num_train, num_test, seed, 1, table_sizes)
 
     def sample_ranking_queries(
         self,
@@ -163,7 +159,7 @@ class MovieLensSynthetic:
             items = rng.choice(cfg.num_items, size=candidates_per_query, replace=False)
             users = np.full(candidates_per_query, user, dtype=np.int64)
             prefs = self.true_preference(users, items)
-            relevance = _grade_relevance(prefs)
+            relevance = grade_relevance(prefs, RELEVANCE_QUANTILES)
             popularity = np.log1p(items.astype(np.float64) + 1.0).reshape(-1, 1)
             popularity = (popularity - popularity.mean()) / (popularity.std() + 1e-9)
             sparse = np.stack([users, items], axis=1).astype(np.int64)
@@ -173,31 +169,3 @@ class MovieLensSynthetic:
                 )
             )
         return queries
-
-
-def _grade_relevance(prefs: np.ndarray) -> np.ndarray:
-    """Map preference probabilities onto a 0..4 graded relevance scale."""
-    if prefs.size == 0:
-        return np.zeros(0)
-    qs = np.quantile(prefs, [0.50, 0.80, 0.93, 0.99])
-    relevance = np.zeros(prefs.shape[0], dtype=np.float64)
-    relevance[prefs >= qs[0]] = 1.0
-    relevance[prefs >= qs[1]] = 2.0
-    relevance[prefs >= qs[2]] = 3.0
-    relevance[prefs >= qs[3]] = 4.0
-    return relevance
-
-
-def _combine(bias: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Preference probability from a bias and :meth:`MovieLensSynthetic._logit_terms`."""
-    dot, user_bias, item_bias = terms
-    return _sigmoid(bias + dot + user_bias + item_bias)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

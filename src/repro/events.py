@@ -11,7 +11,7 @@ a single simulated number).
 
 Instrumented call sites are guarded by a single module-global hook:
 
->>> from repro.core.events import EventLog, capture
+>>> from repro.events import EventLog, capture
 >>> with capture() as log:
 ...     router.decide(trace)  # doctest: +SKIP
 >>> [record["kind"] for record in log]  # doctest: +SKIP
@@ -21,6 +21,10 @@ With no capture active, :func:`active_log` returns ``None`` and every
 instrumented site reduces to one ``is None`` check — the default-off path
 adds zero work to the serving hot loops and stays bit-for-bit identical,
 which the router benchmarks gate.
+
+The module sits at the package root and imports only the standard library,
+so the serving, core and cluster layers and the CLI all import it at module
+top without an import cycle.
 
 Constructed with a ``path``, the log additionally streams each record to
 disk as one JSON line per event (append-only, flushed per record), so a

@@ -49,7 +49,7 @@ class ExperimentResult:
         return [row for row in self.rows if all(row.get(k) == v for k, v in criteria.items())]
 
     def format_table(self) -> str:
-        """Plain-text rendering of the rows (for scripts and EXPERIMENTS.md)."""
+        """Plain-text rendering of the rows and notes (what ``recpipe`` prints)."""
         if not self.rows:
             return f"== {self.name} ==\n(no rows)"
         keys = list(self.rows[0].keys())
@@ -65,6 +65,20 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
+def merge_panels(name: str, *parts: ExperimentResult) -> ExperimentResult:
+    """One figure from its panels: each row gains a leading ``panel`` column.
+
+    Rows keep part order, so the CSV header (first-seen key order) is
+    ``panel`` followed by the first part's columns; notes follow the rows'
+    part order too.
+    """
+    merged = ExperimentResult(name=name)
+    for part in parts:
+        merged.rows.extend({"panel": part.name, **row} for row in part.rows)
+        merged.notes.extend(part.notes)
+    return merged
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         if value == float("inf"):
@@ -76,24 +90,24 @@ def _fmt(value) -> str:
 # --------------------------------------------------------------------------- #
 # Canonical Criteo pipelines (the configurations the paper's deep dive uses)
 # --------------------------------------------------------------------------- #
-def criteo_one_stage(pool: int = CRITEO_POOL) -> PipelineConfig:
+def criteo_one_stage() -> PipelineConfig:
     """Single-stage baseline: RMlarge ranks the full candidate pool."""
-    return PipelineConfig((Stage(RM_LARGE, pool),))
+    return PipelineConfig((Stage(RM_LARGE, CRITEO_POOL),))
 
 
-def criteo_two_stage(pool: int = CRITEO_POOL, keep: int = 512) -> PipelineConfig:
+def criteo_two_stage() -> PipelineConfig:
     """The paper's optimal two-stage Criteo design: RMsmall -> RMlarge."""
-    return PipelineConfig((Stage(RM_SMALL, pool), Stage(RM_LARGE, keep)))
+    return PipelineConfig((Stage(RM_SMALL, CRITEO_POOL), Stage(RM_LARGE, 512)))
 
 
-def criteo_two_stage_med(pool: int = CRITEO_POOL, keep: int = 512) -> PipelineConfig:
+def criteo_two_stage_med() -> PipelineConfig:
     """The RMmed-frontend alternative the paper compares against."""
-    return PipelineConfig((Stage(RM_MED, pool), Stage(RM_LARGE, keep)))
+    return PipelineConfig((Stage(RM_MED, CRITEO_POOL), Stage(RM_LARGE, 512)))
 
 
-def criteo_three_stage(pool: int = CRITEO_POOL) -> PipelineConfig:
+def criteo_three_stage() -> PipelineConfig:
     """Three-stage Criteo funnel: RMsmall -> RMmed -> RMlarge."""
-    return PipelineConfig((Stage(RM_SMALL, pool), Stage(RM_MED, 1024), Stage(RM_LARGE, 256)))
+    return PipelineConfig((Stage(RM_SMALL, CRITEO_POOL), Stage(RM_MED, 1024), Stage(RM_LARGE, 256)))
 
 
 def movielens_pipelines(pool: int = 1024) -> dict[int, PipelineConfig]:
@@ -115,21 +129,19 @@ def movielens_pipelines(pool: int = 1024) -> dict[int, PipelineConfig]:
 # Cached evaluators and schedulers (experiments share workloads)
 # --------------------------------------------------------------------------- #
 @lru_cache(maxsize=4)
-def criteo_quality_evaluator(
-    pool: int = CRITEO_POOL, num_queries: int = NUM_QUALITY_QUERIES
-) -> QualityEvaluator:
+def criteo_quality_evaluator(pool: int) -> QualityEvaluator:
+    """The shared Criteo quality evaluator over ``pool``-candidate queries."""
     dataset = CriteoSynthetic()
-    queries = dataset.sample_ranking_queries(num_queries, candidates_per_query=pool)
+    queries = dataset.sample_ranking_queries(NUM_QUALITY_QUERIES, candidates_per_query=pool)
     return QualityEvaluator(queries)
 
 
 @lru_cache(maxsize=4)
-def movielens_quality_evaluator(
-    preset: str = "1m", pool: int = 1024, num_queries: int = NUM_QUALITY_QUERIES
-) -> QualityEvaluator:
+def movielens_quality_evaluator(preset: str, pool: int) -> QualityEvaluator:
+    """The shared MovieLens-``preset`` quality evaluator over ``pool``-candidate queries."""
     config = MovieLensConfig.ml_1m() if preset == "1m" else MovieLensConfig.ml_20m()
     dataset = MovieLensSynthetic(config=config, name=f"movielens-{preset}")
-    queries = dataset.sample_ranking_queries(num_queries, candidates_per_query=pool)
+    queries = dataset.sample_ranking_queries(NUM_QUALITY_QUERIES, candidates_per_query=pool)
     return QualityEvaluator(queries)
 
 

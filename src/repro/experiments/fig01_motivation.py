@@ -8,6 +8,7 @@ by 7.5x and embedding memory traffic by 4.0x.
 from __future__ import annotations
 
 from repro.experiments.common import (
+    CRITEO_POOL,
     ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
@@ -21,11 +22,11 @@ PAPER_REF = "Figure 1(c)"
 TAGS = ("criteo", "motivation", "pipeline")
 
 
-def run(pool: int = 4096, keep: int = 512) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Compare per-query demands of the one- and two-stage Criteo designs."""
-    one = criteo_one_stage(pool)
-    two = criteo_two_stage(pool, keep)
-    evaluator = criteo_quality_evaluator(pool)
+    one = criteo_one_stage()
+    two = criteo_two_stage()
+    evaluator = criteo_quality_evaluator(CRITEO_POOL)
 
     result = ExperimentResult(name="fig01c_motivation")
     for label, pipeline in (("one-stage", one), ("two-stage", two)):
@@ -48,7 +49,3 @@ def run(pool: int = 4096, keep: int = 512) -> ExperimentResult:
         embedding_bytes=memory_reduction,
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().format_table())

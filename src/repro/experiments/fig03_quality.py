@@ -8,9 +8,7 @@ axis does.  This harness produces the (model x items-ranked) NDCG table.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.experiments.common import ExperimentResult, criteo_quality_evaluator
+from repro.experiments.common import CRITEO_POOL, ExperimentResult, criteo_quality_evaluator
 from repro.models.zoo import criteo_model_specs
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
@@ -18,16 +16,16 @@ TITLE = "Recommendation quality vs accuracy across the items-ranked axis"
 PAPER_REF = "Figure 3"
 TAGS = ("criteo", "quality", "models")
 
+#: The items-ranked axis.
+ITEM_COUNTS = (256, 512, 1024, 2048, 4096)
 
-def run(
-    item_counts: Sequence[int] = (256, 512, 1024, 2048, 4096),
-    pool: int = 4096,
-) -> ExperimentResult:
+
+def run() -> ExperimentResult:
     """NDCG for every (Pareto model, items-ranked) pair."""
-    evaluator = criteo_quality_evaluator(pool)
+    evaluator = criteo_quality_evaluator(CRITEO_POOL)
     result = ExperimentResult(name="fig03_quality_vs_accuracy")
     for spec in criteo_model_specs():
-        for items in item_counts:
+        for items in ITEM_COUNTS:
             result.add(
                 model=spec.name,
                 paper_error_pct=spec.paper_error_percent,
@@ -39,7 +37,3 @@ def run(
         "fixed item count; the items-ranked axis dominates (paper Figure 3)"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().format_table())

@@ -24,10 +24,10 @@ PAPER_REF = "Figure 5 (right)"
 TAGS = ("accel", "rpaccel", "ablation")
 
 
-def run(pool: int = 4096, keep: int = 512) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Unloaded latency and throughput capacity for each ablation step."""
-    one = criteo_one_stage(pool)
-    two = criteo_two_stage(pool, keep)
+    one = criteo_one_stage()
+    two = criteo_two_stage()
     one_costs, one_items = one.stage_costs(), one.stage_items()
     two_costs, two_items = two.stage_costs(), two.stage_items()
 
@@ -74,7 +74,3 @@ def run(pool: int = 4096, keep: int = 512) -> ExperimentResult:
         "(paper reports up to 5x latency and 10x throughput)"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().format_table())

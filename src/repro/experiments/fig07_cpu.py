@@ -15,10 +15,9 @@ Three panels for the Criteo deep dive on the Cascade Lake CPU:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.pipeline import PipelineConfig, Stage
 from repro.experiments.common import (
+    CRITEO_POOL,
     ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
@@ -26,6 +25,7 @@ from repro.experiments.common import (
     criteo_two_stage,
     criteo_two_stage_med,
     make_scheduler,
+    merge_panels,
 )
 from repro.models.zoo import criteo_model_specs
 
@@ -34,19 +34,22 @@ TITLE = "RecPipe scheduling of multi-stage pipelines on CPUs"
 PAPER_REF = "Figure 7"
 TAGS = ("criteo", "cpu", "scheduling")
 
+#: The fixed load of the left and center panels.
+QPS = 500.0
+#: The left panel's items-ranked axis.
+ITEM_COUNTS = (1024, 2048, 4096)
+#: The right panel's load axis.
+QPS_VALUES = (100, 250, 500, 1000, 2000)
 
-def run_single_stage(
-    qps: float = 500.0,
-    item_counts: Sequence[int] = (1024, 2048, 4096),
-) -> ExperimentResult:
+
+def run_single_stage() -> ExperimentResult:
     """Figure 7 left: quality vs tail latency for single-stage designs on CPU."""
-    evaluator = criteo_quality_evaluator()
-    scheduler = make_scheduler(evaluator)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL))
     result = ExperimentResult(name="fig07_left_single_stage_cpu")
     for spec in criteo_model_specs():
-        for items in item_counts:
+        for items in ITEM_COUNTS:
             pipeline = PipelineConfig((Stage(spec, items),))
-            evaluated = scheduler.evaluate(pipeline, "cpu", qps)
+            evaluated = scheduler.evaluate(pipeline, "cpu", QPS)
             result.add(
                 model=spec.name,
                 items_ranked=items,
@@ -57,10 +60,9 @@ def run_single_stage(
     return result
 
 
-def run_multistage(qps: float = 500.0) -> ExperimentResult:
+def run_multistage() -> ExperimentResult:
     """Figure 7 center: one/two/three-stage designs at iso-throughput (QPS 500)."""
-    evaluator = criteo_quality_evaluator()
-    scheduler = make_scheduler(evaluator)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL))
     configs = {
         "one-stage": criteo_one_stage(),
         "two-stage (RMsmall-RMlarge)": criteo_two_stage(),
@@ -69,7 +71,7 @@ def run_multistage(qps: float = 500.0) -> ExperimentResult:
     }
     result = ExperimentResult(name="fig07_center_multistage_cpu")
     for label, pipeline in configs.items():
-        evaluated = scheduler.evaluate(pipeline, "cpu", qps)
+        evaluated = scheduler.evaluate(pipeline, "cpu", QPS)
         result.add(
             config=label,
             pipeline=pipeline.name,
@@ -80,10 +82,9 @@ def run_multistage(qps: float = 500.0) -> ExperimentResult:
     return result
 
 
-def run_iso_quality(qps_values: Sequence[float] = (100, 250, 500, 1000, 2000)) -> ExperimentResult:
+def run_iso_quality() -> ExperimentResult:
     """Figure 7 right: latency vs throughput at the highest quality target."""
-    evaluator = criteo_quality_evaluator()
-    scheduler = make_scheduler(evaluator)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL))
     configs = {
         "one-stage": criteo_one_stage(),
         "two-stage": criteo_two_stage(),
@@ -91,7 +92,7 @@ def run_iso_quality(qps_values: Sequence[float] = (100, 250, 500, 1000, 2000)) -
     }
     result = ExperimentResult(name="fig07_right_iso_quality_cpu")
     for label, pipeline in configs.items():
-        for qps in qps_values:
+        for qps in QPS_VALUES:
             evaluated = scheduler.evaluate(pipeline, "cpu", qps)
             result.add(
                 config=label,
@@ -103,16 +104,7 @@ def run_iso_quality(qps_values: Sequence[float] = (100, 250, 500, 1000, 2000)) -
 
 
 def run() -> ExperimentResult:
-    """All three panels merged (used by the benchmark harness)."""
-    merged = ExperimentResult(name="fig07_cpu_scheduling")
-    for part in (run_single_stage(), run_multistage(), run_iso_quality()):
-        for row in part.rows:
-            merged.add(panel=part.name, **row)
-        merged.notes.extend(part.notes)
-    return merged
-
-
-if __name__ == "__main__":
-    print(run_single_stage().format_table())
-    print(run_multistage().format_table())
-    print(run_iso_quality().format_table())
+    """All three panels merged."""
+    return merge_panels(
+        "fig07_cpu_scheduling", run_single_stage(), run_multistage(), run_iso_quality()
+    )

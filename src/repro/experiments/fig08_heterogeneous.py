@@ -13,15 +13,15 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.pipeline import PipelineConfig, Stage
 from repro.experiments.common import (
+    CRITEO_POOL,
     ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
     criteo_two_stage,
     make_scheduler,
+    merge_panels,
 )
 from repro.models.zoo import RM_LARGE, RM_SMALL
 
@@ -30,13 +30,19 @@ TITLE = "Mapping multi-stage pipelines onto heterogeneous CPU-GPU systems"
 PAPER_REF = "Figure 8"
 TAGS = ("criteo", "gpu", "heterogeneous", "scheduling")
 
+#: The top panel's load axis.
+QPS_VALUES = (25, 50, 70, 100, 150, 250, 500, 1000)
+#: The bottom panel's load.
+QPS = 70.0
+#: The bottom panel's latency SLA (its notes print it).
+SLA_MS = 25.0
+#: The bottom panel's items-ranked axis.
+ITEM_COUNTS = (1024, 2048, 3200, 4096)
 
-def run_iso_quality(
-    qps_values: Sequence[float] = (25, 50, 70, 100, 150, 250, 500, 1000),
-) -> ExperimentResult:
+
+def run_iso_quality() -> ExperimentResult:
     """Figure 8 top: latency vs load for the three best mappings at iso-quality."""
-    evaluator = criteo_quality_evaluator()
-    scheduler = make_scheduler(evaluator)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL))
     mappings = {
         "cpu 2-stage": (criteo_two_stage(), "cpu"),
         "gpu 1-stage": (criteo_one_stage(), "gpu"),
@@ -44,7 +50,7 @@ def run_iso_quality(
     }
     result = ExperimentResult(name="fig08_top_heterogeneous_iso_quality")
     for label, (pipeline, platform) in mappings.items():
-        for qps in qps_values:
+        for qps in QPS_VALUES:
             evaluated = scheduler.evaluate(pipeline, platform, qps)
             result.add(
                 config=label,
@@ -56,17 +62,12 @@ def run_iso_quality(
     return result
 
 
-def run_sla_quality(
-    qps: float = 70.0,
-    sla_ms: float = 25.0,
-    item_counts: Sequence[int] = (1024, 2048, 3200, 4096),
-) -> ExperimentResult:
+def run_sla_quality() -> ExperimentResult:
     """Figure 8 bottom: quality achievable under a 25 ms SLA at QPS 70."""
-    evaluator = criteo_quality_evaluator()
-    scheduler = make_scheduler(evaluator)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL))
     result = ExperimentResult(name="fig08_bottom_sla_quality")
     best = {"cpu 2-stage": None, "gpu 1-stage": None}
-    for items in item_counts:
+    for items in ITEM_COUNTS:
         cpu_pipeline = PipelineConfig(
             (Stage(RM_SMALL, items), Stage(RM_LARGE, max(items // 8, 64)))
         )
@@ -75,8 +76,8 @@ def run_sla_quality(
             ("cpu 2-stage", cpu_pipeline, "cpu"),
             ("gpu 1-stage", gpu_pipeline, "gpu"),
         ):
-            evaluated = scheduler.evaluate(pipeline, platform, qps)
-            meets = evaluated.feasible and evaluated.p99_latency * 1e3 <= sla_ms
+            evaluated = scheduler.evaluate(pipeline, platform, QPS)
+            meets = evaluated.feasible and evaluated.p99_latency * 1e3 <= SLA_MS
             result.add(
                 config=label,
                 items_ranked=items,
@@ -91,21 +92,11 @@ def run_sla_quality(
     for label, row in best.items():
         if row is not None:
             result.note(
-                f"best quality under {sla_ms:.0f} ms SLA for {label}: "
+                f"best quality under {SLA_MS:.0f} ms SLA for {label}: "
                 f"{row['quality_ndcg']:.2f} NDCG at {row['items_ranked']} items"
             )
     return result
 
 
 def run() -> ExperimentResult:
-    merged = ExperimentResult(name="fig08_heterogeneous")
-    for part in (run_iso_quality(), run_sla_quality()):
-        for row in part.rows:
-            merged.add(panel=part.name, **row)
-        merged.notes.extend(part.notes)
-    return merged
-
-
-if __name__ == "__main__":
-    print(run_iso_quality().format_table())
-    print(run_sla_quality().format_table())
+    return merge_panels("fig08_heterogeneous", run_iso_quality(), run_sla_quality())

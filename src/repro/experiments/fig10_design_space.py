@@ -14,14 +14,12 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.accel.embedding_cache import EmbeddingCacheConfig, MultiStageEmbeddingCache
 from repro.accel.systolic import ReconfigurableArray, SubArray, SystolicArrayConfig
 from repro.accel.topk import TopKFilterConfig, TopKFilterUnit
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import CRITEO_POOL, ExperimentResult, merge_panels
 from repro.models.zoo import RM_LARGE, RM_SMALL, criteo_model_specs
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
@@ -31,15 +29,24 @@ TAGS = ("accel", "rpaccel", "design-space")
 
 MB = 1024 * 1024
 
+#: Panel (a): the square systolic-array sizes.
+ARRAY_SIZES = (8, 16, 32, 64, 128)
+#: Panel (b): how many of the Criteo pool's scores the filter keeps.
+TOPK_KEEP = 512
+#: Panel (b): the seed the scores are drawn from.
+TOPK_SEED = 3
+#: Panel (c): fractions of the static cache devoted to the frontend.
+FRONTEND_FRACTIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+#: Panel (c): ``(static cache bytes, inter-stage filtering ratio)`` pairs.
+CACHE_CONFIGS = ((4 * MB, 8), (12 * MB, 8), (12 * MB, 16))
 
-def run_utilization(
-    array_sizes: Sequence[int] = (8, 16, 32, 64, 128),
-) -> ExperimentResult:
+
+def run_utilization() -> ExperimentResult:
     """Figure 10a: MAC utilization per model per array size."""
     result = ExperimentResult(name="fig10a_systolic_utilization")
     for spec in criteo_model_specs():
         cost = spec.reference_cost()
-        for size in array_sizes:
+        for size in ARRAY_SIZES:
             sub = SubArray(rows=size, cols=size)
             result.add(
                 model=spec.name,
@@ -61,51 +68,45 @@ def run_utilization(
     return result
 
 
-def run_topk(
-    num_scores: int = 4096, k: int = 512, seed: int = 3
-) -> ExperimentResult:
+def run_topk() -> ExperimentResult:
     """Figure 10b: streaming top-k filter recall, latency and SRAM overhead."""
-    rng = np.random.default_rng(seed)
-    scores = rng.beta(2.0, 2.0, size=num_scores)
+    rng = np.random.default_rng(TOPK_SEED)
+    scores = rng.beta(2.0, 2.0, size=CRITEO_POOL)
     unit = TopKFilterUnit(TopKFilterConfig())
-    selected = unit.select(scores, k)
-    exact = set(np.argsort(scores)[::-1][:k].tolist())
-    recall = len(exact.intersection(set(selected.tolist()))) / k
+    selected = unit.select(scores, TOPK_KEEP)
+    exact = set(np.argsort(scores)[::-1][:TOPK_KEEP].tolist())
+    recall = len(exact.intersection(set(selected.tolist()))) / TOPK_KEEP
     result = ExperimentResult(name="fig10b_topk_filter")
     result.add(
         metric="recall_vs_exact_topk",
         value=recall,
     )
     result.add(metric="selected_count", value=float(len(selected)))
-    result.add(metric="drain_cycles", value=unit.filter_cycles(num_scores, k))
+    result.add(metric="drain_cycles", value=unit.filter_cycles(CRITEO_POOL, TOPK_KEEP))
     result.add(
         metric="sram_overhead_no_threshold",
-        value=unit.sram_overhead_fraction(num_scores, apply_threshold=False),
+        value=unit.sram_overhead_fraction(CRITEO_POOL, apply_threshold=False),
     )
     result.add(
         metric="sram_overhead_with_threshold",
-        value=unit.sram_overhead_fraction(num_scores, apply_threshold=True),
+        value=unit.sram_overhead_fraction(CRITEO_POOL, apply_threshold=True),
     )
     result.note("paper: ~12% SRAM overhead without the CTR threshold, ~3% with it")
     return result
 
 
-def run_cache_partition(
-    fractions: Sequence[float] = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875),
-    cache_configs: Sequence[tuple[int, int]] = ((4 * MB, 8), (12 * MB, 8), (12 * MB, 16)),
-    pool: int = 4096,
-) -> ExperimentResult:
+def run_cache_partition() -> ExperimentResult:
     """Figure 10c: AMAT vs fraction of the static cache devoted to the frontend."""
     small, large = RM_SMALL.reference_cost(), RM_LARGE.reference_cost()
     result = ExperimentResult(name="fig10c_cache_partition")
-    for static_bytes, ratio in cache_configs:
+    for static_bytes, ratio in CACHE_CONFIGS:
         cache = MultiStageEmbeddingCache(
             EmbeddingCacheConfig(total_bytes=static_bytes + 4 * MB, lookahead_bytes=4 * MB)
         )
-        backend_items = pool // ratio
-        for fraction in fractions:
+        backend_items = CRITEO_POOL // ratio
+        for fraction in FRONTEND_FRACTIONS:
             amat = cache.pipeline_amat_cycles(
-                [small, large], [pool, backend_items], frontend_fraction=fraction
+                [small, large], [CRITEO_POOL, backend_items], frontend_fraction=fraction
             )
             result.add(
                 static_cache_mb=static_bytes / MB,
@@ -121,15 +122,4 @@ def run_cache_partition(
 
 
 def run() -> ExperimentResult:
-    merged = ExperimentResult(name="fig10_design_space")
-    for part in (run_utilization(), run_topk(), run_cache_partition()):
-        for row in part.rows:
-            merged.add(panel=part.name, **row)
-        merged.notes.extend(part.notes)
-    return merged
-
-
-if __name__ == "__main__":
-    print(run_utilization().format_table())
-    print(run_topk().format_table())
-    print(run_cache_partition().format_table())
+    return merge_panels("fig10_design_space", run_utilization(), run_topk(), run_cache_partition())

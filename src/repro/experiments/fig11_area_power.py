@@ -46,7 +46,3 @@ def run() -> ExperimentResult:
     result.note(f"area overhead {area_overhead * 100:.1f}% (paper: 11%)")
     result.note(f"power overhead {power_overhead * 100:.1f}% (paper: 36%)")
     return result
-
-
-if __name__ == "__main__":
-    print(run().format_table())

@@ -12,8 +12,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.accel.baseline import BaselineAccelerator
 from repro.accel.rpaccel import RPAccel
 from repro.experiments.common import (
@@ -21,6 +19,7 @@ from repro.experiments.common import (
     criteo_one_stage,
     criteo_three_stage,
     criteo_two_stage,
+    merge_panels,
 )
 from repro.serving.simulator import SimulationConfig, simulated_p99
 
@@ -31,11 +30,14 @@ TAGS = ("accel", "rpaccel", "serving")
 
 #: The at-scale budget every figure point is simulated with.
 SIMULATION = SimulationConfig(num_queries=2000, warmup_queries=200)
+#: The top panel's load axis.
+QPS_VALUES = (200, 400, 800, 1600, 2400, 3200)
+#: The bottom panel's low and high loads.
+LOW_QPS = 400.0
+HIGH_QPS = 2400.0
 
 
-def run_scale(
-    qps_values: Sequence[float] = (200, 400, 800, 1600, 2400, 3200),
-) -> ExperimentResult:
+def run_scale() -> ExperimentResult:
     """Figure 12 top: tail latency vs load for the baseline and RPAccel designs."""
     baseline = BaselineAccelerator()
     rpaccel = RPAccel()
@@ -52,7 +54,7 @@ def run_scale(
     }
     result = ExperimentResult(name="fig12_top_rpaccel_at_scale")
     for label, plan in plans.items():
-        for qps, p99 in zip(qps_values, simulated_p99(plan, qps_values, SIMULATION).tolist()):
+        for qps, p99 in zip(QPS_VALUES, simulated_p99(plan, QPS_VALUES, SIMULATION).tolist()):
             result.add(
                 config=label,
                 qps=qps,
@@ -74,10 +76,7 @@ def run_scale(
     return result
 
 
-def run_asymmetric(
-    low_qps: float = 400.0,
-    high_qps: float = 2400.0,
-) -> ExperimentResult:
+def run_asymmetric() -> ExperimentResult:
     """Figure 12 bottom: asymmetric backend sub-array provisioning."""
     rpaccel = RPAccel()
     two = criteo_two_stage()
@@ -90,7 +89,7 @@ def run_asymmetric(
             subarrays_per_stage=[8, backend_subarrays],
             frontend_cache_fraction=0.5,
         )
-        loads = (low_qps, high_qps)
+        loads = (LOW_QPS, HIGH_QPS)
         p99s = simulated_p99(plan, loads, SIMULATION).tolist()
         for qps, load, p99 in zip(loads, ("low", "high"), p99s):
             result.add(
@@ -109,14 +108,4 @@ def run_asymmetric(
 
 
 def run() -> ExperimentResult:
-    merged = ExperimentResult(name="fig12_rpaccel_scale")
-    for part in (run_scale(), run_asymmetric()):
-        for row in part.rows:
-            merged.add(panel=part.name, **row)
-        merged.notes.extend(part.notes)
-    return merged
-
-
-if __name__ == "__main__":
-    print(run_scale().format_table())
-    print(run_asymmetric().format_table())
+    return merge_panels("fig12_rpaccel_scale", run_scale(), run_asymmetric())

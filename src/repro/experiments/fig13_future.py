@@ -12,11 +12,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.accel.rpaccel import RPAccel
 from repro.accel.ssd import SsdScalingModel
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import CRITEO_POOL, ExperimentResult, merge_panels
 from repro.models.zoo import RM_LARGE, RM_SMALL
 from repro.serving.resources import PipelinePlan, StageResource
 
@@ -25,22 +23,26 @@ TITLE = "Projecting RPAccel onto future, SSD-backed recommendation models"
 PAPER_REF = "Figure 13"
 TAGS = ("accel", "rpaccel", "ssd", "scaling")
 
+#: The embedding-table scale axis of both panels.
+SCALES = (1, 2, 4, 8, 16, 32)
+#: The top panel's backend stage ranks this many items.
+BACKEND_ITEMS = 512
+#: The bottom panel's iso-throughput load.
+QPS = 500.0
 
-def run_locality(
-    scales: Sequence[float] = (1, 2, 4, 8, 16, 32),
-    backend_items: int = 512,
-) -> ExperimentResult:
+
+def run_locality() -> ExperimentResult:
     """Figure 13 top: SSD fraction, miss rate, and overlap vs embedding scale."""
     model = SsdScalingModel()
     rpaccel = RPAccel()
     large = RM_LARGE.reference_cost()
     small = RM_SMALL.reference_cost()
     # The frontend stage's duration bounds how much backend fetch time can hide.
-    frontend = rpaccel.query_executions([small, large], [4096, backend_items])[0]
+    frontend = rpaccel.query_executions([small, large], [CRITEO_POOL, BACKEND_ITEMS])[0]
     frontend_seconds = frontend.service_seconds
     result = ExperimentResult(name="fig13_top_ssd_locality")
-    for scale in scales:
-        point = model.scaling_point(large, backend_items, scale, frontend_seconds)
+    for scale in SCALES:
+        point = model.scaling_point(large, BACKEND_ITEMS, scale, frontend_seconds)
         result.add(
             embedding_scale=scale,
             fraction_in_ssd=point.fraction_in_ssd,
@@ -55,20 +57,16 @@ def run_locality(
     return result
 
 
-def run_scaling(
-    scales: Sequence[float] = (1, 2, 4, 8, 16, 32),
-    qps: float = 500.0,
-    base_items: int = 4096,
-) -> ExperimentResult:
+def run_scaling() -> ExperimentResult:
     """Figure 13 bottom: single- vs multi-stage latency as the workload scales."""
     ssd = SsdScalingModel()
     rpaccel = RPAccel()
     small = RM_SMALL.reference_cost()
     result = ExperimentResult(name="fig13_bottom_future_scaling")
-    for scale in scales:
+    for scale in SCALES:
         # The workload scales both memory (backend tables) and compute
         # (frontend items to rank: 4K items at 1x growing toward 12K at 32x).
-        items = int(base_items * (1.0 + 2.0 * (scale - 1) / 31.0))
+        items = int(CRITEO_POOL * (1.0 + 2.0 * (scale - 1) / 31.0))
         backend_items = max(items // 8, 64)
         large_scaled = RM_LARGE.reference_cost().scaled(scale)
 
@@ -87,8 +85,8 @@ def run_scaling(
         result.add(
             embedding_scale=scale,
             items_ranked=items,
-            single_stage_latency_ms=_loaded(single_plan, single_latency, qps) * 1e3,
-            multi_stage_latency_ms=_loaded(multi_plan, multi_latency, qps) * 1e3,
+            single_stage_latency_ms=_loaded(single_plan, single_latency, QPS) * 1e3,
+            multi_stage_latency_ms=_loaded(multi_plan, multi_latency, QPS) * 1e3,
         )
     result.note(
         "multi-stage RPAccel degrades gracefully with workload scale; the "
@@ -113,14 +111,4 @@ def _loaded(plan: PipelinePlan, unloaded_latency: float, qps: float) -> float:
 
 
 def run() -> ExperimentResult:
-    merged = ExperimentResult(name="fig13_future_scaling")
-    for part in (run_locality(), run_scaling()):
-        for row in part.rows:
-            merged.add(panel=part.name, **row)
-        merged.notes.extend(part.notes)
-    return merged
-
-
-if __name__ == "__main__":
-    print(run_locality().format_table())
-    print(run_scaling().format_table())
+    return merge_panels("fig13_future_scaling", run_locality(), run_scaling())

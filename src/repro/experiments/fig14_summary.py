@@ -9,10 +9,9 @@ of stages varies across loads, platforms and datasets.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.scheduler import RecPipeScheduler
 from repro.experiments.common import (
+    CRITEO_POOL,
     ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
@@ -28,35 +27,30 @@ TITLE = "Cross-dataset, cross-load, cross-platform summary at iso-quality"
 PAPER_REF = "Figure 14"
 TAGS = ("criteo", "movielens", "summary", "scheduling")
 
+#: The load axis.
+QPS_VALUES = (100, 500, 2000)
+
 
 def _criteo_setup() -> tuple[RecPipeScheduler, dict]:
-    scheduler = make_scheduler(criteo_quality_evaluator(), num_tables=26)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL), num_tables=26)
     pipelines = {1: criteo_one_stage(), 2: criteo_two_stage(), 3: criteo_three_stage()}
     return scheduler, pipelines
 
 
-def _movielens_setup(preset: str) -> tuple[RecPipeScheduler, dict]:
-    pool = 1024 if preset == "1m" else 2048
-    scheduler = make_scheduler(movielens_quality_evaluator(preset, pool=pool), num_tables=2)
+def _movielens_setup(preset: str, pool: int) -> tuple[RecPipeScheduler, dict]:
+    scheduler = make_scheduler(movielens_quality_evaluator(preset, pool), num_tables=2)
     return scheduler, movielens_pipelines(pool)
 
 
-def run(
-    qps_values: Sequence[float] = (100, 500, 2000),
-    datasets: Sequence[str] = ("criteo", "movielens-1m", "movielens-20m"),
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Tail latency of 1/2/3-stage designs on every platform, load and dataset."""
     result = ExperimentResult(name="fig14_summary")
-    for dataset in datasets:
-        if dataset == "criteo":
-            scheduler, pipelines = _criteo_setup()
-        elif dataset == "movielens-1m":
-            scheduler, pipelines = _movielens_setup("1m")
-        elif dataset == "movielens-20m":
-            scheduler, pipelines = _movielens_setup("20m")
-        else:
-            raise ValueError(f"unknown dataset {dataset!r}")
-        for qps in qps_values:
+    for dataset, (scheduler, pipelines) in (
+        ("criteo", _criteo_setup()),
+        ("movielens-1m", _movielens_setup("1m", 1024)),
+        ("movielens-20m", _movielens_setup("20m", 2048)),
+    ):
+        for qps in QPS_VALUES:
             for platform_label, platform in (
                 ("cpu", "cpu"),
                 ("gpu", "gpu"),
@@ -83,7 +77,3 @@ def run(
         "accelerator dominates tail latency everywhere (paper Figure 14)"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().format_table())

@@ -1,20 +1,23 @@
 """Declarative registry of every experiment (the CLI's backbone).
 
 Each paper-figure harness module exposes ``TITLE`` / ``PAPER_REF`` / ``TAGS``
-constants and a ``run()`` callable; this module assembles them into
+constants and a no-argument ``run()``; this module assembles them into
 :class:`ExperimentSpec` records and a queryable :class:`ExperimentRegistry`.
 The serving experiments, the cross-platform sweep and the capacity plan are
 packaged scenario files instead (:mod:`repro.scenarios`), registered cell by
-cell.  Adding an experiment is a single :func:`ExperimentRegistry.register`
-call (or a module or scenario file plus one line in
-:func:`default_registry`), and the ``recpipe`` CLI and the benchmark suite
-both read from the same source of truth.
+cell: :func:`scenario_specs` makes each expanded cell a spec whose ``run``
+is :func:`~repro.scenarios.runner.run_cell`.  Adding an experiment is a
+single :func:`ExperimentRegistry.register` call (or a module or scenario
+file plus one line in :func:`default_registry`), and the ``recpipe`` CLI
+and the benchmark suite both read from the same source of truth.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Callable, Iterator, Sequence
 
 from repro.experiments import (
@@ -31,6 +34,8 @@ from repro.experiments import (
     tab01_pareto_models,
 )
 from repro.experiments.common import ExperimentResult
+from repro.scenarios.config import ScenarioCell, ScenarioConfig, scenario_from_mapping
+from repro.scenarios.runner import run_cell
 
 
 class UnknownExperimentError(KeyError):
@@ -157,6 +162,85 @@ class ExperimentRegistry:
         return [spec for spec in self if spec.id in selected]
 
 
+def scenario_specs(config: ScenarioConfig) -> list[ExperimentSpec]:
+    """Expand a scenario into registrable experiment specs.
+
+    Parameters
+    ----------
+    config : ScenarioConfig
+        The validated scenario.
+
+    Returns
+    -------
+    list of ExperimentSpec
+        One spec per cell, tagged ``scenario`` / ``scenario:<name>`` plus
+        the scenario's tags; ``metadata`` carries the axis assignment so
+        run manifests can resolve what each cell varied.
+    """
+    specs = []
+    title = config.title or f"Scenario {config.name}"
+    for cell in config.expand():
+
+        def run(seed: int = cell.params["seed"], _cell: ScenarioCell = cell) -> ExperimentResult:
+            return run_cell(_cell, seed=seed)
+
+        specs.append(
+            ExperimentSpec(
+                id=cell.id,
+                title=f"{title} [{cell.label}]" if cell.label else title,
+                paper_ref=config.paper_ref,
+                run=run,
+                tags=("scenario", f"scenario:{config.name}", *config.tags),
+                module="repro.scenarios.runner",
+                metadata={"scenario": config.name, "axes": dict(cell.axes)},
+            )
+        )
+    return specs
+
+
+def register_scenario(registry: ExperimentRegistry, config: ScenarioConfig) -> list[ExperimentSpec]:
+    """Expand ``config`` and register every cell in ``registry``.
+
+    Parameters
+    ----------
+    registry : ExperimentRegistry
+        The target registry (cell ids must not collide with existing
+        entries).
+    config : ScenarioConfig
+        The scenario to install.
+
+    Returns
+    -------
+    list of ExperimentSpec
+        The registered specs, in expansion order.
+    """
+    specs = scenario_specs(config)
+    for spec in specs:
+        registry.register(spec)
+    return specs
+
+
+def packaged_scenario(name: str) -> ScenarioConfig:
+    """A scenario shipped with the package (``repro/scenarios/<name>.json``).
+
+    Parameters
+    ----------
+    name : str
+        The file stem: ``router``, ``frontend``, ``flashcrowd``,
+        ``coldcache`` (the serving entries of the default registry),
+        ``builtin`` (the ``routergrid`` ``trace x estimator`` grid),
+        ``sweepmp`` (a sweep) or ``capacity`` (a capacity plan).
+
+    Returns
+    -------
+    ScenarioConfig
+        The validated scenario.
+    """
+    path = f"{name}.json"
+    text = resources.files("repro.scenarios").joinpath(path).read_text(encoding="utf-8")
+    return scenario_from_mapping(json.loads(text), source=f"repro/scenarios/{path}")
+
+
 def _spec_from_module(exp_id: str, module) -> ExperimentSpec:
     """Build a spec from a harness module's TITLE/PAPER_REF/TAGS constants."""
     return ExperimentSpec(
@@ -170,11 +254,6 @@ def _spec_from_module(exp_id: str, module) -> ExperimentSpec:
 
 
 def _build_default_registry() -> ExperimentRegistry:
-    # Imported here, not at module top: the scenario runner imports
-    # ExperimentSpec from this module (lazily), so the package edge must
-    # resolve after the class definitions above exist.
-    from repro.scenarios.runner import packaged_scenario, register_scenario
-
     registry = ExperimentRegistry()
     # A (id, module) pair is a harness module; a bare name is a packaged
     # scenario file (repro/scenarios/<name>.json) registered cell by cell.

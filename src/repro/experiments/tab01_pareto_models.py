@@ -20,20 +20,22 @@ TITLE = "Pareto-optimal model hyperparameter sweep"
 PAPER_REF = "Table 1 / Figure 2"
 TAGS = ("criteo", "models", "training")
 
+#: Training examples drawn from the synthetic Criteo dataset.
+NUM_TRAIN = 6000
+#: Held-out test examples.
+NUM_TEST = 1500
+#: Training epochs per model.
+EPOCHS = 4
 
-def run(
-    num_train: int = 6000,
-    num_test: int = 1500,
-    epochs: int = 4,
-    seed: int = 7,
-) -> ExperimentResult:
+
+def run(seed: int = 7) -> ExperimentResult:
     """Train each Pareto-optimal configuration and report its test error."""
-    dataset = CriteoSynthetic().build_dataset(num_train=num_train, num_test=num_test, seed=seed)
+    dataset = CriteoSynthetic().build_dataset(num_train=NUM_TRAIN, num_test=NUM_TEST, seed=seed)
     result = ExperimentResult(name="table1_pareto_models")
     for spec in criteo_model_specs():
         model = build_model(spec, dataset.table_sizes, num_dense=dataset.num_dense, seed=seed)
         trainer = Trainer(model, lr=0.005, batch_size=256, seed=seed)
-        history = trainer.fit(dataset, epochs=epochs)
+        history = trainer.fit(dataset, epochs=EPOCHS)
         cost = spec.reference_cost()
         result.add(
             model=spec.name,
@@ -50,7 +52,3 @@ def run(
         "column is the published Criteo Kaggle number"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().format_table())

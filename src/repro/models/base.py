@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.cost import ModelCost
+from repro.nn.loss import sigmoid
 
 
 class RecommendationModel:
@@ -30,7 +31,7 @@ class RecommendationModel:
     def predict(self, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
         """Return predicted probabilities of shape ``(batch,)``."""
         logits = self.forward(dense, sparse).reshape(-1)
-        return _sigmoid(logits)
+        return sigmoid(logits)
 
     def parameters(self) -> list[np.ndarray]:
         raise NotImplementedError
@@ -48,12 +49,3 @@ class RecommendationModel:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.init import he_uniform, xavier_uniform
+from repro.nn.loss import sigmoid
 
 
 class Layer:
@@ -134,13 +135,8 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
+        self._out = sigmoid(x)
+        return self._out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:

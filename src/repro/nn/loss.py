@@ -35,7 +35,7 @@ class BCEWithLogitsLoss:
     def backward(self) -> np.ndarray:
         if self._logits is None or self._targets is None:
             raise RuntimeError("backward called before forward")
-        probs = _sigmoid(self._logits)
+        probs = sigmoid(self._logits)
         n = max(self._logits.size, 1)
         return ((probs - self._targets) / n).reshape(-1, 1)
 
@@ -74,7 +74,12 @@ class MSELoss:
         return self.forward(predictions, targets)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, evaluated without overflow at large ``|x|``.
+
+    Non-negative inputs use ``1 / (1 + exp(-x))`` and negative ones
+    ``exp(x) / (1 + exp(x))``, so ``exp`` never sees a positive argument.
+    """
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

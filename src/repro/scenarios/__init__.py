@@ -5,11 +5,13 @@ hardware path — whose value is in the comparison, not in any single run.
 This package makes those families a product surface: a scenario config
 (TOML or JSON) declares a base parameter set plus grid axes, and
 :func:`~repro.scenarios.config.ScenarioConfig.expand` turns the cartesian
-product into tagged
-:class:`~repro.experiments.registry.ExperimentSpec` entries
-(:func:`~repro.scenarios.runner.register_scenario`), so ``recpipe
+product into cells that run through
+:func:`~repro.scenarios.runner.run_cell`.  The registry turns them into
+tagged :class:`~repro.experiments.registry.ExperimentSpec` entries
+(:func:`~repro.experiments.registry.register_scenario`), so ``recpipe
 list/run`` operate on scenario cells exactly like hand-written
-experiments.  The packaged scenarios — the ``router``, ``frontend``,
+experiments; this package does not import the registry.  The packaged
+scenarios — the ``router``, ``frontend``,
 ``flashcrowd`` and ``coldcache`` serving entries and the ``routergrid``
 grid — ship in the default registry, and ``recpipe route`` runs its flags
 as a one-cell scenario; user files load via ``recpipe run --scenario FILE``.
@@ -24,7 +26,7 @@ from repro.scenarios.config import (
     load_scenario,
     scenario_from_mapping,
 )
-from repro.scenarios.runner import packaged_scenario, register_scenario, run_cell, scenario_specs
+from repro.scenarios.runner import run_cell
 
 __all__ = [
     "AXES",
@@ -33,9 +35,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioError",
     "load_scenario",
-    "packaged_scenario",
-    "register_scenario",
     "run_cell",
     "scenario_from_mapping",
-    "scenario_specs",
 ]

@@ -22,21 +22,16 @@ table-shaping parameter tuple (:func:`_compiled_table`): a
 ``trace x estimator`` grid compiles exactly one table no matter how many
 cells it expands into, and entries that serve the same workload share it.
 
-:func:`scenario_specs` turns expanded cells into
-:class:`~repro.experiments.registry.ExperimentSpec` records — tagged
-``scenario`` and ``scenario:<name>`` plus the scenario's own tags — and
-:func:`register_scenario` installs them in a registry, which is all
-``recpipe list/run --scenario`` needs.  The packaged scenarios
-(:func:`packaged_scenario`) ship in the default registry.
+:func:`~repro.experiments.registry.scenario_specs` turns expanded cells
+into registry entries whose ``run`` is :func:`run_cell`; this module does
+not import the registry.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from functools import lru_cache
-from importlib import resources
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.cluster.fleet import compose_fleet, fleet_nodes, fleet_tables
 from repro.core.pipeline import enumerate_pipelines
@@ -48,7 +43,7 @@ from repro.experiments.common import (
     make_scheduler,
     movielens_quality_evaluator,
 )
-from repro.scenarios.config import ScenarioCell, ScenarioConfig, scenario_from_mapping
+from repro.scenarios.config import ScenarioCell
 from repro.scenarios.knobs import TRACE_SHAPE, listed, parse_mix
 from repro.serving.estimators import make_estimator
 from repro.serving.frontend import FrontendResult, FrontendSchedule, QueryStream, StreamingFrontend
@@ -61,9 +56,6 @@ from repro.serving.router import (
 )
 from repro.serving.service_times import SERVICE_MODELS
 from repro.serving.trace import LoadTrace, diurnal_trace, ramp_trace, spike_trace
-
-if TYPE_CHECKING:  # the registry imports this module; keep the edge type-only
-    from repro.experiments.registry import ExperimentRegistry, ExperimentSpec
 
 #: Table-shaping parameter names: two cells whose values agree on all of
 #: these share one compiled table (trace/estimator axes are not in it).
@@ -606,88 +598,3 @@ def _serving_cell(cell: ScenarioCell, seed: int, companions: dict | None) -> Exp
         for line in hit_rate_notes(table, sampled):
             result.note(line)
     return result
-
-
-def scenario_specs(config: ScenarioConfig) -> list["ExperimentSpec"]:
-    """Expand a scenario into registrable experiment specs.
-
-    Parameters
-    ----------
-    config : ScenarioConfig
-        The validated scenario.
-
-    Returns
-    -------
-    list of ExperimentSpec
-        One spec per cell, tagged ``scenario`` / ``scenario:<name>`` plus
-        the scenario's tags; ``metadata`` carries the axis assignment so
-        run manifests can resolve what each cell varied.
-    """
-    # Imported here, not at module top: the default registry's own module
-    # imports this one to register the packaged scenarios.
-    from repro.experiments.registry import ExperimentSpec
-
-    specs = []
-    title = config.title or f"Scenario {config.name}"
-    for cell in config.expand():
-
-        def run(seed: int = cell.params["seed"], _cell: ScenarioCell = cell) -> ExperimentResult:
-            return run_cell(_cell, seed=seed)
-
-        specs.append(
-            ExperimentSpec(
-                id=cell.id,
-                title=f"{title} [{cell.label}]" if cell.label else title,
-                paper_ref=config.paper_ref,
-                run=run,
-                tags=("scenario", f"scenario:{config.name}", *config.tags),
-                module="repro.scenarios.runner",
-                metadata={"scenario": config.name, "axes": dict(cell.axes)},
-            )
-        )
-    return specs
-
-
-def register_scenario(
-    registry: "ExperimentRegistry", config: ScenarioConfig
-) -> list["ExperimentSpec"]:
-    """Expand ``config`` and register every cell in ``registry``.
-
-    Parameters
-    ----------
-    registry : ExperimentRegistry
-        The target registry (cell ids must not collide with existing
-        entries).
-    config : ScenarioConfig
-        The scenario to install.
-
-    Returns
-    -------
-    list of ExperimentSpec
-        The registered specs, in expansion order.
-    """
-    specs = scenario_specs(config)
-    for spec in specs:
-        registry.register(spec)
-    return specs
-
-
-def packaged_scenario(name: str) -> ScenarioConfig:
-    """A scenario shipped with the package (``repro/scenarios/<name>.json``).
-
-    Parameters
-    ----------
-    name : str
-        The file stem: ``router``, ``frontend``, ``flashcrowd``,
-        ``coldcache`` (the serving entries of the default registry),
-        ``builtin`` (the ``routergrid`` ``trace x estimator`` grid),
-        ``sweepmp`` (a sweep) or ``capacity`` (a capacity plan).
-
-    Returns
-    -------
-    ScenarioConfig
-        The validated scenario.
-    """
-    path = f"{name}.json"
-    text = resources.files("repro.scenarios").joinpath(path).read_text(encoding="utf-8")
-    return scenario_from_mapping(json.loads(text), source=f"repro/scenarios/{path}")

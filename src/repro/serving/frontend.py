@@ -33,7 +33,9 @@ Admitted queries are grouped into **dynamically sized batches** under the
 SLA: at estimated load ``λ`` a batch of ``b`` takes about ``b / λ`` seconds
 to fill, so the largest batch whose fill time fits the predicted headroom
 is ``b = floor((sla − p99(path, λ)) · λ)``, clamped to ``[1, max_batch]``
-(and to 1 whenever the path has no predicted headroom).
+(and to 1 whenever the path has no predicted headroom).  Eventful windows
+(shed, deferred or switched) and a stream summary go to the active
+:mod:`repro.events` log.
 
 A window wider than the trace acts as one window over it: the width is
 clamped to the trace's duration, so the admission cap and the admitted rate
@@ -76,7 +78,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.serving.router import MultiPathRouter, PathTable, RoutingResult, _event_log
+from repro.events import active_log
+from repro.serving.router import MultiPathRouter, PathTable, RoutingResult
 from repro.serving.trace import LoadTrace
 
 __all__ = [
@@ -639,7 +642,7 @@ class StreamingFrontend:
             Per-window decisions (per-query outcomes derive from them).
         """
         window = self._window_width(trace)
-        log = _event_log()
+        log = active_log()
         estimates, paths, switches = self.decide_windows(trace)
         num_windows = estimates.size
         paths_array = np.asarray(paths, dtype=np.intp)

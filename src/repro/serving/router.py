@@ -27,7 +27,9 @@ MP-Rec-style closing of the loop the roadmap asks for:
   switches, when ``switch_cost_seconds`` is set — the predicted p99 gain
   over the expected dwell (estimated from the candidate's persistence
   streak) repays the switch cost.  The first step served by a new path
-  charges ``switch_penalty_seconds`` to every query (warm-up);
+  charges ``switch_penalty_seconds`` to every query (warm-up).  The step-0
+  choice and every committed switch go to the active :mod:`repro.events`
+  log;
 * :func:`route_static` / :func:`route_oracle` — the two bounding policies:
   the single best path a planner would provision offline for the trace's
   typical load, and the clairvoyant per-step optimum with no lag, no
@@ -49,6 +51,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from repro.events import active_log
 from repro.serving.engine import SimulationConfig, service_seed, spawn_seeds
 from repro.serving.estimators import LoadEstimator, WindowedMean
 from repro.serving.metrics import percentile_is_infinite, weighted_percentile
@@ -69,19 +72,6 @@ __all__ = [
     "route_oracle",
     "route_static",
 ]
-
-
-def _event_log():
-    """The active :class:`~repro.core.events.EventLog`, or ``None``.
-
-    Imported lazily because the core layer imports serving at module
-    scope; the reverse runtime edge must not exist at import time.  The
-    lookup runs once per routed *trace*, never per step, so the hot loop
-    cost is one ``is None`` check.
-    """
-    from repro.core.events import active_log
-
-    return active_log()
 
 
 @dataclass(frozen=True)
@@ -971,7 +961,7 @@ class MultiPathRouter:
         estimates = np.asarray(estimates, dtype=np.float64)
         if estimates.ndim != 1 or estimates.size == 0:
             raise ValueError("estimates must form a 1-D, non-empty series")
-        log = _event_log()
+        log = active_log()
         candidates = self.table.best_path_batch(estimates)
         current = int(candidates[0])
         steps = [current]

@@ -151,7 +151,7 @@ def compiled_table(criteo_workload) -> PathTable:
 @pytest.fixture(scope="session")
 def scenario_traces() -> list[LoadTrace]:
     """The diurnal / spike / ramp traces the packaged serving scenarios replay."""
-    from repro.scenarios import packaged_scenario
+    from repro.experiments.registry import packaged_scenario
     from repro.scenarios.runner import build_trace
 
     params = packaged_scenario("router").expand()[0].params

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.criteo import _sigmoid as criteo_sigmoid
-from repro.data.movielens import _sigmoid as movielens_sigmoid
+from repro.nn.loss import sigmoid
 
 
 def reference_true_ctr(dataset, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
@@ -28,7 +27,7 @@ def reference_true_ctr(dataset, dense: np.ndarray, sparse: np.ndarray) -> np.nda
     bilinear = np.einsum("bi,ij,bj->b", latent_sum, dataset._interaction, latent_sum)
     cross = np.einsum("bd,dk,bk->b", dense, dataset._dense_cross, latent_sum)
     logits = dataset._bias + linear + 0.5 * np.tanh(bilinear) + 0.5 * np.tanh(cross)
-    return criteo_sigmoid(logits)
+    return sigmoid(logits)
 
 
 def reference_true_preference(dataset, users: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -39,7 +38,7 @@ def reference_true_preference(dataset, users: np.ndarray, items: np.ndarray) -> 
         dataset._item_latents[items],
     ) / np.sqrt(dataset.config.latent_dim)
     logits = dataset._bias + dot + dataset._user_bias[users] + dataset._item_bias[items]
-    return movielens_sigmoid(logits)
+    return sigmoid(logits)
 
 
 def _bisect(dataset, rate) -> float:

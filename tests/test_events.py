@@ -1,11 +1,11 @@
-"""Tests for the structured run event-log subsystem (``repro.core.events``)."""
+"""Tests for the structured run event-log subsystem (``repro.events``)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core.events import (
+from repro.events import (
     EVENT_KINDS,
     EventLog,
     active_log,

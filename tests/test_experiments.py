@@ -1,24 +1,33 @@
 """Integration tests: the experiment harnesses reproduce the paper's shape.
 
-These tests run the same ``run()`` functions the benchmark suite uses (with
-reduced workloads where possible) and assert the qualitative claims of each
-table/figure: orderings, rough improvement factors and crossovers.
+These tests run the same no-argument ``run()`` / ``run_*()`` functions the
+registry and the benchmark suite use, in the paper's configuration, and assert
+the qualitative claims of each table/figure: orderings, rough improvement
+factors and crossovers.
 """
 
+import importlib
+import inspect
 import math
 
 import pytest
 
-from repro.experiments import fig01_motivation, fig03_quality, fig05_ablation
+from repro.data.criteo import CriteoSynthetic
+from repro.experiments import common, fig01_motivation, fig03_quality, fig05_ablation
+from repro.experiments import fig07_cpu, fig08_heterogeneous
 from repro.experiments import fig10_design_space, fig11_area_power
 from repro.experiments import fig12_rpaccel_scale, fig13_future
 from repro.experiments.common import (
+    CRITEO_POOL,
+    ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
     criteo_two_stage,
     criteo_two_stage_med,
     make_scheduler,
+    merge_panels,
 )
+from repro.experiments.registry import default_registry
 
 
 class TestFig01Motivation:
@@ -38,7 +47,7 @@ class TestFig01Motivation:
 class TestFig03Quality:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig03_quality.run(item_counts=(256, 1024, 4096))
+        return fig03_quality.run()
 
     def test_quality_increases_with_items(self, result):
         for model in ("RMsmall", "RMmed", "RMlarge"):
@@ -72,7 +81,7 @@ class TestFig05Ablation:
 class TestFig07SchedulingClaims:
     @pytest.fixture(scope="class")
     def scheduler(self):
-        return make_scheduler(criteo_quality_evaluator(), num_queries=1200)
+        return make_scheduler(criteo_quality_evaluator(CRITEO_POOL), num_queries=1200)
 
     def test_two_stage_reduces_cpu_latency_about_4x(self, scheduler):
         one = scheduler.evaluate(criteo_one_stage(), "cpu", 500)
@@ -133,7 +142,7 @@ class TestFig11AreaPower:
 class TestFig12AtScale:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig12_rpaccel_scale.run_scale(qps_values=(200, 400, 1600))
+        return fig12_rpaccel_scale.run_scale()
 
     def test_rpaccel_multistage_dominates_baseline(self, result):
         base = result.filtered(config="baseline accel (1-stage)", qps=200)[0]
@@ -156,7 +165,7 @@ class TestFig12AtScale:
 
 class TestFig13Future:
     def test_locality_trends(self):
-        result = fig13_future.run_locality(scales=(1, 8, 32))
+        result = fig13_future.run_locality()
         rows = sorted(result.rows, key=lambda r: r["embedding_scale"])
         assert rows[0]["fraction_in_ssd"] == 0.0
         assert rows[-1]["fraction_in_ssd"] > 0.85  # paper: ~97% at 32x
@@ -164,10 +173,86 @@ class TestFig13Future:
         assert rows[-1]["overlap_fraction"] <= rows[0]["overlap_fraction"]
 
     def test_multistage_scales_more_gracefully(self):
-        result = fig13_future.run_scaling(scales=(1, 8, 32))
+        result = fig13_future.run_scaling()
         rows = sorted(result.rows, key=lambda r: r["embedding_scale"])
         single_growth = rows[-1]["single_stage_latency_ms"] / rows[0]["single_stage_latency_ms"]
         multi_growth = rows[-1]["multi_stage_latency_ms"] / rows[0]["multi_stage_latency_ms"]
         assert math.isfinite(single_growth) and math.isfinite(multi_growth)
         assert multi_growth < single_growth
         assert rows[-1]["multi_stage_latency_ms"] < rows[-1]["single_stage_latency_ms"]
+
+
+def reference_merge(name: str, parts) -> ExperimentResult:
+    """The panel merge each multi-panel figure used to write inline."""
+    merged = ExperimentResult(name=name)
+    for part in parts:
+        for row in part.rows:
+            merged.add(panel=part.name, **row)
+        merged.notes.extend(part.notes)
+    return merged
+
+
+class TestOneConfiguration:
+    """Each figure runs one way: the registry's no-argument configuration."""
+
+    @pytest.mark.parametrize(
+        "module, panels",
+        [
+            (fig07_cpu, ("run_single_stage", "run_multistage", "run_iso_quality")),
+            (fig08_heterogeneous, ("run_iso_quality", "run_sla_quality")),
+            (fig10_design_space, ("run_utilization", "run_topk", "run_cache_partition")),
+            (fig12_rpaccel_scale, ("run_scale", "run_asymmetric")),
+            (fig13_future, ("run_locality", "run_scaling")),
+        ],
+        ids=["fig07", "fig08", "fig10", "fig12", "fig13"],
+    )
+    def test_merge_panels_matches_the_inline_merge(self, module, panels):
+        figure = module.run()
+        parts = [getattr(module, name)() for name in panels]
+        reference = reference_merge(figure.name, parts)
+        for merged in (merge_panels(figure.name, *parts), figure):
+            assert merged.rows == reference.rows
+            assert [list(row) for row in merged.rows] == [list(row) for row in reference.rows]
+            assert merged.notes == reference.notes
+
+    def test_harness_functions_take_no_parameters(self):
+        checked = []
+        for spec in default_registry():
+            if not spec.module.startswith("repro.experiments."):
+                continue
+            module = importlib.import_module(spec.module)
+            for name, function in vars(module).items():
+                if not (name == "run" or name.startswith("run_")):
+                    continue
+                if not inspect.isfunction(function) or function.__module__ != module.__name__:
+                    continue
+                expected = ["seed"] if (spec.id, name) == ("tab01", "run") else []
+                assert list(inspect.signature(function).parameters) == expected, (spec.id, name)
+                checked.append((spec.id, name))
+        assert len({spec_id for spec_id, _ in checked}) == 11
+
+    def test_common_builders_and_evaluators_have_no_defaults(self):
+        for builder in (
+            common.criteo_one_stage,
+            common.criteo_two_stage,
+            common.criteo_two_stage_med,
+            common.criteo_three_stage,
+        ):
+            assert not inspect.signature(builder).parameters, builder.__name__
+        for evaluator in (common.criteo_quality_evaluator, common.movielens_quality_evaluator):
+            parameters = inspect.signature(evaluator).parameters.values()
+            assert all(p.default is inspect.Parameter.empty for p in parameters)
+
+    def test_criteo_figures_draw_the_workload_once(self, monkeypatch):
+        draws = []
+        original = CriteoSynthetic.sample_ranking_queries
+
+        def counting(self, *args, **kwargs):
+            draws.append(kwargs.get("candidates_per_query"))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CriteoSynthetic, "sample_ranking_queries", counting)
+        criteo_quality_evaluator.cache_clear()
+        for exp_id in ("fig01", "fig03", "fig07", "fig08", "fig14"):
+            default_registry().get(exp_id).execute()
+        assert draws == [CRITEO_POOL]

@@ -34,7 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import packaged_scenario, runner
+from repro.experiments.registry import packaged_scenario
+from repro.scenarios import runner
 from repro.serving.estimators import WindowedMean
 from repro.serving.frontend import (
     ARRIVAL_PROCESSES,

@@ -11,7 +11,14 @@ from repro.core.sweep import SweepConfig, run_sweep
 from repro.experiments import artifacts
 from repro.experiments.capacity_planning import CapacityConfig, run_capacity
 from repro.experiments.common import criteo_quality_evaluator
-from repro.experiments.registry import ExperimentRegistry, ExperimentSpec, default_registry
+from repro.experiments.registry import (
+    ExperimentRegistry,
+    ExperimentSpec,
+    default_registry,
+    packaged_scenario,
+    register_scenario,
+    scenario_specs,
+)
 from repro.models.zoo import criteo_model_specs
 from repro.scenarios import (
     AXES,
@@ -19,11 +26,8 @@ from repro.scenarios import (
     ScenarioConfig,
     ScenarioError,
     load_scenario,
-    packaged_scenario,
-    register_scenario,
     run_cell,
     scenario_from_mapping,
-    scenario_specs,
 )
 from repro.scenarios.knobs import parse_mix
 from repro.scenarios.runner import _compiled_table, build_trace, compiled_table
