@@ -76,6 +76,25 @@ class DLRMConfig:
         return self.embedding_dim + self.num_interaction_features
 
 
+def pairwise_interactions(vectors: np.ndarray) -> np.ndarray:
+    """Dot products of every vector pair ``i < j``, row-major over ``(i, j)``.
+
+    ``vectors`` has shape ``(batch, n, dim)``; the result has shape
+    ``(batch, n * (n - 1) / 2)``, ordered as ``np.triu_indices(n, k=1)``.
+    Row ``i`` is one ``np.einsum("bk,bjk->bj", ...)`` against vectors
+    ``i + 1:``, so only the upper triangle is computed, never the full
+    ``(batch, n, n)`` Gram matrix.  On C-contiguous float64 input this is
+    bit-identical to ``np.einsum("bik,bjk->bij", v, v)[:, iu, ju]``: both
+    reduce each pair over a contiguous ``dim`` axis with the same
+    sum-of-products loop, so they add the same products in the same order.
+    ``np.matmul`` is not a substitute: BLAS changes the summation order and
+    so the last digits.
+    """
+    n = vectors.shape[1]
+    rows = [np.einsum("bk,bjk->bj", vectors[:, i], vectors[:, i + 1 :]) for i in range(n - 1)]
+    return np.concatenate(rows, axis=1)
+
+
 class DLRM(RecommendationModel):
     """DLRM with explicit forward/backward over the numpy substrate."""
 
@@ -87,12 +106,23 @@ class DLRM(RecommendationModel):
         self.embeddings = EmbeddingBagCollection(config.table_sizes, config.embedding_dim, rng=rng)
         top_sizes = [config.top_input_width, *config.mlp_top, 1]
         self.top = MLP(top_sizes, rng=rng, final_activation="none")
-        self._cache: dict[str, np.ndarray] | None = None
+        # The interaction's (i < j) pairs, in the order the top MLP reads them.
+        self._upper = np.triu_indices(config.num_tables + 1, k=1)
+        self._vectors: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Forward / backward
     # ------------------------------------------------------------------ #
     def forward(self, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
+        """Logits of shape ``(batch, 1)``; keeps the interaction vectors for ``backward``.
+
+        Exact against the per-table, full-Gram formulation: the embedding
+        lookup is one gather over the stacked tables (a copy), and the
+        interaction is :func:`pairwise_interactions`, which reduces each
+        ``i < j`` pair over ``dim`` with the same ``einsum`` loop the full
+        Gram matrix used.  ``vectors`` is built by ``np.concatenate``, so it
+        is C-contiguous float64, the input that equality holds for.
+        """
         dense = np.asarray(dense, dtype=np.float64)
         sparse = np.asarray(sparse)
         cfg = self.config
@@ -105,20 +135,17 @@ class DLRM(RecommendationModel):
         batch = dense.shape[0]
         emb_vectors = emb_out.reshape(batch, cfg.num_tables, cfg.embedding_dim)
         vectors = np.concatenate([bottom_out[:, None, :], emb_vectors], axis=1)
-        gram = np.einsum("bik,bjk->bij", vectors, vectors)
-        iu, ju = np.triu_indices(cfg.num_tables + 1, k=1)
-        interactions = gram[:, iu, ju]
-        top_input = np.concatenate([bottom_out, interactions], axis=1)
+        top_input = np.concatenate([bottom_out, pairwise_interactions(vectors)], axis=1)
         logits = self.top.forward(top_input)
-        self._cache = {"vectors": vectors, "iu": iu, "ju": ju}
+        self._vectors = vectors
         return logits
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        if self._cache is None:
+        if self._vectors is None:
             raise RuntimeError("backward called before forward")
         cfg = self.config
-        vectors = self._cache["vectors"]
-        iu, ju = self._cache["iu"], self._cache["ju"]
+        vectors = self._vectors
+        iu, ju = self._upper
         batch = vectors.shape[0]
 
         grad_top_input = self.top.backward(grad_logits)

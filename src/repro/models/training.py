@@ -9,6 +9,7 @@ import numpy as np
 from repro.data.datasets import CTRBatch, Dataset
 from repro.models.base import RecommendationModel
 from repro.nn import Adam, BCEWithLogitsLoss, SGD
+from repro.nn.loss import sigmoid
 
 
 @dataclass
@@ -55,13 +56,13 @@ class Trainer:
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         history = TrainingHistory()
+        test = dataset.test
         for _ in range(epochs):
-            train_loss = self._run_epoch(dataset.train)
-            test_loss = self.evaluate_loss(dataset.test)
-            test_error = evaluate_error(self.model, dataset.test)
-            history.train_loss.append(train_loss)
-            history.test_loss.append(test_loss)
-            history.test_error.append(test_error)
+            history.train_loss.append(self._run_epoch(dataset.train))
+            # One test forward gives both the loss and the error.
+            logits = self.model.forward(test.dense, test.sparse)
+            history.test_loss.append(self.loss_fn.forward(logits, test.labels))
+            history.test_error.append(_error_percent(logits, test.labels))
         return history
 
     def _run_epoch(self, batch: CTRBatch) -> float:
@@ -96,6 +97,10 @@ def evaluate_error(model: RecommendationModel, batch: CTRBatch, threshold: float
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    probs = model.predict(batch.dense, batch.sparse)
-    predictions = (probs >= threshold).astype(np.float64)
-    return float(np.mean(predictions != batch.labels) * 100.0)
+    return _error_percent(model.forward(batch.dense, batch.sparse), batch.labels, threshold)
+
+
+def _error_percent(logits: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
+    """Percent of ``labels`` that thresholded ``sigmoid(logits)`` mispredicts."""
+    predictions = (sigmoid(logits.reshape(-1)) >= threshold).astype(np.float64)
+    return float(np.mean(predictions != labels) * 100.0)

@@ -97,6 +97,19 @@ class EmbeddingBagCollection(Layer):
     ``forward`` takes an integer array of shape ``(batch, num_tables)`` holding
     one index per table and returns the concatenation of the per-table
     lookups, shape ``(batch, num_tables * dim)``.
+
+    The tables are stacked: the collection owns one ``(sum(rows), dim)``
+    ``weight`` and one ``grad_weight``, and each ``tables[t].weight`` /
+    ``grad_weight`` is the view of rows ``offsets[t]:offsets[t + 1]``.  Each
+    table's rows are drawn from ``rng`` in table order, as separate tables
+    would draw them, so the stack holds the same values.  ``forward`` is one
+    gather over the stack and ``backward`` one 1-D ``np.add.at`` over flat
+    element indices.  Both are exact against per-table lookups: a gather
+    copies values, and ``np.add.at`` applies its additions one at a time in
+    index order, so every gradient element adds its rows' values in batch
+    order, starting from its current value, as a per-table ``np.add.at``
+    does.  ``parameters()``/``gradients()`` stay per table, so an optimizer
+    updates one table-sized array at a time.
     """
 
     def __init__(
@@ -108,9 +121,22 @@ class EmbeddingBagCollection(Layer):
     ) -> None:
         if not table_sizes:
             raise ValueError("at least one embedding table is required")
+        if min(table_sizes) <= 0 or dim <= 0:
+            raise ValueError(f"table dimensions must be positive, got {list(table_sizes)}x{dim}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
-        self.tables = [EmbeddingTable(rows, dim, rng=rng, std=std) for rows in table_sizes]
+        self.table_sizes = np.asarray(table_sizes, dtype=np.intp)
+        self.offsets = np.concatenate(([0], np.cumsum(self.table_sizes)))
+        self.weight = np.empty((int(self.offsets[-1]), dim))
+        self.grad_weight = np.zeros_like(self.weight)
+        self.tables = []
+        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
+            table = EmbeddingTable(int(stop - start), dim, rng=rng, std=std)
+            self.weight[start:stop] = table.weight
+            table.weight = self.weight[start:stop]
+            table.grad_weight = self.grad_weight[start:stop]
+            self.tables.append(table)
+        self._rows: np.ndarray | None = None
 
     @property
     def num_tables(self) -> int:
@@ -122,16 +148,34 @@ class EmbeddingBagCollection(Layer):
             raise ValueError(
                 f"expected indices of shape (batch, {self.num_tables}), got {indices.shape}"
             )
-        outputs = [table.forward(indices[:, t]) for t, table in enumerate(self.tables)]
-        return np.concatenate(outputs, axis=1)
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise TypeError(f"embedding indices must be integers, got {indices.dtype}")
+        if indices.size:
+            # Each table checks its own range: a stacked row past a table's
+            # end exists, but belongs to the next table.
+            low, high = indices.min(axis=0), indices.max(axis=0)
+            bad = np.flatnonzero((low < 0) | (high >= self.table_sizes))
+            if bad.size:
+                t = bad[0]
+                raise IndexError(
+                    f"embedding index out of range [0, {self.table_sizes[t]}) in table {t}: "
+                    f"min={low[t]}, max={high[t]}"
+                )
+        self._rows = indices.astype(np.intp, copy=False) + self.offsets[:-1]
+        gathered = self.weight.take(self._rows, axis=0)
+        return gathered.reshape(len(indices), self.num_tables * self.dim)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._rows is None:
+            raise RuntimeError("backward called before forward")
         if grad_out.shape[1] != self.num_tables * self.dim:
             raise ValueError(
                 f"expected gradient width {self.num_tables * self.dim}, got {grad_out.shape[1]}"
             )
-        for t, table in enumerate(self.tables):
-            table.backward(grad_out[:, t * self.dim : (t + 1) * self.dim])
+        # Element (row, k) of the stack sits at flat index row * dim + k; the
+        # flat indices follow grad_out's (batch, table, k) order.
+        elements = (self._rows * self.dim)[:, :, None] + np.arange(self.dim)
+        np.add.at(self.grad_weight.reshape(-1), elements.reshape(-1), grad_out.reshape(-1))
         return np.zeros_like(grad_out)
 
     def parameters(self) -> list[np.ndarray]:

@@ -59,6 +59,7 @@ from repro.scenarios.knobs import (
     TRACE_LIST,
     ScenarioError,
     coerce,
+    listed,
 )
 
 #: The swept dimensions a scenario grid may declare, in canonical cell-id
@@ -84,6 +85,11 @@ KIND_DEFAULTS = {
 #: The serving defaults: deliberately smoke-sized (small pool, short trace)
 #: so a scenario is cheap unless it asks for more.
 BASE_DEFAULTS: Mapping[str, Any] = KIND_DEFAULTS["serving"]
+#: The most decision windows a per-query cell may cut one trace into.  The
+#: frontend allocates per-window arrays up front (perfbench's ``serve``
+#: uses 240 windows), so a width that asks for more fails fast here instead
+#: of in numpy after the table compile.
+MAX_DECISION_WINDOWS = 10**6
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 
@@ -126,6 +132,34 @@ def _validate_schedule(params: Mapping[str, Any]) -> None:
         raise ScenarioError("service_schedule needs mode per-step; the frontend takes no schedule")
     if params["nodes"] != "1":
         raise ScenarioError("service_schedule needs nodes '1'; cluster tables take no schedule")
+
+
+def _validate_windows(params: Mapping[str, Any]) -> None:
+    """Reject a per-query ``window_seconds`` that cuts a trace into too many windows.
+
+    Parameters
+    ----------
+    params : Mapping
+        One cell's resolved parameters.
+
+    Raises
+    ------
+    ScenarioError
+        When some listed trace (its own shape overrides included) would
+        need more than :data:`MAX_DECISION_WINDOWS` decision windows.
+    """
+    width = params["window_seconds"]
+    if params["mode"] != "per-query" or width is None:
+        return
+    for item in listed(params["trace"]):
+        shape = {**params, **item} if isinstance(item, Mapping) else params
+        duration = shape["steps"] * shape["step_seconds"]
+        if duration / width > MAX_DECISION_WINDOWS:
+            raise ScenarioError(
+                f"window_seconds {width:g} cuts a {duration:g} s trace into more than "
+                f"{MAX_DECISION_WINDOWS:,} decision windows; use at least "
+                f"{duration / MAX_DECISION_WINDOWS:g} s"
+            )
 
 
 @dataclass(frozen=True)
@@ -241,6 +275,7 @@ class ScenarioConfig:
         if self.kind == "serving":
             for cell in self.expand():
                 _validate_schedule(cell.params)
+                _validate_windows(cell.params)
 
     def expand(self) -> list[ScenarioCell]:
         """The cartesian product of the axes as resolved cells.

@@ -466,6 +466,11 @@ CLI_PROBES = [
     (["capacity", "--strategy", "diagonal"], "--strategy"),
     (["sweep", "--engine", "magic"], "--engine"),
     (["route", "--no-batching", "--max-batch", "8"], "--max-batch"),
+    # 1e-9 s windows over a 300 s trace would be 3e11 window edges.
+    (
+        ["route", "--mode", "per-query", "--window-seconds", "1e-9", "--steps", "5"],
+        "window_seconds",
+    ),
 ]
 
 SCENARIO_PROBES = [
@@ -483,6 +488,7 @@ SCENARIO_PROBES = [
     ({"qps_grid": "100,200"}, "qps_grid"),
     ({"platforms": ["cpu"]}, "platforms"),
     ({"trace": [{"name": "ramp", "steps": 0}]}, "steps"),
+    ({"mode": "per-query", "window_seconds": 1e-9, "steps": 5}, "window_seconds"),
 ]
 
 

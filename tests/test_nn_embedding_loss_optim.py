@@ -66,6 +66,41 @@ class TestEmbeddingBagCollection:
         with pytest.raises(ValueError):
             coll.forward(np.array([[1, 2, 3]]))
 
+    def test_tables_are_views_of_the_stack(self):
+        coll = EmbeddingBagCollection([5, 7, 2], 3)
+        assert coll.weight.shape == (14, 3)
+        for table, start in zip(coll.tables, (0, 5, 12)):
+            assert np.shares_memory(table.weight, coll.weight)
+            assert np.shares_memory(table.grad_weight, coll.grad_weight)
+            assert table.weight.base is coll.weight
+            np.testing.assert_array_equal(table.weight, coll.weight[start : start + table.num_rows])
+
+    def test_float_indices_rejected(self):
+        coll = EmbeddingBagCollection([5, 7], 3)
+        with pytest.raises(TypeError):
+            coll.forward(np.array([[1.0, 2.0]]))
+
+    def test_negative_index_rejected(self):
+        coll = EmbeddingBagCollection([5, 7], 3)
+        with pytest.raises(IndexError, match="table 1"):
+            coll.forward(np.array([[1, 2], [0, -1]]))
+
+    @pytest.mark.parametrize("index", [5, 6, 11])
+    def test_index_past_its_own_table_rejected(self, index):
+        # Stacked rows 5..11 exist (they are table 1's), but table 0 has 5 rows.
+        coll = EmbeddingBagCollection([5, 7], 3)
+        with pytest.raises(IndexError, match=r"\[0, 5\) in table 0"):
+            coll.forward(np.array([[index, 0]]))
+
+    def test_uneven_tables_return_their_own_rows(self):
+        sizes = [3, 17, 1, 8, 30]
+        coll = EmbeddingBagCollection(sizes, 4, rng=np.random.default_rng(2))
+        idx = np.random.default_rng(3).integers(0, sizes, size=(50, len(sizes)))
+        out = coll.forward(idx)
+        assert out.shape == (50, len(sizes) * 4)
+        for t, table in enumerate(coll.tables):
+            np.testing.assert_array_equal(out[:, t * 4 : (t + 1) * 4], table.weight[idx[:, t]])
+
     def test_lookups_per_sample(self):
         coll = EmbeddingBagCollection([5] * 26, 4)
         assert coll.lookups_per_sample() == 26

@@ -29,6 +29,7 @@ from repro.scenarios import (
     run_cell,
     scenario_from_mapping,
 )
+from repro.scenarios.config import MAX_DECISION_WINDOWS
 from repro.scenarios.knobs import parse_mix
 from repro.scenarios.runner import _compiled_table, build_trace, compiled_table
 from repro.serving.trace import TRACES, diurnal_trace, ramp_trace
@@ -101,6 +102,31 @@ class TestScenarioConfig:
         mutate(data)
         with pytest.raises(ScenarioError, match=match):
             scenario_from_mapping(data)
+
+    def test_too_many_decision_windows_rejected(self):
+        data = cheap_mapping()
+        data["base"].update(mode="per-query", window_seconds=1e-9)
+        with pytest.raises(ScenarioError, match="window_seconds"):
+            scenario_from_mapping(data)
+
+    def test_window_limit_reads_each_traces_own_shape(self):
+        # The base trace (12 x 60 s) fits at 1e-3 s windows; a listed
+        # trace stretched to 10x its length does not.
+        data = cheap_mapping(axes={"estimator": ["windowed"]})
+        data["base"].update(mode="per-query", window_seconds=1e-3)
+        scenario_from_mapping(data)
+        data["base"]["trace"] = ["spike", {"name": "ramp", "step_seconds": 600.0}]
+        with pytest.raises(ScenarioError, match=r"window_seconds 0\.001 cuts a 7200 s trace"):
+            scenario_from_mapping(data)
+
+    def test_window_limit_is_inclusive_and_per_query_only(self):
+        data = cheap_mapping()
+        duration = CHEAP_BASE["steps"] * BASE_DEFAULTS["step_seconds"]
+        data["base"].update(mode="per-query", window_seconds=duration / MAX_DECISION_WINDOWS)
+        scenario_from_mapping(data)
+        # Per-step cells make one decision per step and never read the width.
+        data["base"].update(mode="per-step", window_seconds=1e-9)
+        scenario_from_mapping(data)
 
     def test_scenario_error_is_a_value_error(self):
         # main() maps ValueError to exit 2; scenario errors must ride along.
