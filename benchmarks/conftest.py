@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark regenerates one of the paper's tables/figures through the
-corresponding ``repro.experiments`` module, asserts the qualitative shape the
-paper reports, and prints the regenerated rows and notes.
+Each claim benchmark checks a registry entry's claims from
+``tests/claims.py`` (the blocking test job runs the same table) and prints
+the regenerated rows and notes.
 
 The perf benchmarks record ``BENCH_*.json`` trajectories.  A plain test run
 writes them to a session temp dir, so it never rewrites the committed files;
@@ -16,6 +16,9 @@ import os
 
 import pytest
 from _bench_io import CLUSTER_BENCH, ROUTER_BENCH, SIMULATOR_BENCH
+
+# A failing claim shows the values it compared.
+pytest.register_assert_rewrite("tests.claims")
 
 
 @pytest.fixture(scope="session", autouse=True)

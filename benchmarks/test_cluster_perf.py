@@ -1,12 +1,11 @@
 """Benchmark: fleet capacity-planning claims + cluster-gather micro-benchmark.
 
-Two parts, mirroring the cluster ISSUE's acceptance criteria:
+Two parts:
 
-* the ``capacity`` registry experiment's headline claims hold at full scale —
-  the diurnal million-user peak exceeds every single node's SLA-feasible
-  load, at least one multi-node mix serves it, the cost/QPS frontier is
-  non-empty, and sharding never makes a homogeneous fleet's half-capacity
-  p99 probe cheaper than the unsharded single node's;
+* a timed, uncached run of the ``capacity`` registry entry, checked
+  against the entry's claims in ``tests/claims.py`` (the diurnal
+  million-user peak needs a multi-node mix, the cost/QPS frontier holds the
+  cheapest one, and sharding never makes a node faster);
 * pricing a fresh placement is cheap enough to sit inside a sweep —
   :func:`~repro.cluster.sharding.shard_row_wise` plus
   :func:`~repro.cluster.topology.gather_seconds_per_node` are timed together
@@ -28,52 +27,22 @@ from conftest import report
 from repro.cluster import InterconnectLink, gather_seconds_per_node, shard_row_wise
 from repro.cluster.sharding import tables_from_cost
 from repro.experiments import capacity_planning
-from repro.experiments.registry import default_registry, packaged_scenario
+from repro.experiments.registry import default_registry
 from repro.models.zoo import RM_LARGE
+from tests import claims
 
 
 def test_capacity_experiment_claims():
     start = time.perf_counter()
     result = default_registry().get("capacity").execute()
     wall_clock = time.perf_counter() - start
-    report(result)
-    (cell,) = packaged_scenario("capacity").expand()
-
-    rows = result.rows
-    singles = [row for row in rows if row["num_nodes"] == 1]
-    multis = [row for row in rows if row["num_nodes"] > 1]
-    assert singles and multis
-
-    # Headline: no single node serves the diurnal peak within SLA, so the
-    # cheapest serving fleet must be a multi-node mix.
-    assert not any(row["serves_peak"] for row in singles)
-    winners = [row for row in multis if row["serves_peak"]]
-    assert winners
-    winner = min(winners, key=lambda row: row["cost_usd"])
-    cheapest_single = min(singles, key=lambda row: row["cost_usd"])
-
-    # The cost/QPS frontier artifact is non-empty and includes the winner.
-    frontier = [row for row in rows if row["on_frontier"]]
-    assert frontier
-    assert winner["mix"] in {row["mix"] for row in frontier}
-
-    # Sharding cannot make a node faster: a homogeneous sharded fleet's
-    # half-capacity p99 probe is at least the single node's (gather tax >= 0).
-    for platform in cell.params["platforms"]:
-        probes = {
-            row["num_nodes"]: row["probe_p99_ms"]
-            for row in rows
-            if row["memory_ok"] and "+" not in row["mix"] and row["mix"].endswith(f"x{platform}")
-        }
-        assert 1 in probes
-        for num_nodes, probe in probes.items():
-            if num_nodes > 1:
-                assert probe >= probes[1] - 1e-9
+    report(claims.check("capacity", result=result))
+    winner, cheapest_single, frontier = claims.capacity_picks(result)
 
     payload = {
         "wall_clock_seconds": wall_clock,
-        "num_mixes": len(rows),
-        "mixes_per_second": len(rows) / wall_clock,
+        "num_mixes": len(result.rows),
+        "mixes_per_second": len(result.rows) / wall_clock,
         "frontier_size": len(frontier),
         "winner_mix": winner["mix"],
         "winner_cost_usd": winner["cost_usd"],
@@ -84,7 +53,7 @@ def test_capacity_experiment_claims():
     }
     path = record_bench(CLUSTER_BENCH, "capacity_sweep", payload)
     print(
-        f"\ncapacity sweep: {len(rows)} mixes in {wall_clock:.2f} s, winner {winner['mix']} "
+        f"\ncapacity sweep: {len(result.rows)} mixes in {wall_clock:.2f} s, winner {winner['mix']} "
         f"(${winner['cost_usd']:,.0f}) -> {path}"
     )
 

@@ -2,16 +2,8 @@
 
 from conftest import report
 
-from repro.experiments import fig01_motivation
+from tests import claims
 
 
-def test_fig01_motivation(benchmark):
-    result = benchmark(fig01_motivation.run)
-    report(result)
-    reduction = result.filtered(config="reduction")[0]
-    # Paper: 7.5x compute and 4.0x embedding-traffic reduction.
-    assert 5.0 < reduction["compute_macs"] < 10.0
-    assert 3.0 < reduction["embedding_bytes"] < 5.5
-    one = result.filtered(config="one-stage")[0]
-    two = result.filtered(config="two-stage")[0]
-    assert two["quality_ndcg"] >= one["quality_ndcg"] - 1.0
+def test_fig01_motivation():
+    report(claims.check("fig01"))

@@ -2,22 +2,8 @@
 
 from conftest import report
 
-from repro.experiments import fig03_quality
+from tests import claims
 
 
-def test_fig03_quality(benchmark):
-    result = benchmark.pedantic(fig03_quality.run, rounds=1, iterations=1, warmup_rounds=0)
-    report(result)
-    # Quality increases with items ranked for every model.
-    for model in ("RMsmall", "RMmed", "RMlarge"):
-        rows = sorted(result.filtered(model=model), key=lambda r: r["items_ranked"])
-        values = [r["quality_ndcg"] for r in rows]
-        assert values == sorted(values)
-    # At the full pool, the larger model ranks better.
-    at_max = {r["model"]: r["quality_ndcg"] for r in result.filtered(items_ranked=4096)}
-    assert at_max["RMlarge"] > at_max["RMmed"] > at_max["RMsmall"]
-    # Items-ranked axis dominates the model axis (paper's central observation).
-    assert (
-        result.filtered(model="RMsmall", items_ranked=4096)[0]["quality_ndcg"]
-        > result.filtered(model="RMlarge", items_ranked=256)[0]["quality_ndcg"]
-    )
+def test_fig03_quality():
+    report(claims.check("fig03"))

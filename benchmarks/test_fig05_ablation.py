@@ -2,23 +2,8 @@
 
 from conftest import report
 
-from repro.experiments import fig05_ablation
+from tests import claims
 
 
-def test_fig05_ablation(benchmark):
-    result = benchmark(fig05_ablation.run)
-    report(result)
-    rows = result.rows
-    final = rows[-1]
-    # Paper: the combined optimizations give up to 5x latency / 10x throughput.
-    assert final["latency_speedup"] > 2.0
-    assert final["throughput_gain"] > 3.0
-    # The fully optimized design is the best step in both metrics.
-    assert final["latency_ms"] == min(r["latency_ms"] for r in rows)
-    assert final["capacity_qps"] == max(r["capacity_qps"] for r in rows)
-    # The reconfigurable array step (O.3) improves throughput over O.2.
-    by_step = {r["step"]: r for r in rows}
-    assert (
-        by_step["O.3 + reconfigurable sub-arrays"]["capacity_qps"]
-        > by_step["O.2 + on-chip top-k filter"]["capacity_qps"]
-    )
+def test_fig05_ablation():
+    report(claims.check("fig05"))

@@ -2,36 +2,22 @@
 
 from conftest import report
 
-from repro.experiments import fig07_cpu
+from tests import claims
 
 
-def test_fig07_single_stage(benchmark):
-    result = benchmark.pedantic(fig07_cpu.run_single_stage, rounds=1, iterations=1, warmup_rounds=0)
-    report(result)
-    # Larger single-stage models achieve higher quality at higher latency.
-    at_4096 = {r["model"]: r for r in result.filtered(items_ranked=4096)}
-    assert at_4096["RMlarge"]["quality_ndcg"] > at_4096["RMsmall"]["quality_ndcg"]
-    assert at_4096["RMlarge"]["p99_latency_ms"] > at_4096["RMsmall"]["p99_latency_ms"]
+def test_fig07_single_stage():
+    report(claims.check("fig07", claims.larger_model_trades_p99_for_quality))
 
 
-def test_fig07_multistage(benchmark):
-    result = benchmark.pedantic(fig07_cpu.run_multistage, rounds=1, iterations=1, warmup_rounds=0)
-    report(result)
-    rows = {r["config"]: r for r in result.rows}
-    one = rows["one-stage"]
-    two = rows["two-stage (RMsmall-RMlarge)"]
-    two_med = rows["two-stage (RMmed-RMlarge)"]
-    # Paper: ~4x tail-latency reduction at (roughly) iso-quality, QPS 500.
-    assert one["p99_latency_ms"] / two["p99_latency_ms"] > 2.0
-    assert two["quality_ndcg"] >= one["quality_ndcg"] - 1.0
-    # RMmed frontends cost more latency than RMsmall frontends (paper: 1.6x).
-    assert two_med["p99_latency_ms"] > 1.2 * two["p99_latency_ms"]
+def test_fig07_multistage():
+    report(
+        claims.check(
+            "fig07",
+            claims.two_stage_cuts_cpu_p99_about_4x,
+            claims.rmsmall_frontend_beats_rmmed_frontend,
+        )
+    )
 
 
-def test_fig07_iso_quality(benchmark):
-    result = benchmark.pedantic(fig07_cpu.run_iso_quality, rounds=1, iterations=1, warmup_rounds=0)
-    report(result)
-    at_500 = {r["config"]: r for r in result.filtered(qps=500)}
-    assert at_500["two-stage"]["p99_latency_ms"] < at_500["one-stage"]["p99_latency_ms"]
-    # Three-stage loses part of the benefit to inter-stage overheads.
-    assert at_500["three-stage"]["p99_latency_ms"] >= at_500["two-stage"]["p99_latency_ms"]
+def test_fig07_iso_quality():
+    report(claims.check("fig07", claims.two_stage_beats_one_and_three_stage))

@@ -2,37 +2,24 @@
 
 from conftest import report
 
-from repro.experiments import fig08_heterogeneous
+from tests import claims
 
 
-def test_fig08_iso_quality(benchmark):
-    result = benchmark.pedantic(
-        fig08_heterogeneous.run_iso_quality, rounds=1, iterations=1, warmup_rounds=0
+def test_fig08_iso_quality():
+    report(
+        claims.check(
+            "fig08",
+            claims.gpu_has_the_lowest_p99_at_low_load,
+            claims.only_cpu_keeps_up_at_high_load,
+        )
     )
-    report(result)
-    low_load = {r["config"]: r for r in result.filtered(qps=50)}
-    # At low load the GPU single-stage design has the lowest latency.
-    assert (low_load["gpu 1-stage"]["p99_latency_ms"] < low_load["cpu 2-stage"]["p99_latency_ms"])
-    # At high load only the CPU design keeps up (GPU designs saturate).
-    high_load = {r["config"]: r for r in result.filtered(qps=1000)}
-    assert not high_load["cpu 2-stage"]["saturated"]
-    assert high_load["gpu 1-stage"]["saturated"]
 
 
-def test_fig08_sla_quality(benchmark):
-    result = benchmark.pedantic(
-        fig08_heterogeneous.run_sla_quality, rounds=1, iterations=1, warmup_rounds=0
+def test_fig08_sla_quality():
+    report(
+        claims.check(
+            "fig08",
+            claims.gpu_ranks_more_items_under_sla,
+            claims.gpu_reaches_higher_quality_under_sla,
+        )
     )
-    report(result)
-    # Under the 25 ms SLA at QPS 70, the GPU ranks more items and therefore
-    # achieves higher quality than the CPU (paper: NDCG 92.25 vs 87).
-    gpu_best = max(
-        (r for r in result.filtered(config="gpu 1-stage") if r["meets_sla"]),
-        key=lambda r: r["quality_ndcg"],
-    )
-    cpu_best = max(
-        (r for r in result.filtered(config="cpu 2-stage") if r["meets_sla"]),
-        key=lambda r: r["quality_ndcg"],
-    )
-    assert gpu_best["items_ranked"] > cpu_best["items_ranked"]
-    assert gpu_best["quality_ndcg"] > cpu_best["quality_ndcg"]

@@ -2,36 +2,26 @@
 
 from conftest import report
 
-from repro.experiments import fig10_design_space
+from tests import claims
 
 
-def test_fig10a_utilization(benchmark):
-    result = benchmark(fig10_design_space.run_utilization)
-    report(result)
-    small = {r["array"]: r["utilization"] for r in result.filtered(model="RMsmall")}
-    large = {r["array"]: r["utilization"] for r in result.filtered(model="RMlarge")}
-    # Small models waste large arrays; larger models use them better.
-    assert small["8x8"] > small["128x128"]
-    assert large["128x128"] > small["128x128"]
-    mono = result.filtered(model="two-stage", array="monolithic")[0]["utilization"]
-    reconfig = result.filtered(model="two-stage", array="reconfigurable")[0]["utilization"]
-    assert reconfig > 1.3 * mono  # paper: ~30% -> ~60%
+def test_fig10a_utilization():
+    report(
+        claims.check(
+            "fig10",
+            claims.small_models_waste_large_arrays,
+            claims.reconfigurable_array_raises_utilization,
+        )
+    )
 
 
-def test_fig10b_topk(benchmark):
-    result = benchmark(fig10_design_space.run_topk)
-    report(result)
-    values = {r["metric"]: r["value"] for r in result.rows}
-    assert values["recall_vs_exact_topk"] > 0.95
-    assert values["drain_cycles"] < 1000
-    # Paper: ~12% SRAM overhead without the CTR threshold vs ~3% with it.
-    assert 0.08 < values["sram_overhead_no_threshold"] < 0.16
-    assert 0.01 < values["sram_overhead_with_threshold"] < 0.05
+def test_fig10b_topk():
+    report(
+        claims.check(
+            "fig10", claims.topk_filter_is_exact_and_fast, claims.ctr_threshold_cuts_topk_sram
+        )
+    )
 
 
-def test_fig10c_cache_partition(benchmark):
-    result = benchmark(fig10_design_space.run_cache_partition)
-    report(result)
-    small = [r["amat_cycles"] for r in result.rows if r["static_cache_mb"] == 4.0]
-    big = [r["amat_cycles"] for r in result.rows if r["static_cache_mb"] == 12.0]
-    assert min(big) < min(small)  # larger caches lower AMAT
+def test_fig10c_cache_partition():
+    report(claims.check("fig10", claims.larger_static_cache_lowers_amat))

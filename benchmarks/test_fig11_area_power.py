@@ -2,16 +2,8 @@
 
 from conftest import report
 
-from repro.experiments import fig11_area_power
+from tests import claims
 
 
-def test_fig11_area_power(benchmark):
-    result = benchmark(fig11_area_power.run)
-    report(result)
-    totals = {r["component"]: r for r in result.rows}
-    base, rp = totals["TOTAL baseline"], totals["TOTAL rpaccel"]
-    area_overhead = rp["area_mm2"] / base["area_mm2"] - 1.0
-    power_overhead = rp["power_w"] / base["power_w"] - 1.0
-    # Paper: +11% area, +36% power.
-    assert 0.05 < area_overhead < 0.20
-    assert 0.20 < power_overhead < 0.50
+def test_fig11_area_power():
+    report(claims.check("fig11"))

@@ -2,30 +2,18 @@
 
 from conftest import report
 
-from repro.experiments import fig12_rpaccel_scale
+from tests import claims
 
 
-def test_fig12_at_scale(benchmark):
-    result = benchmark.pedantic(
-        fig12_rpaccel_scale.run_scale, rounds=1, iterations=1, warmup_rounds=0
+def test_fig12_at_scale():
+    report(
+        claims.check(
+            "fig12",
+            claims.rpaccel_cuts_latency_3x_and_raises_throughput_6x,
+            claims.rpaccel_capacity_grows_with_stages,
+        )
     )
-    report(result)
-    base = result.filtered(config="baseline accel (1-stage)", qps=200)[0]
-    rp1 = result.filtered(config="rpaccel 1-stage", qps=200)[0]
-    rp2 = result.filtered(config="rpaccel 2-stage", qps=200)[0]
-    # Paper: ~3x lower latency and ~6x higher throughput at iso-quality.
-    assert base["unloaded_latency_ms"] / rp2["unloaded_latency_ms"] > 2.0
-    assert rp2["capacity_qps"] / base["capacity_qps"] > 4.0
-    # Single-stage RPAccel also beats the baseline, but by less.
-    assert rp1["capacity_qps"] > base["capacity_qps"]
-    assert rp2["capacity_qps"] > rp1["capacity_qps"]
 
 
-def test_fig12_asymmetric_provisioning(benchmark):
-    result = benchmark.pedantic(
-        fig12_rpaccel_scale.run_asymmetric, rounds=1, iterations=1, warmup_rounds=0
-    )
-    report(result)
-    low = {r["config"]: r for r in result.filtered(load="low")}
-    # Fewer, larger backend sub-arrays minimize latency at low load.
-    assert low["RPAccel8,2"]["unloaded_latency_ms"] < low["RPAccel8,16"]["unloaded_latency_ms"]
+def test_fig12_asymmetric_provisioning():
+    report(claims.check("fig12", claims.fewer_backend_subarrays_cut_low_load_latency))

@@ -2,25 +2,12 @@
 
 from conftest import report
 
-from repro.experiments import fig13_future
+from tests import claims
 
 
-def test_fig13_locality(benchmark):
-    result = benchmark(fig13_future.run_locality)
-    report(result)
-    rows = sorted(result.rows, key=lambda r: r["embedding_scale"])
-    assert rows[0]["fraction_in_ssd"] == 0.0
-    assert rows[-1]["fraction_in_ssd"] > 0.85  # paper: ~97% at 32x
-    assert rows[-1]["onchip_miss_rate"] >= rows[0]["onchip_miss_rate"]
-    assert rows[-1]["overlap_fraction"] <= rows[0]["overlap_fraction"]
+def test_fig13_locality():
+    report(claims.check("fig13", claims.larger_tables_spill_to_ssd))
 
 
-def test_fig13_scaling(benchmark):
-    result = benchmark(fig13_future.run_scaling)
-    report(result)
-    rows = sorted(result.rows, key=lambda r: r["embedding_scale"])
-    # Multi-stage RPAccel scales more gracefully than the single-stage design.
-    single_growth = rows[-1]["single_stage_latency_ms"] / rows[0]["single_stage_latency_ms"]
-    multi_growth = rows[-1]["multi_stage_latency_ms"] / rows[0]["multi_stage_latency_ms"]
-    assert multi_growth < single_growth
-    assert rows[-1]["multi_stage_latency_ms"] < rows[-1]["single_stage_latency_ms"]
+def test_fig13_scaling():
+    report(claims.check("fig13", claims.multistage_scales_more_gracefully))

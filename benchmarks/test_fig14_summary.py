@@ -1,47 +1,9 @@
 """Benchmark: Figure 14 -- cross-dataset / cross-load / cross-platform summary."""
 
-import math
-
 from conftest import report
 
-from repro.experiments import fig14_summary
+from tests import claims
 
 
-def test_fig14_summary(benchmark):
-    result = benchmark.pedantic(fig14_summary.run, rounds=1, iterations=1, warmup_rounds=0)
-    report(result)
-
-    def best_latency(dataset, qps, platform):
-        rows = [
-            r
-            for r in result.filtered(dataset=dataset, qps=qps, platform=platform)
-            if not r["saturated"]
-        ]
-        if not rows:
-            return math.inf
-        return min(r["p99_latency_ms"] for r in rows)
-
-    # The accelerator achieves the lowest tail latency on every dataset/load.
-    for dataset in ("criteo", "movielens-1m", "movielens-20m"):
-        for qps in (100, 500):
-            accel = best_latency(dataset, qps, "accel")
-            cpu = best_latency(dataset, qps, "cpu")
-            gpu = best_latency(dataset, qps, "gpu")
-            assert accel < cpu
-            assert accel <= gpu or math.isinf(gpu)
-
-    # At high load (QPS 2000) the accelerator still keeps up on Criteo while
-    # the GPU designs saturate.
-    accel_high = best_latency("criteo", 2000, "accel")
-    gpu_high = best_latency("criteo", 2000, "gpu")
-    assert math.isfinite(accel_high)
-    assert math.isinf(gpu_high) or gpu_high > accel_high
-
-    # Multi-stage is the best CPU configuration on Criteo at QPS 500.
-    criteo_cpu = [
-        r
-        for r in result.filtered(dataset="criteo", qps=500, platform="cpu")
-        if not r["saturated"]
-    ]
-    best = min(criteo_cpu, key=lambda r: r["p99_latency_ms"])
-    assert best["num_stages"] > 1
+def test_fig14_summary():
+    report(claims.check("fig14"))

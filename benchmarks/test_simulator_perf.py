@@ -160,8 +160,8 @@ def measure(num_queries: int = 4000, repeats: int = 3, seed: int = 0) -> dict:
     }
 
 
-def test_simulator_engine_speedup(benchmark):
-    payload = benchmark.pedantic(measure, rounds=1, iterations=1, warmup_rounds=0)
+def test_simulator_engine_speedup():
+    payload = measure()
     path = record_bench(SIMULATOR_BENCH, "simulator_engines", payload)
     result = ExperimentResult(name="simulator_engines")
     for row in (*payload["engines"], payload["sweep"]):

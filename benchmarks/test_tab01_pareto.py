@@ -2,25 +2,8 @@
 
 from conftest import report
 
-from repro.experiments import tab01_pareto_models
+from tests import claims
 
 
-def test_tab01_pareto_models(benchmark):
-    result = benchmark.pedantic(tab01_pareto_models.run, rounds=1, iterations=1, warmup_rounds=0)
-    report(result)
-    rows = {row["model"]: row for row in result.rows}
-    assert set(rows) == {"RMsmall", "RMmed", "RMlarge"}
-    # Larger models achieve a lower (or equal) test loss on the held-out set.
-    assert rows["RMlarge"]["measured_test_loss"] <= rows["RMsmall"]["measured_test_loss"] + 0.05
-    # Published reference errors decrease with model size (Table 1).
-    assert (
-        rows["RMlarge"]["paper_error_pct"]
-        < rows["RMmed"]["paper_error_pct"]
-        < rows["RMsmall"]["paper_error_pct"]
-    )
-    # Reference complexity grows small -> med -> large.
-    assert (
-        rows["RMsmall"]["reference_flops"]
-        < rows["RMmed"]["reference_flops"]
-        < rows["RMlarge"]["reference_flops"]
-    )
+def test_tab01_pareto_models():
+    report(claims.check("tab01"))

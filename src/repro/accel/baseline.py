@@ -26,6 +26,19 @@ from repro.models.cost import ModelCost
 from repro.serving.resources import PipelinePlan, StageResource
 
 
+#: Host-side sorting cost per candidate when filtering between stages.
+HOST_SORT_SECONDS_PER_ITEM = 25e-9
+
+
+def host_filter_seconds(pcie: PCIeModel, num_items: int, next_stage_items: int) -> float:
+    """Host-side filtering: ship scores out, sort on the host, ship the survivors' ids back."""
+    return (
+        pcie.transfer_seconds(pcie.score_payload_bytes(num_items))
+        + num_items * HOST_SORT_SECONDS_PER_ITEM
+        + pcie.transfer_seconds(4 * next_stage_items)
+    )
+
+
 @dataclass(frozen=True)
 class StageBreakdown:
     """Latency components of one stage execution on an accelerator."""
@@ -62,8 +75,6 @@ class BaselineConfig:
     num_sparse_features: int = 26
     #: per-stage control / weight-reconfiguration overhead (seconds).
     per_stage_overhead_s: float = 60e-6
-    #: host-side sorting cost per candidate when filtering between stages.
-    host_sort_seconds_per_item: float = 25e-9
 
 
 class BaselineAccelerator:
@@ -102,11 +113,7 @@ class BaselineAccelerator:
             )
         filter_s = 0.0
         if next_stage_items is not None:
-            # Host-side filtering: ship scores out, sort on the host, ship the
-            # surviving candidate ids back.
-            filter_s += cfg.pcie.transfer_seconds(cfg.pcie.score_payload_bytes(num_items))
-            filter_s += num_items * cfg.host_sort_seconds_per_item
-            filter_s += cfg.pcie.transfer_seconds(4 * next_stage_items)
+            filter_s = host_filter_seconds(cfg.pcie, num_items, next_stage_items)
         return StageBreakdown(
             name=cost.name,
             mlp_seconds=mlp,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accel.baseline import StageBreakdown
+from repro.accel.baseline import StageBreakdown, host_filter_seconds
 from repro.accel.embedding_cache import EmbeddingCacheConfig, MultiStageEmbeddingCache
 from repro.accel.systolic import ReconfigurableArray, SubArray, SystolicArrayConfig
 from repro.accel.topk import TopKFilterConfig, TopKFilterUnit
@@ -65,7 +65,6 @@ class StageExecution:
 
     breakdown: StageBreakdown
     num_subarrays: int
-    subarray: SubArray
 
     @property
     def service_seconds(self) -> float:
@@ -157,9 +156,7 @@ class RPAccel:
                 cycles = self.topk.filter_cycles(num_items, next_stage_items)
                 filter_s = cycles / cfg.array.frequency_hz
             else:
-                filter_s += cfg.pcie.transfer_seconds(cfg.pcie.score_payload_bytes(num_items))
-                filter_s += num_items * 25e-9
-                filter_s += cfg.pcie.transfer_seconds(4 * next_stage_items)
+                filter_s = host_filter_seconds(cfg.pcie, num_items, next_stage_items)
         breakdown = StageBreakdown(
             name=cost.name,
             mlp_seconds=mlp,
@@ -168,14 +165,13 @@ class RPAccel:
             pcie_seconds=pcie,
             overhead_seconds=cfg.per_stage_overhead_s,
         )
-        return StageExecution(breakdown=breakdown, num_subarrays=num_subarrays, subarray=subarray)
+        return StageExecution(breakdown=breakdown, num_subarrays=num_subarrays)
 
     def query_executions(
         self,
         stage_costs: list[ModelCost],
         stage_items: list[int],
         subarrays_per_stage: list[int] | None = None,
-        fractions: list[float] | None = None,
         reconfigurable: bool = True,
         onchip_filter: bool = True,
         lookahead: bool = True,
@@ -189,10 +185,7 @@ class RPAccel:
             subarrays_per_stage = self.default_subarrays_per_stage(num_stages)
         if len(subarrays_per_stage) != num_stages:
             raise ValueError("subarrays_per_stage must have one entry per stage")
-        if fractions is None:
-            fractions = self.default_fractions(stage_costs, stage_items)
-        if len(fractions) != num_stages:
-            raise ValueError("fractions must have one entry per stage")
+        fractions = self.default_fractions(stage_costs, stage_items)
 
         partitions = self.cache.partition_static_cache(
             stage_costs, frontend_fraction=frontend_cache_fraction
@@ -234,7 +227,6 @@ class RPAccel:
         stage_costs: list[ModelCost],
         stage_items: list[int],
         subarrays_per_stage: list[int] | None = None,
-        fractions: list[float] | None = None,
         reconfigurable: bool = True,
         onchip_filter: bool = True,
         lookahead: bool = True,
@@ -254,7 +246,6 @@ class RPAccel:
             stage_costs,
             stage_items,
             subarrays_per_stage=subarrays_per_stage,
-            fractions=fractions,
             reconfigurable=reconfigurable,
             onchip_filter=onchip_filter,
             lookahead=lookahead,
@@ -308,12 +299,3 @@ class RPAccel:
             f"sub_batches={cfg.sub_batches if pipelined else 1})"
         )
         return PipelinePlan(platform=self.name, stages=stages, description=description)
-
-    def query_latency(
-        self,
-        stage_costs: list[ModelCost],
-        stage_items: list[int],
-        **plan_kwargs,
-    ) -> float:
-        """Unloaded end-to-end latency of one query."""
-        return self.plan_query(stage_costs, stage_items, **plan_kwargs).unloaded_latency()

@@ -160,9 +160,7 @@ class RecPipeScheduler:
         list[EvaluatedConfig]
             One record per load, in ``qps_values`` order.
         """
-        quality_value = (
-            self.evaluator.evaluate(pipeline.funnel_stages()) if quality is None else quality
-        )
+        quality_value = self.evaluator.evaluate_pipeline(pipeline) if quality is None else quality
         plan = self.plan_for(pipeline, platform)
         capacity = plan.throughput_capacity()
         unloaded = plan.unloaded_latency()
@@ -192,7 +190,7 @@ class RecPipeScheduler:
         qualities: dict[str, float] = {}
         for pipeline in pipelines:
             if pipeline.name not in qualities:
-                qualities[pipeline.name] = self.evaluator.evaluate(pipeline.funnel_stages())
+                qualities[pipeline.name] = self.evaluator.evaluate_pipeline(pipeline)
         return qualities
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,8 @@ estimator was swapped, a scenario axis moved.  This module reads the two
 * per-experiment changed rows and notes: every column of every row and
   every note is compared exactly, so a flipped flag, a renamed pipeline, a
   dropped row or a changed note shows even when no mean moves,
-* experiments/artifacts present in only one run.
+* experiments present in only one run, and artifact files a manifest lists
+  but its directory lacks.
 
 Wall-clock fields are ignored throughout — they differ on every run and
 carry no information — and so is ``jobs``: outputs must not depend on how
@@ -82,14 +83,19 @@ def _metric_means(rows: list[Mapping]) -> dict[str, float]:
 
 
 def _experiment_payload(output_dir: Path, entry: Mapping) -> dict | None:
-    """The ``<id>.json`` document of one manifest entry, or None when unreadable."""
-    json_name = entry.get("json")
-    if not json_name:
-        return None
-    path = output_dir / json_name
-    if not path.is_file():
-        return None
-    return artifacts.load_result_json(path)
+    """The ``<id>.json`` document of one manifest entry, or None when the file is missing."""
+    path = output_dir / entry["json"]
+    return artifacts.load_result_json(path) if path.is_file() else None
+
+
+def _missing_files(label: str, output_dir: Path, entries: Mapping[str, Mapping]) -> list[str]:
+    """Bullets naming every ``json``/``csv`` file a run's manifest lists but lacks."""
+    return [
+        f"- `{exp_id}`: `{entry[key]}` missing from run {label}"
+        for exp_id, entry in entries.items()
+        for key in ("json", "csv")
+        if not (output_dir / entry[key]).is_file()
+    ]
 
 
 def _cell(row: Mapping, key: str) -> str:
@@ -245,6 +251,11 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
     if artifact_lines:
         found_difference = True
         report += _section("Experiments present in only one run", artifact_lines)
+
+    missing_lines = _missing_files("A", dir_a, entries_a) + _missing_files("B", dir_b, entries_b)
+    if missing_lines:
+        found_difference = True
+        report += _section("Missing artifact files", missing_lines)
 
     if not found_difference:
         report += [NO_DIFFERENCES, ""]

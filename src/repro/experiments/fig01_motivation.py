@@ -33,7 +33,7 @@ def run() -> ExperimentResult:
         result.add(
             config=label,
             pipeline=pipeline.name,
-            quality_ndcg=evaluator.evaluate(pipeline.funnel_stages()),
+            quality_ndcg=evaluator.evaluate_pipeline(pipeline),
             compute_macs=pipeline.total_macs(),
             embedding_bytes=pipeline.total_embedding_bytes(),
         )

@@ -9,29 +9,24 @@ memoizes results so repeated sweeps are cheap.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.data.datasets import RankingQuery
 from repro.quality.funnel import SERVE_K_DEFAULT, FunnelStage, simulate_funnel
 
+if TYPE_CHECKING:
+    from repro.core.pipeline import PipelineConfig
+
 
 class QualityEvaluator:
     """Mean NDCG of a multi-stage funnel over a fixed query workload."""
 
-    def __init__(
-        self,
-        queries: Sequence[RankingQuery],
-        serve_k: int = SERVE_K_DEFAULT,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, queries: Sequence[RankingQuery], seed: int = 0) -> None:
         if not queries:
             raise ValueError("the evaluator needs at least one query")
-        if serve_k <= 0:
-            raise ValueError(f"serve_k must be positive, got {serve_k}")
         self.queries = list(queries)
-        self.serve_k = serve_k
         self.seed = seed
         self._cache: dict[tuple, float] = {}
 
@@ -44,9 +39,10 @@ class QualityEvaluator:
         self,
         stages: Sequence[FunnelStage],
         sub_batches: int = 1,
+        serve_k: int = SERVE_K_DEFAULT,
     ) -> float:
-        """Mean NDCG (percent) of the funnel configuration over the workload."""
-        key = self._cache_key(stages, sub_batches)
+        """Mean NDCG@``serve_k`` (percent) of the funnel configuration over the workload."""
+        key = self._cache_key(stages, sub_batches, serve_k)
         if key in self._cache:
             return self._cache[key]
         total = 0.0
@@ -56,12 +52,16 @@ class QualityEvaluator:
                 query.relevance,
                 stages,
                 rng,
-                serve_k=self.serve_k,
+                serve_k=serve_k,
                 sub_batches=sub_batches,
             )
         result = total / len(self.queries)
         self._cache[key] = result
         return result
+
+    def evaluate_pipeline(self, pipeline: PipelineConfig) -> float:
+        """Quality of a pipeline: mean NDCG@``pipeline.serve_k`` of its funnel."""
+        return self.evaluate(pipeline.funnel_stages(), serve_k=pipeline.serve_k)
 
     def evaluate_single_stage(self, score_noise: float, num_items: int) -> float:
         """Convenience wrapper for a one-stage funnel."""
@@ -79,11 +79,10 @@ class QualityEvaluator:
                 table[(model_name, num_items)] = self.evaluate_single_stage(noise, num_items)
         return table
 
-    def _cache_key(
-        self, stages: Sequence[FunnelStage], sub_batches: int
-    ) -> tuple:
+    def _cache_key(self, stages: Sequence[FunnelStage], sub_batches: int, serve_k: int) -> tuple:
+        # The tuple's order seeds each funnel's noise (``hash(key)``).
         return (
             tuple((round(s.score_noise, 6), s.num_items) for s in stages),
-            self.serve_k,
+            serve_k,
             sub_batches,
         )

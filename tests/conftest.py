@@ -44,6 +44,9 @@ from repro.serving.router import PathTable, ServingPath
 from repro.serving.simulator import SimulationConfig, simulate
 from repro.serving.trace import LoadTrace
 
+# A failing claim shows the values it compared.
+pytest.register_assert_rewrite("tests.claims")
+
 
 def draw_plan(data, max_stages=3) -> PipelinePlan:
     num_stages = data.draw(st.integers(1, max_stages), label="num_stages")

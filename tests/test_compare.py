@@ -126,6 +126,18 @@ class TestCompareRuns:
         (b / artifacts.MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
         assert compare_runs(a, b).endswith(NO_DIFFERENCES + "\n")
 
+    @pytest.mark.parametrize(
+        "run, name", [("a", "cell.json"), ("b", "cell.json"), ("b", "cell.csv")]
+    )
+    def test_missing_artifact_file_is_a_difference(self, tmp_path, run, name):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_run(a)
+        write_run(b)
+        (tmp_path / run / name).unlink()
+        report = compare_runs(a, b)
+        assert NO_DIFFERENCES not in report
+        assert f"- `cell`: `{name}` missing from run {run.upper()}" in report
+
 
 def edit_rows(out_dir: Path, change) -> None:
     """Apply ``change`` to a written run's ``cell.json`` payload in place."""

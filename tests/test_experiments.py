@@ -1,185 +1,123 @@
-"""Integration tests: the experiment harnesses reproduce the paper's shape.
+"""Integration tests: the registry entries reproduce the paper's shape.
 
-These tests run the same no-argument ``run()`` / ``run_*()`` functions the
-registry and the benchmark suite use, in the paper's configuration, and assert
-the qualitative claims of each table/figure: orderings, rough improvement
-factors and crossovers.
+Every claim about an entry's rows lives once, in ``tests/claims.py``.
+``test_claim_holds`` runs each (entry, claim) pair on the rows the registry
+entry writes; the per-figure tests below call the claims that hold their
+asserts.  ``TestOneConfiguration`` checks that each figure runs one way.
 """
 
 import importlib
 import inspect
-import math
 
 import pytest
 
 from repro.data.criteo import CriteoSynthetic
-from repro.experiments import common, fig01_motivation, fig03_quality, fig05_ablation
-from repro.experiments import fig07_cpu, fig08_heterogeneous
-from repro.experiments import fig10_design_space, fig11_area_power
-from repro.experiments import fig12_rpaccel_scale, fig13_future
+from repro.experiments import common, fig07_cpu, fig08_heterogeneous
+from repro.experiments import fig10_design_space, fig12_rpaccel_scale, fig13_future
 from repro.experiments.common import (
     CRITEO_POOL,
     ExperimentResult,
-    criteo_one_stage,
     criteo_quality_evaluator,
-    criteo_two_stage,
-    criteo_two_stage_med,
-    make_scheduler,
     merge_panels,
 )
 from repro.experiments.registry import default_registry
+from tests import claims
+
+
+@pytest.mark.parametrize(
+    "entry_id, claim",
+    [
+        pytest.param(entry_id, claim, id=f"{entry_id}-{claim.__name__}")
+        for entry_id, entry_claims in claims.CLAIMS.items()
+        for claim in entry_claims
+    ],
+)
+def test_claim_holds(entry_id, claim):
+    claims.check(entry_id, claim)
+
+
+def test_every_entry_but_the_routergrid_cells_has_a_claim():
+    entries = {
+        spec.id for spec in default_registry() if spec.metadata.get("scenario") != "routergrid"
+    }
+    assert set(claims.CLAIMS) == entries
 
 
 class TestFig01Motivation:
     def test_reductions_match_paper_shape(self):
-        result = fig01_motivation.run()
-        reduction = result.filtered(config="reduction")[0]
-        assert 5.0 < reduction["compute_macs"] < 10.0  # paper: 7.5x
-        assert 3.0 < reduction["embedding_bytes"] < 5.5  # paper: 4.0x
+        claims.check("fig01", claims.multistage_cuts_compute_and_embedding_demand)
 
     def test_two_stage_iso_quality(self):
-        result = fig01_motivation.run()
-        one = result.filtered(config="one-stage")[0]
-        two = result.filtered(config="two-stage")[0]
-        assert two["quality_ndcg"] >= one["quality_ndcg"] - 1.0
+        claims.check("fig01", claims.two_stage_keeps_one_stage_quality)
 
 
 class TestFig03Quality:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return fig03_quality.run()
+    def test_quality_increases_with_items(self):
+        claims.check("fig03", claims.quality_grows_with_items_ranked)
 
-    def test_quality_increases_with_items(self, result):
-        for model in ("RMsmall", "RMmed", "RMlarge"):
-            rows = sorted(result.filtered(model=model), key=lambda r: r["items_ranked"])
-            values = [r["quality_ndcg"] for r in rows]
-            assert values == sorted(values)
+    def test_quality_increases_with_model_size_at_fixed_items(self):
+        claims.check("fig03", claims.quality_grows_with_model_size)
 
-    def test_quality_increases_with_model_size_at_fixed_items(self, result):
-        at_4096 = {r["model"]: r["quality_ndcg"] for r in result.filtered(items_ranked=4096)}
-        assert at_4096["RMlarge"] > at_4096["RMmed"] > at_4096["RMsmall"]
-
-    def test_items_axis_dominates_model_axis(self, result):
-        """Paper: ranking more items moves quality more than a bigger model."""
-        small_4096 = result.filtered(model="RMsmall", items_ranked=4096)[0]["quality_ndcg"]
-        large_256 = result.filtered(model="RMlarge", items_ranked=256)[0]["quality_ndcg"]
-        assert small_4096 > large_256
+    def test_items_axis_dominates_model_axis(self):
+        claims.check("fig03", claims.items_axis_dominates_model_axis)
 
 
 class TestFig05Ablation:
     def test_each_step_helps_latency_or_throughput(self):
-        result = fig05_ablation.run()
-        rows = result.rows
-        final = rows[-1]
-        assert final["latency_speedup"] > 2.0  # paper: up to 5x
-        assert final["throughput_gain"] > 3.0  # paper: up to 10x
-        # The full RPAccel is the best configuration in both metrics.
-        assert final["latency_ms"] == min(r["latency_ms"] for r in rows)
-        assert final["capacity_qps"] == max(r["capacity_qps"] for r in rows)
+        claims.check(
+            "fig05",
+            claims.rpaccel_cuts_latency_and_raises_throughput,
+            claims.full_rpaccel_is_the_best_step,
+        )
 
 
 class TestFig07SchedulingClaims:
-    @pytest.fixture(scope="class")
-    def scheduler(self):
-        return make_scheduler(criteo_quality_evaluator(CRITEO_POOL), num_queries=1200)
+    def test_two_stage_reduces_cpu_latency_about_4x(self):
+        claims.check("fig07", claims.two_stage_cuts_cpu_p99_about_4x)
 
-    def test_two_stage_reduces_cpu_latency_about_4x(self, scheduler):
-        one = scheduler.evaluate(criteo_one_stage(), "cpu", 500)
-        two = scheduler.evaluate(criteo_two_stage(), "cpu", 500)
-        assert one.p99_latency / two.p99_latency > 2.0  # paper: ~4x
-        assert two.quality >= one.quality - 1.0
-
-    def test_rmsmall_frontend_beats_rmmed_frontend(self, scheduler):
-        """Paper Takeaway 1: RMmed-RMlarge is slower at (roughly) equal quality."""
-        small_fe = scheduler.evaluate(criteo_two_stage(), "cpu", 500)
-        med_fe = scheduler.evaluate(criteo_two_stage_med(), "cpu", 500)
-        assert med_fe.p99_latency > 1.2 * small_fe.p99_latency
-        assert abs(med_fe.quality - small_fe.quality) < 2.5
+    def test_rmsmall_frontend_beats_rmmed_frontend(self):
+        claims.check("fig07", claims.rmsmall_frontend_beats_rmmed_frontend)
 
 
 class TestFig10DesignSpace:
     def test_utilization_panel(self):
-        result = fig10_design_space.run_utilization()
-        small_rows = {r["array"]: r["utilization"] for r in result.filtered(model="RMsmall")}
-        assert small_rows["8x8"] > small_rows["128x128"]
-        mono = result.filtered(model="two-stage", array="monolithic")[0]["utilization"]
-        reconfig = result.filtered(model="two-stage", array="reconfigurable")[0]["utilization"]
-        assert reconfig > 1.3 * mono  # paper: 30% -> 60%
+        claims.check(
+            "fig10",
+            claims.small_models_waste_large_arrays,
+            claims.reconfigurable_array_raises_utilization,
+        )
 
     def test_topk_panel(self):
-        result = fig10_design_space.run_topk()
-        values = {r["metric"]: r["value"] for r in result.rows}
-        assert values["recall_vs_exact_topk"] > 0.95
-        assert values["sram_overhead_no_threshold"] > 2.5 * values["sram_overhead_with_threshold"]
+        claims.check(
+            "fig10", claims.topk_filter_is_exact_and_fast, claims.ctr_threshold_cuts_topk_sram
+        )
 
     def test_cache_panel_larger_cache_lower_amat(self):
-        result = fig10_design_space.run_cache_partition()
-        small_cache = [
-            r["amat_cycles"]
-            for r in result.rows
-            if r["static_cache_mb"] == 4.0 and r["filtering_ratio"] == "1/8"
-        ]
-        big_cache = [
-            r["amat_cycles"]
-            for r in result.rows
-            if r["static_cache_mb"] == 12.0 and r["filtering_ratio"] == "1/8"
-        ]
-        assert min(big_cache) < min(small_cache)
+        claims.check("fig10", claims.larger_static_cache_lowers_amat)
 
 
 class TestFig11AreaPower:
     def test_overheads(self):
-        result = fig11_area_power.run()
-        note_text = " ".join(result.notes)
-        assert "area overhead" in note_text
-        totals = {r["component"]: r for r in result.rows}
-        base = totals["TOTAL baseline"]
-        rp = totals["TOTAL rpaccel"]
-        assert 1.05 < rp["area_mm2"] / base["area_mm2"] < 1.2  # paper: +11%
-        assert 1.2 < rp["power_w"] / base["power_w"] < 1.5  # paper: +36%
+        claims.check("fig11", claims.rpaccel_area_and_power_overheads)
 
 
 class TestFig12AtScale:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return fig12_rpaccel_scale.run_scale()
+    def test_rpaccel_multistage_dominates_baseline(self):
+        claims.check("fig12", claims.rpaccel_cuts_latency_3x_and_raises_throughput_6x)
 
-    def test_rpaccel_multistage_dominates_baseline(self, result):
-        base = result.filtered(config="baseline accel (1-stage)", qps=200)[0]
-        rp = result.filtered(config="rpaccel 2-stage", qps=200)[0]
-        assert base["unloaded_latency_ms"] / rp["unloaded_latency_ms"] > 2.0  # ~3x
-        assert rp["capacity_qps"] / base["capacity_qps"] > 4.0  # ~6x
-
-    def test_baseline_saturates_before_rpaccel(self, result):
-        base_high = result.filtered(config="baseline accel (1-stage)", qps=1600)[0]
-        rp_high = result.filtered(config="rpaccel 2-stage", qps=1600)[0]
-        assert base_high["saturated"]
-        assert not rp_high["saturated"]
+    def test_baseline_saturates_before_rpaccel(self):
+        claims.check("fig12", claims.baseline_saturates_before_rpaccel)
 
     def test_asymmetric_provisioning_tradeoff(self):
-        result = fig12_rpaccel_scale.run_asymmetric()
-        low_2 = result.filtered(config="RPAccel8,2", load="low")[0]
-        low_16 = result.filtered(config="RPAccel8,16", load="low")[0]
-        assert low_2["unloaded_latency_ms"] < low_16["unloaded_latency_ms"]
+        claims.check("fig12", claims.fewer_backend_subarrays_cut_low_load_latency)
 
 
 class TestFig13Future:
     def test_locality_trends(self):
-        result = fig13_future.run_locality()
-        rows = sorted(result.rows, key=lambda r: r["embedding_scale"])
-        assert rows[0]["fraction_in_ssd"] == 0.0
-        assert rows[-1]["fraction_in_ssd"] > 0.85  # paper: ~97% at 32x
-        assert rows[-1]["onchip_miss_rate"] >= rows[0]["onchip_miss_rate"]
-        assert rows[-1]["overlap_fraction"] <= rows[0]["overlap_fraction"]
+        claims.check("fig13", claims.larger_tables_spill_to_ssd)
 
     def test_multistage_scales_more_gracefully(self):
-        result = fig13_future.run_scaling()
-        rows = sorted(result.rows, key=lambda r: r["embedding_scale"])
-        single_growth = rows[-1]["single_stage_latency_ms"] / rows[0]["single_stage_latency_ms"]
-        multi_growth = rows[-1]["multi_stage_latency_ms"] / rows[0]["multi_stage_latency_ms"]
-        assert math.isfinite(single_growth) and math.isfinite(multi_growth)
-        assert multi_growth < single_growth
-        assert rows[-1]["multi_stage_latency_ms"] < rows[-1]["single_stage_latency_ms"]
+        claims.check("fig13", claims.multistage_scales_more_gracefully)
 
 
 def reference_merge(name: str, parts) -> ExperimentResult:

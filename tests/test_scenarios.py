@@ -33,6 +33,7 @@ from repro.scenarios.config import MAX_DECISION_WINDOWS
 from repro.scenarios.knobs import parse_mix
 from repro.scenarios.runner import _compiled_table, build_trace, compiled_table
 from repro.serving.trace import TRACES, diurnal_trace, ramp_trace
+from tests import claims
 
 CHEAP_BASE = {
     "platforms": "cpu",
@@ -333,18 +334,12 @@ class TestBuiltinScenario:
         assert len(config.expand()) == 4
 
 
-def _policy_rows(exp_id: str) -> dict:
-    rows = default_registry().get(exp_id).execute(seed=0).rows
-    return {row["policy"]: row for row in rows}
-
-
 class TestCacheScenarios:
     """The packaged flashcrowd and coldcache entries, asserted from rows."""
 
     @pytest.mark.parametrize("exp_id", ["flashcrowd", "coldcache"])
     def test_online_beats_static_on_violations(self, exp_id):
-        rows = _policy_rows(exp_id)
-        assert rows["online"]["sla_violation_rate"] < rows["static"]["sla_violation_rate"]
+        claims.check(exp_id, claims.online_beats_static_on_violations)
 
     def test_coldcache_payload_is_independent_of_run_order_and_jobs(self, tmp_path):
         from repro.cli import main

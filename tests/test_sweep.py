@@ -33,9 +33,9 @@ class CountingEvaluator(QualityEvaluator):
         super().__init__(*args, **kwargs)
         self.calls = 0
 
-    def evaluate(self, stages, sub_batches=1):
+    def evaluate(self, stages, **kwargs):
         self.calls += 1
-        return super().evaluate(stages, sub_batches=sub_batches)
+        return super().evaluate(stages, **kwargs)
 
 
 def make_evaluator(cls=QualityEvaluator, pool=512):
@@ -166,6 +166,22 @@ class TestQualityMemoization:
         outcome = run_sweep(evaluator, criteo_model_specs(), config)
         assert evaluator.calls == len(outcome.pipelines)
         assert len(config.cells()) == 6  # the grid is genuinely larger
+
+    def test_quality_is_ndcg_at_the_pipelines_serve_k(self):
+        outcomes = {
+            serve_k: run_sweep(
+                make_evaluator(),
+                criteo_model_specs(),
+                SweepConfig(qps=(250.0,), serve_k=serve_k, **SMALL_GRID),
+            )
+            for serve_k in (64, 128)
+        }
+        reference = make_evaluator()
+        for serve_k, outcome in outcomes.items():
+            for pipeline in outcome.pipelines:
+                expected = reference.evaluate(pipeline.funnel_stages(), serve_k=serve_k)
+                assert outcome.quality_by_pipeline[pipeline.name] == expected
+        assert outcomes[64].quality_by_pipeline != outcomes[128].quality_by_pipeline
 
     def test_quality_identical_across_platforms_and_loads(self, multi_outcome):
         for rows in multi_outcome.evaluated.values():
