@@ -1,4 +1,10 @@
-"""Shared ``BENCH_*.json`` IO for the benchmark suite.
+"""Shared output helpers for the benchmark suite: ``BENCH_*.json`` IO and :func:`report`.
+
+The benchmark files import these from here, not from ``conftest``: a
+package-less ``conftest.py`` is imported as the top-level module
+``conftest``, which ``tests/conftest.py`` is too, so one pytest call over
+both directories would resolve ``from conftest import ...`` to whichever
+loaded last.
 
 Three trajectory files, each addressed by an ``(env var, default path)``
 pair so CI can redirect them individually:
@@ -35,3 +41,9 @@ def bench_path(bench: tuple[str, Path]) -> Path:
 def record_bench(bench: tuple[str, Path], section: str, payload: dict) -> Path:
     """Merge one section into the bench's trajectory file."""
     return merge_json_section(bench_path(bench), section, payload)
+
+
+def report(result) -> None:
+    """Print the regenerated table under the benchmark output."""
+    print()
+    print(result.format_table())

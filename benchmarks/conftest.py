@@ -30,9 +30,3 @@ def bench_destinations(tmp_path_factory):
             if env_var not in os.environ:
                 patch.setenv(env_var, str(directory / default.name))
         yield
-
-
-def report(result) -> None:
-    """Print the regenerated table under the benchmark output."""
-    print()
-    print(result.format_table())

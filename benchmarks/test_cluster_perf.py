@@ -21,8 +21,7 @@ against the trajectory.
 
 import time
 
-from _bench_io import CLUSTER_BENCH, record_bench
-from conftest import report
+from _bench_io import CLUSTER_BENCH, record_bench, report
 
 from repro.cluster import InterconnectLink, gather_seconds_per_node, shard_row_wise
 from repro.cluster.sharding import tables_from_cost

@@ -1,6 +1,6 @@
 """Benchmark: Figure 1(c) -- multi-stage demand reduction at iso-quality."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 3 -- quality vs accuracy."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

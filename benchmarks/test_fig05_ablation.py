@@ -1,6 +1,6 @@
 """Benchmark: Figure 5 -- RPAccel ablation (O.1 - O.5)."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 7 -- multi-stage scheduling on CPUs."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 8 -- heterogeneous CPU-GPU mapping."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 10 -- RPAccel micro-architecture design space."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

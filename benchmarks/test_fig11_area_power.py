@@ -1,6 +1,6 @@
 """Benchmark: Figure 11 -- area and power breakdown."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 12 -- RPAccel at-scale evaluation."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

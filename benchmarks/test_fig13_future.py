@@ -1,6 +1,6 @@
 """Benchmark: Figure 13 -- future, SSD-backed model scaling."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -1,6 +1,6 @@
 """Benchmark: Figure 14 -- cross-dataset / cross-load / cross-platform summary."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

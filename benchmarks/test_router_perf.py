@@ -21,8 +21,7 @@ clobber one another, and later changes can regress against the trajectory.
 import time
 
 import numpy as np
-from _bench_io import ROUTER_BENCH, record_bench
-from conftest import report
+from _bench_io import ROUTER_BENCH, record_bench, report
 
 from repro.events import EventLog, active_log, capture
 from repro.experiments.registry import packaged_scenario

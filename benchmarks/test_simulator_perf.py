@@ -29,8 +29,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from _bench_io import SIMULATOR_BENCH, bench_path, record_bench
-from conftest import report
+from _bench_io import SIMULATOR_BENCH, bench_path, record_bench, report
 
 from repro.core.sweep import PLATFORMS, SweepConfig, run_sweep
 from repro.data import CriteoConfig, CriteoSynthetic

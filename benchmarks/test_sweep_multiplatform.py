@@ -1,6 +1,6 @@
 """Benchmark: Figures 8-10 -- cross-platform sweep on one combined frontier."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

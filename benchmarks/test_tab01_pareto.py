@@ -1,6 +1,6 @@
 """Benchmark: Table 1 / Figure 2 -- the Pareto-optimal model sweep."""
 
-from conftest import report
+from _bench_io import report
 
 from tests import claims
 

@@ -170,6 +170,32 @@ def _mixture_counts(weights: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
+def _sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, q)`` (numpy's default linear method) from ``ordered = np.sort(x)``.
+
+    numpy partitions a copy of ``x`` once per requested index; one sort
+    serves every index.  The arithmetic is numpy's, bit for bit: the
+    virtual index ``(n - 1) * q``, its floor and the next index (both
+    indexed ``-1``, the last element, where the virtual index reaches
+    ``n - 1``; the ``-1`` enters ``gamma`` too), ``gamma = virtual -
+    below``, and the lerp ``a + (b - a) * gamma``, replaced by ``b - (b -
+    a) * (1 - gamma)`` where ``gamma >= 0.5``.
+    """
+    n = ordered.size
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = virtual - below
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    pooled = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=pooled, where=gamma >= 0.5)
+    return pooled
+
+
 @dataclass
 class ClusterTable(PathTable):
     """A routing table whose dwell cells are composed across fleet nodes.
@@ -276,7 +302,7 @@ class ClusterTable(PathTable):
                 self._segments[key] = None
                 continue
             pooled = [
-                np.quantile(sample, (np.arange(count) + 0.5) / count)
+                _sorted_quantiles(np.sort(sample), (np.arange(count) + 0.5) / count)
                 for sample, count in zip(samples, counts)
                 if count > 0
             ]
@@ -298,8 +324,11 @@ def build_cluster_table(
     max-over-nodes of each node's frontier p99 at its share plus its
     gather latency (the replica whose tail lands last defines the fleet's
     tail), with ``inf`` propagating when any share saturates.  Each
-    (path, node) pair is looked up once over the whole grid through
-    :meth:`~repro.serving.router.PathTable.p99_profile`.  The
+    (path, platform) pair is looked up once over the whole grid through
+    :meth:`~repro.serving.router.PathTable.p99_profile`: replicas of one
+    platform share its table and so its load weight and profile, and
+    ``p99 + gather`` is monotone in the gather, so only the replica with
+    the largest gather can set the max.  The
     cluster's per-path capacity is the sum of node capacities, surfaced
     through a synthetic one-stage aggregate plan so
     :attr:`~repro.serving.router.ServingPath.capacity_qps` and the
@@ -364,6 +393,9 @@ def build_cluster_table(
             num_nodes=len(nodes),
             gather_us=[float(g) * 1e6 for g in gather],
         )
+    replicas: dict[str, list[int]] = {}
+    for i, node in enumerate(nodes):
+        replicas.setdefault(node.platform, []).append(i)
     grid = tuple(float(q) for q in qps_grid)
     grid_qps = np.array(grid, dtype=np.float64)
     paths: list[ServingPath] = []
@@ -391,8 +423,9 @@ def build_cluster_table(
         )
         p99_rows[k] = np.max(
             [
-                table.p99_profile(k, grid_qps * weights[k, i]) + gather[i]
-                for i, table in enumerate(node_tables)
+                node_tables[members[0]].p99_profile(k, grid_qps * weights[k, members[0]])
+                + gather[members].max()
+                for members in replicas.values()
             ],
             axis=0,
         )

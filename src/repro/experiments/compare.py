@@ -2,8 +2,8 @@
 
 Two runs of the same command are rarely byte-identical: a knob changed, an
 estimator was swapped, a scenario axis moved.  This module reads the two
-``manifest.json`` files plus the per-experiment JSON artifacts and reports
-*what* differed:
+``manifest.json`` files plus the per-experiment JSON and CSV artifacts and
+reports *what* differed:
 
 * changed config axes (the requested knobs),
 * changed resolved knobs (engine, estimator, service model, cluster mix),
@@ -12,20 +12,25 @@ estimator was swapped, a scenario axis moved.  This module reads the two
 * per-experiment changed rows and notes: every column of every row and
   every note is compared exactly, so a flipped flag, a renamed pipeline, a
   dropped row or a changed note shows even when no mean moves,
+* changed CSV files: where an experiment's rows and notes are equal, its
+  two ``<id>.csv`` files are compared byte for byte, so a CSV writer that
+  drifts from the JSON shows (with the first differing line of each),
 * experiments present in only one run, and artifact files a manifest lists
   but its directory lacks.
 
 Wall-clock fields are ignored throughout — they differ on every run and
 carry no information — and so is ``jobs``: outputs must not depend on how
 many processes produced them, so a serial run and a ``--jobs`` run of the
-same command compare equal.  When nothing else differs the report says
-exactly ``No differences.`` so scripts (and the CI smoke) can assert on it.
+same command compare equal.  When nothing else differs — JSON and CSV
+alike — the report says exactly ``No differences.`` so scripts (and the CI
+smoke) can assert on it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 from typing import Mapping
 
@@ -142,6 +147,32 @@ def _row_changes(payload_a: Mapping, payload_b: Mapping) -> list[str]:
     return lines
 
 
+def _csv_change(exp_id: str, path_a: Path, path_b: Path) -> list[str]:
+    """A bullet naming the first differing line of two runs' CSV, or none when they are equal.
+
+    Lines keep their terminators and render in JSON spelling, so a changed
+    line ending or a missing last newline shows too.  A file missing from
+    either run is reported under "Missing artifact files" instead.
+    """
+    if not (path_a.is_file() and path_b.is_file()):
+        return []
+    data_a, data_b = path_a.read_bytes(), path_b.read_bytes()
+    if data_a == data_b:
+        return []
+    lines_a, lines_b = data_a.splitlines(keepends=True), data_b.splitlines(keepends=True)
+    first = next(i for i, (a, b) in enumerate(zip_longest(lines_a, lines_b)) if a != b)
+
+    def line(lines: list[bytes]) -> str:
+        if first >= len(lines):
+            return "(end of file)"
+        return f"`{json.dumps(lines[first].decode('utf-8', 'replace'))}`"
+
+    return [
+        f"- `{exp_id}`: `{path_a.name}` first differs at line {first + 1}: "
+        f"run A {line(lines_a)}, run B {line(lines_b)}"
+    ]
+
+
 def _section(title: str, lines: list[str]) -> list[str]:
     return [f"## {title}", "", *lines, ""]
 
@@ -156,6 +187,10 @@ def _diff_table(diffs: list[tuple[str, object, object]]) -> list[str]:
 def compare_runs(dir_a: Path, dir_b: Path) -> str:
     """Markdown report of the differences between two ``--output-dir`` runs.
 
+    Compares the manifests' config and resolved knobs, then every
+    experiment both runs hold: metric means, rows and notes exactly, and,
+    where rows and notes are equal, the two CSV files byte for byte.  The
+    report ends with exactly ``No differences.`` when none of these differ.
     Raises ``FileNotFoundError`` when either directory has no manifest.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
@@ -198,6 +233,7 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
 
     metric_lines: list[str] = []
     row_lines: list[str] = []
+    csv_lines: list[str] = []
     for exp_id in shared:
         payload_a = _experiment_payload(dir_a, entries_a[exp_id])
         payload_b = _experiment_payload(dir_b, entries_b[exp_id])
@@ -206,6 +242,10 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
         changes = _row_changes(payload_a, payload_b)
         if changes:
             row_lines += [f"### `{exp_id}`", "", *changes, ""]
+        else:
+            csv_lines += _csv_change(
+                exp_id, dir_a / entries_a[exp_id]["csv"], dir_b / entries_b[exp_id]["csv"]
+            )
         means_a = _metric_means(payload_a.get("rows", []))
         means_b = _metric_means(payload_b.get("rows", []))
         deltas = [
@@ -242,6 +282,9 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
     if row_lines:
         found_difference = True
         report += ["## Changed rows and notes", "", *row_lines]
+    if csv_lines:
+        found_difference = True
+        report += _section("Changed CSV files", csv_lines)
 
     artifact_lines: list[str] = []
     for exp_id in only_b:

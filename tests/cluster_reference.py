@@ -14,7 +14,10 @@ aggregates in its validating pass, kept verbatim in logic:
 * :func:`reference_p99_grid` — one scalar
   :func:`~tests.router_reference.reference_p99_at` per (path, grid point,
   node) with a Python ``max`` over nodes (the fleet composes each path over
-  the whole grid with ``p99_profile``).
+  the whole grid with ``p99_profile``, once per platform);
+* :func:`reference_pooled_dwell` — a composed dwell cell pooled with one
+  ``np.quantile`` per node sample (the fleet sorts each sample once and
+  interpolates numpy's way).
 
 The equivalence suite in ``tests/test_cluster.py`` requires the cluster
 layer to reproduce all of them exactly.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.fleet import _mixture_counts
 from repro.cluster.topology import gather_seconds
 from repro.data.distributions import approx_zipf_hit_rate
 from tests.router_reference import reference_p99_at
@@ -115,3 +119,27 @@ def reference_p99_grid(node_tables, qps_grid, gather) -> np.ndarray:
                 for i, table in enumerate(node_tables)
             )
     return p99_rows
+
+
+def reference_pooled_dwell(cluster, path_index: int, qps: float) -> np.ndarray | None:
+    """One composed dwell cell: ``np.quantile`` of each node's sample plus its gather.
+
+    Reads each node's memoized dwell cell at its load share; ``None`` when
+    any share saturates.
+    """
+    weights = cluster.node_weights[path_index]
+    cfg = cluster.simulation
+    pool_size = max(cfg.num_queries - cfg.warmup_queries, cluster.num_nodes)
+    counts = _mixture_counts(weights, pool_size)
+    samples: list[np.ndarray] = []
+    for node_index, table in enumerate(cluster.node_tables):
+        latencies = table.dwell_latencies(path_index, qps * weights[node_index])
+        if latencies is None:
+            return None
+        samples.append(latencies + cluster.node_gather[node_index])
+    pooled = [
+        np.quantile(sample, (np.arange(count) + 0.5) / count)
+        for sample, count in zip(samples, counts)
+        if count > 0
+    ]
+    return np.concatenate(pooled)

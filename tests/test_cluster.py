@@ -7,9 +7,9 @@ Four suites:
   or the placement raises :class:`ShardingError`, and the row-wise gather
   critical path is monotone in shard count;
 * **reference equivalence** (hypothesis) — the plan's per-node aggregates,
-  the gather pricing built on them and the grid-wide fleet p99 equal the
-  per-shard and per-grid-point loops kept in ``tests/cluster_reference.py``
-  exactly;
+  the gather pricing built on them, the grid-wide fleet p99 and the pooled
+  dwell cells equal the per-shard, per-grid-point and ``np.quantile`` forms
+  kept in ``tests/cluster_reference.py`` exactly;
 * **topology units** — the link/gather arithmetic on hand-checkable
   numbers;
 * **cluster composition** — a two-replica :class:`ClusterTable` over the
@@ -17,9 +17,11 @@ Four suites:
   p99 cell, and routes through the unchanged single-node policies.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
@@ -39,7 +41,13 @@ from repro.cluster import (
     tables_from_cost,
 )
 from repro.accel.embedding_cache import EmbeddingCacheConfig
-from repro.cluster.fleet import HOST_BASE_COST_USD, _mixture_counts, mix_label
+from repro.cluster.fleet import (
+    HOST_BASE_COST_USD,
+    _mixture_counts,
+    _sorted_quantiles,
+    fleet_nodes,
+    mix_label,
+)
 from repro.cluster.topology import remote_cache_hit_rate
 from repro.models.zoo import RM_LARGE, RM_SMALL
 from repro.serving.router import PathTable, route_oracle, route_static
@@ -50,6 +58,7 @@ from tests.cluster_reference import (
     reference_node_bytes,
     reference_node_lookup_fraction,
     reference_p99_grid,
+    reference_pooled_dwell,
     reference_remote_bytes,
     reference_remote_bytes_per_query,
     reference_remote_cache_hit_rate,
@@ -88,8 +97,8 @@ table_sets = st.lists(
 
 
 @st.composite
-def placements(draw) -> ShardingPlan:
-    """A feasible plan over 1-9 nodes with uneven budgets.
+def placements(draw, min_nodes: int = 1) -> ShardingPlan:
+    """A feasible plan over ``min_nodes``-9 nodes with uneven budgets.
 
     Row-wise and table-wise placements come from the two sharders; a
     ``scattered`` placement cuts every table into random contiguous shards
@@ -97,7 +106,7 @@ def placements(draw) -> ShardingPlan:
     accumulation order is exercised beyond what either sharder emits.
     """
     tables = draw(table_sets)
-    num_nodes = draw(st.integers(min_value=1, max_value=9))
+    num_nodes = draw(st.integers(min_value=min_nodes, max_value=9))
     total = sum(t.total_bytes for t in tables)
     extra = st.integers(min_value=0, max_value=2 * total)
     budgets = [total + draw(extra) for _ in range(num_nodes)]
@@ -123,6 +132,31 @@ def placements(draw) -> ShardingPlan:
     )
 
 
+@st.composite
+def samples(draw) -> np.ndarray:
+    """A non-NaN float sample of 1 to a few thousand values, often with ties.
+
+    Small samples take arbitrary floats, infinities and signed zeros
+    included; large ones are seeded numpy draws, either continuous or
+    picked from a handful of distinct values.  A sample's zeros all take
+    its first zero's sign: ``np.sort`` and numpy's partition may order
+    ``0.0`` and ``-0.0`` differently, so a mix of the two has no comparable
+    bits.
+    """
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)))
+        zeros = values == 0
+        values[zeros] = values[zeros][:1]
+        return values
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = draw(st.integers(min_value=1, max_value=3000))
+    scale = 10.0 ** draw(st.integers(min_value=-9, max_value=3))
+    if draw(st.booleans()):
+        distinct = rng.exponential(scale, size=draw(st.integers(min_value=1, max_value=8)))
+        return rng.choice(distinct, size)
+    return rng.exponential(scale, size)
+
+
 #: No cache, or a per-node cache from under one row to every remote row.
 caches = st.one_of(
     st.none(),
@@ -136,14 +170,14 @@ caches = st.one_of(
 
 
 @st.composite
-def platform_tables(draw) -> dict[str, PathTable]:
-    """1-3 synthetic two-path platform tables with random p99 grids.
+def platform_tables(draw, min_platforms: int = 1) -> dict[str, PathTable]:
+    """``min_platforms``-3 synthetic two-path platform tables with random p99 grids.
 
     Capacities differ per platform (uneven load weights), and each path's
     row may saturate part-way through its grid.
     """
     tables = {}
-    count = draw(st.integers(min_value=1, max_value=3))
+    count = draw(st.integers(min_value=min_platforms, max_value=3))
     for platform in ("cpu", "gpu", "rpaccel")[:count]:
         grid = sorted(
             draw(st.sets(st.floats(10.0, 20_000.0, allow_nan=False), min_size=2, max_size=6))
@@ -278,6 +312,68 @@ class TestReferenceEquivalence:
         assert np.array_equal(cluster.node_gather, gather)
         node_tables = [tables[node.platform] for node in nodes]
         assert np.array_equal(cluster.p99_grid, reference_p99_grid(node_tables, qps_grid, gather))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sample=samples(), count=st.integers(min_value=1, max_value=6002))
+    # A one-value sample sits at numpy's top index (-1) for every q, so
+    # gamma = 0 - (-1) = 1 takes the upper lerp, which keeps -0.0's sign.
+    @example(sample=np.array([-0.0]), count=1)
+    def test_sorted_quantiles_match_numpy_quantile_bit_for_bit(self, sample, count):
+        q = (np.arange(count) + 0.5) / count
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, huge b - a
+            pooled, reference = _sorted_quantiles(np.sort(sample), q), np.quantile(sample, q)
+        assert np.array_equal(pooled.view(np.uint64), reference.view(np.uint64))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), tables=platform_tables())
+    def test_dwell_cells_match_quantile_pooling(self, data, tables):
+        """Replicas of one platform with unequal gathers pool as ``np.quantile`` did."""
+        platforms = sorted(tables)
+        repeats = data.draw(st.lists(st.sampled_from(platforms), min_size=1, max_size=3))
+        mix = data.draw(st.permutations([*platforms, *repeats]))
+        nodes = fleet_nodes(mix, 10**6)
+        plan = shard_row_wise([EmbeddingTableSpec("t0", 100, 4, 1.0)], [10**6] * len(nodes))
+        cluster = build_cluster_table(nodes, tables, (100.0, 1000.0), plan, InterconnectLink())
+        gathers = data.draw(
+            st.lists(st.floats(0.0, 0.01), min_size=len(nodes), max_size=len(nodes), unique=True)
+        )
+        cluster = dataclasses.replace(cluster, node_gather=np.array(gathers))
+        loads = data.draw(st.lists(st.floats(1.0, 50_000.0), min_size=1, max_size=3))
+        for k in range(len(cluster.paths)):
+            cluster.prefill_dwell(k, loads)
+            for q in loads:
+                pooled = cluster.dwell_latencies(k, q)
+                reference = reference_pooled_dwell(cluster, k, q)
+                assert (pooled is None) == (reference is None)
+                if pooled is not None:
+                    assert np.array_equal(pooled.view(np.uint64), reference.view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), plan=placements(min_nodes=4), tables=platform_tables(min_platforms=3))
+    def test_fleet_p99_grid_takes_the_slowest_replica(self, data, plan, tables):
+        """Three platforms, one with two or more replicas: the max is over unequal gathers."""
+        platforms = sorted(tables)
+        extra = data.draw(
+            st.lists(
+                st.sampled_from(platforms),
+                min_size=plan.num_nodes - 3,
+                max_size=plan.num_nodes - 3,
+            )
+        )
+        mix = data.draw(st.permutations([*platforms, *extra]))
+        nodes = tuple(
+            NodeSpec(f"n{i}", platform, budget)
+            for i, (platform, budget) in enumerate(zip(mix, plan.node_budgets))
+        )
+        qps_grid = sorted(
+            data.draw(st.sets(st.floats(1.0, 50_000.0, allow_nan=False), min_size=2, max_size=8))
+        )
+        link = InterconnectLink()
+        cluster = build_cluster_table(nodes, tables, qps_grid, plan, link)
+        node_tables = [tables[node.platform] for node in nodes]
+        assert np.array_equal(
+            cluster.p99_grid, reference_p99_grid(node_tables, qps_grid, cluster.node_gather)
+        )
 
     def test_remote_queries_reject_unknown_home(self):
         plan = shard_row_wise([EmbeddingTableSpec("t0", 10, 4, 1.0)], [10_000] * 2)

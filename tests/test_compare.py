@@ -208,6 +208,51 @@ class TestChangedRowsAndNotes:
         assert report.endswith(NO_DIFFERENCES + "\n")
 
 
+class TestChangedCsv:
+    """Equal rows and notes with unequal CSV files: the CSV writer drifted from the JSON."""
+
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            (
+                lambda data: data.replace(b"8.5", b"8.6", 1),
+                '- `cell`: `cell.csv` first differs at line 2: '
+                'run A `"static,-,8.5,98.7\\r\\n"`, run B `"static,-,8.6,98.7\\r\\n"`',
+            ),
+            (
+                lambda data: data.replace(b"\r\n", b"\n"),
+                '- `cell`: `cell.csv` first differs at line 1: '
+                'run A `"policy,estimator,p99_ms,quality_ndcg\\r\\n"`, '
+                'run B `"policy,estimator,p99_ms,quality_ndcg\\n"`',
+            ),
+            (
+                lambda data: data + b"stray\r\n",
+                '- `cell`: `cell.csv` first differs at line 4: '
+                'run A (end of file), run B `"stray\\r\\n"`',
+            ),
+        ],
+        ids=["edited-cell", "line-endings", "extra-line"],
+    )
+    def test_first_differing_line_is_reported(self, tmp_path, change, expected):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_run(a)
+        write_run(b)
+        csv_b = b / "cell.csv"
+        csv_b.write_bytes(change(csv_b.read_bytes()))
+        report = compare_runs(a, b)
+        assert NO_DIFFERENCES not in report
+        assert "## Changed CSV files\n\n" + expected + "\n" in report
+
+    def test_rows_that_differ_are_reported_once(self, tmp_path):
+        # The CSV follows the rows; the rows section already names the change.
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_run(a)
+        write_run(b, p99=11.5)
+        report = compare_runs(a, b)
+        assert "## Changed rows and notes" in report
+        assert "Changed CSV files" not in report
+
+
 class TestCompareCli:
     def test_compare_writes_output_file(self, tmp_path, capsys):
         from repro.cli import main

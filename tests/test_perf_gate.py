@@ -63,3 +63,51 @@ class TestRunOnce:
         result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
         script = f"import sys; print({json.dumps(json.dumps(result))}); sys.exit(3)"
         assert gate.run_once(tmp_path, self.command(script), "serve")["correct"] is False
+
+    def test_reads_the_digest_on_the_record_line(self, gate, tmp_path):
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+        record = {"workload": "fleet", "digest": "35ee"}
+        script = (
+            f"print('perfbench fleet'); print('record ' + {json.dumps(json.dumps(record))}); "
+            f"print({json.dumps(json.dumps(result))})"
+        )
+        assert gate.run_once(tmp_path, self.command(script), "fleet")["digest"] == "35ee"
+
+
+class TestOutputs:
+    """Whether base and head wrote the same artifacts is printed, never gated on."""
+
+    @pytest.mark.parametrize(
+        "base_digest, head_digest, verdict",
+        [("35ee", "35ee", "outputs equal"), ("35ee", "a1b2", "outputs differ")],
+    )
+    def test_one_line_per_workload(
+        self, gate, tmp_path, monkeypatch, capsys, base_digest, head_digest, verdict
+    ):
+        result = {
+            "correct": True,
+            "attempted": 1,
+            "failed": 0,
+            "metrics": {"wall_ref_s": {"value": 1.0, "unit": "s"}},
+        }
+        for side, digest in (("base", base_digest), ("head", head_digest)):
+            (tmp_path / side / "perfbench").mkdir(parents=True)
+            (tmp_path / side / "perfbench" / "run.py").write_text(
+                f"import json\nprint('record ' + json.dumps({{'digest': {digest!r}}}))\n"
+                f"print(json.dumps({result!r}))\n",
+                encoding="utf-8",
+            )
+        spec = {
+            "command": [sys.executable, "perfbench/run.py"],
+            "workloads": [{"name": "fleet"}],
+            "end_to_end": [WALL],
+        }
+        (tmp_path / "head" / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        monkeypatch.setattr(gate, "HEAD", tmp_path / "head")
+        assert gate.main(["--base", str(tmp_path / "base"), "--pairs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"fleet: {verdict}\n" in out and "perf gate: passed" in out
+
+    def test_a_run_without_a_digest_differs(self, gate):
+        runs = {"base": [{"digest": "35ee"}], "head": [{"correct": False}]}
+        assert gate.outputs(runs) == "outputs differ"

@@ -8,7 +8,7 @@ tree holding this script.  For every workload in the head's
 ``BENCHMARK.json`` the gate runs the benchmark command (``python3
 perfbench/run.py --workload W``) once in each tree per pair, alternating
 which tree goes first, and reads the JSON result on the last line of each
-run.
+run and the artifact digest on its ``record`` line.
 
 It prints one row per workload and end-to-end metric: both medians, both
 interquartile ranges, the pairs the head won and a verdict, then exits 1 if
@@ -21,8 +21,12 @@ any of these holds:
   every pair (verdict ``regression``).
 
 A median beyond the bound with split pairs is ``unresolved`` and does not
-fail the gate.  The gate reads ``perfbench/`` and ``BENCHMARK.json`` and
-changes neither; each run leaves its record under the tree's ``.perfbench/``.
+fail the gate.  Per workload it also prints ``outputs equal`` when every
+base and head run wrote the same artifact digest and ``outputs differ``
+otherwise; that line never fails the gate, since a change that re-baselines
+an artifact moves its digest on purpose.  The gate reads ``perfbench/`` and
+``BENCHMARK.json`` and changes neither; each run leaves its record under the
+tree's ``.perfbench/``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,11 @@ RUN_TIMEOUT_S = 900
 
 
 def run_once(tree: Path, command: list[str], workload: str) -> dict:
-    """One benchmark run in ``tree``: its JSON result, or a failed stand-in."""
+    """One benchmark run in ``tree``: its JSON result, or a failed stand-in.
+
+    A run that printed a ``record`` line adds the record's artifact
+    ``digest`` to its result.
+    """
     try:
         done = subprocess.run(
             [*command, "--workload", workload],
@@ -59,7 +67,19 @@ def run_once(tree: Path, command: list[str], workload: str) -> dict:
         return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     if done.returncode != 0:
         result["correct"] = False
+    record = next((line for line in reversed(lines) if line.startswith("record ")), None)
+    if record is not None:
+        try:
+            result["digest"] = json.loads(record.removeprefix("record ")).get("digest")
+        except json.JSONDecodeError:
+            result["digest"] = None
     return result
+
+
+def outputs(runs: dict[str, list[dict]]) -> str:
+    """``outputs equal`` when every base and head run wrote one artifact digest."""
+    digests = {result.get("digest") for results in runs.values() for result in results}
+    return "outputs equal" if len(digests) == 1 and None not in digests else "outputs differ"
 
 
 def iqr(values: list[float]) -> float:
@@ -106,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((HEAD / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     header = ["workload", "metric", "base", "base IQR", "head", "head IQR", "change", "won"]
-    rows, problems = [[*header, "verdict"]], []
+    rows, problems, digest_lines = [[*header, "verdict"]], [], []
     for workload in (w["name"] for w in spec["workloads"]):
         runs: dict[str, list[dict]] = {"base": [], "head": []}
         for pair in range(args.pairs):
@@ -115,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                 tree = base_tree if side == "base" else HEAD
                 runs[side].append(run_once(tree, spec["command"], workload))
                 print(f"{workload} pair {pair + 1}/{args.pairs} {side} done", file=sys.stderr)
+        digest_lines.append(f"{workload}: {outputs(runs)}")
         if not all(result["correct"] for result in runs["head"]):
             problems.append(f"{workload}: a head run reported correct: false")
         shares = {
@@ -146,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    for line in digest_lines:
+        print(line)
     for problem in problems:
         print(f"perf gate: {problem}")
     print(f"perf gate: {'failed' if problems else 'passed'} ({args.pairs} pairs per workload)")
