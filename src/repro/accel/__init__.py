@@ -6,14 +6,17 @@ filtering unit, embedding caches, PCIe) feeds an at-scale simulator that
 measures tail latency and throughput under Poisson load.  This package holds
 the component models and the two accelerator compositions:
 
-* :class:`~repro.accel.baseline.BaselineAccelerator` -- a single-stage,
-  TPU-like recommendation accelerator with a monolithic systolic array and a
-  static hot-embedding cache; top-k filtering between stages (when forced to
-  run multi-stage pipelines) is offloaded to the host over PCIe.
 * :class:`~repro.accel.rpaccel.RPAccel` -- the proposed accelerator with a
   reconfigurable (fission) systolic array, on-chip streaming top-k filtering
   units, a static + look-ahead embedding cache pair, and sub-batch pipelining
-  of frontend and backend stages.
+  of frontend and backend stages.  Its
+  :meth:`~repro.accel.rpaccel.RPAccel.query_executions` is the one per-stage
+  accelerator cost model.
+* :class:`~repro.accel.baseline.BaselineAccelerator` -- the single-stage,
+  TPU-like (Centaur-like) accelerator: RPAccel's stage model with O.2--O.5
+  switched off over a static-only cache, i.e. a monolithic systolic array,
+  a static hot-embedding cache, and top-k filtering between stages (when
+  forced to run multi-stage pipelines) offloaded to the host over PCIe.
 """
 
 from repro.accel.systolic import ReconfigurableArray, SubArray, SystolicArrayConfig
@@ -25,8 +28,8 @@ from repro.accel.embedding_cache import (
 )
 from repro.accel.area_power import AreaPowerModel, AreaPowerBreakdown
 from repro.accel.ssd import SsdScalingModel, SsdScalingPoint
-from repro.accel.baseline import BaselineAccelerator, BaselineConfig
 from repro.accel.rpaccel import RPAccel, RPAccelConfig, StageExecution
+from repro.accel.baseline import BaselineAccelerator
 
 __all__ = [
     "SystolicArrayConfig",
@@ -42,7 +45,6 @@ __all__ = [
     "SsdScalingModel",
     "SsdScalingPoint",
     "BaselineAccelerator",
-    "BaselineConfig",
     "RPAccel",
     "RPAccelConfig",
     "StageExecution",

@@ -17,21 +17,58 @@ features (Section 3.2 / Figure 5):
   backend starts as soon as the first frontend sub-batch has been filtered.
 
 Every feature can be toggled independently in :meth:`RPAccel.plan_query`,
-which is how the Figure 5 ablation is produced.
+which is how the Figure 5 ablation is produced.  :meth:`RPAccel.query_executions`
+is the one per-stage accelerator cost model: with O.2--O.5 switched off over
+a static-only cache it is the Centaur-like baseline
+(:class:`~repro.accel.baseline.BaselineAccelerator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accel.baseline import StageBreakdown, host_filter_seconds
 from repro.accel.embedding_cache import EmbeddingCacheConfig, MultiStageEmbeddingCache
-from repro.accel.systolic import ReconfigurableArray, SubArray, SystolicArrayConfig
+from repro.accel.systolic import ReconfigurableArray, SystolicArrayConfig
 from repro.accel.topk import TopKFilterConfig, TopKFilterUnit
 from repro.hardware.memory import DramModel
 from repro.hardware.pcie import PCIeModel
 from repro.models.cost import ModelCost
 from repro.serving.resources import PipelinePlan, StageResource
+
+
+#: Host-side sorting cost per candidate when filtering between stages.
+HOST_SORT_SECONDS_PER_ITEM = 25e-9
+
+
+def host_filter_seconds(pcie: PCIeModel, num_items: int, next_stage_items: int) -> float:
+    """Host-side filtering: ship scores out, sort on the host, ship the survivors' ids back."""
+    return (
+        pcie.transfer_seconds(pcie.score_payload_bytes(num_items))
+        + num_items * HOST_SORT_SECONDS_PER_ITEM
+        + pcie.transfer_seconds(4 * next_stage_items)
+    )
+
+
+@dataclass(frozen=True)
+class StageBreakdown:
+    """Latency components of one stage execution on an accelerator."""
+
+    name: str
+    mlp_seconds: float
+    embedding_seconds: float
+    filter_seconds: float
+    pcie_seconds: float
+    overhead_seconds: float
+
+    @property
+    def total_seconds(self) -> float:
+        return (
+            self.mlp_seconds
+            + self.embedding_seconds
+            + self.filter_seconds
+            + self.pcie_seconds
+            + self.overhead_seconds
+        )
 
 
 @dataclass(frozen=True)
@@ -116,57 +153,6 @@ class RPAccel:
     # ------------------------------------------------------------------ #
     # Per-stage latency
     # ------------------------------------------------------------------ #
-    def stage_execution(
-        self,
-        cost: ModelCost,
-        num_items: int,
-        subarray: SubArray,
-        num_subarrays: int,
-        is_first_stage: bool,
-        next_stage_items: int | None,
-        hit_rate: float,
-        onchip_filter: bool = True,
-        lookahead: bool = True,
-        prefetch_overlap: float = 0.0,
-    ) -> StageExecution:
-        """Latency breakdown of one stage on one of its sub-arrays."""
-        cfg = self.config
-        mlp = subarray.mlp_seconds(cost, num_items, cfg.dram)
-        overlap = prefetch_overlap if lookahead else 0.0
-        # The dual static + look-ahead cache design keeps more embedding
-        # misses in flight than the baseline's single static cache.
-        outstanding = 32 if lookahead else 8
-        embedding = self.cache.gather_seconds(
-            cost,
-            num_items,
-            hit_rate,
-            overlap_fraction=overlap,
-            outstanding_misses=outstanding,
-        )
-        pcie = 0.0
-        if is_first_stage:
-            pcie += cfg.pcie.transfer_seconds(
-                cfg.pcie.candidate_payload_bytes(
-                    num_items, cfg.num_dense_features, cfg.num_sparse_features
-                )
-            )
-        filter_s = 0.0
-        if next_stage_items is not None:
-            if onchip_filter:
-                cycles = self.topk.filter_cycles(num_items, next_stage_items)
-                filter_s = cycles / cfg.array.frequency_hz
-            else:
-                filter_s = host_filter_seconds(cfg.pcie, num_items, next_stage_items)
-        breakdown = StageBreakdown(
-            name=cost.name,
-            mlp_seconds=mlp,
-            embedding_seconds=embedding,
-            filter_seconds=filter_s,
-            pcie_seconds=pcie,
-            overhead_seconds=cfg.per_stage_overhead_s,
-        )
-        return StageExecution(breakdown=breakdown, num_subarrays=num_subarrays)
-
     def query_executions(
         self,
         stage_costs: list[ModelCost],
@@ -177,7 +163,15 @@ class RPAccel:
         lookahead: bool = True,
         frontend_cache_fraction: float | None = None,
     ) -> list[StageExecution]:
-        """Map every stage of one query onto the accelerator."""
+        """Map every stage of one query onto the accelerator.
+
+        A stage runs its MLP on its sub-array (the monolithic array when
+        ``reconfigurable`` is off) and gathers its embeddings through its
+        share of the static cache.  The first stage also receives the
+        candidates over PCIe, and every stage but the last filters down to
+        the next stage's items: on chip, or on the host over PCIe when
+        ``onchip_filter`` is off.
+        """
         if len(stage_costs) != len(stage_items) or not stage_costs:
             raise ValueError("stage_costs and stage_items must be non-empty parallel lists")
         num_stages = len(stage_costs)
@@ -187,6 +181,7 @@ class RPAccel:
             raise ValueError("subarrays_per_stage must have one entry per stage")
         fractions = self.default_fractions(stage_costs, stage_items)
 
+        cfg = self.config
         partitions = self.cache.partition_static_cache(
             stage_costs, frontend_fraction=frontend_cache_fraction
         )
@@ -199,24 +194,39 @@ class RPAccel:
                 subarray = self.array.monolithic
                 servers = 1
             # The look-ahead cache can hide backend misses behind the
-            # preceding stage's execution; the first stage has nothing to
-            # hide behind.
-            prefetch_overlap = 0.0 if i == 0 else 0.8
-            next_items = stage_items[i + 1] if i + 1 < len(stage_items) else None
-            executions.append(
-                self.stage_execution(
-                    cost,
-                    items,
-                    subarray=subarray,
-                    num_subarrays=servers,
-                    is_first_stage=(i == 0),
-                    next_stage_items=next_items,
-                    hit_rate=partitions[i].hit_rate,
-                    onchip_filter=onchip_filter,
-                    lookahead=lookahead,
-                    prefetch_overlap=prefetch_overlap,
-                )
+            # preceding stage's execution (the first stage has nothing to
+            # hide behind), and the dual static + look-ahead design keeps
+            # more misses in flight than a single static cache.
+            embedding = self.cache.gather_seconds(
+                cost,
+                items,
+                partitions[i].hit_rate,
+                overlap_fraction=0.8 if lookahead and i > 0 else 0.0,
+                outstanding_misses=32 if lookahead else 8,
             )
+            pcie = 0.0
+            if i == 0:
+                pcie = cfg.pcie.transfer_seconds(
+                    cfg.pcie.candidate_payload_bytes(
+                        items, cfg.num_dense_features, cfg.num_sparse_features
+                    )
+                )
+            filter_s = 0.0
+            if i + 1 < num_stages:
+                next_items = stage_items[i + 1]
+                if onchip_filter:
+                    filter_s = self.topk.filter_cycles(items, next_items) / cfg.array.frequency_hz
+                else:
+                    filter_s = host_filter_seconds(cfg.pcie, items, next_items)
+            breakdown = StageBreakdown(
+                name=cost.name,
+                mlp_seconds=subarray.mlp_seconds(cost, items, cfg.dram),
+                embedding_seconds=embedding,
+                filter_seconds=filter_s,
+                pcie_seconds=pcie,
+                overhead_seconds=cfg.per_stage_overhead_s,
+            )
+            executions.append(StageExecution(breakdown=breakdown, num_subarrays=servers))
         return executions
 
     # ------------------------------------------------------------------ #

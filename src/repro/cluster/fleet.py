@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,6 +80,7 @@ _PLATFORM_DIE = {
 }
 
 
+@lru_cache(maxsize=8)
 def node_cost_usd(platform: str) -> float:
     """Lifetime cost of one node of ``platform``, in dollars.
 
@@ -87,6 +89,7 @@ def node_cost_usd(platform: str) -> float:
     :data:`AREA_DOLLARS_PER_MM2` plus sustained power at
     :data:`TCO_DOLLARS_PER_WATT`); CPU/GPU nodes use fixed die figures.
     Every node also pays :data:`HOST_BASE_COST_USD` for the host itself.
+    The price is computed once per platform.
 
     Parameters
     ----------

@@ -15,11 +15,7 @@ This is the paper's primary contribution: a system that
 
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig, Stage, enumerate_pipelines
-from repro.core.mapping import (
-    HardwarePool,
-    build_accelerator_plan,
-    build_heterogeneous_plan,
-)
+from repro.core.mapping import build_accelerator_plan, build_heterogeneous_plan
 from repro.core.scheduler import EvaluatedConfig, RecPipeScheduler
 from repro.core.sweep import SweepConfig, SweepOutcome, run_sweep
 
@@ -28,7 +24,6 @@ __all__ = [
     "PipelineConfig",
     "enumerate_pipelines",
     "pareto_frontier",
-    "HardwarePool",
     "build_heterogeneous_plan",
     "build_accelerator_plan",
     "RecPipeScheduler",

@@ -19,7 +19,6 @@ Each builder turns a :class:`~repro.core.pipeline.PipelineConfig` into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.accel.baseline import BaselineAccelerator
@@ -34,16 +33,9 @@ from repro.serving.resources import PipelinePlan, StageResource
 #: The (first-stage, later-stage) device of each CPU/GPU platform.
 DEVICE_PLATFORMS = {"cpu": ("cpu", "cpu"), "gpu": ("gpu", "gpu"), "gpu-cpu": ("gpu", "cpu")}
 
-
-@dataclass
-class HardwarePool:
-    """The hardware available to the RecPipe scheduler."""
-
-    cpu: CPUPerformanceModel = field(default_factory=CPUPerformanceModel)
-    gpu: GPUPerformanceModel = field(default_factory=GPUPerformanceModel)
-    pcie: PCIeModel = field(default_factory=PCIeModel)
-    baseline_accel: BaselineAccelerator = field(default_factory=BaselineAccelerator)
-    rpaccel: RPAccel = field(default_factory=RPAccel)
+#: Dense features shipped per candidate when a stage's input crosses PCIe
+#: (Criteo's 13, for every dataset).
+NUM_DENSE_FEATURES = 13
 
 
 def build_heterogeneous_plan(
@@ -51,9 +43,7 @@ def build_heterogeneous_plan(
     devices: Sequence[str],
     cpu: CPUPerformanceModel,
     gpu: GPUPerformanceModel,
-    pcie: PCIeModel | None = None,
     num_tables: int = 26,
-    num_dense: int = 13,
 ) -> PipelinePlan:
     """Device-list mapping: each stage pinned to ``"cpu"`` or ``"gpu"``.
 
@@ -71,7 +61,7 @@ def build_heterogeneous_plan(
     for device in devices:
         if device not in ("cpu", "gpu"):
             raise ValueError(f"unknown device {device!r}; expected 'cpu' or 'gpu'")
-    pcie = pcie if pcie is not None else PCIeModel()
+    pcie = PCIeModel()
     costs = pipeline.stage_costs(num_tables)
     items = pipeline.stage_items()
 
@@ -96,7 +86,7 @@ def build_heterogeneous_plan(
         )
         if crosses_pcie:
             transfer = pcie.transfer_seconds(
-                pcie.candidate_payload_bytes(n, num_dense, cost.embedding_lookups_per_item)
+                pcie.candidate_payload_bytes(n, NUM_DENSE_FEATURES, cost.embedding_lookups_per_item)
             )
         if device == "cpu":
             servers = cpu_allocation[cpu_index]

@@ -118,17 +118,15 @@ def enumerate_pipelines(
     later_stage_items: Sequence[int],
     max_stages: int = 3,
     serve_k: int = 64,
-    last_stage_must_be_largest: bool = True,
 ) -> list[PipelineConfig]:
     """Exhaustively enumerate multi-stage configurations (RecPipe step 1).
 
     The frontend stage draws its item count from ``first_stage_items`` (the
     candidate pool sizes); later stages draw from ``later_stage_items`` and
-    must rank strictly fewer items than their predecessor.  When
-    ``last_stage_must_be_largest`` is set, only configurations whose final
-    stage uses the most accurate model are kept -- matching the paper's
-    observation that high quality requires the backend to run the most
-    accurate network.
+    must rank strictly fewer items than their predecessor.  Only
+    configurations whose final stage uses the most accurate model are kept
+    -- matching the paper's observation that high quality requires the
+    backend to run the most accurate network.
     """
     if max_stages <= 0:
         raise ValueError("max_stages must be positive")
@@ -137,7 +135,7 @@ def enumerate_pipelines(
     configs: list[PipelineConfig] = []
     for num_stages in range(1, max_stages + 1):
         for models in product(specs, repeat=num_stages):
-            if last_stage_must_be_largest and models[-1].name != largest.name:
+            if models[-1].name != largest.name:
                 continue
             for items in _item_ladders(
                 first_stage_items, later_stage_items, num_stages, serve_k

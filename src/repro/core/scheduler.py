@@ -21,17 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.mapping import (
-    DEVICE_PLATFORMS,
-    HardwarePool,
-    build_accelerator_plan,
-    build_heterogeneous_plan,
-)
+from repro.accel.baseline import BaselineAccelerator
+from repro.accel.rpaccel import RPAccel
+from repro.core.mapping import DEVICE_PLATFORMS, build_accelerator_plan, build_heterogeneous_plan
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig
+from repro.hardware.cpu import CPUPerformanceModel
+from repro.hardware.gpu import GPUPerformanceModel
 from repro.quality.evaluator import QualityEvaluator
 from repro.serving.resources import PipelinePlan
 from repro.serving.simulator import SimulationConfig, simulated_p99
+
+#: The device models every plan is built against.
+_CPU = CPUPerformanceModel()
+_GPU = GPUPerformanceModel()
+_ACCELERATORS = {"baseline-accel": BaselineAccelerator(), "rpaccel": RPAccel()}
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,6 @@ class RecPipeScheduler:
     ----------
     evaluator : QualityEvaluator
         Ranking-quality (NDCG) evaluator over the target workload's queries.
-    hardware : HardwarePool
-        The CPU/GPU/PCIe/accelerator models plans are built against.
     simulation : SimulationConfig
         At-scale simulation budget, seed and engine selection.
     num_tables : int
@@ -78,7 +80,6 @@ class RecPipeScheduler:
     """
 
     evaluator: QualityEvaluator
-    hardware: HardwarePool = field(default_factory=HardwarePool)
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
     num_tables: int = 26
 
@@ -95,17 +96,16 @@ class RecPipeScheduler:
         :func:`~repro.core.mapping.build_heterogeneous_plan`; the last two
         delegate to the accelerator's default plan.
         """
-        hw = self.hardware
         if platform in DEVICE_PLATFORMS:
             first, later = DEVICE_PLATFORMS[platform]
             devices = [first] + [later] * (pipeline.num_stages - 1)
             return build_heterogeneous_plan(
-                pipeline, devices, hw.cpu, hw.gpu, hw.pcie, num_tables=self.num_tables
+                pipeline, devices, _CPU, _GPU, num_tables=self.num_tables
             )
-        if platform == "baseline-accel":
-            return build_accelerator_plan(pipeline, hw.baseline_accel, num_tables=self.num_tables)
-        if platform == "rpaccel":
-            return build_accelerator_plan(pipeline, hw.rpaccel, num_tables=self.num_tables)
+        if platform in _ACCELERATORS:
+            return build_accelerator_plan(
+                pipeline, _ACCELERATORS[platform], num_tables=self.num_tables
+            )
         raise ValueError(
             f"unknown platform {platform!r}; expected cpu, gpu, gpu-cpu, "
             "baseline-accel or rpaccel"

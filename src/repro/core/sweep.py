@@ -42,7 +42,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.mapping import HardwarePool
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import EvaluatedConfig, RecPipeScheduler
 from repro.events import active_log
@@ -407,7 +406,6 @@ def run_sweep(
     evaluator: QualityEvaluator,
     model_specs: Sequence[ModelSpec],
     config: SweepConfig,
-    hardware: HardwarePool | None = None,
     jobs: int = 1,
 ) -> SweepOutcome:
     """Enumerate, evaluate and cross-section the design space of ``config``.
@@ -434,7 +432,6 @@ def run_sweep(
         )
     scheduler = RecPipeScheduler(
         evaluator,
-        hardware=hardware if hardware is not None else HardwarePool(),
         simulation=SimulationConfig.with_budget(
             config.num_queries, seed=config.seed, engine=config.engine
         ),

@@ -47,6 +47,7 @@ the per-query frontend alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -100,9 +101,9 @@ class ServingPath:
         """Stable path label used in artifacts: ``platform:pipeline``."""
         return f"{self.platform}:{self.pipeline.name}"
 
-    @property
+    @cached_property
     def capacity_qps(self) -> float:
-        """Bottleneck-stage throughput capacity of the mapped plan."""
+        """Bottleneck-stage throughput capacity of the mapped plan (computed once)."""
         return self.plan.throughput_capacity()
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    HardwarePool,
     PipelineConfig,
     RecPipeScheduler,
     Stage,
@@ -31,7 +30,6 @@ def evaluator():
 def scheduler(evaluator):
     return RecPipeScheduler(
         evaluator,
-        hardware=HardwarePool(),
         simulation=SimulationConfig(num_queries=1200, warmup_queries=100),
     )
 
