@@ -15,7 +15,8 @@ power on the compute fabric versus Planaria's 13% / 21%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.accel.systolic import SystolicArrayConfig
 from repro.accel.embedding_cache import EmbeddingCacheConfig
@@ -60,10 +61,10 @@ class AreaPowerBreakdown:
 class AreaPowerModel:
     """Area/power of the baseline accelerator and RPAccel's overhead over it."""
 
-    array: SystolicArrayConfig = field(default_factory=SystolicArrayConfig)
-    cache: EmbeddingCacheConfig = field(default_factory=EmbeddingCacheConfig)
-    activation_sram_bytes: int = 4 * MB
-    num_topk_units: int = 8
+    array: ClassVar[SystolicArrayConfig] = SystolicArrayConfig()
+    cache: ClassVar[EmbeddingCacheConfig] = EmbeddingCacheConfig()
+    activation_sram_bytes: ClassVar[int] = 4 * MB
+    num_topk_units: ClassVar[int] = 8
 
     def baseline_breakdown(self) -> AreaPowerBreakdown:
         """TPU-like baseline: monolithic array, static embedding SRAM only."""

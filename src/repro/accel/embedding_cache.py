@@ -20,6 +20,7 @@ costs from :mod:`repro.hardware.memory`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.data.distributions import approx_zipf_hit_rate
 from repro.hardware.memory import DramModel, SramModel
@@ -35,7 +36,7 @@ class EmbeddingCacheConfig:
     total_bytes: int = 16 * MB
     lookahead_bytes: int = 4 * MB
     zipf_alpha: float = 1.05
-    cache_line_bytes: int = 128
+    cache_line_bytes: ClassVar[int] = 128
 
     def __post_init__(self) -> None:
         if self.total_bytes <= 0:
@@ -67,7 +68,7 @@ class MultiStageEmbeddingCache:
     """Static + look-ahead embedding caches shared by the pipeline stages."""
 
     config: EmbeddingCacheConfig = field(default_factory=EmbeddingCacheConfig)
-    sram: SramModel = field(default_factory=SramModel)
+    sram: ClassVar[SramModel] = SramModel()
     dram: DramModel = field(default_factory=DramModel)
 
     # ------------------------------------------------------------------ #

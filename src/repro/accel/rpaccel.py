@@ -26,10 +26,12 @@ a static-only cache it is the Centaur-like baseline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.accel.embedding_cache import EmbeddingCacheConfig, MultiStageEmbeddingCache
 from repro.accel.systolic import ReconfigurableArray, SystolicArrayConfig
 from repro.accel.topk import TopKFilterConfig, TopKFilterUnit
+from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
 from repro.hardware.memory import DramModel
 from repro.hardware.pcie import PCIeModel
 from repro.models.cost import ModelCost
@@ -75,21 +77,22 @@ class StageBreakdown:
 class RPAccelConfig:
     """Fixed resources of RPAccel (Table 3)."""
 
-    array: SystolicArrayConfig = field(default_factory=SystolicArrayConfig)
+    array: ClassVar[SystolicArrayConfig] = SystolicArrayConfig()
     cache: EmbeddingCacheConfig = field(default_factory=EmbeddingCacheConfig)
-    topk: TopKFilterConfig = field(default_factory=TopKFilterConfig)
-    pcie: PCIeModel = field(default_factory=PCIeModel)
-    dram: DramModel = field(default_factory=DramModel)
-    num_dense_features: int = 13
-    num_sparse_features: int = 26
+    topk: ClassVar[TopKFilterConfig] = TopKFilterConfig()
+    pcie: ClassVar[PCIeModel] = PCIeModel()
+    dram: ClassVar[DramModel] = DramModel()
+    #: features shipped per candidate: Criteo's, for every dataset.
+    num_dense_features: ClassVar[int] = NUM_DENSE_FEATURES
+    num_sparse_features: ClassVar[int] = NUM_TABLES
     #: number of sub-batches a query is split into for pipelining (Takeaway 4).
     sub_batches: int = 4
     #: per-stage control / weight-load / reconfiguration overhead (seconds).
-    per_stage_overhead_s: float = 60e-6
+    per_stage_overhead_s: ClassVar[float] = 60e-6
     #: per-query host-interface and sequencing overhead on the shared
     #: front-end (input staging, descriptor setup); this is the shared-
     #: resource term that bounds RPAccel's throughput.
-    sequencer_overhead_s: float = 50e-6
+    sequencer_overhead_s: ClassVar[float] = 50e-6
 
     def __post_init__(self) -> None:
         if self.sub_batches <= 0:

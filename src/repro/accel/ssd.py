@@ -17,14 +17,15 @@ factor ``s``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
+from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.data.distributions import approx_zipf_hit_rate
 from repro.hardware.memory import DramModel, SramModel, SsdModel
 from repro.models.cost import FP32_BYTES, ModelCost
 
 GB = 1024**3
-MB = 1024**2
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,13 @@ class SsdScalingPoint:
 class SsdScalingModel:
     """Embedding locality and gather-time model with an SSD tier."""
 
-    dram_capacity_bytes: int = 16 * GB
-    onchip_cache_bytes: int = 12 * MB
-    zipf_alpha: float = 1.2
-    sram: SramModel = field(default_factory=SramModel)
-    dram: DramModel = field(default_factory=DramModel)
-    ssd: SsdModel = field(default_factory=SsdModel)
+    dram_capacity_bytes: ClassVar[int] = 16 * GB
+    #: RPAccel's static embedding cache (its on-chip SRAM less the look-ahead share).
+    onchip_cache_bytes: ClassVar[int] = EmbeddingCacheConfig().static_bytes
+    zipf_alpha: ClassVar[float] = 1.2
+    sram: ClassVar[SramModel] = SramModel()
+    dram: ClassVar[DramModel] = DramModel()
+    ssd: ClassVar[SsdModel] = SsdModel()
 
     def fraction_in_ssd(self, cost: ModelCost, embedding_scale: float) -> float:
         """Fraction of the scaled table that exceeds DRAM capacity."""

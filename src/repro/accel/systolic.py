@@ -19,8 +19,10 @@ is what doubles MAC utilization in the paper's Takeaway 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.hardware.memory import DramModel
+from repro.hardware.spec import ACCELERATOR_FREQUENCY_HZ
 from repro.models.cost import FP32_BYTES, ModelCost
 
 
@@ -28,16 +30,10 @@ from repro.models.cost import FP32_BYTES, ModelCost
 class SystolicArrayConfig:
     """Fixed resources of the monolithic systolic array (Table 3)."""
 
-    rows: int = 128
-    cols: int = 128
-    frequency_hz: float = 250e6
-    weight_sram_bytes: int = 8 * 1024 * 1024
-
-    def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("array dimensions must be positive")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency_hz must be positive")
+    rows: ClassVar[int] = 128
+    cols: ClassVar[int] = 128
+    frequency_hz: ClassVar[float] = ACCELERATOR_FREQUENCY_HZ
+    weight_sram_bytes: ClassVar[int] = 8 * 1024 * 1024
 
     @property
     def total_macs(self) -> int:
@@ -50,7 +46,7 @@ class SubArray:
 
     rows: int
     cols: int
-    frequency_hz: float = 250e6
+    frequency_hz: float = ACCELERATOR_FREQUENCY_HZ
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:

@@ -23,8 +23,11 @@ can check both its selection behaviour and its latency/SRAM cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+
+from repro.accel.systolic import SystolicArrayConfig
 
 # Bytes buffered per retained user-item pair: the pair id and score plus the
 # categorical/continuous input ids needed to re-materialize the candidate for
@@ -37,18 +40,15 @@ PAIR_RECORD_BYTES = 240
 class TopKFilterConfig:
     """Parameters of the streaming filter unit."""
 
-    num_bins: int = 16
+    num_bins: ClassVar[int] = 16
     ctr_threshold: float = 0.5
-    drain_bandwidth_ids_per_cycle: float = 4.0
-    weight_sram_bytes: int = 8 * 1024 * 1024
+    drain_bandwidth_ids_per_cycle: ClassVar[float] = 4.0
+    #: the retained pairs are buffered in the systolic array's weight SRAM.
+    weight_sram_bytes: ClassVar[int] = SystolicArrayConfig.weight_sram_bytes
 
     def __post_init__(self) -> None:
-        if self.num_bins <= 0:
-            raise ValueError("num_bins must be positive")
         if not 0.0 <= self.ctr_threshold < 1.0:
             raise ValueError("ctr_threshold must be in [0, 1)")
-        if self.drain_bandwidth_ids_per_cycle <= 0:
-            raise ValueError("drain_bandwidth_ids_per_cycle must be positive")
 
 
 class TopKFilterUnit:

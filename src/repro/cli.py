@@ -60,6 +60,7 @@ from repro.experiments.registry import (
     register_scenario,
 )
 from repro.scenarios import ScenarioConfig, knobs, load_scenario, run_cell
+from repro.scenarios.config import validate_fleet_tables
 from repro.scenarios.runner import cell_config, default_pool
 
 PROG = "recpipe"
@@ -452,7 +453,9 @@ def cmd_cell(args: argparse.Namespace) -> int:
             )
         if values.max_batch is None:
             values.max_batch = knobs.KNOBS["max_batch"].default
-    if command != "capacity":
+    if command == "capacity":
+        validate_fleet_tables(vars(values), label="--embedding-scale")
+    else:
         # Route's default pool is smaller than sweep's: routing tables pair
         # it with the default 512-item first stage, like the `router` entry.
         criteo_pool = 512 if command == "route" else 4096

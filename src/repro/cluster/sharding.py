@@ -49,6 +49,11 @@ __all__ = [
 #: Bytes per embedding-table element (fp32, matching ``nn/embedding.py``).
 FP32_BYTES = 4
 
+#: Zipf exponents :func:`tables_from_cost` skews table sizes and lookup
+#: popularity by.
+TABLE_SIZE_ALPHA = 0.8
+TABLE_POPULARITY_ALPHA = 1.05
+
 
 class ShardingError(ValueError):
     """A placement is infeasible under the given per-node memory budgets."""
@@ -100,8 +105,6 @@ def tables_from_cost(
     cost: ModelCost,
     num_tables: int,
     items_per_query: float = 1.0,
-    size_alpha: float = 0.8,
-    popularity_alpha: float = 1.05,
 ) -> list[EmbeddingTableSpec]:
     """Derive a sharding-ready table set from a model's cost profile.
 
@@ -109,8 +112,9 @@ def tables_from_cost(
     storage and lookups per scored item; this expands that aggregate into
     ``num_tables`` individual tables with Zipf-skewed sizes (real table
     sets are dominated by a few huge vocabularies) and Zipf-skewed lookup
-    popularity — the ``size × popularity`` signal the table-wise packer
-    bins on.
+    popularity (exponents ``TABLE_SIZE_ALPHA`` and
+    ``TABLE_POPULARITY_ALPHA``) — the ``size × popularity`` signal the
+    table-wise packer bins on.
 
     Parameters
     ----------
@@ -123,10 +127,6 @@ def tables_from_cost(
     items_per_query : float
         Items the funnel scores per query on this model; per-table lookups
         are ``lookups_per_item × items_per_query`` split by popularity.
-    size_alpha : float
-        Zipf exponent of the table-size skew.
-    popularity_alpha : float
-        Zipf exponent of the lookup-popularity skew.
 
     Returns
     -------
@@ -140,9 +140,11 @@ def tables_from_cost(
         raise ValueError(f"items_per_query must be positive, got {items_per_query}")
     row_bytes = cost.embedding_dim * FP32_BYTES
     total_rows = max(int(cost.reference_storage_bytes // row_bytes), num_tables)
-    size_shares = zipf_probabilities(num_tables, size_alpha)
-    rows = np.maximum(np.round(size_shares * total_rows).astype(np.int64), 1)
-    lookup_shares = zipf_probabilities(num_tables, popularity_alpha)
+    table_rows = np.round(zipf_probabilities(num_tables, TABLE_SIZE_ALPHA) * total_rows)
+    if table_rows.max() >= 2.0**63:
+        raise ValueError(f"{cost.name}: a table of {table_rows.max():.3g} rows does not fit int64")
+    rows = np.maximum(table_rows.astype(np.int64), 1)
+    lookup_shares = zipf_probabilities(num_tables, TABLE_POPULARITY_ALPHA)
     total_lookups = float(cost.embedding_lookups_per_item) * float(items_per_query)
     return [
         EmbeddingTableSpec(

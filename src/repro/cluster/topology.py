@@ -25,6 +25,7 @@ import numpy as np
 from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.cluster.sharding import ShardingPlan
 from repro.data.distributions import approx_zipf_hit_rate
+from repro.hardware.pcie import PCIeModel
 
 __all__ = [
     "InterconnectLink",
@@ -50,8 +51,8 @@ class InterconnectLink:
         Fixed cost per remote peer contacted (request framing, interrupt).
     """
 
-    bandwidth_bytes_per_s: float = 12e9
-    latency_s: float = 10e-6
+    bandwidth_bytes_per_s: float = PCIeModel.bandwidth_bytes_per_s
+    latency_s: float = PCIeModel.latency_s
     hops: int = 1
     message_overhead_s: float = 2e-6
 

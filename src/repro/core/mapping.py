@@ -24,6 +24,7 @@ from typing import Sequence
 from repro.accel.baseline import BaselineAccelerator
 from repro.accel.rpaccel import RPAccel
 from repro.core.pipeline import PipelineConfig
+from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
 from repro.hardware.cpu import CPUPerformanceModel
 from repro.hardware.gpu import GPUPerformanceModel
 from repro.hardware.pcie import PCIeModel
@@ -33,17 +34,13 @@ from repro.serving.resources import PipelinePlan, StageResource
 #: The (first-stage, later-stage) device of each CPU/GPU platform.
 DEVICE_PLATFORMS = {"cpu": ("cpu", "cpu"), "gpu": ("gpu", "gpu"), "gpu-cpu": ("gpu", "cpu")}
 
-#: Dense features shipped per candidate when a stage's input crosses PCIe
-#: (Criteo's 13, for every dataset).
-NUM_DENSE_FEATURES = 13
-
 
 def build_heterogeneous_plan(
     pipeline: PipelineConfig,
     devices: Sequence[str],
     cpu: CPUPerformanceModel,
     gpu: GPUPerformanceModel,
-    num_tables: int = 26,
+    num_tables: int = NUM_TABLES,
 ) -> PipelinePlan:
     """Device-list mapping: each stage pinned to ``"cpu"`` or ``"gpu"``.
 
@@ -85,6 +82,7 @@ def build_heterogeneous_plan(
             device == "cpu" and previous_device == "gpu"
         )
         if crosses_pcie:
+            # Candidates ship Criteo's dense features, for every dataset.
             transfer = pcie.transfer_seconds(
                 pcie.candidate_payload_bytes(n, NUM_DENSE_FEATURES, cost.embedding_lookups_per_item)
             )
@@ -114,7 +112,7 @@ def build_heterogeneous_plan(
 def build_accelerator_plan(
     pipeline: PipelineConfig,
     accelerator: BaselineAccelerator | RPAccel,
-    num_tables: int = 26,
+    num_tables: int = NUM_TABLES,
 ) -> PipelinePlan:
     """Accelerator mapping: the baseline's or RPAccel's default plan of the funnel."""
     return accelerator.plan_query(pipeline.stage_costs(num_tables), pipeline.stage_items())

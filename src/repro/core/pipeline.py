@@ -14,6 +14,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
+from repro.data.criteo import NUM_TABLES
 from repro.models.cost import ModelCost
 from repro.models.zoo import ModelSpec
 from repro.quality.funnel import FunnelStage
@@ -31,7 +32,7 @@ class Stage:
         if self.num_items <= 0:
             raise ValueError(f"num_items must be positive, got {self.num_items}")
 
-    def reference_cost(self, num_tables: int = 26) -> ModelCost:
+    def reference_cost(self, num_tables: int = NUM_TABLES) -> ModelCost:
         """Per-item compute/storage cost of this stage's model."""
         return self.model.reference_cost(num_tables=num_tables)
 
@@ -71,7 +72,7 @@ class PipelineConfig:
         """Canonical label, e.g. ``RMsmall@4096 -> RMlarge@512``."""
         return " -> ".join(f"{s.model.name}@{s.num_items}" for s in self.stages)
 
-    def stage_costs(self, num_tables: int = 26) -> list[ModelCost]:
+    def stage_costs(self, num_tables: int = NUM_TABLES) -> list[ModelCost]:
         """Per-stage reference model costs, in funnel order."""
         return [stage.reference_cost(num_tables) for stage in self.stages]
 
@@ -89,7 +90,7 @@ class PipelineConfig:
     # ------------------------------------------------------------------ #
     # Aggregate demands (Figure 1c)
     # ------------------------------------------------------------------ #
-    def total_macs(self, num_tables: int = 26) -> float:
+    def total_macs(self, num_tables: int = NUM_TABLES) -> float:
         """MLP multiply-accumulates needed to process one query end to end."""
         return float(
             sum(
@@ -98,7 +99,7 @@ class PipelineConfig:
             )
         )
 
-    def total_embedding_bytes(self, num_tables: int = 26) -> float:
+    def total_embedding_bytes(self, num_tables: int = NUM_TABLES) -> float:
         """Embedding bytes fetched to process one query end to end."""
         return float(
             sum(

@@ -26,6 +26,7 @@ from repro.accel.rpaccel import RPAccel
 from repro.core.mapping import DEVICE_PLATFORMS, build_accelerator_plan, build_heterogeneous_plan
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig
+from repro.data.criteo import NUM_TABLES
 from repro.hardware.cpu import CPUPerformanceModel
 from repro.hardware.gpu import GPUPerformanceModel
 from repro.quality.evaluator import QualityEvaluator
@@ -81,7 +82,7 @@ class RecPipeScheduler:
 
     evaluator: QualityEvaluator
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    num_tables: int = 26
+    num_tables: int = NUM_TABLES
 
     # ------------------------------------------------------------------ #
     # Plan construction

@@ -44,6 +44,7 @@ from typing import Sequence
 
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import EvaluatedConfig, RecPipeScheduler
+from repro.data.criteo import NUM_TABLES
 from repro.events import active_log
 from repro.models.zoo import ModelSpec
 from repro.quality.evaluator import QualityEvaluator
@@ -102,7 +103,7 @@ class SweepConfig:
     serve_k: int = 64
     num_queries: int = 1500
     seed: int = 0
-    num_tables: int = 26
+    num_tables: int = NUM_TABLES
     engine: str = "analytic"
 
     def __post_init__(self) -> None:

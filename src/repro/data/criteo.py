@@ -16,6 +16,7 @@ experiments depend on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,6 +30,12 @@ from repro.data.datasets import (
     split_dataset,
 )
 from repro.data.distributions import zipf_sample
+
+#: Criteo's continuous (dense) features and categorical features, one
+#: embedding table each: the workload every Criteo model, plan and payload
+#: is sized for.
+NUM_DENSE_FEATURES = 13
+NUM_TABLES = 26
 
 #: Per-query CTR quantiles at which relevance grades 1..4 start: most
 #: candidates are irrelevant and a small head highly relevant.
@@ -44,13 +51,13 @@ class CriteoConfig:
     counts, skew, label sparsity) matches the original.
     """
 
-    num_dense: int = 13
-    num_tables: int = 26
+    num_dense: ClassVar[int] = NUM_DENSE_FEATURES
+    num_tables: ClassVar[int] = NUM_TABLES
     table_size: int = 2000
-    zipf_alpha: float = 1.05
+    zipf_alpha: ClassVar[float] = 1.05
     positive_rate: float = 0.26
-    latent_dim: int = 8
-    noise_std: float = 0.35
+    latent_dim: ClassVar[int] = 8
+    noise_std: ClassVar[float] = 0.35
     seed: int = 2021
     table_sizes_override: tuple[int, ...] | None = None
 

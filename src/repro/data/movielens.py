@@ -12,6 +12,7 @@ differs from Criteo (more MLP-dominated, smaller tables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,10 +37,10 @@ class MovieLensConfig:
 
     num_users: int = 2000
     num_items: int = 1200
-    latent_dim: int = 8
-    zipf_alpha: float = 0.9
-    positive_rate: float = 0.45
-    noise_std: float = 0.25
+    latent_dim: ClassVar[int] = 8
+    zipf_alpha: ClassVar[float] = 0.9
+    positive_rate: ClassVar[float] = 0.45
+    noise_std: ClassVar[float] = 0.25
     seed: int = 1997
 
     @staticmethod

@@ -48,6 +48,7 @@ from repro.cluster.sharding import ShardingError
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import RecPipeScheduler
+from repro.data.criteo import NUM_TABLES
 from repro.experiments.common import ExperimentResult, criteo_quality_evaluator, make_scheduler
 from repro.models.zoo import criteo_model_specs
 from repro.serving.router import PathTable, route_oracle, route_static
@@ -69,8 +70,6 @@ PLATFORMS = ("cpu", "baseline-accel", "rpaccel")
 MAX_NODES = 4
 #: Embedding-tier scale-up over RMlarge's reference storage (fleet tables).
 EMBEDDING_SCALE = 3.0
-#: Logical embedding tables the model shards.
-NUM_TABLES = 26
 #: Per-node embedding memory budget in GiB.
 BUDGET_GB = 32.0
 #: Engine budget per dwell simulation.

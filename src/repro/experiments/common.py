@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from repro.core.pipeline import PipelineConfig, Stage
 from repro.core.scheduler import RecPipeScheduler
-from repro.data.criteo import CriteoSynthetic
+from repro.data.criteo import NUM_TABLES, CriteoSynthetic
 from repro.data.movielens import MovieLensConfig, MovieLensSynthetic
 from repro.models.zoo import (
     NMF_LARGE,
@@ -148,7 +148,7 @@ def movielens_quality_evaluator(preset: str, pool: int) -> QualityEvaluator:
 def make_scheduler(
     evaluator: QualityEvaluator,
     num_queries: int = 2000,
-    num_tables: int = 26,
+    num_tables: int = NUM_TABLES,
     seed: int = 0,
     service: CachedServiceConfig | None = None,
 ) -> RecPipeScheduler:

@@ -10,6 +10,7 @@ of stages varies across loads, platforms and datasets.
 from __future__ import annotations
 
 from repro.core.scheduler import RecPipeScheduler
+from repro.data.criteo import NUM_TABLES
 from repro.experiments.common import (
     CRITEO_POOL,
     ExperimentResult,
@@ -32,7 +33,7 @@ QPS_VALUES = (100, 500, 2000)
 
 
 def _criteo_setup() -> tuple[RecPipeScheduler, dict]:
-    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL), num_tables=26)
+    scheduler = make_scheduler(criteo_quality_evaluator(CRITEO_POOL), num_tables=NUM_TABLES)
     pipelines = {1: criteo_one_stage(), 2: criteo_two_stage(), 3: criteo_three_stage()}
     return scheduler, pipelines
 

@@ -14,8 +14,14 @@ models calibrated to reproduce the relationships the paper reports:
 * PCIe transfers between host and device add per-stage overheads that the
   heterogeneous (GPU-CPU) mappings and the baseline accelerator pay.
 
-Every calibration constant is exposed on the model dataclasses and documented
-where it comes from.
+Every calibration constant is defined once, with a note on where it comes
+from: the CPU and GPU calibrations are module constants of
+:mod:`~repro.hardware.cpu` and :mod:`~repro.hardware.gpu`; the memory and
+PCIe parameters are class constants (``ClassVar``) of :class:`SramModel`,
+:class:`DramModel`, :class:`~repro.hardware.memory.SsdModel` and
+:class:`PCIeModel`; and the accelerators' 250 MHz clock is
+:data:`~repro.hardware.spec.ACCELERATOR_FREQUENCY_HZ`.  None of them is a
+constructor parameter.
 """
 
 from repro.hardware.spec import (

@@ -15,8 +15,8 @@ Per-item latency on one core has three components:
   width, and
 * a fixed per-item framework overhead.
 
-The effective-rate constants are calibration parameters; their defaults are
-chosen so the model reproduces the paper's measured relationships on the
+The module constants below are the calibration; they are chosen so the
+model reproduces the paper's measured relationships on the
 Cascade Lake part (e.g. two-stage RMsmall->RMlarge ranks ~3200 items within a
 25 ms SLA, single-stage RMlarge at 4096 items is ~4x slower than the
 two-stage pipeline, RMmed frontends are ~1.5x slower than RMsmall frontends).
@@ -24,40 +24,35 @@ two-stage pipeline, RMmed frontends are ~1.5x slower than RMsmall frontends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.hardware.spec import CASCADE_LAKE_CPU, HardwareSpec
 from repro.models.cost import FP32_BYTES, ModelCost
 
-
-@dataclass(frozen=True)
-class CPUCalibration:
-    """Calibration constants of the CPU latency model."""
-
-    #: effective FLOP/s of one core on very small per-item MLPs.
-    min_effective_flops: float = 1.2e9
-    #: effective FLOP/s of one core on large per-item MLPs (RMlarge-sized).
-    max_effective_flops: float = 28e9
-    #: per-item MACs at which the effective rate saturates.
-    saturation_macs: float = 180_000.0
-    #: random-access latency of one embedding lookup (seconds).
-    lookup_latency_s: float = 110e-9
-    #: effective per-core bandwidth streaming embedding vectors (bytes/s).
-    lookup_bandwidth_bytes_per_s: float = 8e9
-    #: per-byte cost of pooling / memory-transform operations (seconds).
-    transform_s_per_byte: float = 1.4e-9
-    #: fixed per-item framework overhead (seconds).
-    per_item_overhead_s: float = 0.4e-6
-    #: fixed per-stage overhead (batch setup, inter-stage handoff) (seconds).
-    per_stage_overhead_s: float = 250e-6
+#: Effective FLOP/s of one core on very small per-item MLPs.
+MIN_EFFECTIVE_FLOPS = 1.2e9
+#: Effective FLOP/s of one core on large per-item MLPs (RMlarge-sized).
+MAX_EFFECTIVE_FLOPS = 28e9
+#: Per-item MACs at which the effective rate saturates.
+SATURATION_MACS = 180_000.0
+#: Random-access latency of one embedding lookup (seconds).
+LOOKUP_LATENCY_S = 110e-9
+#: Effective per-core bandwidth streaming embedding vectors (bytes/s).
+LOOKUP_BANDWIDTH_BYTES_PER_S = 8e9
+#: Per-byte cost of pooling / memory-transform operations (seconds).
+TRANSFORM_S_PER_BYTE = 1.4e-9
+#: Fixed per-item framework overhead (seconds).
+PER_ITEM_OVERHEAD_S = 0.4e-6
+#: Fixed per-stage overhead (batch setup, inter-stage handoff) (seconds).
+PER_STAGE_OVERHEAD_S = 250e-6
 
 
 @dataclass
 class CPUPerformanceModel:
     """Single-core latency / multi-core capacity model for a CPU platform."""
 
-    spec: HardwareSpec = field(default_factory=lambda: CASCADE_LAKE_CPU)
-    calibration: CPUCalibration = field(default_factory=CPUCalibration)
+    spec: ClassVar[HardwareSpec] = CASCADE_LAKE_CPU
 
     @property
     def name(self) -> str:
@@ -70,24 +65,22 @@ class CPUPerformanceModel:
 
     def effective_flops(self, macs_per_item: float) -> float:
         """Effective per-core FLOP rate as a function of per-item MLP size."""
-        cal = self.calibration
         if macs_per_item <= 0:
-            return cal.min_effective_flops
-        frac = min(1.0, macs_per_item / cal.saturation_macs)
-        return cal.min_effective_flops + frac * (cal.max_effective_flops - cal.min_effective_flops)
+            return MIN_EFFECTIVE_FLOPS
+        frac = min(1.0, macs_per_item / SATURATION_MACS)
+        return MIN_EFFECTIVE_FLOPS + frac * (MAX_EFFECTIVE_FLOPS - MIN_EFFECTIVE_FLOPS)
 
     def per_item_latency(self, cost: ModelCost) -> float:
         """Seconds to score one candidate item on one core."""
-        cal = self.calibration
         mlp = cost.flops_per_item / self.effective_flops(cost.macs_per_item)
         vector_bytes = cost.embedding_dim * FP32_BYTES
         per_lookup = (
-            cal.lookup_latency_s
-            + vector_bytes / cal.lookup_bandwidth_bytes_per_s
-            + vector_bytes * cal.transform_s_per_byte
+            LOOKUP_LATENCY_S
+            + vector_bytes / LOOKUP_BANDWIDTH_BYTES_PER_S
+            + vector_bytes * TRANSFORM_S_PER_BYTE
         )
         embedding = cost.embedding_lookups_per_item * per_lookup
-        return mlp + embedding + cal.per_item_overhead_s
+        return mlp + embedding + PER_ITEM_OVERHEAD_S
 
     def stage_latency(self, cost: ModelCost, num_items: int) -> float:
         """Seconds for one core to run one stage over ``num_items`` candidates."""
@@ -95,4 +88,4 @@ class CPUPerformanceModel:
             raise ValueError(f"num_items must be non-negative, got {num_items}")
         if num_items == 0:
             return 0.0
-        return self.calibration.per_stage_overhead_s + num_items * self.per_item_latency(cost)
+        return PER_STAGE_OVERHEAD_S + num_items * self.per_item_latency(cost)

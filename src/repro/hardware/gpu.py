@@ -20,38 +20,33 @@ traffic, and MLP compute at an effective TFLOP rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.hardware.spec import NVIDIA_T4_GPU, HardwareSpec
 from repro.models.cost import FP32_BYTES, ModelCost
 
-
-@dataclass(frozen=True)
-class GPUCalibration:
-    """Calibration constants of the GPU latency model."""
-
-    #: fixed per-stage overhead: kernel launches, synchronization (seconds).
-    per_stage_overhead_s: float = 0.9e-3
-    #: per-embedding-table gather + transform kernel overhead (seconds).
-    per_table_overhead_s: float = 0.14e-3
-    #: effective FLOP/s on small per-item MLPs (underutilized SMs).
-    min_effective_flops: float = 0.4e12
-    #: effective FLOP/s on large per-item MLPs.
-    max_effective_flops: float = 2.2e12
-    #: per-item MACs at which the effective rate saturates.
-    saturation_macs: float = 180_000.0
-    #: effective bandwidth for irregular embedding gathers (bytes/s).
-    gather_bandwidth_bytes_per_s: float = 45e9
-    #: maximum queries resident on the device at once.
-    max_concurrent_queries: int = 1
+#: Fixed per-stage overhead: kernel launches, synchronization (seconds).
+PER_STAGE_OVERHEAD_S = 0.9e-3
+#: Per-embedding-table gather + transform kernel overhead (seconds).
+PER_TABLE_OVERHEAD_S = 0.14e-3
+#: Effective FLOP/s on small per-item MLPs (underutilized SMs).
+MIN_EFFECTIVE_FLOPS = 0.4e12
+#: Effective FLOP/s on large per-item MLPs.
+MAX_EFFECTIVE_FLOPS = 2.2e12
+#: Per-item MACs at which the effective rate saturates.
+SATURATION_MACS = 180_000.0
+#: Effective bandwidth for irregular embedding gathers (bytes/s).
+GATHER_BANDWIDTH_BYTES_PER_S = 45e9
+#: Maximum queries resident on the device at once.
+MAX_CONCURRENT_QUERIES = 1
 
 
 @dataclass
 class GPUPerformanceModel:
     """Per-query latency / capacity model for a data-parallel GPU."""
 
-    spec: HardwareSpec = field(default_factory=lambda: NVIDIA_T4_GPU)
-    calibration: GPUCalibration = field(default_factory=GPUCalibration)
+    spec: ClassVar[HardwareSpec] = NVIDIA_T4_GPU
 
     @property
     def name(self) -> str:
@@ -60,14 +55,13 @@ class GPUPerformanceModel:
     @property
     def num_servers(self) -> int:
         """Independent execution contexts (queries processed concurrently)."""
-        return self.calibration.max_concurrent_queries
+        return MAX_CONCURRENT_QUERIES
 
     def effective_flops(self, macs_per_item: float) -> float:
-        cal = self.calibration
         if macs_per_item <= 0:
-            return cal.min_effective_flops
-        frac = min(1.0, macs_per_item / cal.saturation_macs)
-        return cal.min_effective_flops + frac * (cal.max_effective_flops - cal.min_effective_flops)
+            return MIN_EFFECTIVE_FLOPS
+        frac = min(1.0, macs_per_item / SATURATION_MACS)
+        return MIN_EFFECTIVE_FLOPS + frac * (MAX_EFFECTIVE_FLOPS - MIN_EFFECTIVE_FLOPS)
 
     def stage_latency(self, cost: ModelCost, num_items: int) -> float:
         """Seconds for the GPU to run one stage over ``num_items`` candidates."""
@@ -75,16 +69,15 @@ class GPUPerformanceModel:
             raise ValueError(f"num_items must be non-negative, got {num_items}")
         if num_items == 0:
             return 0.0
-        cal = self.calibration
         mlp = num_items * cost.flops_per_item / self.effective_flops(cost.macs_per_item)
         gather_bytes = (
             num_items * cost.embedding_lookups_per_item * cost.embedding_dim * FP32_BYTES
         )
         embedding = (
-            cost.embedding_lookups_per_item * cal.per_table_overhead_s
-            + gather_bytes / cal.gather_bandwidth_bytes_per_s
+            cost.embedding_lookups_per_item * PER_TABLE_OVERHEAD_S
+            + gather_bytes / GATHER_BANDWIDTH_BYTES_PER_S
         )
-        return cal.per_stage_overhead_s + mlp + embedding
+        return PER_STAGE_OVERHEAD_S + mlp + embedding
 
     def fits_in_memory(self, cost: ModelCost) -> bool:
         """Whether the paper-scale model fits in GPU DRAM (15 GB on the T4).

@@ -11,20 +11,17 @@ byte stream, which is what the embedding-gather units use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+from repro.hardware.spec import ACCELERATOR_FREQUENCY_HZ
 
 
 @dataclass(frozen=True)
 class SramModel:
     """On-chip SRAM: single-digit-cycle latency, very high bandwidth."""
 
-    latency_cycles: int = 2
-    bandwidth_bytes_per_cycle: float = 512.0
-
-    def __post_init__(self) -> None:
-        if self.latency_cycles < 0:
-            raise ValueError("latency_cycles must be non-negative")
-        if self.bandwidth_bytes_per_cycle <= 0:
-            raise ValueError("bandwidth_bytes_per_cycle must be positive")
+    latency_cycles: ClassVar[int] = 2
+    bandwidth_bytes_per_cycle: ClassVar[float] = 512.0
 
     def access_cycles(self, num_bytes: float) -> float:
         """Cycles to stream ``num_bytes`` from SRAM (one latency charge)."""
@@ -39,15 +36,9 @@ class SramModel:
 class DramModel:
     """Off-chip DRAM: ~100-cycle latency, bandwidth from Table 3 (64 GB/s)."""
 
-    latency_cycles: int = 100
-    bandwidth_bytes_per_s: float = 64e9
-    frequency_hz: float = 250e6
-
-    def __post_init__(self) -> None:
-        if self.latency_cycles < 0:
-            raise ValueError("latency_cycles must be non-negative")
-        if self.bandwidth_bytes_per_s <= 0 or self.frequency_hz <= 0:
-            raise ValueError("bandwidth and frequency must be positive")
+    latency_cycles: ClassVar[int] = 100
+    bandwidth_bytes_per_s: ClassVar[float] = 64e9
+    frequency_hz: ClassVar[float] = ACCELERATOR_FREQUENCY_HZ
 
     @property
     def bandwidth_bytes_per_cycle(self) -> float:
@@ -73,8 +64,8 @@ class SsdModel:
     an access pays a large fixed latency plus transfer at SSD bandwidth.
     """
 
-    latency_s: float = 80e-6
-    bandwidth_bytes_per_s: float = 3e9
+    latency_s: ClassVar[float] = 80e-6
+    bandwidth_bytes_per_s: ClassVar[float] = 3e9
 
     def access_seconds(self, num_bytes: float) -> float:
         if num_bytes < 0:

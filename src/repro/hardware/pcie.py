@@ -16,6 +16,7 @@ accelerator methodology (Figure 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 FP32_BYTES = 4
 
@@ -24,14 +25,8 @@ FP32_BYTES = 4
 class PCIeModel:
     """PCIe 3.0 x16-class link between host and device."""
 
-    bandwidth_bytes_per_s: float = 12e9
-    latency_s: float = 10e-6
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth_bytes_per_s must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be non-negative")
+    bandwidth_bytes_per_s: ClassVar[float] = 12e9
+    latency_s: ClassVar[float] = 10e-6
 
     def transfer_seconds(self, num_bytes: float) -> float:
         """Time to move ``num_bytes`` across the link."""

@@ -1,4 +1,4 @@
-"""Hardware specifications (Table 2 of the paper)."""
+"""Hardware specifications (Tables 2 and 3 of the paper)."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 GB = 1024**3
 MB = 1024**2
+
+#: Clock of the accelerators' arrays, on-chip memories and memory interface
+#: (Table 3); accelerator cycle counts convert to seconds at this rate.
+ACCELERATOR_FREQUENCY_HZ = 250e6
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
 from repro.models.cost import ModelCost
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.neumf import NeuMF, NeuMFConfig
@@ -49,7 +50,7 @@ class ModelSpec:
         if self.score_noise < 0:
             raise ValueError("score_noise must be non-negative")
 
-    def reference_cost(self, num_tables: int = 26) -> ModelCost:
+    def reference_cost(self, num_tables: int = NUM_TABLES) -> ModelCost:
         """Paper-scale cost profile (used by analytic hardware models)."""
         lookups = num_tables if self.family == "dlrm" else 4
         mlp_params = _mlp_parameters(self.mlp_bottom) + _mlp_parameters(
@@ -94,7 +95,7 @@ RM_SMALL = ModelSpec(
     name="RMsmall",
     family="dlrm",
     embedding_dim=4,
-    mlp_bottom=(13, 64, 4),
+    mlp_bottom=(NUM_DENSE_FEATURES, 64, 4),
     mlp_top=(64,),
     reference_storage_bytes=1 * GB,
     reference_macs_per_item=1_100,
@@ -106,7 +107,7 @@ RM_MED = ModelSpec(
     name="RMmed",
     family="dlrm",
     embedding_dim=16,
-    mlp_bottom=(13, 64, 16),
+    mlp_bottom=(NUM_DENSE_FEATURES, 64, 16),
     mlp_top=(64,),
     reference_storage_bytes=4 * GB,
     reference_macs_per_item=2_000,
@@ -118,7 +119,7 @@ RM_LARGE = ModelSpec(
     name="RMlarge",
     family="dlrm",
     embedding_dim=32,
-    mlp_bottom=(13, 512, 256, 128, 64, 32),
+    mlp_bottom=(NUM_DENSE_FEATURES, 512, 256, 128, 64, 32),
     mlp_top=(96,),
     reference_storage_bytes=8 * GB,
     reference_macs_per_item=180_000,

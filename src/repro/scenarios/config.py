@@ -51,6 +51,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
+from repro.cluster.fleet import fleet_tables
 from repro.scenarios.knobs import (
     COMMANDS,
     ESTIMATOR_LIST,
@@ -160,6 +161,34 @@ def _validate_windows(params: Mapping[str, Any]) -> None:
                 f"{MAX_DECISION_WINDOWS:,} decision windows; use at least "
                 f"{duration / MAX_DECISION_WINDOWS:g} s"
             )
+
+
+def validate_fleet_tables(params: Mapping[str, Any], label: str = "embedding_scale") -> None:
+    """Reject an ``embedding_scale`` whose fleet tables' row counts do not fit int64.
+
+    Capacity cells, and serving cells with a ``nodes`` mix, shard RMlarge's
+    embedding tier scaled by ``embedding_scale`` over ``num_tables`` tables
+    (:func:`~repro.cluster.fleet.fleet_tables`).
+
+    Parameters
+    ----------
+    params : Mapping
+        One cell's resolved parameters (or a command's typed flag values).
+    label : str
+        How the error names the scale: the scenario key or the CLI flag.
+
+    Raises
+    ------
+    ScenarioError
+        When a table would hold more rows than int64 does.
+    """
+    scale = params["embedding_scale"]
+    try:
+        fleet_tables(params["num_tables"], scale)
+    except (OverflowError, ValueError):
+        raise ScenarioError(
+            f"{label} {scale:g} gives RMlarge embedding tables more rows than int64 holds"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -272,10 +301,12 @@ class ScenarioConfig:
             one_item = knob.type in (TRACE_LIST, ESTIMATOR_LIST)
             for value in values:
                 coerce(knob, (value,) if one_item else value)
-        if self.kind == "serving":
-            for cell in self.expand():
+        for cell in self.expand():
+            if self.kind == "serving":
                 _validate_schedule(cell.params)
                 _validate_windows(cell.params)
+            if self.kind == "capacity" or cell.params.get("nodes", "1") != "1":
+                validate_fleet_tables(cell.params)
 
     def expand(self) -> list[ScenarioCell]:
         """The cartesian product of the axes as resolved cells.

@@ -36,6 +36,7 @@ from typing import Mapping
 from repro.cluster.fleet import compose_fleet, fleet_nodes, fleet_tables
 from repro.core.pipeline import enumerate_pipelines
 from repro.core.sweep import SweepConfig, run_sweep
+from repro.data.criteo import NUM_TABLES
 from repro.experiments.capacity_planning import CapacityConfig, run_capacity
 from repro.experiments.common import (
     ExperimentResult,
@@ -81,7 +82,7 @@ TABLE_PARAMS = (
 
 def dataset_tables(dataset: str) -> int:
     """The embedding-table count of a dataset's models: Criteo's 26, NeuMF's two (user, item)."""
-    return 26 if dataset == "criteo" else 2
+    return NUM_TABLES if dataset == "criteo" else 2
 
 
 def workload(dataset: str, pool: int):

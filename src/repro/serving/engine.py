@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class SimulationConfig:
     num_queries: int = 4000
     warmup_queries: int = 200
     seed: int = 0
-    saturation_utilization: float = 0.98
+    saturation_utilization: ClassVar[float] = 0.98
     engine: str = "analytic"
     service: CachedServiceConfig | None = None
 
@@ -93,8 +94,6 @@ class SimulationConfig:
             raise ValueError("num_queries must be positive")
         if not 0 <= self.warmup_queries < self.num_queries:
             raise ValueError("warmup_queries must be smaller than num_queries")
-        if not 0.0 < self.saturation_utilization <= 1.0:
-            raise ValueError("saturation_utilization must lie in (0, 1]")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.service is not None and not isinstance(self.service, CachedServiceConfig):

@@ -34,6 +34,7 @@ state so a single instance can replay many traces.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol, runtime_checkable
@@ -122,7 +123,9 @@ class WindowedMean:
         """Validate the window and size the observation buffer."""
         if self.window <= 0:
             raise ValueError("window must be positive")
-        self._values = deque(maxlen=self.window)
+        # A window longer than any trace keeps every step; deque lengths
+        # stop at sys.maxsize.
+        self._values = deque(maxlen=min(self.window, sys.maxsize))
 
     def reset(self) -> None:
         """Forget all observations."""
@@ -283,22 +286,19 @@ class AutoSelector:
 
     Parameters
     ----------
-    error_alpha : float
-        Smoothing factor in ``(0, 1]`` for the trailing-error EWMA.
     candidates : tuple[LoadEstimator, ...], optional
         The estimators raced against each other (default: fresh
         ``WindowedMean``, ``EWMA``, ``HoltTrend`` with class-default knobs).
     """
 
-    error_alpha: float = 0.3
+    #: smoothing factor of the trailing-error EWMA.
+    error_alpha: ClassVar[float] = 0.3
     candidates: tuple = ()
     name: ClassVar[str] = "auto"
     _errors: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Validate knobs and default the candidate set."""
-        if not 0.0 < self.error_alpha <= 1.0:
-            raise ValueError(f"error_alpha must lie in (0, 1], got {self.error_alpha}")
+        """Default the candidate set."""
         if not self.candidates:
             self.candidates = (WindowedMean(), EWMA(), HoltTrend())
         self.candidates = tuple(self.candidates)

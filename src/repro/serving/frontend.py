@@ -657,7 +657,10 @@ class StreamingFrontend:
             [self.table.max_feasible_qps(i) for i in range(len(self.table.paths))]
         )
         caps = np.floor(max_feasible[paths_array] * window).astype(np.int64)
-        queue_limits = np.floor(self.defer_windows * caps).astype(np.int64)
+        # The backlog never holds more queries than the stream has, so the
+        # clamp changes no schedule and keeps a huge limit inside int64.
+        limits = np.minimum(self.defer_windows * caps, stream.num_queries)
+        queue_limits = np.floor(limits).astype(np.int64)
 
         admitted, from_queue, deferred, shed = [], [], [], []
         shed_reason = np.full(num_windows, "none", dtype="<U11")

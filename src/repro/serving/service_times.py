@@ -45,9 +45,11 @@ shifted ids below a bound fill at most two rank intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
+from repro.data.criteo import NUM_TABLES
 from repro.data.distributions import (
     hit_rate_for_cache,
     zipf_cdf,
@@ -77,7 +79,8 @@ class CachedServiceConfig:
     zipf_alpha : float
         Zipf popularity exponent of the lookup stream.
     lookups_per_query : int
-        Embedding lookups each query performs (sparse features).
+        Embedding lookups each query performs (sparse features; Criteo's
+        tables by default).
     embedding_fraction : float
         Fraction of a stage's deterministic service time attributable to
         the embedding tier, i.e. the share the cache model may inflate.
@@ -95,7 +98,7 @@ class CachedServiceConfig:
     hot_rows: int = 20_000
     dram_rows: int = 150_000
     zipf_alpha: float = 1.05
-    lookups_per_query: int = 26
+    lookups_per_query: int = NUM_TABLES
     embedding_fraction: float = 0.35
     row_bytes: int = 128
     shift_items: int = 0
@@ -159,14 +162,13 @@ class ServiceTimeSampler:
     ----------
     config : CachedServiceConfig
         Tier geometry and popularity model.
-    sram, dram, ssd : SramModel, DramModel, SsdModel
-        Hardware cost models for the three tiers.
     """
 
     config: CachedServiceConfig
-    sram: SramModel = field(default_factory=SramModel)
-    dram: DramModel = field(default_factory=DramModel)
-    ssd: SsdModel = field(default_factory=SsdModel)
+    #: hardware cost models of the three tiers.
+    sram: ClassVar[SramModel] = SramModel()
+    dram: ClassVar[DramModel] = DramModel()
+    ssd: ClassVar[SsdModel] = SsdModel()
     accesses: int = field(default=0, init=False)
     hits: int = field(default=0, init=False)
     dram_misses: int = field(default=0, init=False)

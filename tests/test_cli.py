@@ -441,6 +441,18 @@ class TestRoute:
         step_logs = [(d / "route_steps.csv").read_text() for d in dirs]
         assert step_logs[0] == step_logs[1]
 
+    def test_a_window_longer_than_any_trace_writes_the_rows_of_window_1000(self, tmp_path):
+        # Both windows span the 40-step trace; the 31-digit one is longer
+        # than any deque can be.
+        rows = []
+        for window in ("1000", "1" + "0" * 30):
+            out_dir = tmp_path / window
+            args = self.ROUTE_ARGS + ["--window", window, "--output-dir", str(out_dir), "--quiet"]
+            assert cli.main(args) == 0
+            for name in ("route.json", "route_steps.json"):
+                rows.append(artifacts.load_result_json(out_dir / name)["rows"])
+        assert rows[:2] == rows[2:]
+
     def test_unknown_trace_is_an_error(self, capsys):
         assert cli.main(["route", "--trace", "tsunami"]) == 2
         assert "tsunami" in capsys.readouterr().err

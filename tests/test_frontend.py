@@ -525,6 +525,14 @@ class TestAdmissionAccounting:
         assert np.all(served >= 0)
         assert np.all(np.diff(served) >= 0)  # FIFO: served in arrival order
 
+    def test_a_queue_limit_past_int64_defers_like_any_limit_past_the_stream(self):
+        # 1e17 windows of capacity overflow an int64 queue limit; clamped to
+        # the stream's query count it defers exactly what 1e6 windows do.
+        huge, large = self.overload_plan(1e17), self.overload_plan(1e6)
+        assert large.deferred_served_queries > 0
+        for name in ("window_admitted", "window_from_queue", "window_deferred", "window_shed"):
+            np.testing.assert_array_equal(getattr(huge, name), getattr(large, name))
+
     def test_defer_zero_disables_the_queue(self):
         plan = self.overload_plan(defer_windows=0.0)
         assert plan.deferred_served_queries == 0

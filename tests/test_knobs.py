@@ -451,6 +451,9 @@ CLI_PROBES = [
     (["capacity", "--budget-gb", "inf"], "--budget-gb"),
     (["capacity", "--budget-gb", "nan"], "--budget-gb"),
     (["capacity", "--embedding-scale", "nan"], "--embedding-scale"),
+    # RMlarge tables past int64 rows (1e15) or past float range (1e300).
+    (["capacity", "--embedding-scale", "1e15"], "--embedding-scale"),
+    (["capacity", "--embedding-scale", "1e300"], "--embedding-scale"),
     (["capacity", "--users", "-5"], "--users"),
     (["capacity", "--users", "0"], "--users"),
     (["capacity", "--steps", "0"], "--steps"),
@@ -489,6 +492,7 @@ SCENARIO_PROBES = [
     ({"platforms": ["cpu"]}, "platforms"),
     ({"trace": [{"name": "ramp", "steps": 0}]}, "steps"),
     ({"mode": "per-query", "window_seconds": 1e-9, "steps": 5}, "window_seconds"),
+    ({"nodes": "2xcpu", "embedding_scale": 1e15}, "embedding_scale"),
 ]
 
 
