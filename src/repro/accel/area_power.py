@@ -20,8 +20,7 @@ from typing import ClassVar
 
 from repro.accel.systolic import SystolicArrayConfig
 from repro.accel.embedding_cache import EmbeddingCacheConfig
-
-MB = 1024 * 1024
+from repro.models.cost import MiB
 
 # 12nm-class component cost constants (arbitrary but self-consistent units:
 # mm^2 and watts for a 128x128 array / 24 MB SRAM accelerator in the range of
@@ -63,15 +62,15 @@ class AreaPowerModel:
 
     array: ClassVar[SystolicArrayConfig] = SystolicArrayConfig()
     cache: ClassVar[EmbeddingCacheConfig] = EmbeddingCacheConfig()
-    activation_sram_bytes: ClassVar[int] = 4 * MB
+    activation_sram_bytes: ClassVar[int] = 4 * MiB
     num_topk_units: ClassVar[int] = 8
 
     def baseline_breakdown(self) -> AreaPowerBreakdown:
         """TPU-like baseline: monolithic array, static embedding SRAM only."""
         macs = self.array.total_macs
-        weight_mb = self.array.weight_sram_bytes / MB
-        act_mb = self.activation_sram_bytes / MB
-        emb_mb = self.cache.total_bytes / MB
+        weight_mb = self.array.weight_sram_bytes / MiB
+        act_mb = self.activation_sram_bytes / MiB
+        emb_mb = self.cache.total_bytes / MiB
         area = {
             "systolic_array": macs * AREA_PER_MAC_MM2,
             "mlp_weight_sram": weight_mb * AREA_PER_SRAM_MB_MM2,

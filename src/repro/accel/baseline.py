@@ -18,6 +18,7 @@ share.  Two properties matter for the comparison with RPAccel:
 
 from __future__ import annotations
 
+from repro.accel.area_power import AreaPowerBreakdown, AreaPowerModel
 from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.accel.rpaccel import RPAccel, RPAccelConfig, StageBreakdown
 from repro.models.cost import ModelCost
@@ -33,6 +34,10 @@ class BaselineAccelerator:
     @property
     def name(self) -> str:
         return "baseline-accel"
+
+    def area_power(self) -> AreaPowerBreakdown:
+        """Die area and power of the TPU-like baseline (Figure 11)."""
+        return AreaPowerModel().baseline_breakdown()
 
     def query_breakdown(
         self,

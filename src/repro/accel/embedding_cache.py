@@ -24,17 +24,15 @@ from typing import ClassVar
 
 from repro.data.distributions import approx_zipf_hit_rate
 from repro.hardware.memory import DramModel, SramModel
-from repro.models.cost import FP32_BYTES, ModelCost
-
-MB = 1024 * 1024
+from repro.models.cost import FP32_BYTES, MiB, ModelCost
 
 
 @dataclass(frozen=True)
 class EmbeddingCacheConfig:
     """On-chip embedding memory resources (Table 3: 16 MB total)."""
 
-    total_bytes: int = 16 * MB
-    lookahead_bytes: int = 4 * MB
+    total_bytes: int = 16 * MiB
+    lookahead_bytes: int = 4 * MiB
     zipf_alpha: float = 1.05
     cache_line_bytes: ClassVar[int] = 128
 
@@ -69,7 +67,7 @@ class MultiStageEmbeddingCache:
 
     config: EmbeddingCacheConfig = field(default_factory=EmbeddingCacheConfig)
     sram: ClassVar[SramModel] = SramModel()
-    dram: DramModel = field(default_factory=DramModel)
+    dram: ClassVar[DramModel] = DramModel()
 
     # ------------------------------------------------------------------ #
     # Hit rates

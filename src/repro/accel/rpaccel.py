@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
+from repro.accel.area_power import AreaPowerBreakdown, AreaPowerModel
 from repro.accel.embedding_cache import EmbeddingCacheConfig, MultiStageEmbeddingCache
 from repro.accel.systolic import ReconfigurableArray, SystolicArrayConfig
 from repro.accel.topk import TopKFilterConfig, TopKFilterUnit
 from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
-from repro.hardware.memory import DramModel
 from repro.hardware.pcie import PCIeModel
 from repro.models.cost import ModelCost
 from repro.serving.resources import PipelinePlan, StageResource
@@ -42,8 +42,9 @@ from repro.serving.resources import PipelinePlan, StageResource
 HOST_SORT_SECONDS_PER_ITEM = 25e-9
 
 
-def host_filter_seconds(pcie: PCIeModel, num_items: int, next_stage_items: int) -> float:
+def host_filter_seconds(num_items: int, next_stage_items: int) -> float:
     """Host-side filtering: ship scores out, sort on the host, ship the survivors' ids back."""
+    pcie = RPAccelConfig.pcie
     return (
         pcie.transfer_seconds(pcie.score_payload_bytes(num_items))
         + num_items * HOST_SORT_SECONDS_PER_ITEM
@@ -81,7 +82,6 @@ class RPAccelConfig:
     cache: EmbeddingCacheConfig = field(default_factory=EmbeddingCacheConfig)
     topk: ClassVar[TopKFilterConfig] = TopKFilterConfig()
     pcie: ClassVar[PCIeModel] = PCIeModel()
-    dram: ClassVar[DramModel] = DramModel()
     #: features shipped per candidate: Criteo's, for every dataset.
     num_dense_features: ClassVar[int] = NUM_DENSE_FEATURES
     num_sparse_features: ClassVar[int] = NUM_TABLES
@@ -116,13 +116,17 @@ class RPAccel:
 
     def __init__(self, config: RPAccelConfig | None = None) -> None:
         self.config = config if config is not None else RPAccelConfig()
-        self.array = ReconfigurableArray(self.config.array)
-        self.cache = MultiStageEmbeddingCache(config=self.config.cache, dram=self.config.dram)
+        self.array = ReconfigurableArray()
+        self.cache = MultiStageEmbeddingCache(config=self.config.cache)
         self.topk = TopKFilterUnit(self.config.topk)
 
     @property
     def name(self) -> str:
         return "rpaccel"
+
+    def area_power(self) -> AreaPowerBreakdown:
+        """Die area and power: the baseline's plus RPAccel's additions (Figure 11)."""
+        return AreaPowerModel().rpaccel_breakdown()
 
     # ------------------------------------------------------------------ #
     # Resource provisioning
@@ -220,10 +224,10 @@ class RPAccel:
                 if onchip_filter:
                     filter_s = self.topk.filter_cycles(items, next_items) / cfg.array.frequency_hz
                 else:
-                    filter_s = host_filter_seconds(cfg.pcie, items, next_items)
+                    filter_s = host_filter_seconds(items, next_items)
             breakdown = StageBreakdown(
                 name=cost.name,
-                mlp_seconds=subarray.mlp_seconds(cost, items, cfg.dram),
+                mlp_seconds=subarray.mlp_seconds(cost, items),
                 embedding_seconds=embedding,
                 filter_seconds=filter_s,
                 pcie_seconds=pcie,

@@ -23,9 +23,7 @@ from typing import ClassVar
 from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.data.distributions import approx_zipf_hit_rate
 from repro.hardware.memory import DramModel, SramModel, SsdModel
-from repro.models.cost import FP32_BYTES, ModelCost
-
-GB = 1024**3
+from repro.models.cost import FP32_BYTES, GiB, ModelCost
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class SsdScalingPoint:
 class SsdScalingModel:
     """Embedding locality and gather-time model with an SSD tier."""
 
-    dram_capacity_bytes: ClassVar[int] = 16 * GB
+    dram_capacity_bytes: ClassVar[int] = 16 * GiB
     #: RPAccel's static embedding cache (its on-chip SRAM less the look-ahead share).
     onchip_cache_bytes: ClassVar[int] = EmbeddingCacheConfig().static_bytes
     zipf_alpha: ClassVar[float] = 1.2

@@ -18,12 +18,12 @@ is what doubles MAC utilization in the paper's Takeaway 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.hardware.memory import DramModel
 from repro.hardware.spec import ACCELERATOR_FREQUENCY_HZ
-from repro.models.cost import FP32_BYTES, ModelCost
+from repro.models.cost import FP32_BYTES, MiB, ModelCost
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class SystolicArrayConfig:
     rows: ClassVar[int] = 128
     cols: ClassVar[int] = 128
     frequency_hz: ClassVar[float] = ACCELERATOR_FREQUENCY_HZ
-    weight_sram_bytes: ClassVar[int] = 8 * 1024 * 1024
+    weight_sram_bytes: ClassVar[int] = 8 * MiB
 
     @property
     def total_macs(self) -> int:
@@ -46,7 +46,9 @@ class SubArray:
 
     rows: int
     cols: int
-    frequency_hz: float = ACCELERATOR_FREQUENCY_HZ
+    frequency_hz: ClassVar[float] = ACCELERATOR_FREQUENCY_HZ
+    #: The off-chip memory the MLP weights stream from.
+    dram: ClassVar[DramModel] = DramModel()
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -95,7 +97,7 @@ class SubArray:
         fill_drain = min(in_features, self.rows) + min(out_features, self.cols)
         return row_tiles * col_tiles * (num_items + fill_drain)
 
-    def mlp_cycles(self, cost: ModelCost, num_items: int, dram: DramModel) -> float:
+    def mlp_cycles(self, cost: ModelCost, num_items: int) -> float:
         """Cycles to run the model's MLPs over ``num_items`` candidates.
 
         Includes streaming the MLP weights from DRAM once per stage execution
@@ -106,7 +108,7 @@ class SubArray:
             raise ValueError("num_items must be non-negative")
         if num_items == 0:
             return 0.0
-        weight_load = dram.access_cycles(cost.mlp_parameters * FP32_BYTES)
+        weight_load = self.dram.access_cycles(cost.mlp_parameters * FP32_BYTES)
         if cost.mlp_layer_dims:
             compute = sum(
                 self.layer_cycles(in_f, out_f, num_items)
@@ -117,8 +119,8 @@ class SubArray:
             compute = num_items * cost.macs_per_item / (self.total_macs * utilization)
         return weight_load + compute
 
-    def mlp_seconds(self, cost: ModelCost, num_items: int, dram: DramModel) -> float:
-        return self.mlp_cycles(cost, num_items, dram) / self.frequency_hz
+    def mlp_seconds(self, cost: ModelCost, num_items: int) -> float:
+        return self.mlp_cycles(cost, num_items) / self.frequency_hz
 
 
 @dataclass
@@ -131,15 +133,11 @@ class ReconfigurableArray:
     partitions always sum to the iso-resource budget.
     """
 
-    config: SystolicArrayConfig = field(default_factory=SystolicArrayConfig)
+    config: ClassVar[SystolicArrayConfig] = SystolicArrayConfig()
 
     @property
     def monolithic(self) -> SubArray:
-        return SubArray(
-            rows=self.config.rows,
-            cols=self.config.cols,
-            frequency_hz=self.config.frequency_hz,
-        )
+        return SubArray(rows=self.config.rows, cols=self.config.cols)
 
     def split(self, num_subarrays: int, fraction: float = 1.0) -> list[SubArray]:
         """Partition ``fraction`` of the array into equal sub-arrays.
@@ -163,10 +161,7 @@ class ReconfigurableArray:
         side = max(1, side)
         rows = min(side, self.config.rows)
         cols = max(1, int(round(macs_per_subarray / rows)))
-        return [
-            SubArray(rows=rows, cols=cols, frequency_hz=self.config.frequency_hz)
-            for _ in range(num_subarrays)
-        ]
+        return [SubArray(rows=rows, cols=cols) for _ in range(num_subarrays)]
 
     def average_utilization(
         self,

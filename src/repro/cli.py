@@ -49,6 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
+from repro.data.criteo import CANDIDATES_PER_QUERY
 from repro.events import EventLog, capture
 from repro.experiments import artifacts
 from repro.experiments.common import ExperimentResult
@@ -458,7 +459,7 @@ def cmd_cell(args: argparse.Namespace) -> int:
     else:
         # Route's default pool is smaller than sweep's: routing tables pair
         # it with the default 512-item first stage, like the `router` entry.
-        criteo_pool = 512 if command == "route" else 4096
+        criteo_pool = 512 if command == "route" else CANDIDATES_PER_QUERY
         values.pool = default_pool(values.dataset, values.pool, criteo_pool)
     base = {**vars(values), "platforms": "+".join(values.platforms)}
     (cell,) = ScenarioConfig(name=command, kind=CELL_KINDS[command], base=base).expand()

@@ -7,10 +7,10 @@ it out:
 * :class:`NodeSpec` — one node of the fleet: a platform (which single-node
   table it runs) and a memory budget (what the sharding plan may place on
   it);
-* :func:`node_cost_usd` — a node's lifetime cost, priced from the die
-  area and power that :mod:`repro.accel.area_power` reports for the
-  accelerators (CPU/GPU use fixed die figures) plus a host base cost —
-  the objective the capacity planner minimizes;
+* :func:`node_cost_usd` — a node's lifetime cost, priced through the
+  platform table from the die area and power of its devices or its
+  accelerator plus a host base cost — the objective the capacity planner
+  minimizes;
 * :class:`ClusterTable` — a :class:`~repro.serving.router.PathTable`
   whose dwell cells are *composed* from the per-node tables: offered load
   splits across replicas proportionally to capacity, each node simulates
@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.accel.area_power import AreaPowerModel
 from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.cluster.sharding import (
     EmbeddingTableSpec,
@@ -43,6 +42,7 @@ from repro.cluster.sharding import (
     tables_from_cost,
 )
 from repro.cluster.topology import InterconnectLink, gather_seconds_per_node
+from repro.core.mapping import PLATFORMS
 from repro.events import active_log
 from repro.models.zoo import RM_LARGE
 from repro.serving.resources import PipelinePlan, StageResource
@@ -72,46 +72,42 @@ ITEMS_PER_QUERY = 256
 #: Embedding sharding strategies: greedy table-wise bin-packing or row-wise hash.
 STRATEGIES = ("tablewise", "rowwise")
 
-#: Fixed (die mm^2, sustained W) figures for the non-accelerator platforms.
-_PLATFORM_DIE = {
-    "cpu": (450.0, 250.0),
-    "gpu": (545.0, 70.0),
-    "gpu-cpu": (995.0, 320.0),
-}
+#: Fixed (die mm^2, sustained W) figures of the CPU/GPU platforms' devices.
+_DEVICE_DIE = {"cpu": (450.0, 250.0), "gpu": (545.0, 70.0)}
 
 
 @lru_cache(maxsize=8)
 def node_cost_usd(platform: str) -> float:
     """Lifetime cost of one node of ``platform``, in dollars.
 
-    Accelerator platforms are priced from their
-    :class:`~repro.accel.area_power.AreaPowerModel` breakdown (die area at
-    :data:`AREA_DOLLARS_PER_MM2` plus sustained power at
-    :data:`TCO_DOLLARS_PER_WATT`); CPU/GPU nodes use fixed die figures.
-    Every node also pays :data:`HOST_BASE_COST_USD` for the host itself.
-    The price is computed once per platform.
+    The node is priced through :data:`repro.core.mapping.PLATFORMS`: die
+    area at :data:`AREA_DOLLARS_PER_MM2` plus sustained power at
+    :data:`TCO_DOLLARS_PER_WATT`, summed over a CPU/GPU platform's distinct
+    devices or taken from an accelerator's
+    :class:`~repro.accel.area_power.AreaPowerModel` breakdown.  Every node
+    also pays :data:`HOST_BASE_COST_USD` for the host itself.  The price is
+    computed once per platform.
 
     Parameters
     ----------
     platform : str
-        A scheduler platform name (``cpu``, ``gpu``, ``gpu-cpu``,
-        ``baseline-accel``, ``rpaccel``).
+        A key of :data:`repro.core.mapping.PLATFORMS`.
 
     Returns
     -------
     float
         Dollars per node over the fleet's planning horizon.
     """
-    if platform in _PLATFORM_DIE:
-        area_mm2, power_w = _PLATFORM_DIE[platform]
-    elif platform in ("baseline-accel", "rpaccel"):
-        model = AreaPowerModel()
-        breakdown = (
-            model.rpaccel_breakdown() if platform == "rpaccel" else model.baseline_breakdown()
-        )
-        area_mm2, power_w = breakdown.total_area_mm2, breakdown.total_power_w
-    else:
+    if platform not in PLATFORMS:
         raise ValueError(f"unknown platform {platform!r}: no cost model")
+    entry = PLATFORMS[platform]
+    if isinstance(entry, tuple):
+        devices = dict.fromkeys(entry)  # distinct: an all-CPU node has one CPU
+        area_mm2 = sum(_DEVICE_DIE[device][0] for device in devices)
+        power_w = sum(_DEVICE_DIE[device][1] for device in devices)
+    else:
+        breakdown = entry.area_power()
+        area_mm2, power_w = breakdown.total_area_mm2, breakdown.total_power_w
     return HOST_BASE_COST_USD + area_mm2 * AREA_DOLLARS_PER_MM2 + power_w * TCO_DOLLARS_PER_WATT
 
 

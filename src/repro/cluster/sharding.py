@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.distributions import zipf_probabilities
-from repro.models.cost import ModelCost
+from repro.models.cost import FP32_BYTES, ModelCost
 
 __all__ = [
     "FP32_BYTES",
@@ -45,9 +45,6 @@ __all__ = [
     "shard_table_wise",
     "tables_from_cost",
 ]
-
-#: Bytes per embedding-table element (fp32, matching ``nn/embedding.py``).
-FP32_BYTES = 4
 
 #: Zipf exponents :func:`tables_from_cost` skews table sizes and lookup
 #: popularity by.

@@ -1,20 +1,20 @@
 """Mapping multi-stage pipelines onto hardware (RecPipe step 2).
 
-Each builder turns a :class:`~repro.core.pipeline.PipelineConfig` into a
-:class:`~repro.serving.resources.PipelinePlan`:
+:data:`PLATFORMS` is the one table of hardware platforms, in row order: the
+scheduler plans through it, sweeps take its keys as their platform axis and
+the fleet prices nodes through it (:func:`repro.cluster.fleet.node_cost_usd`).
+An entry is
 
-* **Device list** (:func:`build_heterogeneous_plan`) -- each stage is pinned
-  to ``"cpu"`` or ``"gpu"``.  CPU stages run one query per core; the 64
-  cores are partitioned across them proportionally to each stage's
-  per-query service time, so the bottleneck stage is minimized.  GPU stages
-  run data-parallel on the single GPU.  Whenever the host feeds the GPU or
-  consecutive stages run on different devices the intermediate candidates
-  cross PCIe, which is the overhead that limits multi-stage GPU-CPU designs
-  in the paper's Section 5.2.  The ``cpu``, ``gpu`` and ``gpu-cpu``
-  platforms are the all-CPU, all-GPU and GPU-then-CPU lists
-  (:data:`DEVICE_PLATFORMS`).
-* **Accelerator** -- delegates to the baseline accelerator or RPAccel models
-  in :mod:`repro.accel`.
+* **a device pair** -- the (first-stage, later-stage) :data:`DEVICES` that
+  :func:`build_heterogeneous_plan` pins the stages to.  CPU stages run one
+  query per core; the 64 cores are partitioned across them proportionally
+  to each stage's per-query service time, so the bottleneck stage is
+  minimized.  GPU stages run data-parallel on the single GPU.  Whenever the
+  host feeds the GPU or consecutive stages run on different devices the
+  intermediate candidates cross PCIe, which is the overhead that limits
+  multi-stage GPU-CPU designs in the paper's Section 5.2; or
+* **an accelerator** -- the baseline accelerator or RPAccel of
+  :mod:`repro.accel`, whose ``plan_query`` is the platform's plan.
 """
 
 from __future__ import annotations
@@ -30,16 +30,22 @@ from repro.hardware.gpu import GPUPerformanceModel
 from repro.hardware.pcie import PCIeModel
 from repro.serving.resources import PipelinePlan, StageResource
 
+#: The device models a CPU/GPU platform's stages run on.
+DEVICES = {"cpu": CPUPerformanceModel(), "gpu": GPUPerformanceModel()}
 
-#: The (first-stage, later-stage) device of each CPU/GPU platform.
-DEVICE_PLATFORMS = {"cpu": ("cpu", "cpu"), "gpu": ("gpu", "gpu"), "gpu-cpu": ("gpu", "cpu")}
+#: Every platform: its (first-stage, later-stage) device pair or its accelerator.
+PLATFORMS: dict[str, tuple[str, str] | BaselineAccelerator | RPAccel] = {
+    "cpu": ("cpu", "cpu"),
+    "gpu": ("gpu", "gpu"),
+    "gpu-cpu": ("gpu", "cpu"),
+    "baseline-accel": BaselineAccelerator(),
+    "rpaccel": RPAccel(),
+}
 
 
 def build_heterogeneous_plan(
     pipeline: PipelineConfig,
     devices: Sequence[str],
-    cpu: CPUPerformanceModel,
-    gpu: GPUPerformanceModel,
     num_tables: int = NUM_TABLES,
 ) -> PipelinePlan:
     """Device-list mapping: each stage pinned to ``"cpu"`` or ``"gpu"``.
@@ -56,12 +62,13 @@ def build_heterogeneous_plan(
             f"{pipeline.num_stages} stages"
         )
     for device in devices:
-        if device not in ("cpu", "gpu"):
-            raise ValueError(f"unknown device {device!r}; expected 'cpu' or 'gpu'")
+        if device not in DEVICES:
+            raise ValueError(f"unknown device {device!r}; expected one of {tuple(DEVICES)}")
     pcie = PCIeModel()
     costs = pipeline.stage_costs(num_tables)
     items = pipeline.stage_items()
 
+    cpu, gpu = DEVICES["cpu"], DEVICES["gpu"]
     cpu_stage_services = [
         cpu.stage_latency(cost, n)
         for cost, n, device in zip(costs, items, devices)
@@ -107,15 +114,6 @@ def build_heterogeneous_plan(
         stages=stages,
         description=f"Heterogeneous mapping of {pipeline.name} onto {list(devices)}",
     )
-
-
-def build_accelerator_plan(
-    pipeline: PipelineConfig,
-    accelerator: BaselineAccelerator | RPAccel,
-    num_tables: int = NUM_TABLES,
-) -> PipelinePlan:
-    """Accelerator mapping: the baseline's or RPAccel's default plan of the funnel."""
-    return accelerator.plan_query(pipeline.stage_costs(num_tables), pipeline.stage_items())
 
 
 def _proportional_allocation(services: Sequence[float], total: int) -> list[int]:

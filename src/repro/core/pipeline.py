@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from repro.data.criteo import NUM_TABLES
 from repro.models.cost import ModelCost
 from repro.models.zoo import ModelSpec
-from repro.quality.funnel import FunnelStage
+from repro.quality.funnel import SERVE_K_DEFAULT, FunnelStage
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class PipelineConfig:
     """An ordered multi-stage pipeline configuration."""
 
     stages: tuple[Stage, ...]
-    serve_k: int = 64
+    serve_k: int = SERVE_K_DEFAULT
 
     def __post_init__(self) -> None:
         """Validate the stage ladder (monotone items, serve_k reachable)."""
@@ -118,7 +118,7 @@ def enumerate_pipelines(
     first_stage_items: Sequence[int],
     later_stage_items: Sequence[int],
     max_stages: int = 3,
-    serve_k: int = 64,
+    serve_k: int = SERVE_K_DEFAULT,
 ) -> list[PipelineConfig]:
     """Exhaustively enumerate multi-stage configurations (RecPipe step 1).
 

@@ -21,22 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.accel.baseline import BaselineAccelerator
-from repro.accel.rpaccel import RPAccel
-from repro.core.mapping import DEVICE_PLATFORMS, build_accelerator_plan, build_heterogeneous_plan
+from repro.core.mapping import PLATFORMS, build_heterogeneous_plan
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig
 from repro.data.criteo import NUM_TABLES
-from repro.hardware.cpu import CPUPerformanceModel
-from repro.hardware.gpu import GPUPerformanceModel
 from repro.quality.evaluator import QualityEvaluator
 from repro.serving.resources import PipelinePlan
 from repro.serving.simulator import SimulationConfig, simulated_p99
-
-#: The device models every plan is built against.
-_CPU = CPUPerformanceModel()
-_GPU = GPUPerformanceModel()
-_ACCELERATORS = {"baseline-accel": BaselineAccelerator(), "rpaccel": RPAccel()}
 
 
 @dataclass(frozen=True)
@@ -90,27 +81,19 @@ class RecPipeScheduler:
     def plan_for(self, pipeline: PipelineConfig, platform: str) -> PipelinePlan:
         """Build the serving plan of ``pipeline`` on ``platform``.
 
-        ``platform`` is one of ``"cpu"`` (every stage on the CPU), ``"gpu"``
-        (every stage on the GPU), ``"gpu-cpu"`` (the frontend stage on the
-        GPU, the rest on the CPU), ``"baseline-accel"`` or ``"rpaccel"``.
-        The first three map the platform's device list through
-        :func:`~repro.core.mapping.build_heterogeneous_plan`; the last two
-        delegate to the accelerator's default plan.
+        ``platform`` is a key of :data:`repro.core.mapping.PLATFORMS`.  A
+        device pair runs the first stage on its first device and the rest on
+        its second (:func:`~repro.core.mapping.build_heterogeneous_plan`);
+        an accelerator builds its default plan.
         """
-        if platform in DEVICE_PLATFORMS:
-            first, later = DEVICE_PLATFORMS[platform]
+        if platform not in PLATFORMS:
+            raise ValueError(f"unknown platform {platform!r}; expected one of {tuple(PLATFORMS)}")
+        entry = PLATFORMS[platform]
+        if isinstance(entry, tuple):
+            first, later = entry
             devices = [first] + [later] * (pipeline.num_stages - 1)
-            return build_heterogeneous_plan(
-                pipeline, devices, _CPU, _GPU, num_tables=self.num_tables
-            )
-        if platform in _ACCELERATORS:
-            return build_accelerator_plan(
-                pipeline, _ACCELERATORS[platform], num_tables=self.num_tables
-            )
-        raise ValueError(
-            f"unknown platform {platform!r}; expected cpu, gpu, gpu-cpu, "
-            "baseline-accel or rpaccel"
-        )
+            return build_heterogeneous_plan(pipeline, devices, num_tables=self.num_tables)
+        return entry.plan_query(pipeline.stage_costs(self.num_tables), pipeline.stage_items())
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -42,16 +42,21 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core import mapping
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import EvaluatedConfig, RecPipeScheduler
 from repro.data.criteo import NUM_TABLES
 from repro.events import active_log
 from repro.models.zoo import ModelSpec
 from repro.quality.evaluator import QualityEvaluator
+from repro.quality.funnel import SERVE_K_DEFAULT
 from repro.serving.engine import ENGINES, spawn_seeds
 from repro.serving.simulator import SimulationConfig
 
-PLATFORMS = ("cpu", "gpu", "gpu-cpu", "baseline-accel", "rpaccel")
+#: Platform names, in sweep and row order (the keys of :data:`repro.core.mapping.PLATFORMS`).
+PLATFORMS = tuple(mapping.PLATFORMS)
+#: The paper's tail-latency SLA in milliseconds.
+SLA_MS = 25.0
 
 #: A (platform, qps) cell of the sweep grid.
 Cell = tuple[str, float]
@@ -95,12 +100,12 @@ class SweepConfig:
 
     platforms: tuple[str, ...] = ("cpu",)
     qps: tuple[float, ...] = (500.0,)
-    sla_ms: float = 25.0
+    sla_ms: float = SLA_MS
     quality_target: float | None = None
     first_stage_items: tuple[int, ...] = (2048, 4096)
     later_stage_items: tuple[int, ...] = (128, 256, 512, 1024)
     max_stages: int = 3
-    serve_k: int = 64
+    serve_k: int = SERVE_K_DEFAULT
     num_queries: int = 1500
     seed: int = 0
     num_tables: int = NUM_TABLES

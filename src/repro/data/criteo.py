@@ -36,6 +36,8 @@ from repro.data.distributions import zipf_sample
 #: is sized for.
 NUM_DENSE_FEATURES = 13
 NUM_TABLES = 26
+#: Candidates per ranking query: the paper's 4,096-item Criteo pool.
+CANDIDATES_PER_QUERY = 4096
 
 #: Per-query CTR quantiles at which relevance grades 1..4 start: most
 #: candidates are irrelevant and a small head highly relevant.
@@ -171,7 +173,7 @@ class CriteoSynthetic:
     def sample_ranking_queries(
         self,
         num_queries: int,
-        candidates_per_query: int = 4096,
+        candidates_per_query: int = CANDIDATES_PER_QUERY,
         seed: int | None = None,
     ) -> list[RankingQuery]:
         """Draw serving-time queries with a candidate pool each.

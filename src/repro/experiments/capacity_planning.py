@@ -48,16 +48,16 @@ from repro.cluster.sharding import ShardingError
 from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import RecPipeScheduler
+from repro.core.sweep import SLA_MS
 from repro.data.criteo import NUM_TABLES
 from repro.experiments.common import ExperimentResult, criteo_quality_evaluator, make_scheduler
+from repro.models.cost import GiB
 from repro.models.zoo import criteo_model_specs
 from repro.serving.router import PathTable, route_oracle, route_static
 from repro.serving.trace import LoadTrace
 
 #: Candidate-pool size of the planned workload.
 POOL = 512
-#: Tail-latency SLA the fleet must meet.
-SLA_MS = 25.0
 #: Size of the served user base; peak load derives from it.
 USERS = 1_000_000
 #: Peak offered load per user (diurnal maximum), in QPS.
@@ -165,10 +165,10 @@ class CapacityConfig:
             return float(self.base_qps)
         return self.resolved_peak_qps * BASE_FRACTION
 
-    @property
-    def budget_bytes(self) -> int:
-        """Per-node embedding budget in bytes."""
-        return int(self.budget_gb * 2**30)
+
+def budget_bytes(budget_gb: float) -> int:
+    """A per-node embedding budget given in GiB, in bytes."""
+    return int(budget_gb * GiB)
 
 
 def build_pipelines(pool: int = POOL) -> list[PipelineConfig]:
@@ -184,7 +184,6 @@ def build_pipelines(pool: int = POOL) -> list[PipelineConfig]:
             first_stage_items=(pool,),
             later_stage_items=(128, ITEMS_PER_QUERY),
             max_stages=2,
-            serve_k=64,
         )
         if p.name in wanted
     ]
@@ -275,14 +274,14 @@ def run_capacity(
     placements: dict = {}
     for size in range(1, config.max_nodes + 1):
         for mix in combinations_with_replacement(config.platforms, size):
-            nodes = fleet_nodes(mix, config.budget_bytes)
+            nodes = fleet_nodes(mix, budget_bytes(config.budget_gb))
             label = mix_label(nodes)
             row = {
                 "mix": label,
                 "num_nodes": size,
                 "cost_usd": round(sum(node.cost_usd for node in nodes), 2),
                 "strategy": config.strategy,
-                "table_gb": round(sum(t.total_bytes for t in tables) / 2**30, 2),
+                "table_gb": round(sum(t.total_bytes for t in tables) / GiB, 2),
                 "memory_ok": True,
             }
             total_capacity = max(

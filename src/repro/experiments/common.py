@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from repro.core.pipeline import PipelineConfig, Stage
 from repro.core.scheduler import RecPipeScheduler
-from repro.data.criteo import NUM_TABLES, CriteoSynthetic
+from repro.data.criteo import CANDIDATES_PER_QUERY, NUM_TABLES, CriteoSynthetic
 from repro.data.movielens import MovieLensConfig, MovieLensSynthetic
 from repro.models.zoo import (
     NMF_LARGE,
@@ -22,7 +22,7 @@ from repro.serving.service_times import CachedServiceConfig
 from repro.serving.simulator import SimulationConfig
 
 #: Candidate-pool size used throughout the Criteo deep dive.
-CRITEO_POOL = 4096
+CRITEO_POOL = CANDIDATES_PER_QUERY
 #: Number of ranking queries used by the quality evaluator in experiments.
 NUM_QUALITY_QUERIES = 6
 

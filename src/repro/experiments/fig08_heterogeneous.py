@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 from repro.core.pipeline import PipelineConfig, Stage
+from repro.core.sweep import SLA_MS
 from repro.experiments.common import (
     CRITEO_POOL,
     ExperimentResult,
@@ -34,8 +35,6 @@ TAGS = ("criteo", "gpu", "heterogeneous", "scheduling")
 QPS_VALUES = (25, 50, 70, 100, 150, 250, 500, 1000)
 #: The bottom panel's load.
 QPS = 70.0
-#: The bottom panel's latency SLA (its notes print it).
-SLA_MS = 25.0
 #: The bottom panel's items-ranked axis.
 ITEM_COUNTS = (1024, 2048, 3200, 4096)
 

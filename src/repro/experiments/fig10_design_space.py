@@ -17,17 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accel.embedding_cache import EmbeddingCacheConfig, MultiStageEmbeddingCache
-from repro.accel.systolic import ReconfigurableArray, SubArray, SystolicArrayConfig
+from repro.accel.systolic import ReconfigurableArray, SubArray
 from repro.accel.topk import TopKFilterConfig, TopKFilterUnit
 from repro.experiments.common import CRITEO_POOL, ExperimentResult, merge_panels
+from repro.models.cost import MiB
 from repro.models.zoo import RM_LARGE, RM_SMALL, criteo_model_specs
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
 TITLE = "RPAccel micro-architecture design-space exploration"
 PAPER_REF = "Figure 10"
 TAGS = ("accel", "rpaccel", "design-space")
-
-MB = 1024 * 1024
 
 #: Panel (a): the square systolic-array sizes.
 ARRAY_SIZES = (8, 16, 32, 64, 128)
@@ -38,7 +37,7 @@ TOPK_SEED = 3
 #: Panel (c): fractions of the static cache devoted to the frontend.
 FRONTEND_FRACTIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 #: Panel (c): ``(static cache bytes, inter-stage filtering ratio)`` pairs.
-CACHE_CONFIGS = ((4 * MB, 8), (12 * MB, 8), (12 * MB, 16))
+CACHE_CONFIGS = ((4 * MiB, 8), (12 * MiB, 8), (12 * MiB, 16))
 
 
 def run_utilization() -> ExperimentResult:
@@ -54,7 +53,7 @@ def run_utilization() -> ExperimentResult:
                 utilization=sub.model_utilization(cost),
             )
     # Monolithic vs reconfigurable utilization on the two-stage pipeline.
-    array = ReconfigurableArray(SystolicArrayConfig())
+    array = ReconfigurableArray()
     small, large = RM_SMALL.reference_cost(), RM_LARGE.reference_cost()
     mono = array.monolithic
     mono_util = 0.5 * (mono.model_utilization(small) + mono.model_utilization(large))
@@ -101,7 +100,7 @@ def run_cache_partition() -> ExperimentResult:
     result = ExperimentResult(name="fig10c_cache_partition")
     for static_bytes, ratio in CACHE_CONFIGS:
         cache = MultiStageEmbeddingCache(
-            EmbeddingCacheConfig(total_bytes=static_bytes + 4 * MB, lookahead_bytes=4 * MB)
+            EmbeddingCacheConfig(total_bytes=static_bytes + 4 * MiB, lookahead_bytes=4 * MiB)
         )
         backend_items = CRITEO_POOL // ratio
         for fraction in FRONTEND_FRACTIONS:
@@ -109,7 +108,7 @@ def run_cache_partition() -> ExperimentResult:
                 [small, large], [CRITEO_POOL, backend_items], frontend_fraction=fraction
             )
             result.add(
-                static_cache_mb=static_bytes / MB,
+                static_cache_mb=static_bytes / MiB,
                 filtering_ratio=f"1/{ratio}",
                 frontend_fraction=fraction,
                 amat_cycles=amat,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.data.criteo import CriteoSynthetic
 from repro.experiments.common import ExperimentResult
+from repro.models.cost import GiB
 from repro.models.training import Trainer
 from repro.models.zoo import build_model, criteo_model_specs
 
@@ -41,7 +42,7 @@ def run(seed: int = 7) -> ExperimentResult:
             model=spec.name,
             embedding_dim=spec.embedding_dim,
             mlp_bottom="-".join(str(w) for w in spec.mlp_bottom),
-            reference_size_gb=spec.reference_storage_bytes / 1024**3,
+            reference_size_gb=spec.reference_storage_bytes / GiB,
             reference_flops=cost.flops_per_item,
             paper_error_pct=spec.paper_error_percent,
             measured_error_pct=history.final_test_error,

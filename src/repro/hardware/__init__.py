@@ -21,7 +21,10 @@ PCIe parameters are class constants (``ClassVar``) of :class:`SramModel`,
 :class:`DramModel`, :class:`~repro.hardware.memory.SsdModel` and
 :class:`PCIeModel`; and the accelerators' 250 MHz clock is
 :data:`~repro.hardware.spec.ACCELERATOR_FREQUENCY_HZ`.  None of them is a
-constructor parameter.
+constructor parameter, and code that needs one of these models references
+it rather than taking it as a parameter.  The byte units (``FP32_BYTES``,
+``MiB``, ``GiB``) are defined once in :mod:`repro.models.cost`, and the
+platforms these devices make up in :data:`repro.core.mapping.PLATFORMS`.
 """
 
 from repro.hardware.spec import (

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-FP32_BYTES = 4
+from repro.models.cost import FP32_BYTES
 
 
 @dataclass(frozen=True)

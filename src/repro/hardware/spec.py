@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-GB = 1024**3
-MB = 1024**2
+from repro.models.cost import GiB, MiB
 
 #: Clock of the accelerators' arrays, on-chip memories and memory interface
 #: (Table 3); accelerator cycle counts convert to seconds at this rate.
@@ -54,8 +53,8 @@ CASCADE_LAKE_CPU = HardwareSpec(
     frequency_hz=2.8e9,
     num_cores=64,
     simd_width=16,  # AVX-512: 16 fp32 lanes
-    cache_bytes=22 * MB,
-    dram_capacity_bytes=384 * GB,
+    cache_bytes=22 * MiB,
+    dram_capacity_bytes=384 * GiB,
     dram_bandwidth_bytes_per_s=75e9,
     tdp_watts=300.0,
 )
@@ -66,8 +65,8 @@ NVIDIA_T4_GPU = HardwareSpec(
     frequency_hz=585e6,
     num_cores=2560,
     simd_width=1,  # already expressed as CUDA cores
-    cache_bytes=int(6 * MB),
-    dram_capacity_bytes=15 * GB,
+    cache_bytes=int(6 * MiB),
+    dram_capacity_bytes=15 * GiB,
     dram_bandwidth_bytes_per_s=300e9,
     tdp_watts=70.0,
 )

@@ -8,13 +8,19 @@ value object means the same cost can describe either the scaled-down synthetic
 model actually instantiated in this repo or the paper-scale model (the
 ``reference_*`` fields), which is what the memory-capacity experiments
 (Figure 1c, Figure 13) operate on.
+
+It also defines the package's byte units; it imports nothing from the
+package, so any module may read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: Bytes of one fp32 value.
 FP32_BYTES = 4
+MiB = 1024**2
+GiB = 1024**3
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
-from repro.models.cost import ModelCost
+from repro.models.cost import FP32_BYTES, GiB, ModelCost
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.neumf import NeuMF, NeuMFConfig
-
-GB = 1024**3
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class ModelSpec:
         mlp_params = _mlp_parameters(self.mlp_bottom) + _mlp_parameters(
             (self.mlp_top[0] if self.mlp_top else self.embedding_dim, 1)
         )
-        embedding_rows = self.reference_storage_bytes // (self.embedding_dim * 4)
+        embedding_rows = self.reference_storage_bytes // (self.embedding_dim * FP32_BYTES)
         return ModelCost(
             name=self.name,
             macs_per_item=self.reference_macs_per_item,
@@ -97,7 +95,7 @@ RM_SMALL = ModelSpec(
     embedding_dim=4,
     mlp_bottom=(NUM_DENSE_FEATURES, 64, 4),
     mlp_top=(64,),
-    reference_storage_bytes=1 * GB,
+    reference_storage_bytes=1 * GiB,
     reference_macs_per_item=1_100,
     paper_error_percent=21.36,
     score_noise=0.30,
@@ -109,7 +107,7 @@ RM_MED = ModelSpec(
     embedding_dim=16,
     mlp_bottom=(NUM_DENSE_FEATURES, 64, 16),
     mlp_top=(64,),
-    reference_storage_bytes=4 * GB,
+    reference_storage_bytes=4 * GiB,
     reference_macs_per_item=2_000,
     paper_error_percent=21.26,
     score_noise=0.22,
@@ -121,7 +119,7 @@ RM_LARGE = ModelSpec(
     embedding_dim=32,
     mlp_bottom=(NUM_DENSE_FEATURES, 512, 256, 128, 64, 32),
     mlp_top=(96,),
-    reference_storage_bytes=8 * GB,
+    reference_storage_bytes=8 * GiB,
     reference_macs_per_item=180_000,
     paper_error_percent=21.13,
     score_noise=0.12,
@@ -136,7 +134,7 @@ NMF_SMALL = ModelSpec(
     embedding_dim=8,
     mlp_bottom=(),
     mlp_top=(32, 16),
-    reference_storage_bytes=int(0.05 * GB),
+    reference_storage_bytes=int(0.05 * GiB),
     reference_macs_per_item=700,
     paper_error_percent=0.0,
     score_noise=0.28,
@@ -148,7 +146,7 @@ NMF_MED = ModelSpec(
     embedding_dim=16,
     mlp_bottom=(),
     mlp_top=(64, 32),
-    reference_storage_bytes=int(0.2 * GB),
+    reference_storage_bytes=int(0.2 * GiB),
     reference_macs_per_item=3_000,
     paper_error_percent=0.0,
     score_noise=0.20,
@@ -160,7 +158,7 @@ NMF_LARGE = ModelSpec(
     embedding_dim=64,
     mlp_bottom=(),
     mlp_top=(256, 128, 64),
-    reference_storage_bytes=int(0.8 * GB),
+    reference_storage_bytes=int(0.8 * GiB),
     reference_macs_per_item=60_000,
     paper_error_percent=0.0,
     score_noise=0.11,

@@ -34,8 +34,9 @@ from types import MappingProxyType, SimpleNamespace
 from typing import Any, Mapping
 
 from repro.cluster.fleet import STRATEGIES
-from repro.core.sweep import PLATFORMS, SweepConfig
+from repro.core.sweep import PLATFORMS, SLA_MS, SweepConfig
 from repro.experiments.capacity_planning import CapacityConfig
+from repro.quality.funnel import SERVE_K_DEFAULT
 from repro.serving.engine import ENGINES
 from repro.serving.estimators import ESTIMATORS, EWMA, WindowedMean
 from repro.serving.frontend import ARRIVAL_PROCESSES, StreamingFrontend
@@ -186,12 +187,12 @@ SCENARIO_KNOBS = (
         POSITIVE,
         "swept loads backing the table's interpolated p99 curves",
     ),
-    Knob("sla_ms", FLOAT, 25.0, POSITIVE, "tail-latency SLA in milliseconds"),
+    Knob("sla_ms", FLOAT, SLA_MS, POSITIVE, "tail-latency SLA in milliseconds"),
     Knob("quality_target", OPTIONAL_FLOAT, None, FINITE, "minimum NDCG of a routable path"),
     Knob("first_stage_items", INTS, (256,), AT_LEAST_ONE, "candidate pool sizes"),
     Knob("later_stage_items", INTS, (128,), AT_LEAST_ONE, "later-stage item grid"),
     Knob("max_stages", INT, 2, AT_LEAST_ONE, "maximum number of funnel stages"),
-    Knob("serve_k", INT, 64, AT_LEAST_ONE, "items the last stage must serve"),
+    Knob("serve_k", INT, SERVE_K_DEFAULT, AT_LEAST_ONE, "items the last stage must serve"),
     Knob("num_queries", INT, 300, AT_LEAST_ONE, "simulated queries per dwell cell"),
     Knob("pool", INT, 256, AT_LEAST_ONE, "candidates per ranking query"),
     Knob("trace", TRACE_LIST, "spike", tuple(TRACES), "diurnal, spike or ramp traces, or 'all'"),

@@ -36,8 +36,8 @@ from typing import Mapping
 from repro.cluster.fleet import compose_fleet, fleet_nodes, fleet_tables
 from repro.core.pipeline import enumerate_pipelines
 from repro.core.sweep import SweepConfig, run_sweep
-from repro.data.criteo import NUM_TABLES
-from repro.experiments.capacity_planning import CapacityConfig, run_capacity
+from repro.data.criteo import CANDIDATES_PER_QUERY, NUM_TABLES
+from repro.experiments.capacity_planning import CapacityConfig, budget_bytes, run_capacity
 from repro.experiments.common import (
     ExperimentResult,
     criteo_quality_evaluator,
@@ -81,7 +81,7 @@ TABLE_PARAMS = (
 
 
 def dataset_tables(dataset: str) -> int:
-    """The embedding-table count of a dataset's models: Criteo's 26, NeuMF's two (user, item)."""
+    """The ``num_tables`` a dataset's runs record: Criteo's 26, else 2 (no NeuMF plan reads it)."""
     return NUM_TABLES if dataset == "criteo" else 2
 
 
@@ -109,7 +109,7 @@ def workload(dataset: str, pool: int):
     return movielens_quality_evaluator(preset, pool), movielens_model_specs(), tables
 
 
-def default_pool(dataset: str, pool: int | None, criteo_pool: int = 4096) -> int:
+def default_pool(dataset: str, pool: int | None, criteo_pool: int = CANDIDATES_PER_QUERY) -> int:
     """``pool``, or the dataset default when unset (MovieLens catalogues are smaller)."""
     if pool is not None:
         return pool
@@ -195,7 +195,7 @@ def _compiled_table(key: tuple, seed: int):
         return compile_table(platform_names(params["platforms"]))
     mix = parse_mix(params["nodes"])
     platform_tables = {platform: compile_table((platform,)) for platform in dict.fromkeys(mix)}
-    nodes = fleet_nodes(mix, int(params["budget_gb"] * 2**30))
+    nodes = fleet_nodes(mix, budget_bytes(params["budget_gb"]))
     return compose_fleet(
         nodes,
         platform_tables,

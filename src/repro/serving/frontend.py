@@ -556,12 +556,15 @@ class StreamingFrontend:
 
     def __post_init__(self) -> None:
         """Validate the frontend knobs."""
-        if self.window_seconds is not None and self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+        # Written so NaN fails; an infinite window is one window over the trace.
+        if self.window_seconds is not None and not self.window_seconds > 0:
+            raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.defer_windows < 0:
-            raise ValueError("defer_windows must be non-negative")
+        if not 0 <= self.defer_windows < np.inf:
+            raise ValueError(
+                f"defer_windows must be non-negative and finite, got {self.defer_windows}"
+            )
 
     @property
     def table(self) -> PathTable:

@@ -84,8 +84,8 @@ class ReferenceBaselineAccelerator:
 
     def __init__(self, config: BaselineConfig | None = None) -> None:
         self.config = config if config is not None else BaselineConfig()
-        self._array = ReconfigurableArray(self.config.array).monolithic
-        self._cache = MultiStageEmbeddingCache(config=self.config.cache, dram=self.config.dram)
+        self._array = ReconfigurableArray().monolithic
+        self._cache = MultiStageEmbeddingCache(config=self.config.cache)
 
     @property
     def name(self) -> str:
@@ -104,7 +104,7 @@ class ReferenceBaselineAccelerator:
     ) -> StageBreakdown:
         """Latency components of running one stage on the monolithic engine."""
         cfg = self.config
-        mlp = self._array.mlp_seconds(cost, num_items, cfg.dram)
+        mlp = self._array.mlp_seconds(cost, num_items)
         embedding = self._cache.gather_seconds(cost, num_items, hit_rate)
         pcie = 0.0
         if is_first_stage:
@@ -197,7 +197,7 @@ class ReferenceRPAccel(RPAccel):
     ) -> StageExecution:
         """Latency breakdown of one stage on one of its sub-arrays."""
         cfg = self.config
-        mlp = subarray.mlp_seconds(cost, num_items, cfg.dram)
+        mlp = subarray.mlp_seconds(cost, num_items)
         overlap = prefetch_overlap if lookahead else 0.0
         # The dual static + look-ahead cache design keeps more embedding
         # misses in flight than the baseline's single static cache.

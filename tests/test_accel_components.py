@@ -12,7 +12,6 @@ from repro.accel import (
     ReconfigurableArray,
     SsdScalingModel,
     SubArray,
-    SystolicArrayConfig,
     TopKFilterConfig,
     TopKFilterUnit,
 )
@@ -42,15 +41,14 @@ class TestSystolicArray:
 
     def test_mlp_cycles_scale_with_items(self):
         array = SubArray(64, 64)
-        dram = DramModel()
         cost = RM_LARGE.reference_cost()
-        assert array.mlp_cycles(cost, 4096, dram) > 4 * array.mlp_cycles(cost, 512, dram)
+        assert array.mlp_cycles(cost, 4096) > 4 * array.mlp_cycles(cost, 512)
 
     def test_zero_items_free(self):
-        assert SubArray(64, 64).mlp_cycles(RM_SMALL.reference_cost(), 0, DramModel()) == 0.0
+        assert SubArray(64, 64).mlp_cycles(RM_SMALL.reference_cost(), 0) == 0.0
 
     def test_split_preserves_total_macs(self):
-        array = ReconfigurableArray(SystolicArrayConfig())
+        array = ReconfigurableArray()
         subs = array.split(8, 0.5)
         total = sum(s.total_macs for s in subs)
         assert total == pytest.approx(0.5 * array.config.total_macs, rel=0.15)

@@ -12,7 +12,6 @@ from repro.core import (
 )
 from repro.core.mapping import _proportional_allocation
 from repro.data import CriteoConfig, CriteoSynthetic
-from repro.hardware import CPUPerformanceModel, GPUPerformanceModel
 from repro.models.zoo import RM_LARGE, RM_MED, RM_SMALL, criteo_model_specs
 from repro.quality import QualityEvaluator
 from repro.serving import SimulationConfig
@@ -113,18 +112,14 @@ class TestMapping:
 
     def test_heterogeneous_plan_charges_pcie_on_device_change(self):
         pipeline = PipelineConfig((Stage(RM_SMALL, 4096), Stage(RM_LARGE, 512)))
-        plan = build_heterogeneous_plan(
-            pipeline, ["gpu", "cpu"], CPUPerformanceModel(), GPUPerformanceModel()
-        )
+        plan = build_heterogeneous_plan(pipeline, ["gpu", "cpu"])
         assert plan.stages[0].transfer_seconds > 0.0  # host -> GPU
         assert plan.stages[1].transfer_seconds > 0.0  # GPU -> CPU
 
     def test_heterogeneous_device_validation(self):
         pipeline = PipelineConfig((Stage(RM_LARGE, 512),))
         with pytest.raises(ValueError):
-            build_heterogeneous_plan(
-                pipeline, ["tpu"], CPUPerformanceModel(), GPUPerformanceModel()
-            )
+            build_heterogeneous_plan(pipeline, ["tpu"])
 
     def test_proportional_allocation_sums_to_total(self):
         allocation = _proportional_allocation([1e-3, 9e-3], 64)

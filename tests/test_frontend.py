@@ -694,6 +694,22 @@ class TestDynamicBatching:
         with pytest.raises(ValueError, match="defer_windows"):
             StreamingFrontend(router, defer_windows=-1.0)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("window_seconds", np.nan), ("defer_windows", np.nan), ("defer_windows", np.inf)],
+    )
+    def test_non_finite_knobs_are_refused_at_construction(self, knob, value):
+        # Unchecked, an infinite defer queue computes inf * 0 on a
+        # zero-capacity window and NaN widths fail deep inside numpy.
+        with pytest.raises(ValueError, match=knob):
+            StreamingFrontend(MultiPathRouter(make_table()), **{knob: value})
+
+    def test_an_infinite_window_is_one_window_over_the_trace(self):
+        trace = flat_trace(1000.0, num_steps=4)
+        plan = paced_frontend(make_table(), window_seconds=np.inf).schedule(*paced(trace))
+        assert plan.num_windows == 1
+        assert plan.window_seconds == trace.duration_seconds
+
 
 @pytest.fixture(scope="module")
 def experiment_table():

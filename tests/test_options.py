@@ -1,4 +1,4 @@
-"""Options guard: every settable model parameter has a caller.
+"""Options guards: every settable model parameter has a caller, and no value carries a constant.
 
 A dataclass field with a default in the hardware, accelerator, serving,
 cluster and data models is an option.  An option that no call sets is a
@@ -7,6 +7,10 @@ each one must be set by some call in the repository's code, tests,
 benchmarks, examples, perfbench or tools.  A fixed parameter is a
 ``ClassVar`` or a module constant instead, and a new option arrives together
 with its first caller.
+
+A dataclass with no ``__init__`` field (a model whose parameters are all
+constants) has one value, so a parameter or field that carries it passes a
+constant around: the code that needs the model references it instead.
 """
 
 import ast
@@ -133,6 +137,60 @@ def set_by_calls(classes, paths) -> set[tuple[str, str]]:
     return found
 
 
+def _mentions(annotation: ast.AST | None) -> set[str]:
+    """Every name an annotation mentions (``X``, ``X | None``, ``mod.X``, ``"X"``)."""
+    if annotation is None:
+        return set()
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _mentions(ast.parse(node.value, mode="eval"))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(_name(node))
+    return names
+
+
+def values_carrying_fieldless_models(paths) -> list[str]:
+    """Every parameter and dataclass init field annotated with a dataclass that has no field.
+
+    Entries read ``function(parameter)``, ``Class.method(parameter)`` or
+    ``Class.field``.
+    """
+    classes = dataclass_fields(paths)
+    fieldless = {name for name in classes if not init_order(classes, name)}
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    enclosing[id(stmt)] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{enclosing[id(node)]}." if id(node) in enclosing else ""
+                arguments = node.args
+                for arg in (
+                    *arguments.posonlyargs,
+                    *arguments.args,
+                    *arguments.kwonlyargs,
+                    arguments.vararg,
+                    arguments.kwarg,
+                ):
+                    if arg is not None and _mentions(arg.annotation) & fieldless:
+                        found.append(f"{owner}{node.name}({arg.arg})")
+            elif isinstance(node, ast.ClassDef) and node.name in classes:
+                init_fields = {field for field, _ in classes[node.name][1]}
+                for stmt in node.body:
+                    if (
+                        isinstance(stmt, ast.AnnAssign)
+                        and stmt.target.id in init_fields
+                        and _mentions(stmt.annotation) & fieldless
+                    ):
+                        found.append(f"{node.name}.{stmt.target.id}")
+    return sorted(found)
+
+
 def python_files(*tops: Path) -> list[Path]:
     return sorted(path for top in tops for path in top.rglob("*.py"))
 
@@ -144,6 +202,46 @@ def test_every_model_option_is_set_by_some_call():
     unset = sorted(options(classes) - set_by_calls(classes, callers))
     names = [f"{cls}.{field}" for cls, field in unset]
     assert names == [], "make each a ClassVar or a module constant, or give it a caller"
+
+
+def test_no_value_carries_a_fieldless_model():
+    carried = values_carrying_fieldless_models(python_files(ROOT / "src" / "repro"))
+    assert carried == [], "reference the model (a ClassVar or a module constant) instead"
+
+
+def test_the_scan_sees_every_value_that_carries_a_fieldless_model(tmp_path):
+    module = tmp_path / "models.py"
+    module.write_text(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "@dataclass\n"
+        "class Model:\n"
+        "    constant: ClassVar[int] = 1\n"
+        "@dataclass\n"
+        "class Derived(Model):\n"
+        "    pass\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    size: int = 1\n"
+        "@dataclass\n"
+        "class Holder:\n"
+        "    config: Config\n"
+        "    model: Model = field(default_factory=Model)\n"
+        "    optional: 'Derived | None' = None\n"
+        "    shared: ClassVar[Model] = Model()\n"
+        "    cached: Model = field(default=Model(), init=False)\n"
+        "    def run(self, model: Model, config: Config, count: int) -> Model:\n"
+        "        return model\n"
+        "def build(config: Config, *models: Model, fallback: Derived | None = None):\n"
+        "    return config\n"
+    )
+    assert values_carrying_fieldless_models([module]) == [
+        "Holder.model",
+        "Holder.optional",
+        "Holder.run(model)",
+        "build(fallback)",
+        "build(models)",
+    ]
 
 
 def test_the_scan_sees_every_way_a_call_sets_a_field(tmp_path):
