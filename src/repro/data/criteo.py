@@ -38,6 +38,9 @@ NUM_DENSE_FEATURES = 13
 NUM_TABLES = 26
 #: Candidates per ranking query: the paper's 4,096-item Criteo pool.
 CANDIDATES_PER_QUERY = 4096
+#: Candidates per query of the routed workloads (``recpipe route``, the
+#: capacity planner): a 512-item pool, ranked whole by their first stage.
+ROUTING_CANDIDATES_PER_QUERY = 512
 
 #: Per-query CTR quantiles at which relevance grades 1..4 start: most
 #: candidates are irrelevant and a small head highly relevant.

@@ -27,6 +27,9 @@ from repro.data.datasets import (
 )
 from repro.data.distributions import zipf_sample
 
+#: Candidates per ranking query: MovieLens's default 1,024-movie pool (its
+#: catalogues are smaller than Criteo's).
+CANDIDATES_PER_QUERY = 1024
 #: Per-query preference quantiles at which relevance grades 1..4 start.
 RELEVANCE_QUANTILES = (0.50, 0.80, 0.93, 0.99)
 
@@ -141,7 +144,7 @@ class MovieLensSynthetic:
     def sample_ranking_queries(
         self,
         num_queries: int,
-        candidates_per_query: int = 1024,
+        candidates_per_query: int = CANDIDATES_PER_QUERY,
         seed: int | None = None,
     ) -> list[RankingQuery]:
         """Draw per-user ranking queries over candidate item pools."""

@@ -18,10 +18,12 @@ the test suite) compares manifests after dropping those fields.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +37,12 @@ MANIFEST_NAME = "manifest.json"
 #: optional ``events`` entry (the run's JSONL event log).  Readers treat a
 #: manifest without the field as version 1.
 MANIFEST_SCHEMA_VERSION = 2
+
+#: Containers the JSON writer recurses into; every other value is a scalar
+#: to the C encoder (objects other than these reach ``_json_default``).
+_NESTED = (dict, list, tuple, np.ndarray)
+#: The values ``_sanitize`` checks for non-finite floats.
+_FLOATS = (float, np.floating)
 
 
 def _json_default(value):
@@ -55,7 +63,7 @@ def _sanitize(value):
     JSON (json.dump would otherwise emit the bare ``Infinity``/``NaN``
     literals, which jq/JavaScript and other non-Python consumers reject).
     NumPy floating scalars (``np.float32`` is no ``float``) get the same check."""
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    if isinstance(value, _FLOATS) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
@@ -64,9 +72,89 @@ def _sanitize(value):
     return value
 
 
+@functools.cache
+def _encoder(depth: int) -> Callable[[object], str]:
+    """The C encoder for the members of a container ``depth`` levels deep.
+
+    CPython's C encoder serves only ``indent=None``, so the indent lives in
+    the item separator; the newline after an opening and before a closing
+    bracket is the caller's.
+    """
+    return json.JSONEncoder(
+        separators=(",\n" + "  " * (depth + 1), ": "), default=_json_default, allow_nan=False
+    ).encode
+
+
+def _finite_scalars(container: dict | list | tuple) -> dict | list | tuple | None:
+    """``container`` with non-finite floats as ``None`` (a copy where one
+    is), or ``None`` when a member is itself a container."""
+    members = list(container.values()) if isinstance(container, dict) else container
+    if any(map(issubclass, set(map(type, members)), repeat(_NESTED))):
+        return None
+    if all(map(math.isfinite, compress(members, map(isinstance, members, repeat(_FLOATS))))):
+        return container
+    finite = [
+        None if isinstance(member, _FLOATS) and not math.isfinite(member) else member
+        for member in members
+    ]
+    return dict(zip(container, finite)) if isinstance(container, dict) else finite
+
+
+def _json_key(key, encode: Callable[[object], str]) -> str:
+    """A member key as ``json`` writes it: an int, float, bool or None key in
+    its JSON spelling (a non-finite float raises ``ValueError``), then quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = encode(key)
+    return encode(key)
+
+
+def _json_chunks(value, depth: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(_sanitize(value), indent=2,
+    default=_json_default, allow_nan=False)``, member by member.
+
+    A container of scalars is one C-encoder call; any other container
+    writes its members between the same separators, so a payload streams
+    row by row.  An ndarray is written as its ``tolist()``, as
+    ``_json_default`` has ``json`` write it.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        opener, closer = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        opener, closer = "[", "]"
+    else:
+        yield _encoder(depth)(_sanitize(value))
+        return
+    if not value:
+        yield opener + closer
+        return
+    encode = _encoder(depth)
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth + closer
+    scalars = _finite_scalars(value)
+    if scalars is not None:
+        yield f"{opener}{inner}{encode(scalars)[1:-1]}{outer}"
+        return
+    yield opener + inner
+    separator = "," + inner
+    if isinstance(value, dict):
+        for index, (key, member) in enumerate(value.items()):
+            yield f"{separator if index else ''}{_json_key(key, encode)}: "
+            yield from _json_chunks(member, depth + 1)
+    else:
+        for index, member in enumerate(value):
+            if index:
+                yield separator
+            yield from _json_chunks(member, depth + 1)
+    yield outer
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(_sanitize(payload), handle, indent=2, default=_json_default, allow_nan=False)
+        handle.writelines(_json_chunks(payload))
         handle.write("\n")
 
 
@@ -117,7 +205,10 @@ def write_result_csv(path: Path, result: ExperimentResult) -> None:
         writer = csv.writer(handle)
         writer.writerow(fieldnames)
         writer.writerows(
-            [_csv_cell(row[key]) if key in row else "" for key in fieldnames]
+            [
+                value if type(value) in _CSV_BUILTINS else _csv_cell(value)
+                for value in map(row.get, fieldnames, repeat(""))
+            ]
             for row in result.rows
         )
 
@@ -126,6 +217,12 @@ def read_csv_rows(path: Path) -> list[dict[str, str]]:
     """The CSV artifact back as a list of string-valued dicts."""
     with path.open("r", encoding="utf-8", newline="") as handle:
         return [dict(row) for row in csv.DictReader(handle)]
+
+
+#: Cell classes ``csv.writer`` writes as ``_csv_cell`` does (``float`` by
+#: ``repr``, the rest by ``str``).  Matched by exact class: ``np.float64``
+#: subclasses ``float``, and ``None`` would be written empty.
+_CSV_BUILTINS = frozenset({str, int, float, bool})
 
 
 def _csv_cell(value) -> str:

@@ -49,15 +49,13 @@ from repro.core.pareto import pareto_frontier
 from repro.core.pipeline import PipelineConfig, enumerate_pipelines
 from repro.core.scheduler import RecPipeScheduler
 from repro.core.sweep import SLA_MS
-from repro.data.criteo import NUM_TABLES
+from repro.data.criteo import NUM_TABLES, ROUTING_CANDIDATES_PER_QUERY
 from repro.experiments.common import ExperimentResult, criteo_quality_evaluator, make_scheduler
 from repro.models.cost import GiB
 from repro.models.zoo import criteo_model_specs
 from repro.serving.router import PathTable, route_oracle, route_static
 from repro.serving.trace import LoadTrace
 
-#: Candidate-pool size of the planned workload.
-POOL = 512
 #: Size of the served user base; peak load derives from it.
 USERS = 1_000_000
 #: Peak offered load per user (diurnal maximum), in QPS.
@@ -141,7 +139,7 @@ class CapacityConfig:
     num_tables: int = NUM_TABLES
     budget_gb: float = BUDGET_GB
     num_queries: int = NUM_QUERIES
-    pool: int = POOL
+    pool: int = ROUTING_CANDIDATES_PER_QUERY
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -171,7 +169,7 @@ def budget_bytes(budget_gb: float) -> int:
     return int(budget_gb * GiB)
 
 
-def build_pipelines(pool: int = POOL) -> list[PipelineConfig]:
+def build_pipelines(pool: int = ROUTING_CANDIDATES_PER_QUERY) -> list[PipelineConfig]:
     """The two candidate funnels every node compiles (fast + high-quality)."""
     wanted = {
         f"RMsmall@{pool} -> RMlarge@128",

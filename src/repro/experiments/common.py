@@ -7,6 +7,7 @@ from functools import lru_cache
 
 from repro.core.pipeline import PipelineConfig, Stage
 from repro.core.scheduler import RecPipeScheduler
+from repro.data import movielens
 from repro.data.criteo import CANDIDATES_PER_QUERY, NUM_TABLES, CriteoSynthetic
 from repro.data.movielens import MovieLensConfig, MovieLensSynthetic
 from repro.models.zoo import (
@@ -23,6 +24,8 @@ from repro.serving.simulator import SimulationConfig
 
 #: Candidate-pool size used throughout the Criteo deep dive.
 CRITEO_POOL = CANDIDATES_PER_QUERY
+#: Default candidate-pool size of the MovieLens datasets.
+MOVIELENS_POOL = movielens.CANDIDATES_PER_QUERY
 #: Number of ranking queries used by the quality evaluator in experiments.
 NUM_QUALITY_QUERIES = 6
 
@@ -110,7 +113,7 @@ def criteo_three_stage() -> PipelineConfig:
     return PipelineConfig((Stage(RM_SMALL, CRITEO_POOL), Stage(RM_MED, 1024), Stage(RM_LARGE, 256)))
 
 
-def movielens_pipelines(pool: int = 1024) -> dict[int, PipelineConfig]:
+def movielens_pipelines(pool: int = MOVIELENS_POOL) -> dict[int, PipelineConfig]:
     """One/two/three-stage NeuMF funnels for the MovieLens datasets."""
     return {
         1: PipelineConfig((Stage(NMF_LARGE, pool),)),

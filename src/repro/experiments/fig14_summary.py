@@ -13,6 +13,7 @@ from repro.core.scheduler import RecPipeScheduler
 from repro.data.criteo import NUM_TABLES
 from repro.experiments.common import (
     CRITEO_POOL,
+    MOVIELENS_POOL,
     ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
@@ -48,7 +49,7 @@ def run() -> ExperimentResult:
     result = ExperimentResult(name="fig14_summary")
     for dataset, (scheduler, pipelines) in (
         ("criteo", _criteo_setup()),
-        ("movielens-1m", _movielens_setup("1m", 1024)),
+        ("movielens-1m", _movielens_setup("1m", MOVIELENS_POOL)),
         ("movielens-20m", _movielens_setup("20m", 2048)),
     ):
         for qps in QPS_VALUES:

@@ -170,6 +170,12 @@ class DLRM(RecommendationModel):
     def gradients(self) -> list[np.ndarray]:
         return self.bottom.gradients() + self.embeddings.gradients() + self.top.gradients()
 
+    def zero_grad(self) -> None:
+        """Reset both MLPs in full and the embeddings by the rows ``backward`` wrote."""
+        self.bottom.zero_grad()
+        self.embeddings.zero_grad()
+        self.top.zero_grad()
+
     def cost(self) -> ModelCost:
         cfg = self.config
         macs = (self.bottom.flops_per_sample() + self.top.flops_per_sample()) // 2

@@ -110,6 +110,11 @@ class EmbeddingBagCollection(Layer):
     order, starting from its current value, as a per-table ``np.add.at``
     does.  ``parameters()``/``gradients()`` stay per table, so an optimizer
     updates one table-sized array at a time.
+
+    ``zero_grad`` clears only the stacked rows ``backward`` wrote since the
+    last reset (at most ``batch * num_tables`` of them), not the whole
+    stack: while nothing but ``backward`` writes the gradient, every other
+    row is already zero.
     """
 
     def __init__(
@@ -137,6 +142,7 @@ class EmbeddingBagCollection(Layer):
             table.grad_weight = self.grad_weight[start:stop]
             self.tables.append(table)
         self._rows: np.ndarray | None = None
+        self._written: list[np.ndarray] = []
 
     @property
     def num_tables(self) -> int:
@@ -176,7 +182,13 @@ class EmbeddingBagCollection(Layer):
         # flat indices follow grad_out's (batch, table, k) order.
         elements = (self._rows * self.dim)[:, :, None] + np.arange(self.dim)
         np.add.at(self.grad_weight.reshape(-1), elements.reshape(-1), grad_out.reshape(-1))
+        self._written.append(self._rows.reshape(-1))
         return np.zeros_like(grad_out)
+
+    def zero_grad(self) -> None:
+        for rows in self._written:
+            self.grad_weight[rows] = 0.0
+        self._written.clear()
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []

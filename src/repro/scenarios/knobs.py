@@ -35,7 +35,9 @@ from typing import Any, Mapping
 
 from repro.cluster.fleet import STRATEGIES
 from repro.core.sweep import PLATFORMS, SLA_MS, SweepConfig
+from repro.data.criteo import ROUTING_CANDIDATES_PER_QUERY
 from repro.experiments.capacity_planning import CapacityConfig
+from repro.experiments.common import CRITEO_POOL, MOVIELENS_POOL
 from repro.quality.funnel import SERVE_K_DEFAULT
 from repro.serving.engine import ENGINES
 from repro.serving.estimators import ESTIMATORS, EWMA, WindowedMean
@@ -401,7 +403,8 @@ COMMANDS: Mapping[str, tuple[Knob, ...]] = MappingProxyType(
             num_queries={"help": "simulated queries per load point"},
             pool={
                 "default": None,
-                "help": "candidates per ranking query (unset: 4096 criteo, 1024 movielens)",
+                "help": f"candidates per ranking query (unset: {CRITEO_POOL} criteo, "
+                f"{MOVIELENS_POOL} movielens)",
             },
             jobs={"help": "evaluate (platform, pipeline) columns in N parallel processes"},
         ),
@@ -411,12 +414,13 @@ COMMANDS: Mapping[str, tuple[Knob, ...]] = MappingProxyType(
             "base_qps peak_qps noise estimator window ewma_alpha hysteresis switch_penalty_ms "
             "switch_cost_ms planning_qps service_model mode window_seconds max_batch batching "
             "defer_windows arrival_process seed",
-            first_stage_items={"default": (512,)},
+            first_stage_items={"default": (ROUTING_CANDIDATES_PER_QUERY,)},
             later_stage_items={"default": (128, 256)},
             num_queries={"default": 800},
             pool={
                 "default": None,
-                "help": "candidates per ranking query (unset: 512 criteo, 1024 movielens)",
+                "help": f"candidates per ranking query (unset: {ROUTING_CANDIDATES_PER_QUERY} "
+                f"criteo, {MOVIELENS_POOL} movielens)",
             },
             trace={"default": "all"},
             steps={"default": 120},

@@ -39,6 +39,7 @@ from repro.core.sweep import SweepConfig, run_sweep
 from repro.data.criteo import CANDIDATES_PER_QUERY, NUM_TABLES
 from repro.experiments.capacity_planning import CapacityConfig, budget_bytes, run_capacity
 from repro.experiments.common import (
+    MOVIELENS_POOL,
     ExperimentResult,
     criteo_quality_evaluator,
     make_scheduler,
@@ -113,7 +114,7 @@ def default_pool(dataset: str, pool: int | None, criteo_pool: int = CANDIDATES_P
     """``pool``, or the dataset default when unset (MovieLens catalogues are smaller)."""
     if pool is not None:
         return pool
-    return criteo_pool if dataset == "criteo" else 1024
+    return criteo_pool if dataset == "criteo" else MOVIELENS_POOL
 
 
 def platform_names(value) -> tuple[str, ...]:

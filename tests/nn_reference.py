@@ -10,7 +10,9 @@ forward per epoch, kept verbatim in logic:
 * :func:`reference_interactions` computes the full ``(batch, n, n)`` Gram
   matrix and gathers its upper triangle.
 * :class:`ReferenceDLRM` builds its layers in the same order from the same
-  seed (so it draws the same initial weights) and runs the two pieces above.
+  seed (so it draws the same initial weights) and runs the two pieces above;
+  ``zero_grad`` resets every gradient in full, where ``DLRM`` resets the
+  embeddings only by the rows ``backward`` wrote.
 * :class:`ReferenceTrainer` evaluates each epoch with two test forwards:
   one for the loss, one (through ``model.predict``) for the error.
 
@@ -25,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.datasets import CTRBatch, Dataset
+from repro.models.base import RecommendationModel
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.training import Trainer, TrainingHistory
 from repro.nn import MLP
@@ -107,6 +110,8 @@ class ReferenceDLRM(DLRM):
         top_sizes = [config.top_input_width, *config.mlp_top, 1]
         self.top = MLP(top_sizes, rng=rng, final_activation="none")
         self._cache: dict[str, np.ndarray] | None = None
+
+    zero_grad = RecommendationModel.zero_grad
 
     def forward(self, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
         dense = np.asarray(dense, dtype=np.float64)

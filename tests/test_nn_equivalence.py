@@ -60,6 +60,17 @@ class TestStackedCollectionMatchesReference:
         for table, ref in zip(stacked.tables, reference.tables):
             assert same_bytes(table.grad_weight, ref.grad_weight)
 
+    def test_zero_grad_clears_the_rows_of_every_backward_since_the_last(self):
+        stacked = EmbeddingBagCollection([5, 7, 2], 3)
+        rng = np.random.default_rng(1)
+        # Two backwards over disjoint rows with no reset between them.
+        for indices in ([[0, 1, 0], [1, 2, 0]], [[4, 6, 1], [3, 5, 1]]):
+            stacked.forward(np.array(indices))
+            stacked.backward(rng.standard_normal((2, 9)))
+        assert np.count_nonzero(stacked.grad_weight.any(axis=1)) == 10
+        stacked.zero_grad()
+        assert not stacked.grad_weight.any()
+
 
 class TestInteractionsMatchReference:
     @given(

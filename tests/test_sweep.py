@@ -3,22 +3,31 @@
 The reference-equivalence suite (hypothesis) requires the sweep's
 bookkeeping -- column-batched latency reports, the vectorised Pareto
 frontier and the list-row CSV writer -- to reproduce the per-item forms
-kept in ``tests/sweep_reference.py`` exactly.
+kept in ``tests/sweep_reference.py`` exactly, and the streamed JSON writer
+to reproduce ``json.dumps(..., indent=2)``'s text and exception types.
 """
 
 import dataclasses
+import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import pareto
 from repro.core.pipeline import enumerate_pipelines
 from repro.core.sweep import PLATFORMS, SweepConfig, column_seeds, run_sweep
 from repro.data import CriteoConfig, CriteoSynthetic
-from repro.experiments.artifacts import write_result_csv
+from repro.experiments.artifacts import (
+    _json_default,
+    _sanitize,
+    write_result_csv,
+    write_result_json,
+)
 from repro.experiments.common import ExperimentResult
 from repro.models.zoo import criteo_model_specs
 from repro.quality import QualityEvaluator
@@ -362,7 +371,58 @@ csv_values = st.one_of(
     st.none(),
     st.text(max_size=6),
     st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.float64, st.floats()),
     st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+)
+
+#: Floats json spells specially (non-finite ones become null, -0.0 keeps its sign).
+special_floats = st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+json_floats = st.one_of(
+    st.floats(),
+    special_floats,
+    st.builds(np.float64, st.one_of(st.floats(), special_floats)),
+    st.builds(np.float32, st.one_of(st.floats(width=32), special_floats)),
+)
+#: Text that looks like JSON syntax, so no writer can patch tokens by search.
+json_text = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ["NaN", "Infinity", "-Infinity", "null", "}\n", "]", ": NaN,\n", "é\x00\u2028"]
+    ),
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    json_floats,
+    json_text,
+)
+json_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+)
+#: Every key kind json accepts (a non-finite float key raises ValueError)
+#: and one it rejects (``np.int64`` raises TypeError).
+json_keys = st.one_of(
+    json_text,
+    st.integers(),
+    json_floats.filter(lambda key: isinstance(key, float)),
+    st.booleans(),
+    st.none(),
+    st.builds(np.int64, st.integers(min_value=0, max_value=9)),
+)
+json_values = st.recursive(
+    st.one_of(json_scalars, json_arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_keys, children, max_size=4),
+    ),
+    max_leaves=24,
 )
 
 
@@ -403,3 +463,20 @@ class TestReferenceEquivalence:
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
         write_result_csv(path, ExperimentResult(name="rows", rows=rows))
         assert path.read_bytes() == reference_csv(rows).encode("utf-8")
+
+    @given(json_values)
+    @example({"rows": [{"p99_ms": math.inf, "ok": True}, {"p99_ms": 1.5}], "notes": []})
+    @settings(max_examples=400, deadline=None)
+    def test_json_text_matches_stdlib_encoder(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("json") / "payload.json"
+        try:
+            expected = json.dumps(
+                _sanitize(value), indent=2, default=_json_default, allow_nan=False
+            )
+        except (TypeError, ValueError) as error:
+            with pytest.raises(type(error)) as raised:
+                write_result_json(path, value)
+            assert type(raised.value) is type(error)
+        else:
+            write_result_json(path, value)
+            assert path.read_text(encoding="utf-8") == expected + "\n"
