@@ -45,6 +45,7 @@ from repro.cluster.topology import InterconnectLink, gather_seconds_per_node
 from repro.core.mapping import PLATFORMS
 from repro.events import active_log
 from repro.models.zoo import RM_LARGE
+from repro.serving.metrics import sorted_quantiles
 from repro.serving.resources import PipelinePlan, StageResource
 from repro.serving.router import PathTable, ServingPath
 
@@ -169,32 +170,6 @@ def _mixture_counts(weights: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
-def _sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.quantile(x, q)`` (numpy's default linear method) from ``ordered = np.sort(x)``.
-
-    numpy partitions a copy of ``x`` once per requested index; one sort
-    serves every index.  The arithmetic is numpy's, bit for bit: the
-    virtual index ``(n - 1) * q``, its floor and the next index (both
-    indexed ``-1``, the last element, where the virtual index reaches
-    ``n - 1``; the ``-1`` enters ``gamma`` too), ``gamma = virtual -
-    below``, and the lerp ``a + (b - a) * gamma``, replaced by ``b - (b -
-    a) * (1 - gamma)`` where ``gamma >= 0.5``.
-    """
-    n = ordered.size
-    virtual = (n - 1) * q
-    below = np.floor(virtual)
-    above = below + 1
-    top = virtual >= n - 1
-    below[top] = above[top] = -1
-    below, above = below.astype(np.intp), above.astype(np.intp)
-    gamma = virtual - below
-    a, b = ordered[below], ordered[above]
-    diff = b - a
-    pooled = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=pooled, where=gamma >= 0.5)
-    return pooled
-
-
 @dataclass
 class ClusterTable(PathTable):
     """A routing table whose dwell cells are composed across fleet nodes.
@@ -301,7 +276,7 @@ class ClusterTable(PathTable):
                 self._segments[key] = None
                 continue
             pooled = [
-                _sorted_quantiles(np.sort(sample), (np.arange(count) + 0.5) / count)
+                sorted_quantiles(np.sort(sample), (np.arange(count) + 0.5) / count)
                 for sample, count in zip(samples, counts)
                 if count > 0
             ]

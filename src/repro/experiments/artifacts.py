@@ -21,8 +21,9 @@ import csv
 import functools
 import json
 import math
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -38,9 +39,17 @@ MANIFEST_NAME = "manifest.json"
 #: manifest without the field as version 1.
 MANIFEST_SCHEMA_VERSION = 2
 
-#: Containers the JSON writer recurses into; every other value is a scalar
-#: to the C encoder (objects other than these reach ``_json_default``).
-_NESTED = (dict, list, tuple, np.ndarray)
+
+class _Encoded(str):
+    """JSON text the writer copies verbatim: a row encoded once for every file listing it."""
+
+    __slots__ = ()
+
+
+#: Containers the JSON writer recurses into, and encoded text it copies;
+#: every other value is a scalar to the C encoder (objects other than these
+#: reach ``_json_default``).
+_NESTED = (dict, list, tuple, np.ndarray, _Encoded)
 #: The values ``_sanitize`` checks for non-finite floats.
 _FLOATS = (float, np.floating)
 
@@ -117,8 +126,12 @@ def _json_chunks(value, depth: int = 0) -> Iterator[str]:
     A container of scalars is one C-encoder call; any other container
     writes its members between the same separators, so a payload streams
     row by row.  An ndarray is written as its ``tolist()``, as
-    ``_json_default`` has ``json`` write it.
+    ``_json_default`` has ``json`` write it.  :class:`_Encoded` text is
+    written as it is.
     """
+    if type(value) is _Encoded:
+        yield value
+        return
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, dict):
@@ -198,19 +211,34 @@ def load_result_json(path: Path) -> dict:
     return _load_json(path)
 
 
-def write_result_csv(path: Path, result: ExperimentResult) -> None:
-    """Rows as CSV; the header is the union of row keys in first-seen order."""
-    fieldnames = list(dict.fromkeys(key for row in result.rows for key in row))
+def write_result_csv(
+    path: Path, result: ExperimentResult, encoded: tuple[list, Sequence[str]] | None = None
+) -> None:
+    """Rows as CSV; the header is the union of row keys in first-seen order.
+
+    ``encoded``, when given, is that header and the rows' lines under it.
+    """
+    fieldnames, lines = encoded if encoded is not None else (_csv_header(result.rows), None)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(fieldnames)
-        writer.writerows(
-            [
-                value if type(value) in _CSV_BUILTINS else _csv_cell(value)
-                for value in map(row.get, fieldnames, repeat(""))
-            ]
-            for row in result.rows
-        )
+        if lines is None:
+            writer.writerows(_csv_cells(row, fieldnames) for row in result.rows)
+        else:
+            handle.writelines(lines)
+
+
+def _csv_header(rows: Sequence[Mapping]) -> list:
+    """The union of the rows' keys in first-seen order."""
+    return list(dict.fromkeys(chain.from_iterable(rows)))
+
+
+def _csv_cells(row: Mapping, fieldnames: Sequence) -> list:
+    """A row's cells under ``fieldnames``: ``""`` where it has no value."""
+    return [
+        value if type(value) in _CSV_BUILTINS else _csv_cell(value)
+        for value in map(row.get, fieldnames, repeat(""))
+    ]
 
 
 def read_csv_rows(path: Path) -> list[dict[str, str]]:
@@ -259,21 +287,56 @@ def merge_json_section(path: Path, section: str, payload: Mapping) -> Path:
     return path
 
 
+class _EncodedRows:
+    """The JSON text and CSV line of each row of one table, encoded once.
+
+    A table listing only these row objects, under the same CSV header, is
+    written from this text (``recpipe sweep``'s per-platform breakdowns
+    list the rows of ``sweep``).  A row's JSON text is its text as a member
+    of a payload's ``rows``, two levels deep.
+    """
+
+    def __init__(self, rows: Sequence[Mapping]) -> None:
+        self.rows = rows
+        self.header = _csv_header(rows)
+        self.index = {id(row): i for i, row in enumerate(rows)}
+        self.json = [_Encoded("".join(_json_chunks(row, 2))) for row in rows]
+        self.csv: list[str] = []  # csv.writer writes each row with one write call
+        cells = (_csv_cells(row, self.header) for row in rows)
+        csv.writer(SimpleNamespace(write=self.csv.append)).writerows(cells)
+
+    def texts(self, rows: Sequence[Mapping]) -> tuple[list[str], tuple[list, list[str]]] | None:
+        """The rows' JSON texts and their CSV header and lines, or ``None``
+        unless every row is encoded here and the rows' header is this one."""
+        at = [self.index.get(id(row)) for row in rows]
+        if None in at or (rows is not self.rows and _csv_header(rows) != self.header):
+            return None
+        return [self.json[i] for i in at], (self.header, [self.csv[i] for i in at])
+
+
 def write_experiment_artifacts(
     output_dir: Path,
     meta: Mapping,
     result: ExperimentResult,
     seed: int | None = None,
     wall_clock_seconds: float | None = None,
+    encoded: _EncodedRows | None = None,
 ) -> dict:
-    """Write ``<id>.json`` + ``<id>.csv`` and return the manifest entry."""
+    """Write ``<id>.json`` + ``<id>.csv`` and return the manifest entry.
+
+    ``encoded`` supplies the rows' text when it holds all of them.
+    """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     exp_id = meta["id"]
     json_path = output_dir / f"{exp_id}.json"
     csv_path = output_dir / f"{exp_id}.csv"
-    write_result_json(json_path, result_payload(meta, result, seed, wall_clock_seconds))
-    write_result_csv(csv_path, result)
+    payload = result_payload(meta, result, seed, wall_clock_seconds)
+    texts = encoded.texts(result.rows) if encoded is not None else None
+    if texts is not None:
+        payload["rows"] = texts[0]
+    write_result_json(json_path, payload)
+    write_result_csv(csv_path, result, texts[1] if texts is not None else None)
     return {
         "id": exp_id,
         "title": meta.get("title", ""),
@@ -299,11 +362,16 @@ def write_sweep_artifacts(
     ``companions`` maps a suffix to (what the table shows, the table); the
     companion's title is ``<title> — <what it shows>`` (``recpipe sweep``:
     per-platform breakdowns and ``frontier``; ``route``: ``steps``;
-    ``capacity``: ``frontier``).  Returns the manifest entries in order.
+    ``capacity``: ``frontier``).  When a companion lists only rows of
+    ``result``, each of those rows is encoded once and every file listing
+    it reuses the text.  Returns the manifest entries in order.
     """
+    main_ids = {id(row) for row in result.rows}
+    shared = any(t.rows and main_ids.issuperset(map(id, t.rows)) for _, t in companions.values())
+    encoded = _EncodedRows(result.rows) if shared else None
     entries = [
         write_experiment_artifacts(
-            output_dir, meta, result, seed=seed, wall_clock_seconds=wall_clock_seconds
+            output_dir, meta, result, seed, wall_clock_seconds, encoded=encoded
         )
     ]
     for suffix, (shows, table) in companions.items():
@@ -312,7 +380,9 @@ def write_sweep_artifacts(
             "id": f"{meta['id']}_{suffix}",
             "title": f"{meta['title']} — {shows}",
         }
-        entries.append(write_experiment_artifacts(output_dir, companion_meta, table, seed=seed))
+        entries.append(
+            write_experiment_artifacts(output_dir, companion_meta, table, seed, encoded=encoded)
+        )
     return entries
 
 

@@ -20,6 +20,7 @@ ranks items closer to the ideal order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
@@ -45,8 +46,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in ("dlrm", "neumf"):
             raise ValueError(f"unknown model family: {self.family!r}")
-        if self.score_noise < 0:
-            raise ValueError("score_noise must be non-negative")
+        if not 0 <= self.score_noise < math.inf:  # NaN fails both bounds
+            raise ValueError(f"score_noise must be non-negative and finite, got {self.score_noise}")
 
     def reference_cost(self, num_tables: int = NUM_TABLES) -> ModelCost:
         """Paper-scale cost profile (used by analytic hardware models)."""

@@ -17,6 +17,7 @@ directly instead for end-to-end validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +46,8 @@ class FunnelStage:
     num_items: int
 
     def __post_init__(self) -> None:
-        if self.score_noise < 0:
-            raise ValueError(f"score_noise must be non-negative, got {self.score_noise}")
+        if not 0 <= self.score_noise < math.inf:  # NaN fails both bounds
+            raise ValueError(f"score_noise must be non-negative and finite, got {self.score_noise}")
         if self.num_items <= 0:
             raise ValueError(f"num_items must be positive, got {self.num_items}")
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType, SimpleNamespace
 from typing import Any, Mapping
 
-from repro.cluster.fleet import STRATEGIES
+from repro.cluster.fleet import ITEMS_PER_QUERY, STRATEGIES
 from repro.core.sweep import PLATFORMS, SLA_MS, SweepConfig
 from repro.data.criteo import ROUTING_CANDIDATES_PER_QUERY
 from repro.experiments.capacity_planning import CapacityConfig
@@ -443,6 +443,14 @@ COMMANDS: Mapping[str, tuple[Knob, ...]] = MappingProxyType(
             },
             peak_qps={"type": OPTIONAL_FLOAT, "help": "diurnal peak (unset: from --users)"},
             base_qps={"type": OPTIONAL_FLOAT, "help": "diurnal trough (unset: a tenth of peak)"},
+            # Both funnels rank the pool and then 128 or ITEMS_PER_QUERY items.
+            pool={
+                "check": Range(
+                    f">= {ITEMS_PER_QUERY + 1}, more than the {ITEMS_PER_QUERY} items "
+                    "the later stage ranks",
+                    ITEMS_PER_QUERY + 1,
+                )
+            },
         ),
     }
 )

@@ -7,6 +7,40 @@ from typing import Sequence
 
 import numpy as np
 
+#: The report's percentiles as the quantiles ``np.percentile`` divides them into.
+REPORT_QUANTILES = np.array((50, 95, 99)) / 100
+
+
+def sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, q, axis=-1)`` (the default linear method) from a sorted ``x``.
+
+    ``ordered`` is ``np.sort(x, axis=-1)``.  numpy partitions a copy of
+    ``x`` for the requested indices; one sort serves every index.  The
+    arithmetic is numpy's, bit for bit: the virtual index ``(n - 1) * q``,
+    its floor and the next index (both indexed ``-1``, the last element,
+    where the virtual index reaches ``n - 1``; the ``-1`` enters ``gamma``
+    too), ``gamma = virtual - below``, and the lerp ``a + (b - a) *
+    gamma``, replaced by ``b - (b - a) * (1 - gamma)`` where ``gamma >=
+    0.5``.  A slice holding NaN sorts it last and gets NaN at every
+    quantile, as numpy gives.  The result has ``x``'s leading axes and
+    ``q`` as its last axis.
+    """
+    n = ordered.shape[-1]
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = virtual - below
+    a, b = ordered[..., below], ordered[..., above]
+    diff = b - a
+    quantiles = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=quantiles, where=gamma >= 0.5)
+    last = ordered[..., -1:]
+    np.copyto(quantiles, last, where=np.isnan(last))
+    return quantiles
+
 
 def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     """The ``q``-th percentile (0..100) of ``values`` under sample ``weights``.
@@ -113,9 +147,10 @@ class LatencyReport:
         """One report per load from its kept ``(loads, queries)`` samples.
 
         Row ``i`` of ``latencies`` and ``arrivals`` is the post-warmup window
-        simulated at ``offered_qps[i]``.  All loads are summarized with one
-        batched percentile call and axis-1 reductions, each value equal to
-        what the same statistic of the row alone would give.  A row's
+        simulated at ``offered_qps[i]``.  The matrix is sorted once along its
+        rows and :func:`sorted_quantiles` reads p50, p95 and p99 off every
+        row; with the axis-1 reductions, each value equals what
+        ``np.percentile`` and the same statistic of the row alone give.  A row's
         makespan runs from its first arrival to its last *completion*,
         ``max(arrival + latency)``: a late arrival can finish on an idle lane
         while an earlier one still queues.
@@ -129,7 +164,7 @@ class LatencyReport:
             raise ValueError("need one offered_qps and one saturated flag per load")
         if num_queries == 0:
             raise ValueError("cannot build a report from zero completed queries")
-        p50, p95, p99 = np.percentile(latencies, (50, 95, 99), axis=1).tolist()
+        p50, p95, p99 = sorted_quantiles(np.sort(latencies, axis=1), REPORT_QUANTILES).T.tolist()
         spans = (np.max(arrivals + latencies, axis=1) - arrivals[:, 0]).tolist()
         means = latencies.mean(axis=1).tolist()
         peaks = latencies.max(axis=1).tolist()

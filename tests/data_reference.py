@@ -11,12 +11,17 @@ as ``_calibrate_bias`` and requires the calibrated bias to be bit-equal.
 :func:`reference_zipf_sample` is the original Zipf draw: a freshly built
 pmf handed to ``Generator.choice`` on every call.  ``zipf_sample`` inverts
 a memoized CDF instead and must return the same ids, dtype and shape.
+:func:`reference_zipf_ranks` is the inversion as it was before the guide
+table: one binary search of the memoized CDF per uniform, the search
+``Generator.choice`` performs; ``zipf_sample`` must give each uniform the
+same rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.data.distributions import zipf_cdf
 from repro.nn.loss import sigmoid
 
 
@@ -72,3 +77,8 @@ def reference_zipf_sample(rng, num_items: int, size, alpha: float) -> np.ndarray
     ranks = np.arange(1, num_items + 1, dtype=np.float64)
     weights = ranks**-alpha
     return rng.choice(num_items, size=size, p=weights / weights.sum())
+
+
+def reference_zipf_ranks(num_items: int, alpha: float, uniforms: np.ndarray) -> np.ndarray:
+    """Each uniform's Zipf rank by binary search: ``r`` with ``cdf[r-1] <= u < cdf[r]``."""
+    return zipf_cdf(num_items, alpha).searchsorted(uniforms, side="right")

@@ -44,12 +44,12 @@ from repro.accel.embedding_cache import EmbeddingCacheConfig
 from repro.cluster.fleet import (
     HOST_BASE_COST_USD,
     _mixture_counts,
-    _sorted_quantiles,
     fleet_nodes,
     mix_label,
 )
 from repro.cluster.topology import remote_cache_hit_rate
 from repro.models.zoo import RM_LARGE, RM_SMALL
+from repro.serving.metrics import sorted_quantiles
 from repro.serving.router import PathTable, route_oracle, route_static
 from repro.serving.service_times import CachedServiceConfig
 from repro.serving.simulator import SimulationConfig
@@ -321,7 +321,7 @@ class TestReferenceEquivalence:
     def test_sorted_quantiles_match_numpy_quantile_bit_for_bit(self, sample, count):
         q = (np.arange(count) + 0.5) / count
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, huge b - a
-            pooled, reference = _sorted_quantiles(np.sort(sample), q), np.quantile(sample, q)
+            pooled, reference = sorted_quantiles(np.sort(sample), q), np.quantile(sample, q)
         assert np.array_equal(pooled.view(np.uint64), reference.view(np.uint64))
 
     @settings(max_examples=25, deadline=None)

@@ -14,6 +14,7 @@ from repro.data import (
     train_test_split,
 )
 from repro.data.distributions import (
+    _zipf_guide,
     approx_zipf_hit_rate,
     hit_rate_for_cache,
     zipf_cdf,
@@ -25,6 +26,7 @@ from tests.data_reference import (
     reference_movielens_calibrate_bias,
     reference_true_ctr,
     reference_true_preference,
+    reference_zipf_ranks,
     reference_zipf_sample,
 )
 
@@ -97,6 +99,32 @@ class TestDistributions:
         assert drawn.shape == expected.shape
         np.testing.assert_array_equal(drawn, expected)
 
+    @pytest.mark.parametrize("num_items", [1, 2, 7, 2_000, 300_000])
+    @pytest.mark.parametrize("alpha", [0.05, 1.05, 1.5, 3.0])
+    def test_guide_ranks_equal_the_cdf_search_at_every_edge(self, num_items, alpha):
+        """Uniforms on and beside every CDF value and bucket edge, and across the widest bucket."""
+        cdf = zipf_cdf(num_items, alpha)
+        guide = _zipf_guide(num_items, alpha)
+        buckets = guide.size - 1
+        edges = np.arange(buckets) / buckets
+        if buckets > 2**16:  # every bucket edge next to a CDF value, and a sample of the rest
+            near = np.floor(cdf * buckets) / buckets
+            sample = np.random.default_rng(0).choice(edges, 2**16, replace=False)
+            edges = np.concatenate([near, near + 1 / buckets, sample])
+        widest = int(np.argmax(np.diff(guide)))
+        across = (widest + np.linspace(0.0, 1.0, 4097)[:-1]) / buckets
+        points = np.concatenate([cdf, edges, across, [0.0, 1 - 2**-53]])
+        uniforms = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 1)])
+        uniforms = uniforms[(uniforms >= 0) & (uniforms < 1)]
+        drawn = zipf_sample(_Uniforms(uniforms), num_items, uniforms.size, alpha)
+        np.testing.assert_array_equal(drawn, reference_zipf_ranks(num_items, alpha, uniforms))
+
+    def test_a_steep_tail_bucket_spans_most_ranks(self):
+        """At alpha 3 one bucket of 4n spans 299,067 of 300,000 ranks: no walk can cross it."""
+        assert np.diff(_zipf_guide(300_000, 3.0)).max() == 299_067
+        assert np.diff(_zipf_guide(300_000, 1.5)).max() == 205
+        assert np.diff(_zipf_guide(300_000, 1.05)).max() == 3
+
     def test_memoized_tables_are_read_only(self):
         pmf, cdf = zipf_probabilities(1_000, 0.9), zipf_cdf(1_000, 0.9)
         assert zipf_probabilities(1_000, 0.9) is pmf
@@ -104,6 +132,16 @@ class TestDistributions:
         for table in (pmf, cdf):
             with pytest.raises(ValueError):
                 table[0] = 0.5
+
+
+class _Uniforms:
+    """A generator whose ``random(size)`` returns chosen uniforms."""
+
+    def __init__(self, uniforms: np.ndarray) -> None:
+        self.uniforms = uniforms
+
+    def random(self, size):
+        return self.uniforms.reshape(size)
 
 
 class TestBiasCalibration:

@@ -510,3 +510,15 @@ class TestMalformedInputExits2:
         assert cli.main(["run", "--scenario", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"recpipe: error: {path}: ") and named in err, err
+
+    @pytest.mark.parametrize("pool", [1, 128, 256])
+    def test_capacity_pool_must_exceed_the_later_stage(self, pool, no_work, tmp_path, capsys):
+        """A pool the 256-item later stage cannot follow fails on the flag or key, not the plan."""
+        bound = "must be >= 257, more than the 256 items the later stage ranks"
+        assert cli.main(["capacity", "--pool", str(pool)]) == 2
+        assert capsys.readouterr().err == f"recpipe: error: --pool {bound}, got {pool}\n"
+        path = tmp_path / "capacity.json"
+        scenario = {"scenario": {"name": "p", "kind": "capacity"}, "base": {"pool": pool}}
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert cli.main(["run", "--scenario", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"recpipe: error: {path}: pool {bound}, got {pool}\n"

@@ -1,5 +1,8 @@
 """Tests for NDCG and the ranking-funnel quality simulation (repro.quality)."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +137,14 @@ class TestFunnel:
             simulate_funnel(pool, [FunnelStage(0.1, 64)], np.random.default_rng(0), serve_k=0)
         with pytest.raises(ValueError):
             FunnelStage(-0.1, 64)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_noise_rejected(self, noise):
+        """A NaN score sorted first made ``simulate_funnel`` return an NDCG of 48.3."""
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            FunnelStage(noise, 256)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            dataclasses.replace(RM_SMALL, score_noise=noise)
 
 
 class TestQualityEvaluator:

@@ -2,9 +2,10 @@
 
 The reference-equivalence suite (hypothesis) requires the sweep's
 bookkeeping -- column-batched latency reports, the vectorised Pareto
-frontier and the list-row CSV writer -- to reproduce the per-item forms
-kept in ``tests/sweep_reference.py`` exactly, and the streamed JSON writer
-to reproduce ``json.dumps(..., indent=2)``'s text and exception types.
+frontier, the list-row CSV writer and the sweep writer that encodes each
+row once -- to reproduce the per-item forms kept in
+``tests/sweep_reference.py`` exactly, and the streamed JSON writer to
+reproduce ``json.dumps(..., indent=2)``'s text and exception types.
 """
 
 import dataclasses
@@ -27,12 +28,18 @@ from repro.experiments.artifacts import (
     _sanitize,
     write_result_csv,
     write_result_json,
+    write_sweep_artifacts,
 )
 from repro.experiments.common import ExperimentResult
 from repro.models.zoo import criteo_model_specs
 from repro.quality import QualityEvaluator
-from repro.serving.metrics import LatencyReport
-from tests.sweep_reference import reference_csv, reference_pareto_frontier, reference_report
+from repro.serving.metrics import REPORT_QUANTILES, LatencyReport, sorted_quantiles
+from tests.sweep_reference import (
+    reference_csv,
+    reference_pareto_frontier,
+    reference_report,
+    reference_sweep_files,
+)
 
 
 class CountingEvaluator(QualityEvaluator):
@@ -426,7 +433,68 @@ json_values = st.recursive(
 )
 
 
+@st.composite
+def sweep_tables(draw):
+    """A sweep-shaped result and companions: per-platform slices of its rows plus a fresh table.
+
+    Rows share one key set, so the slices reuse the rows' text, or may lack
+    keys, so a slice's CSV header can differ from the whole table's.  They
+    carry non-finite floats and numpy scalars; one companion may list the
+    same row twice or mix in a row of its own.
+    """
+    names = ["pipeline", "qps", "p99_ms", "saturated"]
+    keys = st.sampled_from(names)
+    cells = st.fixed_dictionaries(dict.fromkeys(names, csv_values))
+    if not draw(st.booleans()):
+        cells = st.dictionaries(keys, csv_values, max_size=4)
+    platform = st.sampled_from(["cpu", "gpu", "rpaccel"])
+    rows = draw(
+        st.lists(
+            st.builds(lambda where, row: {"platform": where, **row}, platform, cells),
+            max_size=12,
+        )
+    )
+    result = ExperimentResult(name="sweep_criteo", rows=rows, notes=draw(st.lists(json_text)))
+    companions = {}
+    for where in ("cpu", "gpu", "rpaccel"):
+        rows_there = [row for row in rows if row["platform"] == where]
+        companions[where] = (f"{where} rows", ExperimentResult(f"sweep_{where}", rows_there))
+    if rows and draw(st.booleans()):
+        doubled = [rows[0], rows[0], *draw(st.lists(st.sampled_from(rows), max_size=3))]
+        companions["doubled"] = ("repeats", ExperimentResult("sweep_criteo_doubled", doubled))
+    if rows and draw(st.booleans()):
+        mixed = [rows[-1], {"platform": "cpu", "qps": 1.0}]
+        companions["mixed"] = ("mixed", ExperimentResult("sweep_criteo_mixed", mixed))
+    frontier = draw(st.lists(st.dictionaries(keys, csv_values, max_size=4), max_size=4))
+    companions["frontier"] = ("frontier", ExperimentResult("sweep_criteo_frontier", frontier))
+    meta = {"id": "sweep", "title": "Sweep", "paper_ref": "Fig. 10", "tags": ["sweep"]}
+    return meta, result, companions
+
+
 class TestReferenceEquivalence:
+    @given(sweep_tables(), st.one_of(st.none(), st.floats(0.0, 10.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_files_match_standalone_writes(self, tmp_path_factory, tables, wall):
+        """Rows encoded once for the main table and its slices write every file's bytes."""
+        meta, result, companions = tables
+        out = tmp_path_factory.mktemp("sweep")
+        write_sweep_artifacts(out, meta, result, companions, seed=3, wall_clock_seconds=wall)
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert written == reference_sweep_files(meta, result, companions, 3, wall)
+
+    def test_rows_no_companion_lists_are_not_held_as_text(self, tmp_path):
+        """``route`` and ``capacity``: their companions are fresh tables, so nothing is held."""
+        rows = [{"qps": 100.0, "p99_ms": math.inf}, {"qps": 200.0, "p99_ms": 4.5}]
+        result = ExperimentResult(name="route", rows=rows)
+        steps = ExperimentResult(name="route_steps", rows=[{"step": 0, "qps": 100.0}])
+        companions = {"steps": ("steps", steps), "empty": ("nothing", ExperimentResult("e", []))}
+        meta = {"id": "route", "title": "Route"}
+        with mock.patch("repro.experiments.artifacts._EncodedRows") as encoded:
+            write_sweep_artifacts(tmp_path, meta, result, companions, seed=0)
+        encoded.assert_not_called()
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert written == reference_sweep_files(meta, result, companions, 0)
+
     @given(latency_columns(), st.lists(st.booleans(), min_size=5, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_column_reports_match_per_row_reports(self, columns, saturated):
@@ -440,6 +508,22 @@ class TestReferenceEquivalence:
             for i in range(loads)
         ]
         assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=60),
+            elements=st.one_of(st.floats(), st.sampled_from([0.5, 1.0, 2.0])),  # ties
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_quantiles_match_percentile(self, matrix):
+        """Rows with ties, infinities and NaN: the values ``np.percentile`` gives each row."""
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, huge b - a
+            got = sorted_quantiles(np.sort(matrix, axis=1), REPORT_QUANTILES)
+            expected = np.percentile(matrix, (50, 95, 99), axis=1).T
+        # Signed zeros compare equal: sort and partition may order 0.0 and -0.0 differently.
+        assert np.array_equal(got, expected, equal_nan=True)
 
     @given(objective_sets(), st.integers(min_value=1, max_value=64))
     @example(([], [True]), 1)  # empty input
