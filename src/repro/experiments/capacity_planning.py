@@ -82,6 +82,11 @@ GRID_FRACTIONS = (0.05, 0.15, 0.3, 0.45, 0.6, 0.72, 0.82, 0.9, 0.96, 1.02)
 SLA_SCAN_POINTS = 400
 #: Load fraction of the fixed sharding-tax probe (p99 at half capacity).
 PROBE_FRACTION = 0.5
+#: Smallest candidate pool: both funnels rank the pool, then 128 or
+#: ``ITEMS_PER_QUERY`` items, so the pool must hold more than the latter.
+MIN_POOL = ITEMS_PER_QUERY + 1
+#: The pool rule as ``CapacityConfig`` and the ``pool`` knob word it.
+POOL_RULE = f">= {MIN_POOL}, more than the {ITEMS_PER_QUERY} items the later stage ranks"
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,8 @@ class CapacityConfig:
             raise ValueError("max_nodes must be positive")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown sharding strategy {self.strategy!r}")
+        if self.pool < MIN_POOL:
+            raise ValueError(f"pool must be {POOL_RULE}")
 
     @property
     def resolved_peak_qps(self) -> float:

@@ -114,7 +114,9 @@ class EmbeddingBagCollection(Layer):
     ``zero_grad`` clears only the stacked rows ``backward`` wrote since the
     last reset (at most ``batch * num_tables`` of them), not the whole
     stack: while nothing but ``backward`` writes the gradient, every other
-    row is already zero.
+    row is already zero.  A caller that permutes the stack's rows calls
+    :meth:`renumber` with the same map, so the next ``backward`` and
+    ``zero_grad`` find the rows they recorded.
     """
 
     def __init__(
@@ -189,6 +191,12 @@ class EmbeddingBagCollection(Layer):
         for rows in self._written:
             self.grad_weight[rows] = 0.0
         self._written.clear()
+
+    def renumber(self, new_row: np.ndarray) -> None:
+        """Rename the rows ``forward`` and ``backward`` recorded: ``r`` becomes ``new_row[r]``."""
+        if self._rows is not None:
+            self._rows = new_row[self._rows]
+        self._written = [new_row[rows] for rows in self._written]
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []

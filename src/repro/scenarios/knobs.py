@@ -33,10 +33,10 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType, SimpleNamespace
 from typing import Any, Mapping
 
-from repro.cluster.fleet import ITEMS_PER_QUERY, STRATEGIES
+from repro.cluster.fleet import STRATEGIES
 from repro.core.sweep import PLATFORMS, SLA_MS, SweepConfig
 from repro.data.criteo import ROUTING_CANDIDATES_PER_QUERY
-from repro.experiments.capacity_planning import CapacityConfig
+from repro.experiments.capacity_planning import MIN_POOL, POOL_RULE, CapacityConfig
 from repro.experiments.common import CRITEO_POOL, MOVIELENS_POOL
 from repro.quality.funnel import SERVE_K_DEFAULT
 from repro.serving.engine import ENGINES
@@ -443,14 +443,7 @@ COMMANDS: Mapping[str, tuple[Knob, ...]] = MappingProxyType(
             },
             peak_qps={"type": OPTIONAL_FLOAT, "help": "diurnal peak (unset: from --users)"},
             base_qps={"type": OPTIONAL_FLOAT, "help": "diurnal trough (unset: a tenth of peak)"},
-            # Both funnels rank the pool and then 128 or ITEMS_PER_QUERY items.
-            pool={
-                "check": Range(
-                    f">= {ITEMS_PER_QUERY + 1}, more than the {ITEMS_PER_QUERY} items "
-                    "the later stage ranks",
-                    ITEMS_PER_QUERY + 1,
-                )
-            },
+            pool={"check": Range(POOL_RULE, MIN_POOL)},
         ),
     }
 )

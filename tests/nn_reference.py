@@ -13,8 +13,12 @@ forward per epoch, kept verbatim in logic:
   seed (so it draws the same initial weights) and runs the two pieces above;
   ``zero_grad`` resets every gradient in full, where ``DLRM`` resets the
   embeddings only by the rows ``backward`` wrote.
+* :class:`ReferenceAdam` and :class:`ReferenceSGD` step every row of every
+  parameter, where ``Trainer.fit`` has the optimizer step only each
+  embedding table's live rows.
 * :class:`ReferenceTrainer` evaluates each epoch with two test forwards:
-  one for the loss, one (through ``model.predict``) for the error.
+  one for the loss, one (through ``model.predict``) for the error.  It
+  trains in row order with the dense optimizers above.
 
 The equivalence suite in ``tests/test_nn_equivalence.py`` requires the
 production code to reproduce them bit for bit (``tobytes()`` equality).
@@ -30,7 +34,7 @@ from repro.data.datasets import CTRBatch, Dataset
 from repro.models.base import RecommendationModel
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.training import Trainer, TrainingHistory
-from repro.nn import MLP
+from repro.nn import MLP, SGD, Adam
 from repro.nn.init import normal_init
 
 
@@ -144,8 +148,50 @@ class ReferenceDLRM(DLRM):
         self.embeddings.backward(grad_emb)
 
 
+class ReferenceAdam(Adam):
+    """Adam stepping every row of every parameter."""
+
+    def step(self) -> None:
+        self._t += 1
+        bias1 = 1.0 - self.beta1**self._t
+        bias2 = 1.0 - self.beta2**self._t
+        for p, g, m, v in zip(self.params, self.grads, self._m, self._v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / bias1
+            v_hat = v / bias2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class ReferenceSGD(SGD):
+    """SGD stepping every row of every parameter."""
+
+    def step(self) -> None:
+        for p, g, v in zip(self.params, self.grads, self._velocity):
+            if self.momentum > 0.0:
+                v *= self.momentum
+                v += g
+                p -= self.lr * v
+            else:
+                p -= self.lr * g
+
+
 class ReferenceTrainer(Trainer):
-    """The trainer with two test forwards per epoch: loss, then error."""
+    """The trainer with two test forwards per epoch and dense optimizer steps."""
+
+    def __init__(
+        self,
+        model: RecommendationModel,
+        lr: float = 0.01,
+        optimizer: str = "adam",
+        batch_size: int = 256,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(model, lr=lr, optimizer=optimizer, batch_size=batch_size, seed=seed)
+        dense = ReferenceAdam if optimizer == "adam" else ReferenceSGD
+        self.optimizer = dense(model.parameters(), model.gradients(), lr=lr)
 
     def fit(self, dataset: Dataset, epochs: int = 3) -> TrainingHistory:
         history = TrainingHistory()

@@ -12,7 +12,7 @@ import pytest
 from repro import cli
 from repro.cluster import fleet
 from repro.experiments import artifacts
-from repro.experiments.capacity_planning import CapacityConfig
+from repro.experiments.capacity_planning import CapacityConfig, build_pipelines
 from repro.experiments.capacity_planning import run_capacity as plan_capacity
 from repro.scenarios.runner import build_trace
 
@@ -174,6 +174,14 @@ class TestRunCapacity:
             CapacityConfig(platforms=())
         with pytest.raises(ValueError, match="max_nodes"):
             CapacityConfig(max_nodes=0)
+
+    def test_pool_must_exceed_the_later_stage(self):
+        """A pool the 256-item later stage cannot follow fails on the field, not in the plan."""
+        bound = "pool must be >= 257, more than the 256 items the later stage ranks"
+        with pytest.raises(ValueError, match=f"^{bound}$"):
+            CapacityConfig(pool=256)
+        assert CapacityConfig(pool=257).pool == 257
+        assert len(build_pipelines(257)) == 2
 
 
 class TestCapacityCLI:

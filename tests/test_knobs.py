@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro import cli
@@ -36,11 +36,18 @@ def _subparser(command):
     return cli.build_parser()._subparsers._group_actions[0].choices[command]
 
 
+def _integer_bounds(check):
+    """The least and greatest integers ``check`` holds (``None``: no greatest)."""
+    low = math.floor(check.low) + 1 if check.strict else math.ceil(check.low)
+    return low, math.floor(check.high) if math.isfinite(check.high) else None
+
+
 def _numbers(knob):
     """Valid scalars of a numeric knob (or of one element of a number list)."""
     check = knob.check
     if knob.type in (k.INT, k.INTS):
-        return st.integers(min_value=int(check.low), max_value=10**6)
+        low, high = _integer_bounds(check)
+        return st.integers(min_value=low, max_value=10**6 if high is None else high)
     return st.floats(
         min_value=max(check.low, -1e9),
         max_value=min(check.high, 1e9),
@@ -54,7 +61,11 @@ def _outside(knob):
     """Finite numbers outside a numeric knob's range (none for an unbounded one)."""
     check = knob.check
     if knob.type in (k.INT, k.INTS):
-        return st.integers(min_value=-(10**6), max_value=int(check.low) - 1)
+        low, high = _integer_bounds(check)
+        parts = [st.integers(min_value=-(10**6), max_value=low - 1)]
+        if high is not None:
+            parts.append(st.integers(min_value=high + 1, max_value=high + 10**6))
+        return st.one_of(parts)
     parts = []
     if math.isfinite(check.low):
         below = st.floats(min_value=-1e9, max_value=check.low, exclude_max=not check.strict)
@@ -172,6 +183,10 @@ def invalid_text(knob):
     return st.sampled_from(["tsunami", "", "spike,all"])
 
 
+#: A strict, bounded integer knob no command has, to check the strategies.
+STRICT_BOUNDED = k.Knob("synthetic", k.INT, 5, k.Range("in (2, 9]", 2, strict=True, high=9), "")
+
+
 class TestCoerce:
     @pytest.mark.parametrize("knob", RECORDS, ids=_ids)
     @settings(max_examples=10, deadline=None)
@@ -205,6 +220,24 @@ class TestCoerce:
         text = data.draw(invalid_text(knob))
         with pytest.raises(ScenarioError, match=knob.flag):
             coerce(knob, text, cli=True)
+
+    @pytest.mark.parametrize(
+        "strategy, edge", [(valid, 3), (valid, 9), (invalid, 2), (invalid, 10)]
+    )
+    def test_integer_strategies_reach_each_bound(self, strategy, edge):
+        """The strict low bound is drawn only as invalid, and so is the value above high."""
+        search = settings(max_examples=1000, database=None, derandomize=True)
+        assert find(strategy(STRICT_BOUNDED), lambda value: value == edge, settings=search) == edge
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_integer_strategies_on_a_strict_bounded_range(self, data):
+        """Valid draws lie in (2, 9] and pass; invalid draws fail, naming the key."""
+        value = data.draw(valid(STRICT_BOUNDED))
+        assert 3 <= value <= 9 and coerce(STRICT_BOUNDED, value) == value
+        value = data.draw(invalid(STRICT_BOUNDED))
+        with pytest.raises(ScenarioError, match=r"^synthetic must be"):
+            coerce(STRICT_BOUNDED, value)
 
     def test_example_message(self):
         with pytest.raises(ScenarioError, match=r"^--sla-ms must be positive and finite, got nan$"):

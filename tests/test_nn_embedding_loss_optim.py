@@ -182,7 +182,14 @@ class TestOptimizers:
         np.testing.assert_allclose(g, 0.0)
 
     def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD([np.zeros(1)], [np.zeros(1)], lr=0.0)
-        with pytest.raises(ValueError):
-            Adam([np.zeros(1)], [np.zeros(1)], lr=-1.0)
+        # A finite lr keeps lr * 0.0 at 0.0: a row with no gradient or state stays put.
+        for lr in (0.0, -1.0, np.inf, np.nan):
+            for optimizer in (SGD, Adam):
+                with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+                    optimizer([np.zeros(1)], [np.zeros(1)], lr=lr)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, np.nan])
+    def test_non_positive_eps_rejected(self, eps):
+        """With eps <= 0 a row with no gradient or state would step to NaN or flip -0.0."""
+        with pytest.raises(ValueError, match="eps must be positive"):
+            Adam([np.zeros(1)], [np.zeros(1)], eps=eps)
