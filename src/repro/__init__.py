@@ -4,9 +4,10 @@ The package is organized bottom-up:
 
 * :mod:`repro.events` -- the seed-free structured run event log the layers above
   emit to (it imports nothing from them).
-* :mod:`repro.nn` -- minimal numpy neural-network substrate.
+* :mod:`repro.nn` -- minimal numpy neural-network substrate DLRM trains on.
 * :mod:`repro.data` -- synthetic Criteo / MovieLens datasets and ranking queries.
-* :mod:`repro.models` -- DLRM, NeuMF, the Pareto-optimal model zoo and trainer.
+* :mod:`repro.models` -- the trainable DLRM and its trainer, and the
+  Pareto-optimal model zoo (DLRM and NeuMF specs).
 * :mod:`repro.quality` -- NDCG and multi-stage ranking-funnel simulation.
 * :mod:`repro.hardware` -- analytic CPU / GPU / PCIe / memory performance models.
 * :mod:`repro.accel` -- systolic array, top-k filter, embedding caches, the

@@ -234,10 +234,6 @@ class ClusterTable(PathTable):
         """Number of nodes in the fleet."""
         return len(self.nodes)
 
-    def total_cost_usd(self) -> float:
-        """Summed lifetime cost of every node."""
-        return float(sum(node.cost_usd for node in self.nodes))
-
     def prefill_dwell(self, path_index, qps_values, service=None) -> None:
         """Compose every missing cluster dwell cell from per-node cells.
 

@@ -19,8 +19,8 @@ canonical placements:
 Both return a :class:`ShardingPlan` whose constructor enforces the
 invariants the property suite checks: every table row is assigned exactly
 once, and no node exceeds its memory budget.  The same single pass over
-the shards also accumulates per-node aggregates (rows, bytes, lookup share
-and remote gather payload), so pricing a plan from any home node —
+the shards also accumulates per-node aggregates (rows, bytes and remote
+gather payload), so pricing a plan from any home node —
 :meth:`ShardingPlan.remote_bytes_per_query`, :meth:`ShardingPlan.remote_rows`
 and friends — is an O(nodes) read rather than another walk over every
 shard.
@@ -223,7 +223,6 @@ class ShardingPlan:
     # Per-node aggregates, filled by the validating pass in __post_init__.
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _bytes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _lookups: np.ndarray = field(init=False, repr=False, compare=False)
     _payload: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -237,7 +236,6 @@ class ShardingPlan:
         per_table: dict[int, list[ShardAssignment]] = {}
         rows = [0] * self.num_nodes
         held = [0] * self.num_nodes
-        lookups = [0.0] * self.num_nodes
         payload = [0.0] * self.num_nodes
         for shard in self.assignments:
             if not 0 <= shard.table_index < len(self.tables):
@@ -249,11 +247,9 @@ class ShardingPlan:
             share = shard.num_rows / table.num_rows
             rows[shard.node] += shard.num_rows
             held[shard.node] += shard.num_rows * table.row_bytes
-            lookups[shard.node] += table.lookups_per_query * share
             payload[shard.node] += table.lookups_per_query * share * table.row_bytes
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_bytes", tuple(held))
-        object.__setattr__(self, "_lookups", np.array(lookups, dtype=np.float64))
         object.__setattr__(self, "_payload", np.array(payload, dtype=np.float64))
         for index, table in enumerate(self.tables):
             shards = sorted(per_table.get(index, []), key=lambda s: s.row_start)
@@ -285,17 +281,6 @@ class ShardingPlan:
     def total_bytes(self) -> float:
         """Total bytes of all sharded tables."""
         return float(sum(t.total_bytes for t in self.tables))
-
-    def node_lookup_fraction(self) -> np.ndarray:
-        """Fraction of all per-query lookups served by each node.
-
-        Hash partitioning spreads a table's lookup popularity uniformly
-        over its rows (the hash destroys rank locality), so a shard's
-        lookup share is its row share; a table-wise placement concentrates
-        the whole table's lookups on its home node.
-        """
-        total = self._lookups.sum()
-        return self._lookups / total if total > 0 else self._lookups.copy()
 
     def remote_bytes_per_query(self, home: int) -> np.ndarray:
         """Expected bytes a ``home``-node query gathers from each other node.

@@ -108,10 +108,6 @@ class PipelineConfig:
             )
         )
 
-    def filtering_ratios(self) -> list[float]:
-        """Items-ranked reduction factor between consecutive stages."""
-        return [prev.num_items / cur.num_items for prev, cur in zip(self.stages, self.stages[1:])]
-
 
 def enumerate_pipelines(
     model_specs: Sequence[ModelSpec],

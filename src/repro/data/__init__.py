@@ -8,12 +8,13 @@ preserve the properties the paper's analysis relies on:
   (power-law) distributed categorical values, sparse positive labels, and a
   planted non-linear ground-truth click-through-rate so that larger models
   achieve measurably lower error.
-* **MovieLens-like interaction data** -- user/item ids with long-tail item
-  popularity and per-user relevance scores, in 1M and 20M presets.
+* **MovieLens-like preference data** -- planted low-rank user/item
+  preferences, in 1M and 20M presets.
 
-Both generators also produce *ranking queries*: a user context plus a pool of
-candidate items with ground-truth relevance, which is what the multi-stage
-funnel and the NDCG quality metric operate on.
+Both generators produce *ranking queries*: a pool of candidate items with
+ground-truth graded relevance, which is what the multi-stage funnel and the
+NDCG quality metric operate on.  Only the Criteo generator also builds the
+labelled train/test split the trainable DLRM learns from (Table 1).
 """
 
 from repro.data.distributions import zipf_probabilities, zipf_sample

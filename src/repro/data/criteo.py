@@ -27,7 +27,7 @@ from repro.data.datasets import (
     calibrate_bias,
     combine_logits,
     grade_relevance,
-    split_dataset,
+    train_test_split,
 )
 from repro.data.distributions import zipf_sample
 
@@ -168,9 +168,21 @@ class CriteoSynthetic:
         num_test: int = 2048,
         seed: int | None = None,
     ) -> Dataset:
-        """Build a train/test CTR dataset sized for fast experimentation."""
-        return split_dataset(
-            self, num_train, num_test, seed, self.config.num_dense, self.config.table_sizes()
+        """Build a train/test CTR dataset sized for fast experimentation.
+
+        Draws ``num_train + num_test`` labelled samples and splits them,
+        shuffled by a generator seeded 7 past ``seed`` (or past the config's
+        seed when ``seed`` is ``None``).
+        """
+        batch = self.sample_ctr_batch(num_train + num_test, seed=seed)
+        rng = np.random.default_rng(self.config.seed + 7 if seed is None else seed + 7)
+        train, test = train_test_split(batch, num_test / (num_train + num_test), rng)
+        return Dataset(
+            name=self.name,
+            train=train,
+            test=test,
+            num_dense=self.config.num_dense,
+            table_sizes=self.config.table_sizes(),
         )
 
     def sample_ranking_queries(
@@ -194,7 +206,5 @@ class CriteoSynthetic:
             dense, sparse = self._sample_features(rng, candidates_per_query)
             ctr = self.true_ctr(dense, sparse)
             relevance = grade_relevance(ctr, RELEVANCE_QUANTILES)
-            queries.append(
-                RankingQuery(query_id=q, dense=dense, sparse=sparse, relevance=relevance)
-            )
+            queries.append(RankingQuery(query_id=q, relevance=relevance))
         return queries

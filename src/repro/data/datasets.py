@@ -55,35 +55,20 @@ class CTRBatch:
 class RankingQuery:
     """A single serving-time query: one user, a pool of candidate items.
 
-    The multi-stage funnel ranks the candidates; ``relevance`` holds the
-    ground-truth graded relevance used for NDCG.  ``dense``/``sparse`` are the
-    model inputs for every (user, candidate) pair, one row per candidate.
+    The multi-stage funnel ranks the candidates; ``relevance`` holds each
+    candidate's ground-truth graded relevance, used for NDCG.
     """
 
     query_id: int
-    dense: np.ndarray
-    sparse: np.ndarray
     relevance: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.dense.shape[0]
-        if self.sparse.shape[0] != n or self.relevance.shape[0] != n:
-            raise ValueError("dense, sparse and relevance must share the candidate dimension")
-        if n == 0:
+        if self.relevance.shape[0] == 0:
             raise ValueError("a ranking query must contain at least one candidate")
 
     @property
     def num_candidates(self) -> int:
-        return self.dense.shape[0]
-
-    def subset(self, indices: np.ndarray) -> "RankingQuery":
-        """Restrict the candidate pool to ``indices`` (used between stages)."""
-        return RankingQuery(
-            query_id=self.query_id,
-            dense=self.dense[indices],
-            sparse=self.sparse[indices],
-            relevance=self.relevance[indices],
-        )
+        return self.relevance.shape[0]
 
 
 @dataclass
@@ -138,33 +123,6 @@ def calibrate_bias(positive_rate: Callable[[float], float], target: float) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def split_dataset(
-    generator,
-    num_train: int,
-    num_test: int,
-    seed: int | None,
-    num_dense: int,
-    table_sizes: list[int],
-) -> Dataset:
-    """Draw ``num_train + num_test`` labelled samples from ``generator`` and split them.
-
-    ``generator`` is a synthetic dataset (``sample_ctr_batch``, ``config.seed``
-    and ``name``); the split is shuffled by a generator seeded 7 past ``seed``
-    (or past the generator's own seed when ``seed`` is ``None``).
-    """
-    batch = generator.sample_ctr_batch(num_train + num_test, seed=seed)
-    rng = np.random.default_rng(generator.config.seed + 7 if seed is None else seed + 7)
-    test_fraction = num_test / (num_train + num_test)
-    train, test = train_test_split(batch, test_fraction, rng)
-    return Dataset(
-        name=generator.name,
-        train=train,
-        test=test,
-        num_dense=num_dense,
-        table_sizes=table_sizes,
-    )
 
 
 def combine_logits(bias: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:

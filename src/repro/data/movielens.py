@@ -1,12 +1,13 @@
-"""Synthetic MovieLens-like interaction datasets (1M and 20M presets).
+"""Synthetic MovieLens-like ranking queries (1M and 20M presets).
 
 MovieLens is a user/item rating dataset.  The paper trains neural matrix
 factorization (NeuMF) models on it and serves ranking queries where a user's
-candidate movie pool is scored and the top items returned.  The synthetic
-generator plants per-user and per-item latent factors so that the rating
-structure is low-rank plus noise -- exactly the structure NeuMF is designed to
-recover -- and uses a long-tail item popularity so the embedding locality
-differs from Criteo (more MLP-dominated, smaller tables).
+candidate movie pool is scored and the top items returned.  Here NeuMF is a
+set of :class:`~repro.models.zoo.ModelSpec` entries (a paper-scale cost and a
+``score_noise``), so the generator produces ranking queries only, no
+training data.  It plants per-user and per-item latent factors so that the
+preference structure is low-rank plus noise -- exactly the structure NeuMF
+is designed to recover -- and grades each candidate's relevance from it.
 """
 
 from __future__ import annotations
@@ -17,15 +18,11 @@ from typing import ClassVar
 import numpy as np
 
 from repro.data.datasets import (
-    CTRBatch,
-    Dataset,
     RankingQuery,
     calibrate_bias,
     combine_logits,
     grade_relevance,
-    split_dataset,
 )
-from repro.data.distributions import zipf_sample
 
 #: Candidates per ranking query: MovieLens's default 1,024-movie pool (its
 #: catalogues are smaller than Criteo's).
@@ -41,9 +38,7 @@ class MovieLensConfig:
     num_users: int = 2000
     num_items: int = 1200
     latent_dim: ClassVar[int] = 8
-    zipf_alpha: ClassVar[float] = 0.9
     positive_rate: ClassVar[float] = 0.45
-    noise_std: ClassVar[float] = 0.25
     seed: int = 1997
 
     @staticmethod
@@ -111,36 +106,6 @@ class MovieLensSynthetic:
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def sample_ctr_batch(self, n: int, seed: int | None = None) -> CTRBatch:
-        """Draw ``n`` labelled (user, item) interaction samples.
-
-        The "dense" feature block is a single popularity scalar (NeuMF's
-        inputs are almost entirely the two id embeddings); sparse features are
-        ``[user_id, item_id]``.
-        """
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed + 1 if seed is None else seed)
-        users = rng.integers(0, cfg.num_users, size=n)
-        items = zipf_sample(rng, cfg.num_items, n, alpha=cfg.zipf_alpha)
-        prefs = self.true_preference(users, items)
-        noisy = np.clip(prefs + rng.standard_normal(n) * cfg.noise_std * 0.1, 0.0, 1.0)
-        labels = (rng.uniform(size=n) < noisy).astype(np.float64)
-        popularity = np.log1p(items.astype(np.float64) + 1.0).reshape(-1, 1)
-        popularity = (popularity - popularity.mean()) / (popularity.std() + 1e-9)
-        sparse = np.stack([users, items], axis=1).astype(np.int64)
-        return CTRBatch(dense=popularity, sparse=sparse, labels=labels)
-
-    def build_dataset(
-        self,
-        num_train: int = 8192,
-        num_test: int = 2048,
-        seed: int | None = None,
-    ) -> Dataset:
-        table_sizes = [self.config.num_users, self.config.num_items]
-        return split_dataset(self, num_train, num_test, seed, 1, table_sizes)
-
     def sample_ranking_queries(
         self,
         num_queries: int,
@@ -164,12 +129,5 @@ class MovieLensSynthetic:
             users = np.full(candidates_per_query, user, dtype=np.int64)
             prefs = self.true_preference(users, items)
             relevance = grade_relevance(prefs, RELEVANCE_QUANTILES)
-            popularity = np.log1p(items.astype(np.float64) + 1.0).reshape(-1, 1)
-            popularity = (popularity - popularity.mean()) / (popularity.std() + 1e-9)
-            sparse = np.stack([users, items], axis=1).astype(np.int64)
-            queries.append(
-                RankingQuery(
-                    query_id=q, dense=popularity, sparse=sparse, relevance=relevance
-                )
-            )
+            queries.append(RankingQuery(query_id=q, relevance=relevance))
         return queries

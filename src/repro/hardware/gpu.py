@@ -78,11 +78,3 @@ class GPUPerformanceModel:
             + gather_bytes / GATHER_BANDWIDTH_BYTES_PER_S
         )
         return PER_STAGE_OVERHEAD_S + mlp + embedding
-
-    def fits_in_memory(self, cost: ModelCost) -> bool:
-        """Whether the paper-scale model fits in GPU DRAM (15 GB on the T4).
-
-        Production models larger than device memory force the frontend-on-GPU
-        / backend-on-CPU split discussed in Section 5.2.
-        """
-        return cost.reference_storage_bytes <= self.spec.dram_capacity_bytes

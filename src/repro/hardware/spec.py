@@ -37,15 +37,6 @@ class HardwareSpec:
         if self.dram_bandwidth_bytes_per_s <= 0:
             raise ValueError("dram_bandwidth_bytes_per_s must be positive")
 
-    @property
-    def peak_flops(self) -> float:
-        """Peak fp32 FLOP/s across the whole device (2 FLOPs per FMA lane)."""
-        return self.frequency_hz * self.num_cores * self.simd_width * 2.0
-
-    @property
-    def peak_flops_per_core(self) -> float:
-        return self.peak_flops / self.num_cores
-
 
 #: Server-class Intel Cascade Lake CPU (Table 2).
 CASCADE_LAKE_CPU = HardwareSpec(

@@ -1,13 +1,12 @@
 """Per-item cost profile of a recommendation model.
 
-The hardware models never execute the numpy networks directly when estimating
+The hardware models never execute the numpy networks when estimating
 performance -- they consume a :class:`ModelCost` describing how much compute
 (MAC operations), how many embedding lookups, and how many bytes of model
-state one candidate-item inference requires.  Keeping this as an explicit
-value object means the same cost can describe either the scaled-down synthetic
-model actually instantiated in this repo or the paper-scale model (the
-``reference_*`` fields), which is what the memory-capacity experiments
-(Figure 1c, Figure 13) operate on.
+state one candidate-item inference requires.  Each zoo spec derives its
+paper-scale cost (:meth:`repro.models.zoo.ModelSpec.reference_cost`), which
+is also what the memory-capacity experiments (Figure 1c, Figure 13) operate
+on.
 
 It also defines the package's byte units; it imports nothing from the
 package, so any module may read them.
@@ -33,8 +32,8 @@ class ModelCost:
         embedding_lookups_per_item: embedding-vector fetches per item.
         embedding_dim: latent vector width (elements per fetched vector).
         mlp_parameters: number of dense (MLP) weights.
-        embedding_rows: total rows across all embedding tables as
-            instantiated in this repo.
+        embedding_rows: total rows across all embedding tables at paper
+            scale.
         reference_storage_bytes: the paper-scale model size (Table 1 reports
             1 / 4 / 8 GB) used for capacity experiments.
         mlp_layer_dims: (input, output) widths of each dense layer, used by

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.base import RecommendationModel
-from repro.models.cost import ModelCost
 from repro.nn import EmbeddingBagCollection, MLP
 
 
@@ -41,7 +39,6 @@ class DLRMConfig:
     mlp_bottom: tuple[int, ...]
     mlp_top: tuple[int, ...]
     table_sizes: tuple[int, ...]
-    reference_storage_bytes: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -95,12 +92,15 @@ def pairwise_interactions(vectors: np.ndarray) -> np.ndarray:
     return np.concatenate(rows, axis=1)
 
 
-class DLRM(RecommendationModel):
-    """DLRM with explicit forward/backward over the numpy substrate."""
+class DLRM:
+    """DLRM with explicit forward/backward over the numpy substrate.
+
+    :class:`repro.models.training.Trainer` drives it through ``forward`` /
+    ``backward`` / ``parameters`` / ``gradients`` / ``zero_grad``.
+    """
 
     def __init__(self, config: DLRMConfig) -> None:
         self.config = config
-        self.name = config.name
         rng = np.random.default_rng(config.seed)
         self.bottom = MLP(config.mlp_bottom, rng=rng, final_activation="relu")
         self.embeddings = EmbeddingBagCollection(config.table_sizes, config.embedding_dim, rng=rng)
@@ -162,7 +162,7 @@ class DLRM(RecommendationModel):
         self.embeddings.backward(grad_emb)
 
     # ------------------------------------------------------------------ #
-    # Parameters & cost
+    # Parameters
     # ------------------------------------------------------------------ #
     def parameters(self) -> list[np.ndarray]:
         return self.bottom.parameters() + self.embeddings.parameters() + self.top.parameters()
@@ -175,25 +175,3 @@ class DLRM(RecommendationModel):
         self.bottom.zero_grad()
         self.embeddings.zero_grad()
         self.top.zero_grad()
-
-    def cost(self) -> ModelCost:
-        cfg = self.config
-        macs = (self.bottom.flops_per_sample() + self.top.flops_per_sample()) // 2
-        # The pairwise interaction itself is d MACs per pair.
-        macs += cfg.num_interaction_features * cfg.embedding_dim
-        bottom_dims = tuple(
-            (cfg.mlp_bottom[i], cfg.mlp_bottom[i + 1])
-            for i in range(len(cfg.mlp_bottom) - 1)
-        )
-        top_sizes = (cfg.top_input_width, *cfg.mlp_top, 1)
-        top_dims = tuple((top_sizes[i], top_sizes[i + 1]) for i in range(len(top_sizes) - 1))
-        return ModelCost(
-            name=cfg.name,
-            macs_per_item=macs,
-            embedding_lookups_per_item=cfg.num_tables,
-            embedding_dim=cfg.embedding_dim,
-            mlp_parameters=self.bottom.num_parameters() + self.top.num_parameters(),
-            embedding_rows=sum(cfg.table_sizes),
-            reference_storage_bytes=cfg.reference_storage_bytes,
-            mlp_layer_dims=bottom_dims + top_dims,
-        )

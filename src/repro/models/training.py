@@ -1,4 +1,4 @@
-"""Training loop and evaluation helpers for the recommendation models."""
+"""Training loop for the trainable DLRM."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.datasets import CTRBatch, Dataset
-from repro.models.base import RecommendationModel
-from repro.nn import Adam, BCEWithLogitsLoss, EmbeddingBagCollection, SGD
+from repro.models.dlrm import DLRM
+from repro.nn import Adam, BCEWithLogitsLoss, EmbeddingBagCollection
 from repro.nn.loss import sigmoid
 
 
@@ -30,7 +30,7 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Mini-batch trainer for DLRM / NeuMF on a CTR dataset.
+    """Mini-batch Adam trainer for a DLRM on a CTR dataset.
 
     The trainer's optimizer steps only inside :meth:`fit`, which relies on
     it: a stacked embedding row that neither the train split nor an earlier
@@ -39,9 +39,8 @@ class Trainer:
 
     def __init__(
         self,
-        model: RecommendationModel,
+        model: DLRM,
         lr: float = 0.01,
-        optimizer: str = "adam",
         batch_size: int = 256,
         seed: int = 0,
     ) -> None:
@@ -51,12 +50,7 @@ class Trainer:
         self.batch_size = batch_size
         self.loss_fn = BCEWithLogitsLoss()
         self._rng = np.random.default_rng(seed)
-        if optimizer == "adam":
-            self.optimizer = Adam(model.parameters(), model.gradients(), lr=lr)
-        elif optimizer == "sgd":
-            self.optimizer = SGD(model.parameters(), model.gradients(), lr=lr)
-        else:
-            raise ValueError(f"unknown optimizer: {optimizer!r}")
+        self.optimizer = Adam(model.parameters(), model.gradients(), lr=lr)
         # Stacked embedding rows an earlier fit stepped (None before the first).
         self._trained: np.ndarray | None = None
 
@@ -94,20 +88,16 @@ class Trainer:
         order wherever its row sits, so training is exact.  Leaving the
         block restores row order and full extents.
 
-        A model without a stacked collection, an optimizer that does not
-        hold its tables, and ids ``forward`` would refuse all train in row
-        order, so ``forward`` raises its own error.
+        Ids ``forward`` would refuse train in row order, so ``forward``
+        raises its own error.
         """
         train, test = dataset.train, dataset.test
-        collection = getattr(self.model, "embeddings", None)
-        if not isinstance(collection, EmbeddingBagCollection):
+        collection = self.model.embeddings
+        if not all(_names_rows(collection, b) for b in (train, test)):
             yield train, test
             return
         slot_of = {id(p): i for i, p in enumerate(self.optimizer.params)}
-        slots = [slot_of.get(id(table.weight)) for table in collection.tables]
-        if None in slots or not all(_names_rows(collection, b) for b in (train, test)):
-            yield train, test
-            return
+        slots = [slot_of[id(weight)] for weight in collection.parameters()]
         offsets = collection.offsets
         live = self._trained if self._trained is not None else np.zeros(offsets[-1], dtype=bool)
         live[_stacked_rows(train, offsets).reshape(-1)] = True
@@ -164,22 +154,6 @@ class Trainer:
             num_batches += 1
         return total_loss / max(num_batches, 1)
 
-    def evaluate_loss(self, batch: CTRBatch) -> float:
-        """Mean BCE loss over ``batch`` without updating the model."""
-        logits = self.model.forward(batch.dense, batch.sparse)
-        return self.loss_fn.forward(logits, batch.labels)
-
-
-def evaluate_error(model: RecommendationModel, batch: CTRBatch, threshold: float = 0.5) -> float:
-    """Classification error (percent) of thresholded CTR predictions.
-
-    This is the metric Table 1 reports (21.36% / 21.26% / 21.13%): the
-    fraction of test interactions whose click outcome the model mispredicts.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return _error_percent(model.forward(batch.dense, batch.sparse), batch.labels, threshold)
-
 
 def _names_rows(collection: EmbeddingBagCollection, batch: CTRBatch) -> bool:
     """Whether every sparse id of ``batch`` names a row of its table, as ``forward`` requires."""
@@ -202,7 +176,11 @@ def _renamed(batch: CTRBatch, position: np.ndarray, offsets: np.ndarray) -> CTRB
     return replace(batch, sparse=position[_stacked_rows(batch, offsets)] - offsets[:-1])
 
 
-def _error_percent(logits: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
-    """Percent of ``labels`` that thresholded ``sigmoid(logits)`` mispredicts."""
-    predictions = (sigmoid(logits.reshape(-1)) >= threshold).astype(np.float64)
+def _error_percent(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Percent of ``labels`` that ``sigmoid(logits)`` thresholded at 0.5 mispredicts.
+
+    This is the metric Table 1 reports (21.36% / 21.26% / 21.13%): the
+    fraction of test interactions whose click outcome the model mispredicts.
+    """
+    predictions = (sigmoid(logits.reshape(-1)) >= 0.5).astype(np.float64)
     return float(np.mean(predictions != labels) * 100.0)

@@ -4,7 +4,8 @@ Table 1 of the paper defines three Pareto-optimal DLRM configurations for
 Criteo (RMsmall / RMmed / RMlarge); the MovieLens experiments use three NeuMF
 configurations of analogous small/medium/large complexity.  Each entry records
 
-* the architecture hyperparameters needed to instantiate the numpy model,
+* the architecture hyperparameters (for a DLRM, the ones
+  :func:`build_model` instantiates the trainable numpy model from),
 * the paper-scale reference cost (model size in GB, MLP compute per item,
   published test error), and
 * ``score_noise`` -- the standard deviation of the ranking-score error this
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from repro.data.criteo import NUM_DENSE_FEATURES, NUM_TABLES
 from repro.models.cost import FP32_BYTES, GiB, ModelCost
 from repro.models.dlrm import DLRM, DLRMConfig
-from repro.models.neumf import NeuMF, NeuMFConfig
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,6 @@ MODEL_ZOO: dict[str, ModelSpec] = {
 }
 
 
-def get_model_spec(name: str) -> ModelSpec:
-    """Look up a model spec by name (case-sensitive, e.g. ``"RMlarge"``)."""
-    try:
-        return MODEL_ZOO[name]
-    except KeyError:
-        raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_ZOO)}") from None
-
-
 def criteo_model_specs() -> list[ModelSpec]:
     """The Criteo Pareto frontier, smallest to largest."""
     return [RM_SMALL, RM_MED, RM_LARGE]
@@ -194,41 +186,26 @@ def build_model(
     table_sizes: list[int] | tuple[int, ...],
     num_dense: int | None = None,
     seed: int = 0,
-):
-    """Instantiate a trainable numpy model for ``spec`` on a given dataset.
+) -> DLRM:
+    """Instantiate the trainable numpy DLRM for ``spec`` on a given dataset.
 
-    ``table_sizes`` comes from the dataset (:class:`repro.data.Dataset`):
-    for DLRM it is the per-categorical-feature table sizes, for NeuMF it is
-    ``[num_users, num_items]``.
+    ``table_sizes`` comes from the dataset (:class:`repro.data.Dataset`): the
+    per-categorical-feature table sizes.  Only DLRM trains; a NeuMF spec
+    carries its paper-scale cost and ``score_noise`` only, and is refused.
     """
-    if spec.family == "dlrm":
-        if num_dense is None:
-            num_dense = spec.mlp_bottom[0]
-        bottom = (num_dense, *spec.mlp_bottom[1:])
-        config = DLRMConfig(
-            name=spec.name,
-            embedding_dim=spec.embedding_dim,
-            mlp_bottom=bottom,
-            mlp_top=spec.mlp_top,
-            table_sizes=tuple(table_sizes),
-            reference_storage_bytes=spec.reference_storage_bytes,
-            seed=seed,
+    if spec.family != "dlrm":
+        raise ValueError(
+            f"{spec.name} is a NeuMF spec: it has a reference cost and score noise, "
+            "but only DLRM specs build a trainable model"
         )
-        return DLRM(config)
-    if spec.family == "neumf":
-        if len(table_sizes) != 2:
-            raise ValueError(
-                "NeuMF requires table_sizes=[num_users, num_items], got "
-                f"{len(table_sizes)} entries"
-            )
-        config = NeuMFConfig(
-            name=spec.name,
-            num_users=int(table_sizes[0]),
-            num_items=int(table_sizes[1]),
-            embedding_dim=spec.embedding_dim,
-            mlp_hidden=spec.mlp_top,
-            reference_storage_bytes=spec.reference_storage_bytes,
-            seed=seed,
-        )
-        return NeuMF(config)
-    raise ValueError(f"unknown model family: {spec.family!r}")
+    if num_dense is None:
+        num_dense = spec.mlp_bottom[0]
+    config = DLRMConfig(
+        name=spec.name,
+        embedding_dim=spec.embedding_dim,
+        mlp_bottom=(num_dense, *spec.mlp_bottom[1:]),
+        mlp_top=spec.mlp_top,
+        table_sizes=tuple(table_sizes),
+        seed=seed,
+    )
+    return DLRM(config)

@@ -1,8 +1,8 @@
-"""Embedding tables and embedding-bag collections.
+"""The stacked embedding-bag collection DLRM looks its sparse features up in.
 
 Recommendation models map sparse categorical inputs to dense latent vectors
-through embedding tables.  DLRM uses one table per categorical feature and a
-sum-pooled "embedding bag" lookup.  The tables dominate the model's memory
+through embedding tables.  DLRM uses one table per categorical feature and
+one lookup per table and sample.  The tables dominate the model's memory
 footprint and their access pattern (power-law over rows) drives the caching
 behaviour that the hardware models in :mod:`repro.accel` exploit.
 """
@@ -17,80 +17,6 @@ from repro.nn.init import normal_init
 from repro.nn.layers import Layer
 
 
-class EmbeddingTable(Layer):
-    """A single embedding table of shape ``(num_rows, dim)``.
-
-    ``forward`` takes integer indices of shape ``(batch,)`` or
-    ``(batch, bag)`` and returns dense vectors.  Multi-index bags are
-    sum-pooled, matching DLRM's EmbeddingBag-with-sum semantics.
-    """
-
-    def __init__(
-        self,
-        num_rows: int,
-        dim: int,
-        rng: np.random.Generator | None = None,
-        std: float = 0.01,
-    ) -> None:
-        if num_rows <= 0 or dim <= 0:
-            raise ValueError(f"table dimensions must be positive, got {num_rows}x{dim}")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.weight = normal_init(rng, (num_rows, dim), std=std)
-        self.grad_weight = np.zeros_like(self.weight)
-        self._indices: np.ndarray | None = None
-
-    @property
-    def num_rows(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
-    def forward(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices)
-        if not np.issubdtype(indices.dtype, np.integer):
-            raise TypeError(f"embedding indices must be integers, got {indices.dtype}")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_rows):
-            raise IndexError(
-                f"embedding index out of range [0, {self.num_rows}): "
-                f"min={indices.min()}, max={indices.max()}"
-            )
-        self._indices = indices
-        if indices.ndim == 1:
-            return self.weight[indices]
-        if indices.ndim == 2:
-            return self.weight[indices].sum(axis=1)
-        raise ValueError(f"indices must be 1-D or 2-D, got shape {indices.shape}")
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._indices is None:
-            raise RuntimeError("backward called before forward")
-        indices = self._indices
-        if indices.ndim == 1:
-            np.add.at(self.grad_weight, indices, grad_out)
-        else:
-            bag = indices.shape[1]
-            flat_idx = indices.reshape(-1)
-            flat_grad = np.repeat(grad_out, bag, axis=0)
-            np.add.at(self.grad_weight, flat_idx, flat_grad)
-        # Embedding inputs are indices, not differentiable values.
-        return np.zeros_like(grad_out)
-
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weight]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [self.grad_weight]
-
-    def num_parameters(self) -> int:
-        return self.weight.size
-
-    def storage_bytes(self, bytes_per_element: int = 4) -> int:
-        """Storage footprint of the table at serving precision (fp32 default)."""
-        return self.weight.size * bytes_per_element
-
-
 class EmbeddingBagCollection(Layer):
     """A collection of embedding tables, one per categorical feature.
 
@@ -99,17 +25,18 @@ class EmbeddingBagCollection(Layer):
     lookups, shape ``(batch, num_tables * dim)``.
 
     The tables are stacked: the collection owns one ``(sum(rows), dim)``
-    ``weight`` and one ``grad_weight``, and each ``tables[t].weight`` /
-    ``grad_weight`` is the view of rows ``offsets[t]:offsets[t + 1]``.  Each
-    table's rows are drawn from ``rng`` in table order, as separate tables
+    ``weight`` and one ``grad_weight``, and table ``t`` is their rows
+    ``offsets[t]:offsets[t + 1]``.  Each table's rows are drawn from ``rng``
+    by :func:`~repro.nn.init.normal_init` in table order, as separate tables
     would draw them, so the stack holds the same values.  ``forward`` is one
     gather over the stack and ``backward`` one 1-D ``np.add.at`` over flat
     element indices.  Both are exact against per-table lookups: a gather
     copies values, and ``np.add.at`` applies its additions one at a time in
     index order, so every gradient element adds its rows' values in batch
     order, starting from its current value, as a per-table ``np.add.at``
-    does.  ``parameters()``/``gradients()`` stay per table, so an optimizer
-    updates one table-sized array at a time.
+    does.  ``parameters()``/``gradients()`` are each table's view of the
+    stack, made once, so an optimizer updates one table-sized array at a
+    time and finds the same arrays on every call.
 
     ``zero_grad`` clears only the stacked rows ``backward`` wrote since the
     last reset (at most ``batch * num_tables`` of them), not the whole
@@ -124,7 +51,6 @@ class EmbeddingBagCollection(Layer):
         table_sizes: Sequence[int],
         dim: int,
         rng: np.random.Generator | None = None,
-        std: float = 0.01,
     ) -> None:
         if not table_sizes:
             raise ValueError("at least one embedding table is required")
@@ -136,19 +62,17 @@ class EmbeddingBagCollection(Layer):
         self.offsets = np.concatenate(([0], np.cumsum(self.table_sizes)))
         self.weight = np.empty((int(self.offsets[-1]), dim))
         self.grad_weight = np.zeros_like(self.weight)
-        self.tables = []
-        for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
-            table = EmbeddingTable(int(stop - start), dim, rng=rng, std=std)
-            self.weight[start:stop] = table.weight
-            table.weight = self.weight[start:stop]
-            table.grad_weight = self.grad_weight[start:stop]
-            self.tables.append(table)
+        tables = [slice(start, stop) for start, stop in zip(self.offsets[:-1], self.offsets[1:])]
+        for rows in tables:
+            self.weight[rows] = normal_init(rng, (rows.stop - rows.start, dim))
+        self._weights = [self.weight[rows] for rows in tables]
+        self._grads = [self.grad_weight[rows] for rows in tables]
         self._rows: np.ndarray | None = None
         self._written: list[np.ndarray] = []
 
     @property
     def num_tables(self) -> int:
-        return len(self.tables)
+        return len(self.table_sizes)
 
     def forward(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices)
@@ -199,23 +123,7 @@ class EmbeddingBagCollection(Layer):
         self._written = [new_row[rows] for rows in self._written]
 
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for table in self.tables:
-            params.extend(table.parameters())
-        return params
+        return list(self._weights)
 
     def gradients(self) -> list[np.ndarray]:
-        grads: list[np.ndarray] = []
-        for table in self.tables:
-            grads.extend(table.gradients())
-        return grads
-
-    def num_parameters(self) -> int:
-        return sum(table.num_parameters() for table in self.tables)
-
-    def storage_bytes(self, bytes_per_element: int = 4) -> int:
-        return sum(table.storage_bytes(bytes_per_element) for table in self.tables)
-
-    def lookups_per_sample(self) -> int:
-        """Number of embedding-vector fetches one inference sample performs."""
-        return self.num_tables
+        return list(self._grads)

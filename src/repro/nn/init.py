@@ -21,14 +21,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float64)
 
 
-def he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """He/Kaiming uniform initialization, appropriate for ReLU networks."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float64)
-
-
 def normal_init(
     rng: np.random.Generator,
     shape: tuple[int, ...],

@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.init import he_uniform, xavier_uniform
-from repro.nn.loss import sigmoid
+from repro.nn.init import xavier_uniform
 
 
 class Layer:
@@ -61,17 +60,11 @@ class Linear(Layer):
         in_features: int,
         out_features: int,
         rng: np.random.Generator | None = None,
-        init: str = "xavier",
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ValueError(f"layer dimensions must be positive, got {in_features}x{out_features}")
         rng = rng if rng is not None else np.random.default_rng(0)
-        if init == "xavier":
-            self.weight = xavier_uniform(rng, in_features, out_features)
-        elif init == "he":
-            self.weight = he_uniform(rng, in_features, out_features)
-        else:
-            raise ValueError(f"unknown init scheme: {init!r}")
+        self.weight = xavier_uniform(rng, in_features, out_features)
         self.bias = np.zeros(out_features, dtype=np.float64)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
@@ -80,10 +73,6 @@ class Linear(Layer):
     @property
     def in_features(self) -> int:
         return self.weight.shape[0]
-
-    @property
-    def out_features(self) -> int:
-        return self.weight.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -104,13 +93,6 @@ class Linear(Layer):
     def gradients(self) -> list[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
 
-    def flops_per_sample(self) -> int:
-        """Multiply-accumulate FLOPs for a single input row (2 * M * N)."""
-        return 2 * self.in_features * self.out_features
-
-    def num_parameters(self) -> int:
-        return self.weight.size + self.bias.size
-
 
 class ReLU(Layer):
     """Rectified linear activation."""
@@ -128,28 +110,13 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class Sigmoid(Layer):
-    """Logistic activation; numerically stable for large magnitudes."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = sigmoid(x)
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
-
-
 class MLP(Layer):
     """Multi-layer perceptron defined by a list of layer widths.
 
     ``layer_sizes = [13, 64, 4]`` builds two linear layers (13->64, 64->4)
-    with ReLU between them.  The final activation is configurable because
-    DLRM's top MLP ends in a sigmoid (CTR) while the bottom MLP ends in ReLU.
+    with ReLU between them.  ``final_activation`` is ``"relu"`` or
+    ``"none"``: DLRM's bottom MLP ends in ReLU, its top MLP in the raw CTR
+    logit.
     """
 
     def __init__(
@@ -161,7 +128,6 @@ class MLP(Layer):
         if len(layer_sizes) < 2:
             raise ValueError("MLP needs at least an input and an output width")
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.layer_sizes = list(layer_sizes)
         self.layers: list[Layer] = []
         n_linear = len(layer_sizes) - 1
         for i in range(n_linear):
@@ -196,27 +162,10 @@ class MLP(Layer):
             grads.extend(layer.gradients())
         return grads
 
-    def flops_per_sample(self) -> int:
-        """Total MLP FLOPs for one input row (ignores activation costs)."""
-        return sum(layer.flops_per_sample() for layer in self.layers if isinstance(layer, Linear))
-
-    def num_parameters(self) -> int:
-        return sum(layer.num_parameters() for layer in self.layers if isinstance(layer, Linear))
-
-    @property
-    def in_features(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def out_features(self) -> int:
-        return self.layer_sizes[-1]
-
 
 def _make_activation(name: str) -> Layer:
     if name == "relu":
         return ReLU()
-    if name == "sigmoid":
-        return Sigmoid()
-    if name in ("none", "identity", "linear"):
+    if name == "none":
         return Identity()
     raise ValueError(f"unknown activation: {name!r}")

@@ -43,37 +43,6 @@ class BCEWithLogitsLoss:
         return self.forward(logits, targets)
 
 
-class MSELoss:
-    """Mean squared error; used by the NeuMF regression variant."""
-
-    def __init__(self) -> None:
-        self._pred: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions = np.asarray(predictions, dtype=np.float64).reshape(-1)
-        targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"predictions and targets must have the same shape, "
-                f"got {predictions.shape} vs {targets.shape}"
-            )
-        self._pred = predictions
-        self._targets = targets
-        if predictions.size == 0:
-            return 0.0
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self) -> np.ndarray:
-        if self._pred is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        n = max(self._pred.size, 1)
-        return (2.0 * (self._pred - self._targets) / n).reshape(-1, 1)
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function, evaluated without overflow at large ``|x|``.
 

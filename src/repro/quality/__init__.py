@@ -18,7 +18,7 @@ package provides
 """
 
 from repro.quality.metrics import dcg, ideal_dcg, ndcg, ndcg_percent
-from repro.quality.funnel import FunnelStage, simulate_funnel, rank_with_model
+from repro.quality.funnel import FunnelStage, simulate_funnel
 from repro.quality.evaluator import QualityEvaluator
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "ndcg_percent",
     "FunnelStage",
     "simulate_funnel",
-    "rank_with_model",
     "QualityEvaluator",
 ]

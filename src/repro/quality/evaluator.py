@@ -67,18 +67,6 @@ class QualityEvaluator:
         """Convenience wrapper for a one-stage funnel."""
         return self.evaluate([FunnelStage(score_noise=score_noise, num_items=num_items)])
 
-    def quality_table(
-        self,
-        noise_levels: dict[str, float],
-        item_counts: Sequence[int],
-    ) -> dict[tuple[str, int], float]:
-        """NDCG for every (model, items-ranked) pair -- the data behind Fig. 3."""
-        table: dict[tuple[str, int], float] = {}
-        for model_name, noise in noise_levels.items():
-            for num_items in item_counts:
-                table[(model_name, num_items)] = self.evaluate_single_stage(noise, num_items)
-        return table
-
     def _cache_key(self, stages: Sequence[FunnelStage], sub_batches: int, serve_k: int) -> tuple:
         # The tuple's order seeds each funnel's noise (``hash(key)``).
         return (

@@ -11,8 +11,8 @@ Model fidelity is represented by ``score_noise``: the stage's predicted score
 for a candidate is its ground-truth relevance (normalized to [0, 1]) plus
 Gaussian noise of that standard deviation.  The zoo (:mod:`repro.models.zoo`)
 assigns each Pareto-optimal model a noise level consistent with its published
-test error, and :func:`rank_with_model` lets a trained numpy model be used
-directly instead for end-to-end validation.
+test error, so the funnel prices every model, DLRM or NeuMF, without a
+trained instance.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.datasets import RankingQuery
-from repro.models.base import RecommendationModel
 from repro.quality.metrics import ndcg_percent
 
 SERVE_K_DEFAULT = 64
@@ -154,29 +152,3 @@ def _select_top(
     merged_scores = np.concatenate(survivor_scores)
     order = np.argsort(merged_scores)[::-1][:keep]
     return candidate_idx[merged[order]]
-
-
-def rank_with_model(
-    query: RankingQuery,
-    model: RecommendationModel,
-    num_items: int,
-    serve_k: int = SERVE_K_DEFAULT,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Single-stage NDCG (percent) using a trained numpy model end-to-end.
-
-    Used to validate that the noise-based funnel surrogate and the trained
-    models agree on the quality ordering (larger models, more items => higher
-    NDCG).
-    """
-    if num_items <= 0:
-        raise ValueError(f"num_items must be positive, got {num_items}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pool_size = query.num_candidates
-    n = min(num_items, pool_size)
-    candidate_idx = rng.permutation(pool_size)[:n]
-    subset = query.subset(candidate_idx)
-    scores = model.predict(subset.dense, subset.sparse)
-    order = np.argsort(scores)[::-1][:serve_k]
-    served_relevance = subset.relevance[order]
-    return ndcg_percent(served_relevance, query.relevance, serve_k)

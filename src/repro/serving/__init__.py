@@ -64,7 +64,6 @@ from repro.serving.trace import (
     TRACES,
     LoadTrace,
     diurnal_trace,
-    make_trace,
     ramp_trace,
     spike_trace,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "diurnal_trace",
     "spike_trace",
     "ramp_trace",
-    "make_trace",
     "ServingPath",
     "PathTable",
     "MultiPathRouter",

@@ -182,9 +182,3 @@ class LatencyReport:
             )
             for i in range(loads)
         ]
-
-    def meets_sla(self, sla_seconds: float) -> bool:
-        """Whether p99 latency is within the SLA and the system kept up."""
-        if sla_seconds <= 0:
-            raise ValueError("sla_seconds must be positive")
-        return not self.saturated and self.p99_latency <= sla_seconds

@@ -33,7 +33,6 @@ __all__ = [
     "LoadTrace",
     "TRACES",
     "diurnal_trace",
-    "make_trace",
     "ramp_trace",
     "spike_trace",
 ]
@@ -86,10 +85,6 @@ class LoadTrace:
     def total_queries(self) -> float:
         """Expected number of queries offered over the whole trace."""
         return float(np.sum(self.queries_per_step()))
-
-    def mean_qps(self) -> float:
-        """Query-rate average over the trace (uniform step widths)."""
-        return float(np.mean(self.qps))
 
     def median_qps(self) -> float:
         """Median per-step load — the ``typical`` load a planner provisions for."""
@@ -316,25 +311,3 @@ TRACES = {
     "spike": spike_trace,
     "ramp": ramp_trace,
 }
-
-
-def make_trace(name: str, **kwargs) -> LoadTrace:
-    """Build the named trace, forwarding generator keyword arguments.
-
-    Parameters
-    ----------
-    name : str
-        One of :data:`TRACES` (``diurnal``, ``spike``, ``ramp``).
-    **kwargs
-        Forwarded to the generator (e.g. ``num_steps``, ``seed``).
-
-    Returns
-    -------
-    LoadTrace
-        The generated trace.
-    """
-    try:
-        generator = TRACES[name]
-    except KeyError:
-        raise ValueError(f"unknown trace {name!r}; expected one of {sorted(TRACES)}") from None
-    return generator(**kwargs)

@@ -4,10 +4,9 @@ These are the per-shard and per-grid-point forms the cluster layer used
 before :class:`~repro.cluster.sharding.ShardingPlan` accumulated per-node
 aggregates in its validating pass, kept verbatim in logic:
 
-* :func:`reference_node_bytes`, :func:`reference_node_lookup_fraction`,
-  :func:`reference_remote_bytes_per_query`, :func:`reference_remote_rows`
-  and :func:`reference_remote_bytes` — one walk over every shard per call
-  (and per home node);
+* :func:`reference_node_bytes`, :func:`reference_remote_bytes_per_query`,
+  :func:`reference_remote_rows` and :func:`reference_remote_bytes` — one
+  walk over every shard per call (and per home node);
 * :func:`reference_remote_cache_hit_rate` and
   :func:`reference_gather_seconds_per_node` — the topology model priced on
   top of those walks;
@@ -39,16 +38,6 @@ def reference_node_bytes(plan) -> np.ndarray:
     for shard in plan.assignments:
         held[shard.node] += shard.num_rows * plan.tables[shard.table_index].row_bytes
     return held
-
-
-def reference_node_lookup_fraction(plan) -> np.ndarray:
-    """Lookup share per node, accumulated shard by shard and normalised."""
-    lookups = np.zeros(plan.num_nodes, dtype=np.float64)
-    for shard in plan.assignments:
-        table = plan.tables[shard.table_index]
-        lookups[shard.node] += table.lookups_per_query * (shard.num_rows / table.num_rows)
-    total = lookups.sum()
-    return lookups / total if total > 0 else lookups
 
 
 def reference_remote_bytes_per_query(plan, home: int) -> np.ndarray:

@@ -13,12 +13,13 @@ forward per epoch, kept verbatim in logic:
   seed (so it draws the same initial weights) and runs the two pieces above;
   ``zero_grad`` resets every gradient in full, where ``DLRM`` resets the
   embeddings only by the rows ``backward`` wrote.
-* :class:`ReferenceAdam` and :class:`ReferenceSGD` step every row of every
-  parameter, where ``Trainer.fit`` has the optimizer step only each
-  embedding table's live rows.
+* :class:`ReferenceAdam` steps every row of every parameter, where
+  ``Trainer.fit`` has the optimizer step only each embedding table's live
+  rows.
 * :class:`ReferenceTrainer` evaluates each epoch with two test forwards:
-  one for the loss, one (through ``model.predict``) for the error.  It
-  trains in row order with the dense optimizers above.
+  one for the loss, one (through :func:`reference_error`, the sigmoid of a
+  forward) for the error.  It trains in row order with the dense Adam
+  above.
 
 The equivalence suite in ``tests/test_nn_equivalence.py`` requires the
 production code to reproduce them bit for bit (``tobytes()`` equality).
@@ -31,11 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.datasets import CTRBatch, Dataset
-from repro.models.base import RecommendationModel
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.training import Trainer, TrainingHistory
-from repro.nn import MLP, SGD, Adam
+from repro.nn import MLP, Adam
 from repro.nn.init import normal_init
+from repro.nn.loss import sigmoid
 
 
 class ReferenceEmbeddingTable:
@@ -105,7 +106,6 @@ class ReferenceDLRM(DLRM):
 
     def __init__(self, config: DLRMConfig) -> None:
         self.config = config
-        self.name = config.name
         rng = np.random.default_rng(config.seed)
         self.bottom = MLP(config.mlp_bottom, rng=rng, final_activation="relu")
         self.embeddings = ReferenceEmbeddingBagCollection(
@@ -115,7 +115,9 @@ class ReferenceDLRM(DLRM):
         self.top = MLP(top_sizes, rng=rng, final_activation="none")
         self._cache: dict[str, np.ndarray] | None = None
 
-    zero_grad = RecommendationModel.zero_grad
+    def zero_grad(self) -> None:
+        for g in self.gradients():
+            g[...] = 0.0
 
     def forward(self, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
         dense = np.asarray(dense, dtype=np.float64)
@@ -165,33 +167,18 @@ class ReferenceAdam(Adam):
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class ReferenceSGD(SGD):
-    """SGD stepping every row of every parameter."""
-
-    def step(self) -> None:
-        for p, g, v in zip(self.params, self.grads, self._velocity):
-            if self.momentum > 0.0:
-                v *= self.momentum
-                v += g
-                p -= self.lr * v
-            else:
-                p -= self.lr * g
-
-
 class ReferenceTrainer(Trainer):
-    """The trainer with two test forwards per epoch and dense optimizer steps."""
+    """The trainer with two test forwards per epoch and dense Adam steps."""
 
     def __init__(
         self,
-        model: RecommendationModel,
+        model: ReferenceDLRM,
         lr: float = 0.01,
-        optimizer: str = "adam",
         batch_size: int = 256,
         seed: int = 0,
     ) -> None:
-        super().__init__(model, lr=lr, optimizer=optimizer, batch_size=batch_size, seed=seed)
-        dense = ReferenceAdam if optimizer == "adam" else ReferenceSGD
-        self.optimizer = dense(model.parameters(), model.gradients(), lr=lr)
+        super().__init__(model, lr=lr, batch_size=batch_size, seed=seed)
+        self.optimizer = ReferenceAdam(model.parameters(), model.gradients(), lr=lr)
 
     def fit(self, dataset: Dataset, epochs: int = 3) -> TrainingHistory:
         history = TrainingHistory()
@@ -207,7 +194,7 @@ class ReferenceTrainer(Trainer):
 
 
 def reference_error(model, batch: CTRBatch, threshold: float = 0.5) -> float:
-    """Percent of ``batch`` whose thresholded ``model.predict`` mispredicts the label."""
-    probs = model.predict(batch.dense, batch.sparse)
+    """Percent of ``batch`` whose thresholded ``sigmoid(model.forward)`` mispredicts the label."""
+    probs = sigmoid(model.forward(batch.dense, batch.sparse).reshape(-1))
     predictions = (probs >= threshold).astype(np.float64)
     return float(np.mean(predictions != batch.labels) * 100.0)

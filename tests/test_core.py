@@ -38,7 +38,6 @@ class TestPipelineConfig:
         pipeline = PipelineConfig((Stage(RM_SMALL, 4096), Stage(RM_LARGE, 512)))
         assert pipeline.num_stages == 2
         assert "RMsmall@4096" in pipeline.name
-        assert pipeline.filtering_ratios() == [8.0]
 
     def test_items_must_decrease(self):
         with pytest.raises(ValueError):

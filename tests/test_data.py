@@ -273,22 +273,11 @@ class TestCriteoSynthetic:
         assert ds.num_tables == 26
         assert len(ds.train) + len(ds.test) == 500
 
-    def test_query_subset(self, dataset):
-        (query,) = dataset.sample_ranking_queries(1, candidates_per_query=64)
-        sub = query.subset(np.arange(10))
-        assert sub.num_candidates == 10
-
 
 class TestMovieLensSynthetic:
     @pytest.fixture(scope="class")
     def dataset(self):
         return MovieLensSynthetic(MovieLensConfig(num_users=300, num_items=200))
-
-    def test_batch_structure(self, dataset):
-        batch = dataset.sample_ctr_batch(256)
-        assert batch.sparse.shape == (256, 2)
-        assert batch.sparse[:, 0].max() < 300
-        assert batch.sparse[:, 1].max() < 200
 
     def test_preference_bounds(self, dataset):
         users = np.array([0, 1, 2])
@@ -296,10 +285,21 @@ class TestMovieLensSynthetic:
         prefs = dataset.true_preference(users, items)
         assert np.all((prefs >= 0) & (prefs <= 1))
 
-    def test_ranking_queries_unique_items(self, dataset):
+    def test_ranking_queries_unique_items(self, dataset, monkeypatch):
+        # A query keeps only relevance, so read the items its grades come from.
+        scored = []
+        original = MovieLensSynthetic.true_preference
+
+        def recording(self, users, items):
+            scored.append(items)
+            return original(self, users, items)
+
+        monkeypatch.setattr(MovieLensSynthetic, "true_preference", recording)
         (query,) = dataset.sample_ranking_queries(1, candidates_per_query=100)
-        items = query.sparse[:, 1]
+        (items,) = scored
         assert len(np.unique(items)) == 100
+        assert items.max() < 200
+        assert query.num_candidates == 100
 
     def test_candidates_cannot_exceed_catalogue(self, dataset):
         with pytest.raises(ValueError):

@@ -22,10 +22,6 @@ class TestSpecs:
         assert NVIDIA_T4_GPU.dram_capacity_bytes == 15 * 1024**3
         assert NVIDIA_T4_GPU.tdp_watts == 70.0
 
-    def test_peak_flops_positive(self):
-        assert CASCADE_LAKE_CPU.peak_flops > 1e12
-        assert CASCADE_LAKE_CPU.peak_flops_per_core > 1e10
-
 
 class TestMemoryModels:
     def test_sram_faster_than_dram(self):
@@ -121,11 +117,6 @@ class TestGPUModel:
         gpu_plan = scheduler.plan_for(pipeline, "gpu")
         cpu_plan = scheduler.plan_for(pipeline, "cpu")
         assert gpu_plan.throughput_capacity() < cpu_plan.throughput_capacity()
-
-    def test_memory_capacity_check(self, gpu):
-        assert gpu.fits_in_memory(RM_LARGE.reference_cost())
-        huge = RM_LARGE.reference_cost().scaled(8.0)
-        assert not gpu.fits_in_memory(huge)
 
     def test_zero_items_free(self, gpu):
         assert gpu.stage_latency(RM_SMALL.reference_cost(), 0) == 0.0

@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from repro.data import CriteoConfig, CriteoSynthetic
 from repro.models.dlrm import DLRM, pairwise_interactions
-from repro.models.training import Trainer, evaluate_error
+from repro.models.training import Trainer
 from repro.models.zoo import RM_LARGE, RM_SMALL, build_model
-from repro.nn import SGD, Adam, EmbeddingBagCollection
+from repro.nn import Adam, BCEWithLogitsLoss, EmbeddingBagCollection
 from tests.nn_reference import (
     ReferenceAdam,
     ReferenceDLRM,
     ReferenceEmbeddingBagCollection,
-    ReferenceSGD,
     ReferenceTrainer,
     reference_error,
     reference_interactions,
@@ -46,24 +45,24 @@ class TestStackedCollectionMatchesReference:
     def test_forward_and_backward_are_bit_identical(self, sizes, dim, batch, seed):
         stacked = EmbeddingBagCollection(sizes, dim, rng=np.random.default_rng(seed))
         reference = ReferenceEmbeddingBagCollection(sizes, dim, rng=np.random.default_rng(seed))
-        for table, ref in zip(stacked.tables, reference.tables):
-            assert same_bytes(table.weight, ref.weight)
+        for weight, ref in zip(stacked.parameters(), reference.tables, strict=True):
+            assert same_bytes(weight, ref.weight)
 
         rng = np.random.default_rng(seed + 1)
         indices = rng.integers(0, sizes, size=(batch, len(sizes)))
         indices[-1] = indices[0]  # at least one repeated row per table
         # A non-zero prior gradient: add.at must start from it.
-        for table, ref in zip(stacked.tables, reference.tables):
+        for grad, ref in zip(stacked.gradients(), reference.tables, strict=True):
             prior = rng.standard_normal(ref.grad_weight.shape)
-            table.grad_weight[...] = prior
+            grad[...] = prior
             ref.grad_weight[...] = prior
 
         assert same_bytes(stacked.forward(indices), reference.forward(indices))
         grad_out = rng.standard_normal((batch, len(sizes) * dim))
         stacked.backward(grad_out)
         reference.backward(grad_out)
-        for table, ref in zip(stacked.tables, reference.tables):
-            assert same_bytes(table.grad_weight, ref.grad_weight)
+        for grad, ref in zip(stacked.gradients(), reference.tables, strict=True):
+            assert same_bytes(grad, ref.grad_weight)
 
     def test_zero_grad_clears_the_rows_of_every_backward_since_the_last(self):
         stacked = EmbeddingBagCollection([5, 7, 2], 3)
@@ -120,25 +119,25 @@ class TestTrainingMatchesReference:
             assert same_bytes(p, q)
         for p, q in zip(model.gradients(), reference.gradients(), strict=True):
             assert same_bytes(p, q)
-        # The public evaluators read the same forward as fit's one-pass epoch end.
-        assert evaluate_error(model, dataset.test) == reference_error(reference, dataset.test)
-        trainer = Trainer(model)
-        assert trainer.evaluate_loss(dataset.test) == history.test_loss[-1]
+        # Once fit restores row order, two fresh forwards read what its last
+        # one-pass epoch end recorded.
+        test = dataset.test
+        assert reference_error(model, test) == history.test_error[-1]
+        logits = model.forward(test.dense, test.sparse)
+        assert BCEWithLogitsLoss().forward(logits, test.labels) == history.test_loss[-1]
 
 
-def optimizer_state(optimizer) -> list[np.ndarray]:
-    """Every per-element state array of ``optimizer`` (Adam's m and v, SGD's velocity)."""
-    if isinstance(optimizer, Adam):
-        return [*optimizer._m, *optimizer._v]
-    return list(optimizer._velocity)
+def optimizer_state(optimizer: Adam) -> list[np.ndarray]:
+    """Every per-element state array of ``optimizer``: Adam's m and v."""
+    return [*optimizer._m, *optimizer._v]
 
 
-def trained_pair(spec, dataset, optimizer="adam", lr=0.005):
+def trained_pair(spec, dataset):
     """A trainer and a reference trainer over bit-equal copies of one model."""
     model = build_model(spec, dataset.table_sizes, num_dense=dataset.num_dense, seed=5)
     reference = ReferenceDLRM(model.config)
-    trainer = Trainer(model, lr=lr, optimizer=optimizer, batch_size=128, seed=5)
-    expected = ReferenceTrainer(reference, lr=lr, optimizer=optimizer, batch_size=128, seed=5)
+    trainer = Trainer(model, lr=0.005, batch_size=128, seed=5)
+    expected = ReferenceTrainer(reference, lr=0.005, batch_size=128, seed=5)
     return trainer, expected
 
 
@@ -200,18 +199,6 @@ class TestLiveRowStepsMatchDenseSteps:
         for split in (empty, dataset, empty):
             assert_fits_match(trainer, expected, split)
 
-    def test_sgd_with_momentum(self):
-        dataset = small_criteo()
-        trainer, expected = trained_pair(RM_SMALL, dataset, optimizer="sgd", lr=0.05)
-        trainer.optimizer = SGD(
-            trainer.model.parameters(), trainer.model.gradients(), lr=0.05, momentum=0.9
-        )
-        expected.optimizer = ReferenceSGD(
-            expected.model.parameters(), expected.model.gradients(), lr=0.05, momentum=0.9
-        )
-        for half in (0, 1):
-            assert_fits_match(trainer, expected, half_rows(dataset, half))
-
     @pytest.mark.parametrize(
         "table, bad_id, shown",
         # Table 2 has 86 rows; table 25, the last, 615 from stacked row 7,900,
@@ -241,11 +228,8 @@ class TestLiveRowStepsMatchDenseSteps:
         trainer, expected = trained_pair(RM_SMALL, dataset)
         assert_fits_match(trainer, expected, unsigned)
 
-    @pytest.mark.parametrize("dense", [ReferenceAdam, ReferenceSGD])
-    def test_a_step_leaves_the_rows_past_the_extent_bit_for_bit(self, dense):
+    def test_a_step_leaves_the_rows_past_the_extent_bit_for_bit(self):
         """On +0.0 gradient and state a step is the identity, -0.0, NaN and inf included."""
-        production = Adam if dense is ReferenceAdam else SGD
-        kwargs = {"lr": 0.1} if dense is ReferenceAdam else {"lr": 0.1, "momentum": 0.5}
         rng = np.random.default_rng(3)
         start = rng.standard_normal((6, 3))
         start[4:] = [[-0.0, np.nan, np.inf], [0.0, -np.inf, 5e-324]]
@@ -253,9 +237,9 @@ class TestLiveRowStepsMatchDenseSteps:
         expected = [a.copy() for a in params]
         grads = [np.zeros_like(a) for a in params]
         expected_grads = [np.zeros_like(a) for a in params]
-        optimizer = production(params, grads, **kwargs)
+        optimizer = Adam(params, grads, lr=0.1)
         optimizer.extents = [4, 0]
-        reference = dense(expected, expected_grads, **kwargs)
+        reference = ReferenceAdam(expected, expected_grads, lr=0.1)
         for _ in range(3):
             grads[0][:4] = expected_grads[0][:4] = rng.standard_normal((4, 3))
             optimizer.step()

@@ -55,14 +55,14 @@ class TestRunOnce:
     def test_reads_the_last_json_line(self, gate, tmp_path):
         result = {"correct": True, "attempted": 2, "failed": 0, "metrics": {}}
         script = f"import sys; print('report'); print({json.dumps(json.dumps(result))})"
-        assert gate.run_once(tmp_path, self.command(script), "serve") == result
+        assert gate.run_once(tmp_path, self.command(script), "serve", tmp_path) == result
 
     def test_a_run_without_a_result_or_with_a_failing_exit_is_incorrect(self, gate, tmp_path):
-        missing = gate.run_once(tmp_path, self.command("print('no json')"), "serve")
+        missing = gate.run_once(tmp_path, self.command("print('no json')"), "serve", tmp_path)
         assert missing["correct"] is False and missing["failed"] == 1
         result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
         script = f"import sys; print({json.dumps(json.dumps(result))}); sys.exit(3)"
-        assert gate.run_once(tmp_path, self.command(script), "serve")["correct"] is False
+        assert gate.run_once(tmp_path, self.command(script), "serve", tmp_path)["correct"] is False
 
     def test_reads_the_digest_on_the_record_line(self, gate, tmp_path):
         result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
@@ -71,7 +71,28 @@ class TestRunOnce:
             f"print('perfbench fleet'); print('record ' + {json.dumps(json.dumps(record))}); "
             f"print({json.dumps(json.dumps(result))})"
         )
-        assert gate.run_once(tmp_path, self.command(script), "fleet")["digest"] == "35ee"
+        assert gate.run_once(tmp_path, self.command(script), "fleet", tmp_path)["digest"] == "35ee"
+
+    def test_each_tree_compiles_into_its_own_cache_outside_both_trees(
+        self, gate, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        script = (
+            "import json, sys; print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
+            "'metrics': {}, 'cache': sys.pycache_prefix, 'writes': not sys.dont_write_bytecode}))"
+        )
+        trees = {side: tmp_path / side for side in ("base", "head")}
+        for tree in trees.values():
+            tree.mkdir()
+        runs = gate.run_pairs(trees, self.command(script), ["serve"], 2)["serve"]
+        # One cache per tree for the whole invocation, each set, apart and outside both trees.
+        caches = {side: {run["cache"] for run in results} for side, results in runs.items()}
+        (base,), (head,) = caches["base"], caches["head"]
+        assert None not in (base, head) and base != head
+        for cache in (Path(base), Path(head)):
+            assert not any(cache.is_relative_to(tree) for tree in trees.values())
+            assert not cache.exists()  # removed once the runs are done
+        assert all(run["writes"] for results in runs.values() for run in results)
 
 
 class TestOutputs:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import CriteoSynthetic, CriteoConfig
-from repro.models import build_model
 from repro.models.zoo import RM_LARGE, RM_MED, RM_SMALL
 from repro.quality import (
     FunnelStage,
@@ -18,7 +17,6 @@ from repro.quality import (
     ideal_dcg,
     ndcg,
     ndcg_percent,
-    rank_with_model,
     simulate_funnel,
 )
 
@@ -168,37 +166,6 @@ class TestQualityEvaluator:
         }
         assert q["RMlarge"] > q["RMmed"] > q["RMsmall"]
 
-    def test_quality_table_contents(self, evaluator):
-        table = evaluator.quality_table({"RMsmall": 0.3}, [256, 1024])
-        assert ("RMsmall", 256) in table and ("RMsmall", 1024) in table
-        assert table[("RMsmall", 1024)] > table[("RMsmall", 256)]
-
     def test_requires_queries(self):
         with pytest.raises(ValueError):
             QualityEvaluator([])
-
-
-class TestRankWithTrainedModel:
-    def test_trained_model_beats_untrained(self):
-        dataset_gen = CriteoSynthetic(CriteoConfig(table_size=300))
-        dataset = dataset_gen.build_dataset(num_train=2500, num_test=400, seed=9)
-        (query,) = dataset_gen.sample_ranking_queries(1, candidates_per_query=512, seed=21)
-
-        untrained = build_model(RM_SMALL, dataset.table_sizes, num_dense=13, seed=5)
-        q_untrained = np.mean(
-            [
-                rank_with_model(query, untrained, 512, rng=np.random.default_rng(s))
-                for s in range(3)
-            ]
-        )
-        from repro.models import Trainer
-
-        trained = build_model(RM_SMALL, dataset.table_sizes, num_dense=13, seed=5)
-        Trainer(trained, lr=0.01, batch_size=256, seed=5).fit(dataset, epochs=3)
-        q_trained = np.mean(
-            [
-                rank_with_model(query, trained, 512, rng=np.random.default_rng(s))
-                for s in range(3)
-            ]
-        )
-        assert q_trained > q_untrained - 1.0

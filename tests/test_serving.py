@@ -189,8 +189,8 @@ class TestMetrics:
         assert report.offered_qps == 10
         assert report.num_queries == 100
         assert report.achieved_qps == pytest.approx(10.0)
-        assert report.meets_sla(2e-3)
-        assert not report.meets_sla(0.5e-3)
+        assert report.p99_latency == pytest.approx(1e-3)
+        assert not report.saturated
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=50))
     @settings(max_examples=25, deadline=None)

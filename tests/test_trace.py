@@ -9,7 +9,6 @@ from repro.serving.trace import (
     TRACES,
     LoadTrace,
     diurnal_trace,
-    make_trace,
     ramp_trace,
     spike_trace,
 )
@@ -31,7 +30,6 @@ class TestLoadTrace:
         assert trace.num_steps == 3
         assert trace.duration_seconds == 90.0
         assert trace.total_queries() == pytest.approx(30.0 * 600.0)
-        assert trace.mean_qps() == pytest.approx(200.0)
         assert trace.median_qps() == pytest.approx(200.0)
         assert trace.peak_qps() == pytest.approx(300.0)
 
@@ -176,22 +174,18 @@ class TestWindowRatesProperties:
 class TestGenerators:
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_deterministic_under_fixed_seed(self, name):
-        first = make_trace(name, seed=7)
-        second = make_trace(name, seed=7)
+        first = TRACES[name](seed=7)
+        second = TRACES[name](seed=7)
         assert first.name == name
         np.testing.assert_array_equal(first.qps, second.qps)
 
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_different_seed_different_noise(self, name):
-        assert not np.array_equal(make_trace(name, seed=0).qps, make_trace(name, seed=1).qps)
+        assert not np.array_equal(TRACES[name](seed=0).qps, TRACES[name](seed=1).qps)
 
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_loads_stay_positive(self, name):
-        assert np.all(make_trace(name, seed=3).qps > 0)
-
-    def test_unknown_trace_rejected(self):
-        with pytest.raises(ValueError, match="unknown trace"):
-            make_trace("tsunami")
+        assert np.all(TRACES[name](seed=3).qps > 0)
 
     def test_diurnal_shape(self):
         trace = diurnal_trace(num_steps=48, base_qps=100.0, peak_qps=900.0, noise=0.0)
@@ -232,5 +226,5 @@ class TestGenerators:
         clean = ramp_trace(num_steps=200, start_qps=500.0, end_qps=500.0, noise=0.0)
         noisy = ramp_trace(num_steps=200, start_qps=500.0, end_qps=500.0, noise=0.05, seed=1)
         assert np.all(clean.qps == 500.0)
-        assert noisy.mean_qps() == pytest.approx(500.0, rel=0.02)
+        assert noisy.qps.mean() == pytest.approx(500.0, rel=0.02)
         assert np.std(noisy.qps) > 0

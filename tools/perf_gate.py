@@ -27,15 +27,23 @@ otherwise; that line never fails the gate, since a change that re-baselines
 an artifact moves its digest on purpose.  The gate reads ``perfbench/`` and
 ``BENCHMARK.json`` and changes neither; each run leaves its record under the
 tree's ``.perfbench/``.
+
+Each side's runs compile into one bytecode cache of their own
+(``PYTHONPYCACHEPREFIX``), made for this invocation outside both trees and
+removed on exit, with bytecode writing on.  So both trees start equally
+cold, and bytecode a tree happens to hold in its ``__pycache__``
+directories does not lower one side's ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
@@ -43,16 +51,19 @@ HEAD = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 
 
-def run_once(tree: Path, command: list[str], workload: str) -> dict:
-    """One benchmark run in ``tree``: its JSON result, or a failed stand-in.
+def run_once(tree: Path, command: list[str], workload: str, cache: Path) -> dict:
+    """One benchmark run in ``tree``, compiling into ``cache``: its JSON result, or a stand-in.
 
     A run that printed a ``record`` line adds the record's artifact
-    ``digest`` to its result.
+    ``digest`` to its result; a run that printed no result is a failed one.
     """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
     try:
         done = subprocess.run(
             [*command, "--workload", workload],
             cwd=tree,
+            env=env,
             capture_output=True,
             text=True,
             timeout=RUN_TIMEOUT_S,
@@ -74,6 +85,30 @@ def run_once(tree: Path, command: list[str], workload: str) -> dict:
         except json.JSONDecodeError:
             result["digest"] = None
     return result
+
+
+def run_pairs(
+    trees: dict[str, Path], command: list[str], workloads: list[str], pairs: int
+) -> dict[str, dict[str, list[dict]]]:
+    """Each workload's runs in every tree, ``pairs`` each, alternating which tree goes first.
+
+    Each tree's runs compile into one bytecode cache of their own: an empty
+    directory made outside every tree for this call and removed when it
+    returns.
+    """
+    runs = {workload: {side: [] for side in trees} for workload in workloads}
+    with tempfile.TemporaryDirectory(prefix="perf-gate-pycache-") as root:
+        caches = {side: Path(root) / side for side in trees}
+        for cache in caches.values():
+            cache.mkdir()
+        for workload in workloads:
+            for pair in range(pairs):
+                order = list(trees) if pair % 2 == 0 else list(reversed(trees))
+                for side in order:
+                    result = run_once(trees[side], command, workload, caches[side])
+                    runs[workload][side].append(result)
+                    print(f"{workload} pair {pair + 1}/{pairs} {side} done", file=sys.stderr)
+    return runs
 
 
 def outputs(runs: dict[str, list[dict]]) -> str:
@@ -127,14 +162,9 @@ def main(argv: list[str] | None = None) -> int:
 
     header = ["workload", "metric", "base", "base IQR", "head", "head IQR", "change", "won"]
     rows, problems, digest_lines = [[*header, "verdict"]], [], []
-    for workload in (w["name"] for w in spec["workloads"]):
-        runs: dict[str, list[dict]] = {"base": [], "head": []}
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for side in order:
-                tree = base_tree if side == "base" else HEAD
-                runs[side].append(run_once(tree, spec["command"], workload))
-                print(f"{workload} pair {pair + 1}/{args.pairs} {side} done", file=sys.stderr)
+    trees = {"base": base_tree, "head": HEAD}
+    workloads = [w["name"] for w in spec["workloads"]]
+    for workload, runs in run_pairs(trees, spec["command"], workloads, args.pairs).items():
         digest_lines.append(f"{workload}: {outputs(runs)}")
         if not all(result["correct"] for result in runs["head"]):
             problems.append(f"{workload}: a head run reported correct: false")
